@@ -266,11 +266,10 @@ func BenchmarkTrainDataset(b *testing.B) {
 		for _, path := range []struct {
 			name    string
 			disable bool
-			f32     bool
-		}{{name: "masked"}, {name: "gather", disable: true}, {name: "masked32", f32: true}} {
+		}{{name: "masked"}, {name: "gather", disable: true}} {
 			b.Run(fmt.Sprintf("f=%d/%s", f, path.name), func(b *testing.B) {
 				b.ReportAllocs()
-				cfg := frac.Config{Seed: 5, DisableMaskedTrain: path.disable, Float32Design: path.f32}
+				cfg := frac.Config{Seed: 5, DisableMaskedTrain: path.disable}
 				for i := 0; i < b.N; i++ {
 					model, err := frac.Train(train, terms, cfg)
 					if err != nil {

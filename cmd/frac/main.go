@@ -34,8 +34,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"syscall"
 	"time"
@@ -55,7 +57,6 @@ type options struct {
 	workers  int
 	learners string
 	scores   bool
-	f32      bool
 	explain  explainOptions
 
 	// obs is the run's telemetry recorder (nil unless a telemetry flag was
@@ -83,7 +84,6 @@ func main() {
 	flag.IntVar(&opt.workers, "workers", 0, "parallel trainings (0 = GOMAXPROCS)")
 	flag.StringVar(&opt.learners, "learners", "paper", "paper (SVR+tree) | tree")
 	flag.BoolVar(&opt.scores, "scores", false, "print per-sample scores")
-	flag.BoolVar(&opt.f32, "float32-design", false, "store the masked-training design cache as float32 (~2x kernel bandwidth; scores match the float64 path within tolerance, not bit for bit)")
 	flag.IntVar(&opt.explain.top, "explain-top", 0, "emit JSONL attributions (top K features) for flagged samples; 0 = off")
 	flag.StringVar(&opt.explain.out, "explain-out", "", "JSONL destination for -explain-top output (default stdout)")
 	flag.Float64Var(&opt.explain.quantile, "explain-quantile", 0.95, "NS quantile at or above which a sample is flagged for explanation (labeled anomalies are always flagged)")
@@ -115,14 +115,12 @@ func main() {
 		"workers", strconv.Itoa(opt.workers),
 		"learners", opt.learners,
 		"replicates", strconv.Itoa(*replicates),
-		"float32-design", strconv.FormatBool(opt.f32),
 		"drift-ref", *driftRef,
 		"no-drift-ref", strconv.FormatBool(*noDriftRef),
 		"explain-top", strconv.Itoa(opt.explain.top),
 		"explain-out", opt.explain.out,
 		"explain-quantile", strconv.FormatFloat(opt.explain.quantile, 'g', -1, 64),
 	)
-	opt.manifest.Float32Design = opt.f32
 	// When telemetry is on, run all term-level work through one instrumented
 	// compute pool so occupancy and queue-wait metrics cover every variant
 	// (the pool is sized exactly like the worker bound, so scheduling — and
@@ -215,8 +213,7 @@ func trainAndSave(ctx context.Context, trainPath, modelPath, driftRefPath string
 	}
 	train = normalsOnly(train)
 	opt.describeDataset(train.Name, train.NumFeatures(), train.NumSamples(), 0, 0)
-	cfg := frac.Config{Seed: opt.seed, Workers: opt.workers, Obs: opt.obs,
-		Float32Design: opt.f32}
+	cfg := frac.Config{Seed: opt.seed, Workers: opt.workers, Obs: opt.obs}
 	if opt.learners == "tree" {
 		cfg.Learners = frac.TreeLearnersDefault()
 	}
@@ -227,20 +224,44 @@ func trainAndSave(ctx context.Context, trainPath, modelPath, driftRefPath string
 	if err := captureDriftRef(ctx, model, train, driftRefPath, noDriftRef, opt); err != nil {
 		return err
 	}
-	f, err := os.Create(modelPath)
-	if err != nil {
-		return err
-	}
-	if err := frac.SaveModel(f, model); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFileAtomic(modelPath, func(w io.Writer) error { return frac.SaveModel(w, model) }); err != nil {
 		return err
 	}
 	fmt.Printf("trained on %d samples x %d features; model saved to %s\n",
 		train.NumSamples(), train.NumFeatures(), modelPath)
 	return nil
+}
+
+// writeFileAtomic writes path through write so that a reader (a fracserve
+// reload, say) sees either the old file or the complete new one, never a
+// partial artifact: the bytes go to a temp file in the destination
+// directory, which is synced, closed, and renamed over path. On any error
+// the temp file is removed and an existing file at path is left untouched.
+func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	// CreateTemp makes the file 0600; artifacts keep os.Create's usual mode.
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = write(f); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // captureDriftRef embeds the healthy NS distribution into the model. An
@@ -306,10 +327,8 @@ func loadAndScore(modelPath, testPath string, opt options) error {
 		if err := explainScoredModel(model, test, scores, opt.explain); err != nil {
 			return err
 		}
-	} else {
-		for i := range scores {
-			scores[i] = model.Score(test.Sample(i))
-		}
+	} else if err := model.ScoreRowsInto(test.X, scores, frac.NewScoreWorkspace()); err != nil {
+		return err
 	}
 	for i, v := range scores {
 		fmt.Printf("sample %d: NS=%.4f\n", i, v)
@@ -359,7 +378,7 @@ func run(ctx context.Context, dataPath, trainPath, testPath string, replicates i
 		opt.obs.Annotate("replicate", strconv.Itoa(i))
 		tracker := resource.NewTracker()
 		cfg := frac.Config{Seed: opt.seed, Workers: opt.workers, Tracker: tracker,
-			Obs: opt.obs, Limit: opt.limit, Float32Design: opt.f32}
+			Obs: opt.obs, Limit: opt.limit}
 		if opt.learners == "tree" {
 			cfg.Learners = frac.TreeLearnersDefault()
 		}

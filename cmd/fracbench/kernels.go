@@ -1,6 +1,6 @@
 // The `kernels` exhibit: linalg kernel microbenchmarks reported as median
-// ns/op and effective bandwidth (GB/s) at each vector length, covering all
-// three kernel tiers (exact-order, fast reassociated, float32 storage).
+// ns/op and effective bandwidth (GB/s) at each vector length, covering both
+// kernel tiers (exact-order and fast reassociated).
 // Unlike the table/figure exhibits these are hand-rolled timing loops —
 // nanosecond-scale kernels need batched calls, not whole-pass wall timing.
 package main
@@ -51,7 +51,6 @@ func runKernels(b *bench) error {
 		passes    = 5
 		batchOps  = 8 << 20 // element-ops per timed batch
 		bytesF64  = 8
-		bytesF32  = 4
 		skipWidth = 1 // skip kernels touch n-1 elements
 	)
 	b.doc.Kernels = b.doc.Kernels[:0]
@@ -63,13 +62,9 @@ func runKernels(b *bench) error {
 		}
 		x := make([]float64, n)
 		y := make([]float64, n)
-		w := make([]float64, n)
-		x32 := make([]float32, n)
 		for i := range x {
 			x[i] = float64(i%7) * 0.25
 			y[i] = float64(i%5) * 0.5
-			w[i] = float64(i%3) * 0.125
-			x32[i] = float32(i%5) * 0.5
 		}
 		skip := n / 2
 		m := n - skipWidth
@@ -111,26 +106,6 @@ func runKernels(b *bench) error {
 			{"SqDist", int64(2 * bytesF64 * n), func(reps int) {
 				for r := 0; r < reps; r++ {
 					kernelSink += linalg.SqDist(x, y)
-				}
-			}},
-			{"Dot32", int64((bytesF64 + bytesF32) * n), func(reps int) {
-				for r := 0; r < reps; r++ {
-					kernelSink += linalg.Dot32(w, x32)
-				}
-			}},
-			{"DotSkip32", int64((bytesF64 + bytesF32) * m), func(reps int) {
-				for r := 0; r < reps; r++ {
-					kernelSink += linalg.DotSkip32(w, x32, skip)
-				}
-			}},
-			{"AxpySkip32", int64((2*bytesF64 + bytesF32) * m), func(reps int) {
-				for r := 0; r < reps; r++ {
-					linalg.AxpySkip32(1e-9, x32, w, skip)
-				}
-			}},
-			{"SqNormSkip32", int64(bytesF32 * m), func(reps int) {
-				for r := 0; r < reps; r++ {
-					kernelSink += linalg.SqNormSkip32(x32, skip)
 				}
 			}},
 		}

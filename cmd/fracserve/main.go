@@ -169,6 +169,16 @@ func run(addr string, models modelList, cfg serve.ServerConfig, tele obs.CLIFlag
 		return errors.Join(err, sess.Close(err))
 	}
 
+	// Register every signal before listening: once the listening line is
+	// out, a supervisor may signal at any moment, and an unhandled SIGTERM
+	// (or SIGHUP, whose default action also terminates) would kill the
+	// daemon without a drain.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	defer signal.Stop(hup)
+
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return errors.Join(err, sess.Close(err))
@@ -191,9 +201,6 @@ func run(addr string, models modelList, cfg serve.ServerConfig, tele obs.CLIFlag
 
 	// SIGHUP hot-reloads every model; POST /v1/reload does the same per
 	// model. Reloads are atomic swaps — scoring never pauses.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
 	go func() {
 		for range hup {
 			for _, name := range api.Names() {
@@ -209,8 +216,6 @@ func run(addr string, models modelList, cfg serve.ServerConfig, tele obs.CLIFlag
 		}
 	}()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case <-ctx.Done():
 		err = nil // orderly shutdown on signal

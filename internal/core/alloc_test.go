@@ -21,10 +21,10 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// TestScoreTermZeroAllocs guards the zero-allocation contract of the
-// per-sample scoring hot path: after the pooled buffers warm up, ScoreTerm
-// must not allocate, for SVR terms and tree terms alike.
-func TestScoreTermZeroAllocs(t *testing.T) {
+// TestScoreZeroAllocs guards the zero-allocation contract of per-sample
+// scoring: after the pooled scratch warms up, Score must not allocate, over
+// a wiring of SVR terms and tree terms alike.
+func TestScoreZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
 	train, test := goldenTrainTest()
 	model, err := Train(train, FullTerms(train.NumFeatures()), Config{Seed: 42})
@@ -32,14 +32,12 @@ func TestScoreTermZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sample := test.Sample(0)
-	for ti := 0; ti < model.NumTerms(); ti++ {
-		model.ScoreTerm(ti, sample) // warm up the pools
-		allocs := testing.AllocsPerRun(100, func() {
-			model.ScoreTerm(ti, sample)
-		})
-		if allocs != 0 {
-			t.Errorf("ScoreTerm(%d) allocates %.1f per call, want 0", ti, allocs)
-		}
+	model.Score(sample) // warm up the pool
+	allocs := testing.AllocsPerRun(100, func() {
+		model.Score(sample)
+	})
+	if allocs != 0 {
+		t.Errorf("Score allocates %.1f per call, want 0", allocs)
 	}
 }
 
@@ -157,9 +155,10 @@ func predictorOf(tm *termModel) any {
 	return tm.real
 }
 
-// TestBatchMatchesPerSamplePrediction pins the batch path to the per-sample
-// path bit for bit: ScoreDataset's batched scores must equal looping
-// ScoreTerm over every sample.
+// TestBatchMatchesPerSamplePrediction pins the batch prediction path to the
+// scalar one bit for bit: ScoreDataset's per-term contributions must equal
+// scoring each sample through the term's scalar Predict/PredictLabel, the
+// predictors that training holdouts use.
 func TestBatchMatchesPerSamplePrediction(t *testing.T) {
 	train, test := goldenTrainTest()
 	model, err := Train(train, FullTerms(train.NumFeatures()), Config{Seed: 42})
@@ -170,11 +169,24 @@ func TestBatchMatchesPerSamplePrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ti := 0; ti < model.NumTerms(); ti++ {
+	for ti := range model.terms {
+		tm := &model.terms[ti]
+		in := make([]float64, len(tm.term.Inputs))
 		for s := 0; s < test.NumSamples(); s++ {
-			batch := ss.PerTerm.At(ti, s)
-			single := model.ScoreTerm(ti, test.Sample(s))
-			if batch != single {
+			sample := test.Sample(s)
+			v := sample[tm.term.Target]
+			single := 0.0
+			if !dataset.IsMissing(v) {
+				for j, c := range tm.term.Inputs {
+					in[j] = sample[c]
+				}
+				if tm.isCat {
+					single = tm.scoreCat(v, tm.cat.PredictLabel(in))
+				} else {
+					single = tm.scoreReal(v, tm.real.Predict(in))
+				}
+			}
+			if batch := ss.PerTerm.At(ti, s); batch != single {
 				t.Errorf("term %d sample %d: batch %v != per-sample %v", ti, s, batch, single)
 			}
 		}

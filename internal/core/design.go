@@ -67,14 +67,8 @@ type designCache struct {
 	// std is the shared design matrix: the working matrix imputed and
 	// standardized with all-rows column statistics. Final (non-fold) models
 	// of eligible terms train directly against it with masked-column
-	// kernels. Nil when the cache is float32 (std32 is set instead).
+	// kernels.
 	std *linalg.Matrix
-	// std32 is the float32 shared design matrix (Config.Float32Design):
-	// same cells as std, each rounded once to float32. Exactly one of
-	// std/std32 is non-nil. The float32 path trades the bit-identity
-	// contract for ~2× kernel bandwidth; its scores are pinned by tolerance
-	// goldens instead.
-	std32 *linalg.Matrix32
 	// means/scales are the all-rows column statistics behind std, retained
 	// compacted into each eligible term's trained predictor.
 	means  []float64
@@ -186,20 +180,6 @@ func buildDesignCache(train *dataset.Dataset, terms []Term, cfg Config) *designC
 			dc.scales[j] = 1 / sd
 		}
 	}
-	if cfg.Float32Design {
-		dc.std32 = linalg.NewMatrix32(n, f)
-		for i := 0; i < n; i++ {
-			src := train.Sample(i)
-			dst := dc.std32.Row(i)
-			for j, v := range src {
-				if math.IsNaN(v) {
-					v = dc.means[j]
-				}
-				dst[j] = float32((v - dc.means[j]) * dc.scales[j])
-			}
-		}
-		return dc
-	}
 	dc.std = linalg.NewMatrix(n, f)
 	for i := 0; i < n; i++ {
 		src := train.Sample(i)
@@ -229,13 +209,7 @@ func (dc *designCache) bytes() int64 {
 	if dc == nil {
 		return 0
 	}
-	var m int64
-	if dc.std32 != nil {
-		m = dc.std32.Bytes()
-	} else {
-		m = dc.std.Bytes()
-	}
-	return m + int64(len(dc.means)+len(dc.scales))*8
+	return dc.std.Bytes() + int64(len(dc.means)+len(dc.scales))*8
 }
 
 // maskedScratch is the per-worker reusable state of masked training: fold
@@ -249,10 +223,8 @@ type maskedScratch struct {
 	ws     svm.SVRWorkspace
 	// foldStd is the materialized standardized fold matrix (training rows
 	// only, full width); one buffer serves every fold of every term a worker
-	// handles. foldStd32 is its float32 twin, used when the cache is
-	// float32 (only one of the two is ever populated per run).
-	foldStd   *linalg.Matrix
-	foldStd32 *linalg.Matrix32
+	// handles.
+	foldStd *linalg.Matrix
 }
 
 // floats returns the scratch target buffer resized to length n.
@@ -335,25 +307,6 @@ func (dc *designCache) fitMasked(view svm.MaskedView, y []float64, seed uint64, 
 	return svm.TrainSVRMasked(view, yStd, p, &ms.ws), yMean, ySD
 }
 
-// fitMasked32 is fitMasked over a float32 design view: identical target
-// standardization and hyperparameters, float32 storage reads with float64
-// accumulation inside the trainer.
-func (dc *designCache) fitMasked32(view svm.MaskedView32, y []float64, seed uint64, ms *maskedScratch) (model *svm.SVR, yMean, ySD float64) {
-	yMean, yVar := stats.MeanVar(y)
-	ySD = math.Sqrt(yVar)
-	if ySD < stats.MinSigma {
-		ySD = 1
-	}
-	yStd := ms.floats(len(y))
-	for i, v := range y {
-		yStd[i] = (v - yMean) / ySD
-	}
-	p := dc.params
-	p.Seed = seed
-	p.Bias = true
-	return svm.TrainSVRMasked32(view, yStd, p, &ms.ws), yMean, ySD
-}
-
 // trainRealTermMasked is the masked-path counterpart of trainRealTerm's
 // non-marginal branch: identical CV folds, residual order, and error-model
 // fitting, with every design-matrix copy replaced by shared-matrix reads.
@@ -370,42 +323,21 @@ func (dc *designCache) trainRealTermMasked(tm *termModel, train *dataset.Dataset
 		sc.foldYF = subFloatsInto(sc.foldYF, y, trIdx)
 		ms.foldStats(train.X, trIdx)
 		// Materialize the standardized fold matrix once (scratch-backed): the
-		// CD loop's O(MaxIter·n·f) reads must hit plain floats, not the lazy
-		// standardizing kernels. Cell values are bitwise the same either way
-		// (on the float32 path, rounded once to float32 like the shared
-		// matrix's cells).
-		var model *svm.SVR
-		var yMean, ySD float64
-		foldSeed := src.Seed() ^ uint64(fi+1)
-		if dc.std32 != nil {
-			ms.foldStd32 = linalg.Resize32(ms.foldStd32, len(trIdx), train.X.Cols)
-			for i, r := range trIdx {
-				raw := train.X.Row(r)
-				dst := ms.foldStd32.Row(i)
-				for j, v := range raw {
-					if math.IsNaN(v) {
-						v = ms.means[j]
-					}
-					dst[j] = float32((v - ms.means[j]) * ms.scales[j])
+		// CD loop's O(MaxIter·n·f) reads must hit plain floats, not a lazy
+		// standardizing kernel. Cell values are bitwise the same either way.
+		ms.foldStd = linalg.Resize(ms.foldStd, len(trIdx), train.X.Cols)
+		for i, r := range trIdx {
+			raw := train.X.Row(r)
+			dst := ms.foldStd.Row(i)
+			for j, v := range raw {
+				if math.IsNaN(v) {
+					v = ms.means[j]
 				}
+				dst[j] = (v - ms.means[j]) * ms.scales[j]
 			}
-			model, yMean, ySD = dc.fitMasked32(svm.MaskedView32{X: ms.foldStd32, Skip: term.Target}, sc.foldYF, foldSeed, ms)
-		} else {
-			ms.foldStd = linalg.Resize(ms.foldStd, len(trIdx), train.X.Cols)
-			for i, r := range trIdx {
-				raw := train.X.Row(r)
-				dst := ms.foldStd.Row(i)
-				for j, v := range raw {
-					if math.IsNaN(v) {
-						v = ms.means[j]
-					}
-					dst[j] = (v - ms.means[j]) * ms.scales[j]
-				}
-			}
-			model, yMean, ySD = dc.fitMasked(svm.MaskedView{X: ms.foldStd, Skip: term.Target}, sc.foldYF, foldSeed, ms)
 		}
-		// Holdout predictions read the raw float64 rows either way: weights
-		// are float64 on both paths.
+		model, yMean, ySD := dc.fitMasked(svm.MaskedView{X: ms.foldStd, Skip: term.Target}, sc.foldYF, src.Seed()^uint64(fi+1), ms)
+		// Holdout predictions standardize the raw rows on the fly.
 		for _, h := range fold {
 			pred := model.PredictSkipStd(train.X.Row(h), ms.means, ms.scales, term.Target)*ySD + yMean
 			residuals = append(residuals, y[h]-pred)
@@ -416,13 +348,7 @@ func (dc *designCache) trainRealTermMasked(tm *termModel, train *dataset.Dataset
 		residuals = []float64{0}
 	}
 	tm.realErr = fitRealError(residuals, cfg.KDEError)
-	var model *svm.SVR
-	var yMean, ySD float64
-	if dc.std32 != nil {
-		model, yMean, ySD = dc.fitMasked32(svm.MaskedView32{X: dc.std32, Skip: term.Target}, y, src.Seed(), ms)
-	} else {
-		model, yMean, ySD = dc.fitMasked(svm.MaskedView{X: dc.std, Skip: term.Target}, y, src.Seed(), ms)
-	}
+	model, yMean, ySD := dc.fitMasked(svm.MaskedView{X: dc.std, Skip: term.Target}, y, src.Seed(), ms)
 	tm.real = dc.retained(model, term.Target, yMean, ySD)
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"frac/internal/dataset"
 	"frac/internal/drift"
@@ -55,16 +54,6 @@ type Config struct {
 	// so this exists for A/B benchmarking and the equivalence tests, not as
 	// a correctness escape hatch.
 	DisableMaskedTrain bool
-	// Float32Design stores the shared masked-training design matrix
-	// (DESIGN.md §10) as float32 instead of float64 — halving its memory and
-	// roughly doubling effective kernel bandwidth in the f ≫ n regime. The
-	// dual-CD trainer still accumulates in float64 and keeps float64
-	// weights, so only the stored design cells lose precision (one float32
-	// rounding each). Scores on this path are NOT bit-identical to the
-	// default pipeline — they agree within a small documented tolerance (see
-	// the float32 golden tests) — so the flag is opt-in. Terms ineligible
-	// for masked training are unaffected, as is scoring.
-	Float32Design bool
 }
 
 func (c Config) withDefaults() Config {
@@ -129,10 +118,6 @@ type Model struct {
 	// (nil when never captured), persisted with the model so serving can
 	// monitor for drift without warmup. See CaptureDriftReference.
 	driftRef *drift.Reference
-
-	// inBufs pools ScoreTerm's input-gather buffers so per-sample scoring
-	// is allocation-free in steady state under concurrent callers.
-	inBufs sync.Pool // *[]float64
 }
 
 // Train fits a FRaC model over the given term wiring. The training set must
@@ -509,48 +494,6 @@ func (tm *termModel) scoreCat(v float64, pred int) float64 {
 // the term's NS contribution.
 func (tm *termModel) scoreReal(v, pred float64) float64 {
 	return tm.realErr.Surprisal(v-pred) - tm.entropy
-}
-
-// ScoreTerm returns the NS contribution of term ti for one sample (0 when
-// the target value is missing, per the paper's formula). Steady-state it
-// performs zero allocations: the input-gather buffer is pooled on the model.
-func (m *Model) ScoreTerm(ti int, sample []float64) float64 {
-	tm := &m.terms[ti]
-	v := sample[tm.term.Target]
-	if dataset.IsMissing(v) {
-		return 0
-	}
-	bp, _ := m.inBufs.Get().(*[]float64)
-	if bp == nil {
-		bp = new([]float64)
-	}
-	inputs := *bp
-	if cap(inputs) < len(tm.term.Inputs) {
-		inputs = make([]float64, len(tm.term.Inputs))
-	}
-	inputs = inputs[:len(tm.term.Inputs)]
-	for j, c := range tm.term.Inputs {
-		inputs[j] = sample[c]
-	}
-	var score float64
-	if tm.isCat {
-		score = tm.scoreCat(v, tm.cat.PredictLabel(inputs))
-	} else {
-		score = tm.scoreReal(v, tm.real.Predict(inputs))
-	}
-	*bp = inputs
-	m.inBufs.Put(bp)
-	return score
-}
-
-// Score returns the total normalized surprisal of a sample: higher means
-// more anomalous.
-func (m *Model) Score(sample []float64) float64 {
-	var ns float64
-	for ti := range m.terms {
-		ns += m.ScoreTerm(ti, sample)
-	}
-	return ns
 }
 
 // ScoreSet holds per-term NS contributions for a scored data set.

@@ -61,9 +61,22 @@ func TestMissingTargetContributesZero(t *testing.T) {
 	if hs == 0 || hs == full {
 		t.Logf("half-missing NS = %v (full %v)", hs, full)
 	}
-	if model.ScoreTerm(1, half) != 0 {
+	if termScore(t, model, 1, half) != 0 {
 		t.Error("term with missing target must contribute 0")
 	}
+}
+
+// termScore is term ti's NS contribution to one sample, read from
+// ScoreDataset's per-term matrix.
+func termScore(t *testing.T, m *Model, ti int, sample []float64) float64 {
+	t.Helper()
+	d := dataset.New("one", m.Schema(), 1)
+	copy(d.Sample(0), sample)
+	ss, err := m.ScoreDataset(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss.PerTerm.At(ti, 0)
 }
 
 func TestTrainValidatesTerms(t *testing.T) {
@@ -176,8 +189,8 @@ func TestScoreSetTotals(t *testing.T) {
 		if math.Abs(sum-totals[s]) > 1e-12 {
 			t.Errorf("totals mismatch at %d", s)
 		}
-		if math.Abs(totals[s]-model.Score(test.Sample(s))) > 1e-9 {
-			t.Errorf("Score and ScoreDataset disagree at %d", s)
+		if got := model.Score(test.Sample(s)); math.Float64bits(got) != math.Float64bits(totals[s]) {
+			t.Errorf("sample %d: Score = %v, ScoreDataset total = %v", s, got, totals[s])
 		}
 	}
 }
@@ -286,7 +299,7 @@ func TestAUCOnStatsPackageIntegration(t *testing.T) {
 	}
 }
 
-func TestScoreTermOutOfSchemaCategory(t *testing.T) {
+func TestScoreOutOfSchemaCategory(t *testing.T) {
 	schema := dataset.Schema{
 		{Name: "a", Kind: dataset.Categorical, Arity: 2},
 		{Name: "b", Kind: dataset.Categorical, Arity: 2},
@@ -302,21 +315,21 @@ func TestScoreTermOutOfSchemaCategory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inSchema := model.ScoreTerm(1, []float64{1, 1})
+	inSchema := termScore(t, model, 1, []float64{1, 1})
 	// A label outside [0, arity) must take the worst-case surprisal: at
 	// least as surprising as any declared label, for integral and
 	// non-integral values alike.
 	for _, bad := range []float64{7, -3, 1.5} {
-		got := model.ScoreTerm(1, []float64{1, bad})
+		got := termScore(t, model, 1, []float64{1, bad})
 		if got < inSchema {
 			t.Errorf("out-of-schema label %v scored %v, want >= in-schema %v", bad, got, inSchema)
 		}
-		worst := model.ScoreTerm(1, []float64{1, 0}) // the never-seen declared label
+		worst := termScore(t, model, 1, []float64{1, 0}) // the never-seen declared label
 		if got != worst {
 			t.Errorf("out-of-schema label %v scored %v, want worst-case %v", bad, got, worst)
 		}
 	}
-	// The batch path must agree with the per-sample path on out-of-schema
+	// Per-sample Score must agree with the batch path on out-of-schema
 	// values.
 	test := dataset.New("test", schema, 2)
 	copy(test.Sample(0), []float64{1, 7})
@@ -325,8 +338,8 @@ func TestScoreTermOutOfSchemaCategory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s := 0; s < 2; s++ {
-		if ss.PerTerm.At(1, s) != model.ScoreTerm(1, test.Sample(s)) {
+	for s, total := range ss.Totals() {
+		if model.Score(test.Sample(s)) != total {
 			t.Errorf("batch and per-sample disagree on sample %d", s)
 		}
 	}

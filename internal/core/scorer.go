@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"frac/internal/dataset"
 	"frac/internal/linalg"
@@ -32,6 +33,37 @@ type ScoreWorkspace struct {
 // NewScoreWorkspace returns an empty workspace; buffers are allocated on
 // first use and reused after that.
 func NewScoreWorkspace() *ScoreWorkspace { return &ScoreWorkspace{} }
+
+// sampleScratch is Score's pooled state: a one-row matrix header over the
+// caller's sample, its output slot, and a scoring workspace.
+type sampleScratch struct {
+	row linalg.Matrix
+	out [1]float64
+	ws  ScoreWorkspace
+}
+
+// samplePool keeps Score allocation-free in steady state under concurrent
+// callers.
+var samplePool = sync.Pool{New: func() any { return new(sampleScratch) }}
+
+// Score returns the total normalized surprisal of one sample (one cell per
+// schema feature, missing values as dataset.Missing): higher means more
+// anomalous. It runs the batch loop of ScoreRowsInto over the sample as a
+// one-row matrix, so it is bit-identical to ScoreDataset(...).Totals(). A
+// sample of the wrong width panics with the scoring error; callers holding
+// unvalidated input should use ScoreRowsInto, which returns it.
+func (m *Model) Score(sample []float64) float64 {
+	sc := samplePool.Get().(*sampleScratch)
+	sc.row = linalg.Matrix{Rows: 1, Cols: len(sample), Data: sample}
+	err := m.scoreRows(&sc.row, sc.out[:], &sc.ws, nil, nil, 0)
+	ns := sc.out[0]
+	sc.row.Data = nil // do not pin the caller's sample
+	samplePool.Put(sc)
+	if err != nil {
+		panic(err)
+	}
+	return ns
+}
 
 // Schema returns the feature schema the model was trained under (the shape
 // every scored row must have). The returned slice is the model's own — do
@@ -70,7 +102,7 @@ func (m *Model) ScoreRowsObserved(rows *linalg.Matrix, out []float64, ws *ScoreW
 	return m.scoreRows(rows, out, ws, obs, nil, 0)
 }
 
-// scoreRows is the one batch-scoring loop behind ScoreRowsInto,
+// scoreRows is the one scoring loop behind Score, ScoreRowsInto,
 // ScoreRowsObserved, and ScoreRowsExplainedInto. When explanation is on
 // (ew non-nil, k > 0) each term's contributions are computed directly into
 // the capture matrix instead of the transient row buffer — same

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"frac/internal/linalg"
@@ -64,6 +65,29 @@ func TestScoreRowsIntoValidates(t *testing.T) {
 	}
 	if err := model.ScoreRowsInto(linalg.NewMatrix(2, train.NumFeatures()), make([]float64, 3), ws); err == nil {
 		t.Error("wrong output length accepted")
+	}
+}
+
+// TestScorePanicsOnWrongWidth: Score has no error return, so a sample
+// narrower or wider than the schema panics with ScoreRowsInto's error
+// instead of indexing past the sample or ignoring its extra cells.
+func TestScorePanicsOnWrongWidth(t *testing.T) {
+	train, _ := goldenTrainTest()
+	model, err := Train(train, FullTerms(train.NumFeatures()), Config{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []int{train.NumFeatures() - 1, train.NumFeatures() + 1} {
+		func() {
+			defer func() {
+				r := recover()
+				err, ok := r.(error)
+				if !ok || !strings.Contains(err.Error(), "features") {
+					t.Errorf("width %d: recovered %v, want the feature-count error", width, r)
+				}
+			}()
+			model.Score(make([]float64, width))
+		}()
 	}
 }
 

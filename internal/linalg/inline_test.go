@@ -28,7 +28,6 @@ func TestKernelWrappersInline(t *testing.T) {
 	for _, fn := range []string{
 		"Dot", "Axpy", "DotSkip", "AxpySkip", "SqNormSkip",
 		"DotFast", "SqDist",
-		"Dot32", "DotSkip32", "AxpySkip32", "SqNormSkip32",
 	} {
 		re := regexp.MustCompile(`can inline ` + fn + `\b`)
 		if !re.Match(out) {

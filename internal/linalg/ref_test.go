@@ -11,10 +11,8 @@ import (
 // length 0..67 and every skip position, including NaN/±0/denormal inputs —
 // the frozen order is a documented contract (package comment, DESIGN.md
 // §12), so any change here is a breaking change that invalidates golden
-// pins. The fast reassociated tier (DotFast, SqDist) and the float32 tier
-// are pinned structurally: the float32 kernels must equal the frozen-order
-// reference on the widened values exactly (their ops are float64), and the
-// fast kernels must stay ulp-bounded against a sequential reference.
+// pins. The fast reassociated tier (DotFast, SqDist) is pinned structurally:
+// its kernels must stay ulp-bounded against a sequential reference.
 
 const refMaxLen = 67 // spans 0, sub-group tails, and 16+ full 4-groups
 
@@ -204,77 +202,5 @@ func TestSqDistUlpBoundedAgainstSequential(t *testing.T) {
 		if diff := math.Abs(got - want); diff > ulpBound(n, mag) {
 			t.Errorf("n=%d: SqDist = %v, sequential = %v, diff %v", n, got, want, diff)
 		}
-	}
-}
-
-// widen32 converts float32 storage back to the float64 values the mixed-
-// precision kernels actually operate on.
-func widen32(x []float32) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = float64(v)
-	}
-	return out
-}
-
-func narrow32(x []float64) []float32 {
-	out := make([]float32, len(x))
-	for i, v := range x {
-		out[i] = float32(v)
-	}
-	return out
-}
-
-// The float32 kernels do all arithmetic in float64 over widened cells, with
-// the same frozen lane order as the exact tier — so against the
-// frozen-order reference on the widened values they are EXACT; the only
-// precision loss in the Float32Design pipeline is the one rounding of each
-// stored cell, which happens before the kernel runs.
-func TestFloat32KernelsMatchWidenedReference(t *testing.T) {
-	state := uint64(0x32_32_32_32)
-	for n := 1; n <= refMaxLen; n++ {
-		w := refValues(n, &state)
-		x32 := narrow32(refValues(n, &state))
-		xw := widen32(x32)
-		if got, want := Dot32(w, x32), refDot(w, xw); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("n=%d: Dot32 = %v, frozen-order ref on widened = %v", n, got, want)
-		}
-		for skip := 0; skip < n; skip++ {
-			gw, gx := gatherRef(w, skip), gatherRef(xw, skip)
-			if got, want := DotSkip32(w, x32, skip), refDot(gw, gx); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("n=%d skip=%d: DotSkip32 = %v, ref = %v", n, skip, got, want)
-			}
-			if got, want := SqNormSkip32(x32, skip), refDot(gx, gx); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("n=%d skip=%d: SqNormSkip32 = %v, ref = %v", n, skip, got, want)
-			}
-			got := append([]float64(nil), w...)
-			want := append([]float64(nil), w...)
-			AxpySkip32(0.375, x32, got, skip)
-			for i := range want {
-				if i != skip {
-					want[i] += 0.375 * xw[i]
-				}
-			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("n=%d skip=%d elem %d: AxpySkip32 = %v, naive = %v", n, skip, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestFloat32KernelSpecialValues(t *testing.T) {
-	x := []float32{1, float32(math.NaN()), 3, 4}
-	w := []float64{1, 1, 1, 1}
-	if got := Dot32(w, x); !math.IsNaN(got) {
-		t.Errorf("Dot32 with NaN cell = %v, want NaN", got)
-	}
-	if got := DotSkip32(w, x, 1); got != 8 {
-		t.Errorf("DotSkip32 skipping the NaN cell = %v, want 8", got)
-	}
-	negZero := []float32{float32(math.Copysign(0, -1)), 1, 2, 3, 4}
-	if got := SqNormSkip32(negZero, 4); got != 1+4+9 {
-		t.Errorf("SqNormSkip32 with -0 cell = %v, want 14", got)
 	}
 }

@@ -67,34 +67,3 @@ func BenchmarkSqDist1024(b *testing.B) {
 		sinkF += SqDist(x, y)
 	}
 }
-
-func benchVecs32(n int) ([]float64, []float32) {
-	w := make([]float64, n)
-	x := make([]float32, n)
-	for i := range w {
-		w[i] = float64(i%7) * 0.25
-		x[i] = float32(i%5) * 0.5
-	}
-	return w, x
-}
-
-func BenchmarkDotSkip32_1024(b *testing.B) {
-	w, x := benchVecs32(1024)
-	for i := 0; i < b.N; i++ {
-		sinkF += DotSkip32(w, x, 512)
-	}
-}
-
-func BenchmarkAxpySkip32_1024(b *testing.B) {
-	w, x := benchVecs32(1024)
-	for i := 0; i < b.N; i++ {
-		AxpySkip32(0.001, x, w, 512)
-	}
-}
-
-func BenchmarkSqNormSkip32_1024(b *testing.B) {
-	_, x := benchVecs32(1024)
-	for i := 0; i < b.N; i++ {
-		sinkF += SqNormSkip32(x, 512)
-	}
-}

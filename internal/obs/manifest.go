@@ -33,10 +33,6 @@ type Manifest struct {
 	// (-obs-term-sample); sampled span counts undercount real events by this
 	// factor, so consumers need it to rescale.
 	TermSampleEvery int `json:"obs_term_sample,omitempty"`
-	// Float32Design records whether the run stored the masked-training
-	// design cache as float32 (Config.Float32Design) — runs differing here
-	// are not score-comparable bit for bit.
-	Float32Design bool `json:"float32_design,omitempty"`
 
 	Build      Build  `json:"build"`
 	GOMAXPROCS int    `json:"gomaxprocs"`

@@ -24,16 +24,17 @@ func TestWorkerPoolProfileLabels(t *testing.T) {
 	}
 	// Enough work per index for the 100 Hz sampler to land inside fn: ~150
 	// indices x ~2ms each across 4 workers ≈ 75ms of labeled CPU.
-	sink := 0.0
+	// One slot per index: workers never write the same memory.
+	sink := make([]float64, 150)
 	err := ForWorkersWithStateErr(WithPhaseLabel(context.Background(), "labeltest"),
-		150, 4, nil,
+		len(sink), 4, nil,
 		func(int) int { return 0 },
 		func(i int, _ int) error {
 			x := float64(i)
 			for j := 0; j < 200_000; j++ {
 				x = x*1.0000001 + 1
 			}
-			sink += x
+			sink[i] = x
 			return nil
 		})
 	pprof.StopCPUProfile()

@@ -392,7 +392,7 @@ func copyAttributions(req *request, ew *core.ExplainWorkspace, off int) {
 		k = d
 	}
 	for i := range req.attr {
-		req.attr[i] = append(req.attr[i][:0], ew.Attributions(off+i)[:k]...)
+		req.attr[i] = append(req.attr[i][:0], ew.Attributions(off + i)[:k]...)
 	}
 }
 

@@ -14,11 +14,15 @@ import (
 )
 
 // fakeScorer is a controllable Scorer: it records every flush's row count,
-// optionally sleeps (to keep the single worker busy while tests queue more
-// work), and scores row i of a batch as the sum of its cells.
+// optionally sleeps or blocks (to keep the single worker busy while tests
+// queue more work), and scores row i of a batch as the sum of its cells.
 type fakeScorer struct {
 	delay time.Duration
 	rt    *Runtime
+	// started, when non-nil, receives one signal as each flush begins;
+	// release, when non-nil, then holds the flush until the test closes it.
+	started chan struct{}
+	release chan struct{}
 
 	mu      sync.Mutex
 	batches []int
@@ -26,6 +30,12 @@ type fakeScorer struct {
 }
 
 func (f *fakeScorer) ScoreBatch(rows *linalg.Matrix, out []float64, _ *core.ScoreWorkspace, _ *drift.Collector, _ *core.ExplainWorkspace, _ int) (*Runtime, error) {
+	if f.started != nil {
+		f.started <- struct{}{}
+	}
+	if f.release != nil {
+		<-f.release
+	}
 	if f.delay > 0 {
 		time.Sleep(f.delay)
 	}
@@ -210,29 +220,41 @@ func TestBatcherRejectsCancelledWhileQueued(t *testing.T) {
 // and the queue at capacity, the next submission fails fast with
 // ErrQueueFull instead of blocking.
 func TestBatcherQueueFull(t *testing.T) {
-	f := &fakeScorer{delay: 200 * time.Millisecond}
+	// started holds one signal per flush: the two setup requests.
+	f := &fakeScorer{started: make(chan struct{}, 2), release: make(chan struct{})}
 	b := NewBatcher(f, BatcherConfig{MaxBatch: 1, MaxWait: 0, Workers: 1, QueueDepth: 1})
 	defer b.Close()
+	release := sync.OnceFunc(func() { close(f.release) })
+	defer release() // runs before Close, so a failed test never strands the worker
 
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ { // one in flight + one queued
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out := make([]float64, 1)
-			b.Submit(context.Background(), oneRow(1), out)
-		}()
+	errs := make(chan error, 2)
+	submit := func(v float64) {
+		out := make([]float64, 1)
+		_, err := b.Submit(context.Background(), oneRow(v), out)
+		errs <- err
 	}
-	// Wait until the queue is actually full (worker holds one, queue one).
-	deadline := time.Now().Add(2 * time.Second)
-	for b.Depth() < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	go submit(1)
+	select { // the worker now holds request 1 and the queue is empty
+	case <-f.started:
+	case err := <-errs:
+		t.Fatalf("first setup submit returned %v before reaching the scorer", err)
+	}
+	go submit(2)
+	for deadline := time.Now().Add(10 * time.Second); b.Depth() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("second setup request never reached the queue")
+		}
 	}
 	out := make([]float64, 1)
 	if _, err := b.Submit(context.Background(), oneRow(3), out); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("submit to full queue returned %v, want ErrQueueFull", err)
 	}
-	wg.Wait()
+	release()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("setup submit: %v", err)
+		}
+	}
 }
 
 // TestBatcherCloseDrains pins graceful shutdown: requests accepted before

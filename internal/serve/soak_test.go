@@ -235,7 +235,13 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		close(done)
 	}()
 
-	time.Sleep(2 * time.Millisecond) // let a bunch of submissions land
+	// Close only once some submission is queued or already scored, so the
+	// drain has work whatever the scheduler did with the goroutines.
+	for deadline := time.Now().Add(10 * time.Second); scored.Load() == 0 && b.Depth() == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no submission reached the batcher")
+		}
+	}
 	b.Close()
 
 	select {

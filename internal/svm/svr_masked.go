@@ -16,78 +16,15 @@ import (
 // (DESIGN.md §10), so masked training is bit-for-bit equivalent to
 // TrainSVR on the gathered matrix — the property the pinned goldens and
 // TestMaskedTrainingBitIdentical enforce.
-//
-// Two view flavors cover FRaC's two training phases:
-//
-//   - A *standardized* view (Means == nil): X is already fully numeric,
-//     imputed and standardized — the per-Train shared design matrix. Rows
-//     are read directly with DotSkip/AxpySkip/SqNormSkip.
-//   - A *raw* view (Means != nil): X is the raw working matrix (NaN
-//     missing markers allowed) and each cell standardizes on the fly as
-//     ((v|mean) - mean) * scale, the exact per-cell formula of the
-//     impute+standardize pipeline, so cross-validation folds — whose
-//     statistics depend on the per-term fold partition — need no
-//     materialized matrix either.
 
-// MaskedView is a read-only, column-masked, optionally row-subset view of a
-// full-width design matrix. The zero Skip masks column 0; Rows == nil means
-// all rows of X in order.
+// MaskedView is a read-only, column-masked view of a full-width design
+// matrix that is already fully numeric: imputed and standardized (the
+// per-Train shared design matrix, or one materialized cross-validation fold
+// of it). The zero Skip masks column 0.
 type MaskedView struct {
-	X    *linalg.Matrix
-	Rows []int // training-row subset; nil = every row
-	// Means/Scales enable the raw flavor: when Means is non-nil each cell
-	// (r, c) reads as ((x|Means[c]) - Means[c]) * Scales[c], with NaN cells
-	// imputing to Means[c] first (standardized value exactly +0/-0, as the
-	// copying pipeline produces). Both must have length X.Cols.
-	Means  []float64
-	Scales []float64
+	X *linalg.Matrix
 	// Skip is the masked (target) column, excluded from every product.
 	Skip int
-}
-
-// rows reports the view's training-row count.
-func (v *MaskedView) rows() int {
-	if v.Rows != nil {
-		return len(v.Rows)
-	}
-	return v.X.Rows
-}
-
-// row returns the i-th training row of the view (full width; consumers skip
-// v.Skip themselves).
-func (v *MaskedView) row(i int) []float64 {
-	if v.Rows != nil {
-		return v.X.Row(v.Rows[i])
-	}
-	return v.X.Row(i)
-}
-
-// dotW returns the masked inner product of w with training row i.
-func (v *MaskedView) dotW(w []float64, i int) float64 {
-	row := v.row(i)
-	if v.Means == nil {
-		return linalg.DotSkip(w, row, v.Skip)
-	}
-	return dotSkipStd(w, row, v.Means, v.Scales, v.Skip)
-}
-
-// sqNorm returns the masked squared norm of training row i.
-func (v *MaskedView) sqNorm(i int) float64 {
-	row := v.row(i)
-	if v.Means == nil {
-		return linalg.SqNormSkip(row, v.Skip)
-	}
-	return sqNormSkipStd(row, v.Means, v.Scales, v.Skip)
-}
-
-// axpyW folds a*row(i) into w on the non-masked columns.
-func (v *MaskedView) axpyW(a float64, i int, w []float64) {
-	row := v.row(i)
-	if v.Means == nil {
-		linalg.AxpySkip(a, row, w, v.Skip)
-		return
-	}
-	axpySkipStd(a, row, v.Means, v.Scales, w, v.Skip)
 }
 
 // stdCell standardizes one raw cell: impute NaN to the mean, then center and
@@ -147,83 +84,6 @@ func dotSkipStd(w, x, means, scales []float64, skip int) float64 {
 	return s
 }
 
-func sqNormSkipStd(x, means, scales []float64, skip int) float64 {
-	m := len(x) - 1
-	g := m &^ 3
-	var s0, s1, s2, s3 float64
-	j := 0
-	for ; j+4 <= g && j+4 <= skip; j += 4 {
-		z0 := stdCell(x[j], means[j], scales[j])
-		z1 := stdCell(x[j+1], means[j+1], scales[j+1])
-		z2 := stdCell(x[j+2], means[j+2], scales[j+2])
-		z3 := stdCell(x[j+3], means[j+3], scales[j+3])
-		s0 += z0 * z0
-		s1 += z1 * z1
-		s2 += z2 * z2
-		s3 += z3 * z3
-	}
-	if j+4 <= g && j < skip {
-		p0, p1, p2, p3 := skipIdx(j, skip), skipIdx(j+1, skip), skipIdx(j+2, skip), skipIdx(j+3, skip)
-		z0 := stdCell(x[p0], means[p0], scales[p0])
-		z1 := stdCell(x[p1], means[p1], scales[p1])
-		z2 := stdCell(x[p2], means[p2], scales[p2])
-		z3 := stdCell(x[p3], means[p3], scales[p3])
-		s0 += z0 * z0
-		s1 += z1 * z1
-		s2 += z2 * z2
-		s3 += z3 * z3
-		j += 4
-	}
-	for ; j+4 <= g; j += 4 {
-		z0 := stdCell(x[j+1], means[j+1], scales[j+1])
-		z1 := stdCell(x[j+2], means[j+2], scales[j+2])
-		z2 := stdCell(x[j+3], means[j+3], scales[j+3])
-		z3 := stdCell(x[j+4], means[j+4], scales[j+4])
-		s0 += z0 * z0
-		s1 += z1 * z1
-		s2 += z2 * z2
-		s3 += z3 * z3
-	}
-	s := (s0 + s1) + (s2 + s3)
-	for ; j < m; j++ {
-		p := skipIdx(j, skip)
-		z := stdCell(x[p], means[p], scales[p])
-		s += z * z
-	}
-	return s
-}
-
-// axpySkipStd updates w on the non-masked columns. Element updates are
-// independent, so the two dense unrolled segments stay bit-identical to the
-// gathered Axpy regardless of unrolling.
-func axpySkipStd(a float64, x, means, scales, w []float64, skip int) {
-	if a == 0 {
-		return
-	}
-	axpyStdSeg(a, x[:skip], means[:skip], scales[:skip], w[:skip])
-	axpyStdSeg(a, x[skip+1:], means[skip+1:], scales[skip+1:], w[skip+1:])
-}
-
-func axpyStdSeg(a float64, x, means, scales, w []float64) {
-	n := len(x)
-	if n == 0 {
-		return
-	}
-	means = means[:n]
-	scales = scales[:n]
-	w = w[:n]
-	g := n &^ 3
-	for j := 0; j < g; j += 4 {
-		w[j] += a * stdCell(x[j], means[j], scales[j])
-		w[j+1] += a * stdCell(x[j+1], means[j+1], scales[j+1])
-		w[j+2] += a * stdCell(x[j+2], means[j+2], scales[j+2])
-		w[j+3] += a * stdCell(x[j+3], means[j+3], scales[j+3])
-	}
-	for j := g; j < n; j++ {
-		w[j] += a * stdCell(x[j], means[j], scales[j])
-	}
-}
-
 // SVRWorkspace pools the transient buffers of masked SVR training (weights,
 // dual variables, row norms, coordinate order) so cross-validation folds
 // train with zero allocations. One workspace serves many sequential
@@ -267,11 +127,10 @@ func (ws *SVRWorkspace) ensure(n, d int) {
 // TrainSVR, but against a column-masked view of a full-width design matrix:
 // no gathered copy is ever built. The returned weight vector is full width
 // (len = view.X.Cols) with W[view.Skip] == 0; predictions must go through
-// PredictSkip/PredictSkipStd so the masked column stays excluded.
+// PredictSkipStd so the masked column stays excluded.
 //
 // Bit-identity contract: for any view, TrainSVRMasked produces exactly the
-// model TrainSVR would produce on the gathered-and-standardized (d-1)-column
-// matrix — same coordinate order (the permutation RNG sees the same seed and
+// model TrainSVR would produce on the gathered (d-1)-column matrix — same coordinate order (the permutation RNG sees the same seed and
 // the same n), same partial-sum chains (skip kernels), same stopping
 // iteration. The masked-vs-gather property tests pin this with exact ==.
 //
@@ -279,16 +138,12 @@ func (ws *SVRWorkspace) ensure(n, d int) {
 // safe to retain).
 func TrainSVRMasked(view MaskedView, y []float64, params SVRParams, ws *SVRWorkspace) *SVR {
 	p := params.withDefaults()
-	n, d := view.rows(), view.X.Cols
+	n, d := view.X.Rows, view.X.Cols
 	if len(y) != n {
 		panic(fmt.Sprintf("svm: TrainSVRMasked %d samples but %d targets", n, len(y)))
 	}
 	if view.Skip < 0 || view.Skip >= d {
 		panic(fmt.Sprintf("svm: TrainSVRMasked skip column %d out of [0,%d)", view.Skip, d))
-	}
-	if view.Means != nil && (len(view.Means) != d || len(view.Scales) != d) {
-		panic(fmt.Sprintf("svm: TrainSVRMasked stats width %d/%d, want %d",
-			len(view.Means), len(view.Scales), d))
 	}
 	if ws == nil {
 		ws = &SVRWorkspace{}
@@ -303,7 +158,7 @@ func TrainSVRMasked(view MaskedView, y []float64, params SVRParams, ws *SVRWorks
 	beta := ws.beta
 	qd := ws.qd
 	for i := 0; i < n; i++ {
-		qd[i] = view.sqNorm(i) + lambda
+		qd[i] = linalg.SqNormSkip(view.X.Row(i), view.Skip) + lambda
 		if p.Bias {
 			qd[i]++
 		}
@@ -319,7 +174,8 @@ func TrainSVRMasked(view MaskedView, y []float64, params SVRParams, ws *SVRWorks
 		src.Shuffle(order)
 		maxViolation := 0.0
 		for _, i := range order {
-			g := view.dotW(w, i) + b*boolTo1(p.Bias) - y[i] + lambda*beta[i]
+			row := view.X.Row(i)
+			g := linalg.DotSkip(w, row, view.Skip) + b*boolTo1(p.Bias) - y[i] + lambda*beta[i]
 			gp := g + p.Epsilon
 			gn := g - p.Epsilon
 
@@ -354,7 +210,7 @@ func TrainSVRMasked(view MaskedView, y []float64, params SVRParams, ws *SVRWorks
 				continue
 			}
 			beta[i] += delta
-			view.axpyW(delta, i, w)
+			linalg.AxpySkip(delta, row, w, view.Skip)
 			if p.Bias {
 				b += delta
 			}
@@ -364,13 +220,6 @@ func TrainSVRMasked(view MaskedView, y []float64, params SVRParams, ws *SVRWorks
 		}
 	}
 	return &SVR{W: w, B: b, Iters: iters}
-}
-
-// PredictSkip evaluates wᵀx + b over every column except skip; x is a
-// full-width (already numeric) row and m.W must be full width with the skip
-// entry unused.
-func (m *SVR) PredictSkip(x []float64, skip int) float64 {
-	return linalg.DotSkip(m.W, x, skip) + m.B
 }
 
 // PredictSkipStd evaluates the masked model against one raw full-width row,

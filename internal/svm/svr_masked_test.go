@@ -8,22 +8,14 @@ import (
 	"frac/internal/rng"
 )
 
-// gatherCols copies the selected rows of x dropping column skip.
-func gatherCols(x *linalg.Matrix, rows []int, skip int) *linalg.Matrix {
-	if rows == nil {
-		rows = make([]int, x.Rows)
-		for i := range rows {
-			rows[i] = i
-		}
-	}
-	g := linalg.NewMatrix(len(rows), x.Cols-1)
-	for i, r := range rows {
-		src := x.Row(r)
-		dst := g.Row(i)
+// gatherCols copies x dropping column skip.
+func gatherCols(x *linalg.Matrix, skip int) *linalg.Matrix {
+	g := linalg.NewMatrix(x.Rows, x.Cols-1)
+	for i := 0; i < x.Rows; i++ {
 		k := 0
-		for c, v := range src {
+		for c, v := range x.Row(i) {
 			if c != skip {
-				dst[k] = v
+				g.Row(i)[k] = v
 				k++
 			}
 		}
@@ -58,10 +50,9 @@ func sameModel(t *testing.T, label string, masked, gathered *SVR, skip int) {
 	}
 }
 
-// TestTrainSVRMaskedMatchesGatheredStd: on an already-standardized matrix
-// (the direct view flavor), masked training must reproduce TrainSVR on the
-// gathered (d-1)-column matrix exactly — weights, bias, and stopping
-// iteration.
+// TestTrainSVRMaskedMatchesGatheredStd: on an already-standardized matrix,
+// masked training must reproduce TrainSVR on the gathered (d-1)-column
+// matrix exactly — weights, bias, and stopping iteration.
 func TestTrainSVRMaskedMatchesGatheredStd(t *testing.T) {
 	src := rng.New(21)
 	for _, shape := range []struct{ n, d int }{{8, 2}, {20, 5}, {16, 9}} {
@@ -77,29 +68,19 @@ func TestTrainSVRMaskedMatchesGatheredStd(t *testing.T) {
 		params := SVRParams{Seed: src.Uint64(), Bias: true}
 		var ws SVRWorkspace
 		for skip := 0; skip < shape.d; skip++ {
-			gathered := TrainSVR(gatherCols(x, nil, skip), y, params)
+			gathered := TrainSVR(gatherCols(x, skip), y, params)
 			masked := TrainSVRMasked(MaskedView{X: x, Skip: skip}, y, params, &ws)
 			sameModel(t, "std view", masked, gathered, skip)
-
-			probe := x.Row(src.IntN(shape.n))
-			got := masked.PredictSkip(probe, skip)
-			gp := make([]float64, 0, shape.d-1)
-			for c, v := range probe {
-				if c != skip {
-					gp = append(gp, v)
-				}
-			}
-			if math.Float64bits(got) != math.Float64bits(gathered.Predict(gp)) {
-				t.Errorf("PredictSkip diverges from gathered Predict at skip %d", skip)
-			}
 		}
 	}
 }
 
-// TestTrainSVRMaskedMatchesGatheredRaw: the raw view flavor (lazy
-// impute+standardize over a row subset, NaN cells allowed) must match
-// gathering the rows, imputing, standardizing, and training — the exact
-// per-fold pipeline of the FRaC trainer.
+// TestTrainSVRMaskedMatchesGatheredRaw replays the FRaC trainer's fold
+// pipeline from raw data (a row subset with NaN cells): materializing the
+// standardized full-width fold matrix and training masked must match
+// gathering the rows, imputing, standardizing, and training; and
+// PredictSkipStd on every raw holdout row must match gather, impute,
+// standardize, then Predict — bit for bit.
 func TestTrainSVRMaskedMatchesGatheredRaw(t *testing.T) {
 	src := rng.New(33)
 	n, d := 18, 6
@@ -116,6 +97,7 @@ func TestTrainSVRMaskedMatchesGatheredRaw(t *testing.T) {
 		y[i] = src.Norm()
 	}
 	rows := []int{0, 2, 3, 5, 7, 8, 10, 13, 14, 17}
+	holdout := []int{1, 4, 6, 9, 11, 12, 15, 16}
 	// Full-width subset statistics with the pipeline's formulas.
 	means := make([]float64, d)
 	scales := make([]float64, d)
@@ -144,47 +126,42 @@ func TestTrainSVRMaskedMatchesGatheredRaw(t *testing.T) {
 			scales[j] = 1 / sd
 		}
 	}
-	ySub := make([]float64, len(rows))
-	for i, r := range rows {
-		ySub[i] = y[r]
-	}
-	params := SVRParams{Seed: 99, Bias: true}
-	for skip := 0; skip < d; skip++ {
-		g := gatherCols(x, rows, skip)
-		for i := 0; i < g.Rows; i++ {
-			row := g.Row(i)
-			k := 0
-			for c := 0; c < d; c++ {
-				if c == skip {
-					continue
-				}
-				v := row[k]
-				if math.IsNaN(v) {
-					v = means[c]
-				}
-				row[k] = (v - means[c]) * scales[c]
-				k++
-			}
-		}
-		gathered := TrainSVR(g, ySub, params)
-		masked := TrainSVRMasked(MaskedView{X: x, Rows: rows, Means: means, Scales: scales, Skip: skip},
-			ySub, params, nil)
-		sameModel(t, "raw view", masked, gathered, skip)
-
-		probe := x.Row(1)
-		gp := make([]float64, 0, d-1)
-		for c, v := range probe {
+	// stdGathered imputes and standardizes a raw row, dropping column skip
+	// (skip < 0 keeps every column).
+	stdGathered := func(raw []float64, skip int) []float64 {
+		out := make([]float64, 0, d)
+		for c, v := range raw {
 			if c == skip {
 				continue
 			}
 			if math.IsNaN(v) {
 				v = means[c]
 			}
-			gp = append(gp, (v-means[c])*scales[c])
+			out = append(out, (v-means[c])*scales[c])
 		}
-		got := masked.PredictSkipStd(probe, means, scales, skip)
-		if want := gathered.Predict(gp); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("PredictSkipStd = %v, gathered Predict = %v at skip %d", got, want, skip)
+		return out
+	}
+	fold := linalg.NewMatrix(len(rows), d)
+	ySub := make([]float64, len(rows))
+	for i, r := range rows {
+		copy(fold.Row(i), stdGathered(x.Row(r), -1))
+		ySub[i] = y[r]
+	}
+	params := SVRParams{Seed: 99, Bias: true}
+	for skip := 0; skip < d; skip++ {
+		g := linalg.NewMatrix(len(rows), d-1)
+		for i, r := range rows {
+			copy(g.Row(i), stdGathered(x.Row(r), skip))
+		}
+		gathered := TrainSVR(g, ySub, params)
+		masked := TrainSVRMasked(MaskedView{X: fold, Skip: skip}, ySub, params, nil)
+		sameModel(t, "fold view", masked, gathered, skip)
+
+		for _, h := range holdout {
+			got := masked.PredictSkipStd(x.Row(h), means, scales, skip)
+			if want := gathered.Predict(stdGathered(x.Row(h), skip)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("row %d skip %d: PredictSkipStd = %v, gathered Predict = %v", h, skip, got, want)
+			}
 		}
 	}
 }
