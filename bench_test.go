@@ -235,8 +235,7 @@ func BenchmarkTrainTerm(b *testing.B) {
 
 // trainScaleDataset builds an all-real n x f training set with a shared
 // latent factor, the shape where full-FRaC training cost is dominated by the
-// f predictors-over-(f-1)-inputs — the regime the masked-column path
-// targets.
+// f predictors-over-(f-1)-inputs.
 func trainScaleDataset(n, f int, seed uint64) *frac.Dataset {
 	schema := make(frac.Schema, f)
 	for j := range schema {
@@ -255,23 +254,27 @@ func trainScaleDataset(n, f int, seed uint64) *frac.Dataset {
 }
 
 // BenchmarkTrainDataset sweeps full-FRaC training across feature scales for
-// both training paths. The gather path copies O(f) cells per term per fold
-// (O(f²) total traffic); the masked path reads the shared design cache in
-// place, so the gap must widen with f. The benchguard CI step compares these
-// timings against the committed BENCH_results.json baseline.
+// both SVR routes: the default in-core trainer, and the reference route
+// (Learners.SVR nil) that gathers a copy per term and trains through
+// Learners.Real. The benchguard CI step compares these timings against the
+// committed BENCH_results.json baseline.
 func BenchmarkTrainDataset(b *testing.B) {
+	reference := frac.PaperLearners()
+	reference.SVR = nil
 	for _, f := range []int{64, 256, 1024} {
 		train := trainScaleDataset(32, f, 7)
 		terms := frac.FullTerms(f)
-		for _, path := range []struct {
-			name    string
-			disable bool
-		}{{name: "masked"}, {name: "gather", disable: true}} {
-			b.Run(fmt.Sprintf("f=%d/%s", f, path.name), func(b *testing.B) {
+		for _, route := range []struct {
+			name string
+			cfg  frac.Config
+		}{
+			{name: "incore", cfg: frac.Config{Seed: 5}},
+			{name: "reference", cfg: frac.Config{Seed: 5, Learners: reference}},
+		} {
+			b.Run(fmt.Sprintf("f=%d/%s", f, route.name), func(b *testing.B) {
 				b.ReportAllocs()
-				cfg := frac.Config{Seed: 5, DisableMaskedTrain: path.disable}
 				for i := 0; i < b.N; i++ {
-					model, err := frac.Train(train, terms, cfg)
+					model, err := frac.Train(train, terms, route.cfg)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -5,12 +5,17 @@
 //
 // Record or refresh baselines:
 //
-//	go test -run '^$' -bench 'BenchmarkScoreDataset$|BenchmarkTrainTerm$|BenchmarkTrainDataset' . \
+//	go test -run '^$' -bench 'BenchmarkScoreDataset$|BenchmarkTrainTerm$|BenchmarkTrainDataset' -cpu 1 . \
 //	    | go run ./cmd/benchguard -update
 //
 // Gate a change (the CI bench-smoke job):
 //
-//	go test -run '^$' -bench ... . | go run ./cmd/benchguard
+//	go test -run '^$' -bench ... -cpu 1 . | go run ./cmd/benchguard
+//
+// Always pass -cpu 1: the committed baselines were recorded at GOMAXPROCS 1,
+// and at a higher GOMAXPROCS the parallel training benches speed up while
+// the single-threaded ones do not, which the median calibration below
+// reports as regressions of the latter.
 //
 // CI runners are not the machine that recorded the baselines, so raw ns/op
 // ratios carry a machine-speed factor common to every benchmark. With

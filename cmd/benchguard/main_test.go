@@ -14,7 +14,7 @@ pkg: frac
 cpu: SomeCPU
 BenchmarkScoreDataset-8             	     100	    105000 ns/op	       0 B/op	       0 allocs/op
 BenchmarkTrainTerm-8                	      50	   2100000 ns/op	   12345 B/op	      40 allocs/op
-BenchmarkTrainDataset/f=64/masked-8 	       2	  70514083 ns/op	27713640 B/op	   42050 allocs/op
+BenchmarkTrainDataset/f=64/incore-8 	       2	  70514083 ns/op	27713640 B/op	   42050 allocs/op
 BenchmarkTrainDataset/f=64/gather-8 	       2	  70890000 ns/op	55000000 B/op	   75870 allocs/op
 BenchmarkNoNsColumn-8               	     100	        12 MB/s
 PASS
@@ -29,7 +29,7 @@ func TestParseBenchOutput(t *testing.T) {
 	want := map[string]float64{
 		"BenchmarkScoreDataset":             105000,
 		"BenchmarkTrainTerm":                2100000,
-		"BenchmarkTrainDataset/f=64/masked": 70514083,
+		"BenchmarkTrainDataset/f=64/incore": 70514083,
 		"BenchmarkTrainDataset/f=64/gather": 70890000,
 	}
 	if len(got) != len(want) {
@@ -47,7 +47,7 @@ func TestNormalizeName(t *testing.T) {
 		{"BenchmarkX-8", "BenchmarkX"},
 		{"BenchmarkX-16", "BenchmarkX"},
 		{"BenchmarkX", "BenchmarkX"},
-		{"BenchmarkTrainDataset/f=64/masked-8", "BenchmarkTrainDataset/f=64/masked"},
+		{"BenchmarkTrainDataset/f=64/incore-8", "BenchmarkTrainDataset/f=64/incore"},
 		{"BenchmarkOdd-name", "BenchmarkOdd-name"}, // non-numeric suffix stays
 	}
 	for _, c := range cases {

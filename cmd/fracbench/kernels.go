@@ -48,10 +48,9 @@ func timeKernel(reps, passes int, fn func(reps int)) float64 {
 // and replaces the Kernels section of the results document.
 func runKernels(b *bench) error {
 	const (
-		passes    = 5
-		batchOps  = 8 << 20 // element-ops per timed batch
-		bytesF64  = 8
-		skipWidth = 1 // skip kernels touch n-1 elements
+		passes   = 5
+		batchOps = 8 << 20 // element-ops per timed batch
+		bytesF64 = 8
 	)
 	b.doc.Kernels = b.doc.Kernels[:0]
 	fmt.Fprintf(b.opts.Out, "Linalg kernel grid (median of %d batches)\n", passes)
@@ -66,8 +65,6 @@ func runKernels(b *bench) error {
 			x[i] = float64(i%7) * 0.25
 			y[i] = float64(i%5) * 0.5
 		}
-		skip := n / 2
-		m := n - skipWidth
 		specs := []struct {
 			name  string
 			bytes int64 // memory touched per call (reads + writes)
@@ -78,24 +75,9 @@ func runKernels(b *bench) error {
 					kernelSink += linalg.Dot(x, y)
 				}
 			}},
-			{"DotSkip", int64(2 * bytesF64 * m), func(reps int) {
-				for r := 0; r < reps; r++ {
-					kernelSink += linalg.DotSkip(x, y, skip)
-				}
-			}},
 			{"Axpy", int64(3 * bytesF64 * n), func(reps int) {
 				for r := 0; r < reps; r++ {
 					linalg.Axpy(1e-9, x, y)
-				}
-			}},
-			{"AxpySkip", int64(3 * bytesF64 * m), func(reps int) {
-				for r := 0; r < reps; r++ {
-					linalg.AxpySkip(1e-9, x, y, skip)
-				}
-			}},
-			{"SqNormSkip", int64(bytesF64 * m), func(reps int) {
-				for r := 0; r < reps; r++ {
-					kernelSink += linalg.SqNormSkip(x, skip)
 				}
 			}},
 			{"DotFast", int64(2 * bytesF64 * n), func(reps int) {

@@ -1,8 +1,8 @@
 // Command fracbench regenerates the paper's evaluation exhibits over the
 // synthetic compendium. Subcommands: table1, table2, table3, table4, table5,
-// fig1, fig2, fig3, ablations, baselines, interpret, train_scale, kernels,
-// all. The kernels exhibit times the linalg kernel tiers directly (median
-// ns/op and effective GB/s at f ∈ {64, 256, 1024, 4096}).
+// fig1, fig2, fig3, ablations, baselines, interpret, kernels, all. The
+// kernels exhibit times the linalg kernel tiers directly (median ns/op and
+// effective GB/s at f ∈ {64, 256, 1024, 4096}).
 //
 // Example:
 //
@@ -163,32 +163,6 @@ func (b *bench) recordTable5Rows(rows []eval.Table5Row) {
 		b.doc.VariantFractions = append(b.doc.VariantFractions, variantFraction{
 			Table: "table5", Variant: r.Method, RawAUC: r.AUC,
 			TimeFrac: r.TimeFrac, MemFrac: r.MemFrac,
-		})
-	}
-}
-
-// recordTrainScaleRows folds the train-scale sweep into the fractions
-// section: one masked-over-gather row per feature count.
-func (b *bench) recordTrainScaleRows(rows []eval.TrainScaleRow) {
-	gather := map[int]eval.TrainScaleRow{}
-	for _, r := range rows {
-		if !r.Masked {
-			gather[r.Features] = r
-		}
-	}
-	for _, r := range rows {
-		if !r.Masked {
-			continue
-		}
-		base, ok := gather[r.Features]
-		if !ok {
-			continue
-		}
-		timeFrac, memFrac := r.Cost.Frac(base.Cost)
-		b.doc.VariantFractions = append(b.doc.VariantFractions, variantFraction{
-			Table:    "train_scale",
-			Variant:  fmt.Sprintf("masked f=%d", r.Features),
-			TimeFrac: timeFrac, MemFrac: memFrac,
 		})
 	}
 }
@@ -387,18 +361,6 @@ func run(cmd string, b *bench) error {
 		}
 		return err
 	}
-	trainScale := func() error {
-		var rows []eval.TrainScaleRow
-		err := b.measured("train_scale", func(o eval.Options) error {
-			var err error
-			rows, err = eval.TrainScale(o)
-			return err
-		})
-		if err == nil {
-			b.recordTrainScaleRows(rows)
-		}
-		return err
-	}
 	ablations := func(full []eval.Table2Row) error {
 		return b.measured("ablations", func(o eval.Options) error { _, err := eval.Ablations(full, o); return err })
 	}
@@ -434,8 +396,6 @@ func run(cmd string, b *bench) error {
 		return ablations(full)
 	case "baselines":
 		return baselines()
-	case "train_scale":
-		return trainScale()
 	case "kernels":
 		return runKernels(b)
 	case "interpret":
@@ -478,14 +438,11 @@ func run(cmd string, b *bench) error {
 		if err := baselines(); err != nil {
 			return err
 		}
-		if err := trainScale(); err != nil {
-			return err
-		}
 		if err := runKernels(b); err != nil {
 			return err
 		}
 		return interpret()
 	default:
-		return fmt.Errorf("unknown subcommand %q (want table1..table5, fig1..fig3, ablations, baselines, interpret, train_scale, kernels, all)", cmd)
+		return fmt.Errorf("unknown subcommand %q (want table1..table5, fig1..fig3, ablations, baselines, interpret, kernels, all)", cmd)
 	}
 }

@@ -84,44 +84,51 @@ func TestPredictBatchZeroAllocs(t *testing.T) {
 // TestTrainTermSteadyStateAllocs guards the training hot path: with a warm
 // per-worker scratch, training one real term allocates only what the trained
 // model retains (weights, statistics, error model) plus the fold partition —
-// never per-fold matrix copies or residual buffers. The masked path must
-// allocate no more than the gather path it replaces; the absolute ceilings
-// are generous so only a structural regression (a new per-fold allocation)
-// trips them.
+// never per-fold matrix copies or residual buffers. Full, diverse-shaped and
+// missing-target terms each stay within the ceiling on the in-core route and
+// allocate no more than the reference route; the ceilings are generous so
+// only a structural regression (a new per-fold allocation) trips them.
 func TestTrainTermSteadyStateAllocs(t *testing.T) {
 	skipUnderRace(t)
 	train, _ := goldenTrainTest()
-	cfg := Config{Seed: 42}.withDefaults()
-	terms := FullTerms(train.NumFeatures())
-	dc := buildDesignCache(train, terms, cfg)
-	if dc.forTerm(0) == nil {
-		t.Fatal("fixture term 0 must be masked-eligible")
+	full := FullTerms(train.NumFeatures())
+	cases := []struct {
+		name string
+		term Term
+	}{
+		{"full", full[0]},
+		{"diverse", Term{Target: 1, Orig: 1, Inputs: []int{0, 3}}},
+		{"missing-target", full[2]}, // r2 is missing in every 7th row
 	}
 	src := rng.New(1)
-	measure := func(label string, d *designCache) float64 {
+	measure := func(label string, term Term, cfg Config) float64 {
 		t.Helper()
 		sc := new(trainScratch)
-		if _, err := trainTerm(train, terms[0], cfg, src, sc, d); err != nil {
+		if _, err := trainTerm(train, term, cfg, src, sc); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := trainTerm(train, terms[0], cfg, src, sc, d); err != nil {
+			if _, err := trainTerm(train, term, cfg, src, sc); err != nil {
 				t.Fatal(err)
 			}
 		})
 		t.Logf("%s: %.1f allocs/term", label, allocs)
 		return allocs
 	}
-	masked := measure("masked", dc)
-	gather := measure("gather", nil)
-	if masked > gather {
-		t.Errorf("masked path allocates %.1f/term, gather %.1f — masked must not allocate more", masked, gather)
-	}
-	if masked > 48 {
-		t.Errorf("masked path allocates %.1f/term, want <= 48 (model retention, entropy estimate, fold partition)", masked)
-	}
-	if gather > 96 {
-		t.Errorf("gather path allocates %.1f/term, want <= 96", gather)
+	inCoreCfg := Config{Seed: 42}.withDefaults()
+	refCfg := Config{Seed: 42, Learners: referenceLearners()}.withDefaults()
+	for _, tc := range cases {
+		inCore := measure(tc.name+"/in-core", tc.term, inCoreCfg)
+		ref := measure(tc.name+"/reference", tc.term, refCfg)
+		if inCore > ref {
+			t.Errorf("%s: in-core route allocates %.1f/term, reference %.1f — in-core must not allocate more", tc.name, inCore, ref)
+		}
+		if inCore > 48 {
+			t.Errorf("%s: in-core route allocates %.1f/term, want <= 48 (model retention, entropy estimate, fold partition)", tc.name, inCore)
+		}
+		if ref > 96 {
+			t.Errorf("%s: reference route allocates %.1f/term, want <= 96", tc.name, ref)
+		}
 	}
 }
 
@@ -135,11 +142,11 @@ func TestTrainMarginalTermSteadyStateAllocs(t *testing.T) {
 	term := Term{Target: 0, Orig: 0, Inputs: nil} // no inputs → marginal
 	src := rng.New(1)
 	sc := new(trainScratch)
-	if _, err := trainTerm(train, term, cfg, src, sc, nil); err != nil {
+	if _, err := trainTerm(train, term, cfg, src, sc); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := trainTerm(train, term, cfg, src, sc, nil); err != nil {
+		if _, err := trainTerm(train, term, cfg, src, sc); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -80,7 +80,7 @@ func TestExplainScoresBitIdentical(t *testing.T) {
 
 // TestExplainDeterministicAcrossBatches: attributions must be bit-identical
 // at any batch partitioning and for models trained at any worker count or
-// training path (masked vs gather) — same contract the scores carry.
+// training route (in-core vs reference) — same contract the scores carry.
 func TestExplainDeterministicAcrossBatches(t *testing.T) {
 	const total = 92
 	const k = 4
@@ -97,7 +97,7 @@ func TestExplainDeterministicAcrossBatches(t *testing.T) {
 		{"batch-92", Config{Seed: 42}, []int{92}},
 		{"workers-1", Config{Seed: 42, Workers: 1}, []int{23}},
 		{"workers-7", Config{Seed: 42, Workers: 7}, []int{23}},
-		{"gather-train", Config{Seed: 42, DisableMaskedTrain: true}, []int{23}},
+		{"gather-train", Config{Seed: 42, Learners: referenceLearners()}, []int{23}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -48,12 +48,6 @@ type Config struct {
 	// default) disables telemetry with zero overhead and zero allocations —
 	// the recorder only observes, so enabling it never changes scores.
 	Obs *obs.Recorder
-	// DisableMaskedTrain forces every term through the legacy
-	// gather-and-copy training path. The masked-column path (shared design
-	// cache + skip kernels, DESIGN.md §10) is default-on and bit-identical,
-	// so this exists for A/B benchmarking and the equivalence tests, not as
-	// a correctness escape hatch.
-	DisableMaskedTrain bool
 }
 
 func (c Config) withDefaults() Config {
@@ -164,18 +158,6 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 	phase := cfg.Obs.Start(obs.PhaseTrain)
 	defer phase.End()
 	cfg.Obs.AddPlanned(int64(len(terms)))
-	// The shared design cache (nil when no term qualifies) is built once and
-	// read-only during the fan-out; eligible terms train against it without
-	// gathering, so workers never materialize private f-wide matrices for
-	// them.
-	dc := buildDesignCache(train, terms, cfg)
-	if dc != nil {
-		cfg.Obs.Add(obs.CounterDesignCacheBytes, dc.bytes())
-		if cfg.Tracker != nil {
-			cfg.Tracker.Alloc(dc.bytes())
-			defer cfg.Tracker.Release(dc.bytes())
-		}
-	}
 	err := parallel.ForWorkersWithStateErr(parallel.WithPhaseLabel(ctx, "train"),
 		len(terms), cfg.Workers, cfg.Limit,
 		func(w int) *trainScratch { return &trainScratch{worker: w} },
@@ -183,7 +165,7 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 			var tm termModel
 			var err error
 			span := cfg.Obs.StartSampledWorker(obs.PhaseTermTrain, sc.worker)
-			task := func() { tm, err = trainTerm(train, terms[ti], cfg, streams[ti], sc, dc.forTerm(ti)) }
+			task := func() { tm, err = trainTerm(train, terms[ti], cfg, streams[ti], sc) }
 			if cfg.Tracker != nil {
 				cfg.Tracker.TimeTask(task)
 			} else {
@@ -264,11 +246,9 @@ type trainScratch struct {
 	// sample), so the buffer is reusable across terms.
 	residuals []float64
 
-	// masked holds the masked-path worker state (fold statistics, target
-	// buffer, SVR workspace). Terms routed through the design cache use it
-	// instead of x/foldX, so workers training only eligible terms never
-	// materialize private f-wide matrices at all.
-	masked maskedScratch
+	// svr is the in-core SVR trainer's state (design buffer, column
+	// statistics, solver workspace). SVR terms use it instead of x/foldX.
+	svr svrScratch
 }
 
 // gather copies the input columns of the selected rows into the scratch
@@ -345,10 +325,8 @@ func subIntsInto(dst []int, y []int, idx []int) []int {
 	return dst
 }
 
-// trainTerm fits one NS summand using the worker's scratch buffers. dc is
-// non-nil exactly when the term is eligible for the masked-column path
-// (TrainCtx resolves eligibility per term via designCache.forTerm).
-func trainTerm(train *dataset.Dataset, term Term, cfg Config, src *rng.Source, sc *trainScratch, dc *designCache) (termModel, error) {
+// trainTerm fits one NS summand using the worker's scratch buffers.
+func trainTerm(train *dataset.Dataset, term Term, cfg Config, src *rng.Source, sc *trainScratch) (termModel, error) {
 	feat := train.Schema[term.Target]
 	tm := termModel{term: term, isCat: feat.Kind == dataset.Categorical, arity: feat.Arity}
 
@@ -383,12 +361,12 @@ func trainTerm(train *dataset.Dataset, term Term, cfg Config, src *rng.Source, s
 		}
 		sc.yF = y
 		tm.entropy = continuousEntropy(y, cfg.Entropy)
-		trainRealTerm(&tm, train, term, rows, y, cfg, src, sc, dc)
+		trainRealTerm(&tm, train, term, rows, y, cfg, src, sc)
 	}
 	return tm, nil
 }
 
-func trainRealTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, y []float64, cfg Config, src *rng.Source, sc *trainScratch, dc *designCache) {
+func trainRealTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, y []float64, cfg Config, src *rng.Source, sc *trainScratch) {
 	useMarginal := len(rows) < cfg.MinObserved || len(term.Inputs) == 0
 	if useMarginal {
 		tm.real = marginalRealPredictor(y)
@@ -402,9 +380,9 @@ func trainRealTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int,
 		tm.realErr = fitRealError(resid, cfg.KDEError)
 		return
 	}
-	if dc != nil && len(rows) == train.NumSamples() {
+	if cfg.Learners.SVR != nil {
 		cfg.Obs.Add(obs.CounterTermsMasked, 1)
-		dc.trainRealTermMasked(tm, train, term, y, cfg, src, sc)
+		trainSVRTerm(tm, train, term, rows, y, cfg, src, sc)
 		return
 	}
 	cfg.Obs.Add(obs.CounterTermsGathered, 1)

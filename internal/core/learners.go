@@ -49,13 +49,12 @@ type Learners struct {
 	Name string
 	Real RealLearnerFunc
 	Cat  CatLearnerFunc
-	// MaskedSVR, when non-nil, declares that Real is SVRLearner with exactly
-	// these hyperparameters, unlocking the masked-column training path
-	// (DESIGN.md §10): eligible all-but-one real terms train against the
-	// shared design cache through skip kernels instead of gathering a matrix
-	// copy. The results are bit-identical; only the memory traffic changes.
-	// Custom Real learners must leave this nil.
-	MaskedSVR *svm.SVRParams
+	// SVR, when non-nil, declares that Real is SVRLearner with exactly these
+	// hyperparameters, and every non-marginal real term then trains through
+	// the in-core SVR pipeline (DESIGN.md §10) instead of calling Real. The
+	// models are bit-identical; only the memory traffic changes. Custom Real
+	// learners must leave this nil.
+	SVR *svm.SVRParams
 }
 
 // PaperLearners returns the paper's §III.B configuration: linear SVMs for
@@ -70,10 +69,10 @@ func PaperLearners() Learners {
 func MixedLearners(svrParams svm.SVRParams, treeParams tree.Params) Learners {
 	p := svrParams
 	return Learners{
-		Name:      "svr+tree",
-		Real:      SVRLearner(svrParams),
-		Cat:       TreeCatLearner(treeParams),
-		MaskedSVR: &p,
+		Name: "svr+tree",
+		Real: SVRLearner(svrParams),
+		Cat:  TreeCatLearner(treeParams),
+		SVR:  &p,
 	}
 }
 
@@ -84,18 +83,6 @@ func TreeLearners(params tree.Params) Learners {
 		Name: "tree",
 		Real: TreeRealLearner(params),
 		Cat:  TreeCatLearner(params),
-	}
-}
-
-// SVMLearners uses linear SVMs for both kinds (one-vs-rest SVC for
-// categorical targets).
-func SVMLearners(svrParams svm.SVRParams, svcParams svm.SVCParams) Learners {
-	p := svrParams
-	return Learners{
-		Name:      "svm",
-		Real:      SVRLearner(svrParams),
-		Cat:       SVCLearner(svcParams),
-		MaskedSVR: &p,
 	}
 }
 
@@ -126,7 +113,7 @@ func SVRLearner(params svm.SVRParams) RealLearnerFunc {
 		p := params
 		p.Seed = seed
 		p.Bias = true
-		model := svm.TrainSVR(clean, yStd, p)
+		model := svm.TrainSVR(clean, yStd, p, nil)
 		learnerScratchPool.Put(ls)
 		return &imputedReal{model: model, means: means, scales: scales, yMean: yMean, ySD: ySD}
 	}
@@ -214,15 +201,11 @@ func (ls *learnerScratch) floats(n int) []float64 {
 	return ls.yStd
 }
 
-// imputeMatrix computes per-column means over observed cells and returns
-// them with an imputed copy of x. Columns with no observed values impute 0.
-func imputeMatrix(x *linalg.Matrix) (means []float64, clean *linalg.Matrix) {
-	return imputeMatrixInto(x, &learnerScratch{})
-}
-
-// imputeMatrixInto is imputeMatrix with the copy and count buffers drawn
-// from ls. The returned means slice is freshly allocated (predictors retain
-// it); the clean matrix is scratch-owned and only valid until ls is reused.
+// imputeMatrixInto computes per-column means over observed cells and returns
+// them with an imputed copy of x; columns with no observed values impute 0.
+// The copy and count buffers come from ls. The returned means slice is
+// freshly allocated (predictors retain it); the clean matrix is
+// scratch-owned and only valid until ls is reused.
 func imputeMatrixInto(x *linalg.Matrix, ls *learnerScratch) (means []float64, clean *linalg.Matrix) {
 	means = make([]float64, x.Cols)
 	if cap(ls.counts) < x.Cols {

@@ -24,7 +24,7 @@ func TestImputeMatrix(t *testing.T) {
 		{3, 4},
 		{math.NaN(), 6},
 	})
-	means, clean := imputeMatrix(x)
+	means, clean := imputeMatrixInto(x, &learnerScratch{})
 	if means[0] != 2 || means[1] != 5 {
 		t.Errorf("means = %v", means)
 	}
@@ -33,13 +33,13 @@ func TestImputeMatrix(t *testing.T) {
 	}
 	// Original untouched.
 	if !math.IsNaN(x.At(0, 1)) {
-		t.Error("imputeMatrix mutated its input")
+		t.Error("imputeMatrixInto mutated its input")
 	}
 }
 
 func TestImputeMatrixAllMissingColumn(t *testing.T) {
 	x := linalg.FromRows([][]float64{{math.NaN()}, {math.NaN()}})
-	means, clean := imputeMatrix(x)
+	means, clean := imputeMatrixInto(x, &learnerScratch{})
 	if means[0] != 0 || clean.At(0, 0) != 0 {
 		t.Error("all-missing column should impute 0")
 	}
@@ -147,5 +147,8 @@ func TestPaperLearnersRouting(t *testing.T) {
 	}
 	if l.Name != "svr+tree" {
 		t.Errorf("name = %q", l.Name)
+	}
+	if l.SVR == nil {
+		t.Error("paper learners must train real terms through the in-core SVR route")
 	}
 }

@@ -2,10 +2,9 @@ package linalg
 
 import "testing"
 
-// Skip-kernel microbenchmarks: the masked training path's per-op cost must
-// stay at parity with the contiguous kernels (the two-range loops compile to
-// the same bounds-check-free code), or masked training loses its copy
-// savings back in the coordinate-descent inner loop.
+// Kernel microbenchmarks at n=1024, one per exact-order and fast-tier
+// kernel. CI's benchguard gate compares them against the committed
+// go_bench baselines.
 
 var sinkF float64
 
@@ -26,31 +25,10 @@ func BenchmarkDot1024(b *testing.B) {
 	}
 }
 
-func BenchmarkDotSkip1024(b *testing.B) {
-	x, y := benchVecs(1024)
-	for i := 0; i < b.N; i++ {
-		sinkF += DotSkip(x, y, 512)
-	}
-}
-
 func BenchmarkAxpy1024(b *testing.B) {
 	x, y := benchVecs(1024)
 	for i := 0; i < b.N; i++ {
 		Axpy(0.001, x, y)
-	}
-}
-
-func BenchmarkAxpySkip1024(b *testing.B) {
-	x, y := benchVecs(1024)
-	for i := 0; i < b.N; i++ {
-		AxpySkip(0.001, x, y, 512)
-	}
-}
-
-func BenchmarkSqNormSkip1024(b *testing.B) {
-	x, _ := benchVecs(1024)
-	for i := 0; i < b.N; i++ {
-		sinkF += SqNormSkip(x, 512)
 	}
 }
 

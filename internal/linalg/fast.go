@@ -1,11 +1,11 @@
 package linalg
 
-// Fast reassociated kernel tier (DESIGN.md §12). Unlike Dot/DotSkip, the
+// Fast reassociated kernel tier (DESIGN.md §12). Unlike Dot and Axpy, the
 // accumulation order here is NOT a contract: lanes and combine order may
 // change whenever a faster schedule is found. Only call sites whose outputs
 // are pinned by tolerance tests may use this tier — today the matrix
 // products (MulVec, MulTransposed), the one-class SVM gradient, and the
-// linear kernel evaluation. Anything feeding the masked-training
+// linear kernel evaluation. Anything feeding the SVR training and scoring
 // bit-identity contract must stay on the exact tier.
 
 // DotFast returns the inner product of x and y using eight independent

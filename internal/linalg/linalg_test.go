@@ -145,89 +145,3 @@ func TestCloneIndependence(t *testing.T) {
 		t.Error("Clone shares storage")
 	}
 }
-
-// gatherSkip copies every element of x except index skip, in order.
-func gatherSkip(x []float64, skip int) []float64 {
-	out := make([]float64, 0, len(x)-1)
-	for i, v := range x {
-		if i != skip {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// TestSkipKernelsBitIdenticalToGather is the exact-FP-order contract of the
-// skip kernels: for random vectors (including signed zeros and denormals)
-// and every skip position, each kernel must reproduce gather-then-contiguous
-// bit for bit — the partial-sum chains visit the same values in the same
-// order.
-func TestSkipKernelsBitIdenticalToGather(t *testing.T) {
-	state := uint64(0x1234_5678_9abc_def0)
-	next := func() float64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		v := float64(state>>11)/float64(1<<53)*4 - 2
-		if state%17 == 0 {
-			v = math.Copysign(0, v) // exercise ±0
-		}
-		return v
-	}
-	for _, n := range []int{1, 2, 3, 7, 64} {
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			x[i], y[i] = next(), next()
-		}
-		for skip := 0; skip < n; skip++ {
-			gx, gy := gatherSkip(x, skip), gatherSkip(y, skip)
-			if got, want := DotSkip(x, y, skip), Dot(gx, gy); math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("n=%d skip=%d: DotSkip = %v (bits %016x), gather Dot = %v (bits %016x)",
-					n, skip, got, math.Float64bits(got), want, math.Float64bits(want))
-			}
-			if got, want := SqNormSkip(x, skip), Dot(gx, gx); math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("n=%d skip=%d: SqNormSkip = %v, gather Dot(v,v) = %v", n, skip, got, want)
-			}
-			ys := append([]float64(nil), y...)
-			AxpySkip(0.75, x, ys, skip)
-			Axpy(0.75, gx, gy)
-			for i, j := 0, 0; i < n; i++ {
-				if i == skip {
-					if ys[i] != y[i] {
-						t.Errorf("n=%d skip=%d: AxpySkip touched the skip element", n, skip)
-					}
-					continue
-				}
-				if math.Float64bits(ys[i]) != math.Float64bits(gy[j]) {
-					t.Errorf("n=%d skip=%d elem %d: AxpySkip = %v, gather Axpy = %v", n, skip, i, ys[i], gy[j])
-				}
-				j++
-			}
-		}
-	}
-}
-
-func TestSkipKernelsPanicOnBadSkip(t *testing.T) {
-	x := []float64{1, 2, 3}
-	for _, skip := range []int{-1, 3} {
-		for name, fn := range map[string]func(){
-			"DotSkip":    func() { DotSkip(x, x, skip) },
-			"AxpySkip":   func() { AxpySkip(1, x, append([]float64(nil), x...), skip) },
-			"SqNormSkip": func() { SqNormSkip(x, skip) },
-		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s(skip=%d) did not panic", name, skip)
-					}
-				}()
-				fn()
-			}()
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("DotSkip length mismatch did not panic")
-		}
-	}()
-	DotSkip(x, x[:2], 0)
-}

@@ -4,13 +4,10 @@
 //
 // The kernels are split into two tiers (DESIGN.md §12):
 //
-//   - The *exact-order tier* — Dot, Axpy, DotSkip, AxpySkip, SqNormSkip —
-//     uses a frozen 4-wide unrolled accumulation order shared between the
-//     dense and skip variants: lane assignment follows the LOGICAL (post-
-//     gather) element index, so DotSkip(x, y, skip) stays bit-identical to
-//     Dot on the gathered vectors. Masked SVR training depends on this
-//     bit-identity (TestMaskedTrainingBitIdentical), so the order here is a
-//     contract, not an implementation detail.
+//   - The *exact-order tier* — Dot, Axpy — uses a frozen 4-wide unrolled
+//     accumulation order. SVR training and prediction run through Dot, so
+//     the pinned goldens depend on this order: it is a contract, not an
+//     implementation detail.
 //
 //   - The *fast reassociated tier* — DotFast, SqDist — is free to pick
 //     whatever accumulation order is fastest and may change between
@@ -33,19 +30,12 @@ func panicLenMismatch(op string, a, b int) {
 	panic(fmt.Sprintf("linalg: %s length mismatch %d vs %d", op, a, b))
 }
 
-//go:noinline
-func panicBadSkip(op string, skip, n int) {
-	panic(fmt.Sprintf("linalg: %s column %d out of [0,%d)", op, skip, n))
-}
-
 // Dot returns the inner product of x and y. It panics if the lengths differ.
 //
 // Frozen accumulation order (exact tier): four independent lanes s0..s3 take
 // elements 4k, 4k+1, 4k+2, 4k+3 of the first n-n%4 elements; the lanes
 // combine as (s0+s1)+(s2+s3); the tail (< 4 elements) is then added
-// sequentially in ascending index order. DotSkip reproduces this order over
-// logical (gathered) indices, which is what makes masked training
-// bit-identical to gather-then-train.
+// sequentially in ascending index order.
 func Dot(x, y []float64) float64 {
 	return dot4(x, y)
 }
@@ -76,138 +66,6 @@ func dot4(x, y []float64) float64 {
 	return s
 }
 
-// DotSkip returns the inner product of x and y over every index except
-// skip. The exact-FP-order contract: the result is bit-identical to
-// gathering the non-skip elements of both vectors into dense buffers and
-// calling Dot, because lanes are assigned by logical (gathered) index and
-// combined in Dot's frozen order (DESIGN.md §12). skip must be in
-// [0, len(x)); the kernels panic otherwise so a masked-training bug cannot
-// silently fall back to a full product.
-func DotSkip(x, y []float64, skip int) float64 {
-	return dotSkip4(x, y, skip)
-}
-
-// dotSkip4 walks the n-1 logical elements in three segments — full 4-groups
-// below skip (physical == logical), at most one group straddling skip, full
-// 4-groups above skip (physical == logical+1) — so each lane sees exactly
-// the elements Dot's lanes would see on the gathered vectors.
-func dotSkip4(x, y []float64, skip int) float64 {
-	if len(x) != len(y) {
-		panicLenMismatch("DotSkip", len(x), len(y))
-	}
-	if skip < 0 || skip >= len(x) {
-		panicBadSkip("DotSkip", skip, len(x))
-	}
-	n := len(x)
-	y = y[:n]
-	m := n - 1  // logical (gathered) length
-	g := m &^ 3 // unrolled-group end over logical indices
-	var s0, s1, s2, s3 float64
-	j := 0
-	// Segment 1: groups entirely below the skip column; physical == logical.
-	for ; j+4 <= g && j+4 <= skip; j += 4 {
-		s0 += x[j] * y[j]
-		s1 += x[j+1] * y[j+1]
-		s2 += x[j+2] * y[j+2]
-		s3 += x[j+3] * y[j+3]
-	}
-	// Segment 2: at most one group straddling the skip column.
-	if j+4 <= g && j < skip {
-		p0, p1, p2, p3 := skipIdx(j, skip), skipIdx(j+1, skip), skipIdx(j+2, skip), skipIdx(j+3, skip)
-		s0 += x[p0] * y[p0]
-		s1 += x[p1] * y[p1]
-		s2 += x[p2] * y[p2]
-		s3 += x[p3] * y[p3]
-		j += 4
-	}
-	// Segment 3: groups entirely above the skip column; physical == logical+1.
-	for ; j+4 <= g; j += 4 {
-		s0 += x[j+1] * y[j+1]
-		s1 += x[j+2] * y[j+2]
-		s2 += x[j+3] * y[j+3]
-		s3 += x[j+4] * y[j+4]
-	}
-	s := (s0 + s1) + (s2 + s3)
-	for ; j < m; j++ {
-		p := skipIdx(j, skip)
-		s += x[p] * y[p]
-	}
-	return s
-}
-
-// skipIdx maps a logical (gathered) index to its physical index.
-func skipIdx(j, skip int) int {
-	if j < skip {
-		return j
-	}
-	return j + 1
-}
-
-// AxpySkip computes y[i] += a*x[i] for every index except skip, leaving
-// y[skip] untouched. Element updates are independent, so this is bit-
-// identical to gather-then-Axpy on the non-skip positions regardless of
-// unrolling; the kernel runs as two dense unrolled segments around skip.
-func AxpySkip(a float64, x, y []float64, skip int) {
-	axpySkip4(a, x, y, skip)
-}
-
-func axpySkip4(a float64, x, y []float64, skip int) {
-	if len(x) != len(y) {
-		panicLenMismatch("AxpySkip", len(x), len(y))
-	}
-	if skip < 0 || skip >= len(x) {
-		panicBadSkip("AxpySkip", skip, len(x))
-	}
-	if a == 0 {
-		return
-	}
-	axpy4(a, x[:skip], y[:skip])
-	axpy4(a, x[skip+1:], y[skip+1:])
-}
-
-// SqNormSkip returns the squared Euclidean norm of x over every index except
-// skip, with the same frozen lane order as DotSkip(x, x, skip) —
-// bit-identical to gathering then Dot(v, v).
-func SqNormSkip(x []float64, skip int) float64 {
-	return sqNormSkip4(x, skip)
-}
-
-func sqNormSkip4(x []float64, skip int) float64 {
-	if skip < 0 || skip >= len(x) {
-		panicBadSkip("SqNormSkip", skip, len(x))
-	}
-	m := len(x) - 1
-	g := m &^ 3
-	var s0, s1, s2, s3 float64
-	j := 0
-	for ; j+4 <= g && j+4 <= skip; j += 4 {
-		s0 += x[j] * x[j]
-		s1 += x[j+1] * x[j+1]
-		s2 += x[j+2] * x[j+2]
-		s3 += x[j+3] * x[j+3]
-	}
-	if j+4 <= g && j < skip {
-		v0, v1, v2, v3 := x[skipIdx(j, skip)], x[skipIdx(j+1, skip)], x[skipIdx(j+2, skip)], x[skipIdx(j+3, skip)]
-		s0 += v0 * v0
-		s1 += v1 * v1
-		s2 += v2 * v2
-		s3 += v3 * v3
-		j += 4
-	}
-	for ; j+4 <= g; j += 4 {
-		s0 += x[j+1] * x[j+1]
-		s1 += x[j+2] * x[j+2]
-		s2 += x[j+3] * x[j+3]
-		s3 += x[j+4] * x[j+4]
-	}
-	s := (s0 + s1) + (s2 + s3)
-	for ; j < m; j++ {
-		v := x[skipIdx(j, skip)]
-		s += v * v
-	}
-	return s
-}
-
 // Axpy computes y += a*x in place. It panics if the lengths differ. Element
 // updates are independent, so the unrolled kernel is bit-identical to the
 // one-element loop.
@@ -225,8 +83,8 @@ func axpyChecked(a float64, x, y []float64) {
 	axpy4(a, x, y)
 }
 
-// axpy4 is the raw unrolled kernel behind Axpy and the AxpySkip segments;
-// x and y must have equal length.
+// axpy4 is the raw unrolled kernel behind Axpy; x and y must have equal
+// length.
 func axpy4(a float64, x, y []float64) {
 	n := len(x)
 	if n == 0 {

@@ -82,16 +82,17 @@ const (
 	CounterMembersCombined
 	// CounterBytesDecoded counts input bytes parsed (TSV / model loads).
 	CounterBytesDecoded
-	// CounterTermsMasked counts real terms trained through the masked-column
-	// path against the shared design cache (no gathered matrix copies).
+	// CounterTermsMasked counts real terms trained by the in-core SVR
+	// trainer (Learners.SVR set). Its JSON key keeps the historical name
+	// terms_masked_train.
 	CounterTermsMasked
 	// CounterTermsGathered counts non-marginal terms trained through the
-	// legacy gather-and-copy path (ineligible shapes, categorical targets,
-	// targets with missing values, or the cache disabled).
+	// gather-and-copy loop and Learners.Real/Cat: categorical targets, tree
+	// or custom learners, and the SVR reference route (Learners.SVR nil).
 	CounterTermsGathered
-	// CounterDesignCacheBytes accumulates the bytes of shared fold-resident
-	// design matrices built by Train calls (one shared standardized matrix
-	// per Train with eligible terms).
+	// CounterDesignCacheBytes accumulates how many bytes the in-core
+	// trainer's per-worker design buffers grew by; it stops moving once
+	// every worker's buffer fits the widest term.
 	CounterDesignCacheBytes
 	numCounters
 )

@@ -134,8 +134,12 @@ func ForWorkersErr(ctx context.Context, n, workers int, fn func(i int) error) er
 		func(i int, _ struct{}) error { return fn(i) })
 }
 
-// ForWorkersWithStateErr is ForWorkersWithState with cooperative
-// cancellation, panic recovery, and an optional shared compute Limit.
+// ForWorkersWithStateErr is ForWorkersErr for workloads that carry
+// per-worker scratch: newState(w) runs once per worker goroutine before it
+// processes any index, and fn receives that worker's state with every index
+// it handles. A state value is only ever touched by the goroutine that
+// created it, so fn may mutate it freely — this is what lets the train and
+// score hot paths reuse their buffers across all the terms a worker handles.
 //
 // Semantics:
 //   - ctx (nil means Background) is checked between iterations on every

@@ -1,11 +1,13 @@
 // Package parallel provides the small work-distribution substrate used by
-// every compute-heavy stage of the FRaC reproduction: a bounded worker pool,
-// a parallel-for over index ranges, and contiguous chunking helpers.
+// every compute-heavy stage of the FRaC reproduction: parallel-for loops
+// over index ranges (For, ForWorkers), their cancellable, panic-recovering
+// variants with optional per-worker state (ForWorkersErr,
+// ForWorkersWithStateErr), and a shared compute Limit.
 //
 // FRaC's normalized surprisal is "a giant sum" (paper §I.A.1): every term is
 // an independent train-and-score problem, so the natural parallel structure
-// is a flat fan-out over features. The pool bounds concurrent model
-// trainings to the machine width so memory stays proportional to the number
+// is a flat fan-out over features. The worker bound keeps concurrent model
+// trainings at the machine width so memory stays proportional to the number
 // of workers rather than the number of features.
 package parallel
 
@@ -60,133 +62,4 @@ func ForWorkers(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// ForWorkersWithState is ForWorkers for workloads that carry per-worker
-// scratch: newState(w) runs once per worker goroutine before it processes any
-// index (once total in the single-worker fast path), and fn receives that
-// worker's state with every index it handles. Because a state value is only
-// ever touched by the goroutine that created it, fn may mutate it freely —
-// this is the substrate that lets the train/score hot paths reuse gather
-// matrices and prediction buffers across all the terms a worker handles
-// instead of allocating per call.
-func ForWorkersWithState[S any](n, workers int, newState func(worker int) S, fn func(i int, state S)) {
-	if n <= 0 {
-		return
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		state := newState(0)
-		for i := 0; i < n; i++ {
-			fn(i, state)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			state := newState(w)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i, state)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// ForChunked runs fn(lo, hi) over contiguous chunks covering [0, n), one
-// chunk per worker, for workloads where per-index dispatch overhead would
-// dominate (e.g. dense matrix rows).
-func ForChunked(n, workers int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers < 1 {
-		workers = maxWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// Pool is a reusable bounded worker pool for heterogeneous task streams
-// (e.g. all per-feature trainings of an entire ensemble). Submitting never
-// blocks the pool's internal workers; Wait drains to quiescence.
-type Pool struct {
-	tasks chan func()
-	wg    sync.WaitGroup
-	once  sync.Once
-}
-
-// NewPool starts a pool with the given number of workers (< 1 means
-// GOMAXPROCS) and queue backlog.
-func NewPool(workers, backlog int) *Pool {
-	if workers < 1 {
-		workers = maxWorkers()
-	}
-	if backlog < 1 {
-		backlog = workers
-	}
-	p := &Pool{tasks: make(chan func(), backlog)}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for task := range p.tasks {
-				task()
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// Submit enqueues a task; it blocks only when the backlog is full.
-func (p *Pool) Submit(task func()) {
-	p.wg.Add(1)
-	p.tasks <- task
-}
-
-// Wait blocks until every submitted task has finished.
-func (p *Pool) Wait() { p.wg.Wait() }
-
-// Close waits for quiescence and stops the workers. The pool must not be
-// used afterwards. Close is idempotent.
-func (p *Pool) Close() {
-	p.once.Do(func() {
-		p.wg.Wait()
-		close(p.tasks)
-	})
-}
-
-// Map applies fn to every index in [0, n) and collects the results in order.
-func Map[T any](n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(n, func(i int) { out[i] = fn(i) })
-	return out
 }

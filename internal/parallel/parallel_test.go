@@ -35,57 +35,6 @@ func TestForZeroAndNegative(t *testing.T) {
 	}
 }
 
-func TestForChunkedCoversRange(t *testing.T) {
-	const n = 1003
-	var covered [n]atomic.Int32
-	ForChunked(n, 7, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			covered[i].Add(1)
-		}
-	})
-	for i := range covered {
-		if covered[i].Load() != 1 {
-			t.Fatalf("index %d covered %d times", i, covered[i].Load())
-		}
-	}
-}
-
-func TestPool(t *testing.T) {
-	p := NewPool(4, 8)
-	defer p.Close()
-	var sum atomic.Int64
-	for i := 1; i <= 100; i++ {
-		i := i
-		p.Submit(func() { sum.Add(int64(i)) })
-	}
-	p.Wait()
-	if sum.Load() != 5050 {
-		t.Errorf("pool sum = %d, want 5050", sum.Load())
-	}
-	// Pool must be reusable after Wait.
-	p.Submit(func() { sum.Add(1) })
-	p.Wait()
-	if sum.Load() != 5051 {
-		t.Errorf("pool reuse sum = %d", sum.Load())
-	}
-}
-
-func TestPoolCloseIdempotent(t *testing.T) {
-	p := NewPool(2, 2)
-	p.Submit(func() {})
-	p.Close()
-	p.Close() // must not panic
-}
-
-func TestMapOrder(t *testing.T) {
-	got := Map(10, func(i int) int { return i * i })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("Map[%d] = %d", i, v)
-		}
-	}
-}
-
 func TestForWorkersMoreWorkersThanIndices(t *testing.T) {
 	var hits [3]atomic.Int64
 	ForWorkers(3, 64, func(i int) { hits[i].Add(1) })
@@ -108,58 +57,18 @@ func TestForWorkersZeroIndices(t *testing.T) {
 	}
 }
 
-func TestForWorkersWithStateCoversAllIndices(t *testing.T) {
-	const n = 100
-	var hits [n]atomic.Int64
-	var states atomic.Int64
-	ForWorkersWithState(n, 4,
-		func(int) *[]int { states.Add(1); return new([]int) },
-		func(i int, sc *[]int) {
-			*sc = append(*sc, i)
-			hits[i].Add(1)
-		})
-	for i := range hits {
-		if got := hits[i].Load(); got != 1 {
-			t.Errorf("index %d ran %d times", i, got)
-		}
-	}
-	if got := states.Load(); got < 1 || got > 4 {
-		t.Errorf("newState ran %d times, want 1..4", got)
+func TestForWorkersExceedingN(t *testing.T) {
+	var count atomic.Int32
+	ForWorkers(3, 100, func(i int) { count.Add(1) })
+	if count.Load() != 3 {
+		t.Errorf("ran %d iterations", count.Load())
 	}
 }
 
-func TestForWorkersWithStateSingleWorkerSharesState(t *testing.T) {
-	var state *[]int
-	ForWorkersWithState(5, 1,
-		func(int) *[]int { return new([]int) },
-		func(i int, sc *[]int) {
-			if state == nil {
-				state = sc
-			} else if state != sc {
-				t.Fatal("single worker saw more than one state")
-			}
-			*sc = append(*sc, i)
-		})
-	if len(*state) != 5 {
-		t.Errorf("state accumulated %d indices, want 5", len(*state))
-	}
-}
-
-func TestForWorkersWithStateZeroAndExcessWorkers(t *testing.T) {
-	built := 0
-	ForWorkersWithState(0, 4, func(int) int { built++; return 0 }, func(int, int) {
-		t.Error("fn ran for n == 0")
-	})
-	if built != 0 {
-		t.Error("newState ran for n == 0")
-	}
-	var hits [2]atomic.Int64
-	ForWorkersWithState(2, 16,
-		func(int) int { return 0 },
-		func(i int, _ int) { hits[i].Add(1) })
-	for i := range hits {
-		if got := hits[i].Load(); got != 1 {
-			t.Errorf("index %d ran %d times", i, got)
-		}
+func TestForWorkersNegativeWorkers(t *testing.T) {
+	var count atomic.Int32
+	ForWorkers(5, -2, func(i int) { count.Add(1) })
+	if count.Load() != 5 {
+		t.Errorf("ran %d iterations", count.Load())
 	}
 }

@@ -13,14 +13,10 @@
 //   - Analytic bytes: training matrices, model parameters, and error models
 //     each report their payload sizes; the tracker keeps current and peak
 //     totals. This is the deterministic memory measure used for fractions.
-//   - Sampled heap: an optional runtime.MemStats sampler for real peak-heap
-//     observation (informational; GC timing makes it noisy).
 package resource
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -31,7 +27,6 @@ type Cost struct {
 	CPU        time.Duration // summed task time across workers
 	PeakBytes  int64         // peak analytic live bytes
 	FinalBytes int64         // analytic live bytes at Stop (0 if all released)
-	HeapPeak   int64         // peak sampled heap, 0 when sampling disabled
 }
 
 // Add returns the combination of two costs: durations add; peaks take the
@@ -43,9 +38,6 @@ func (c Cost) Add(other Cost) Cost {
 	out.CPU += other.CPU
 	if other.PeakBytes > out.PeakBytes {
 		out.PeakBytes = other.PeakBytes
-	}
-	if other.HeapPeak > out.HeapPeak {
-		out.HeapPeak = other.HeapPeak
 	}
 	out.FinalBytes += other.FinalBytes
 	return out
@@ -90,44 +82,11 @@ type Tracker struct {
 	cpuNs   atomic.Int64
 	current atomic.Int64
 	peak    atomic.Int64
-
-	samplerMu   sync.Mutex
-	samplerStop chan struct{}
-	heapPeak    atomic.Int64
 }
 
 // NewTracker starts a tracker; the wall clock starts immediately.
 func NewTracker() *Tracker {
 	return &Tracker{start: time.Now()}
-}
-
-// StartHeapSampler begins polling runtime.MemStats at the given interval
-// until Stop is called. Intervals <= 0 default to 50ms.
-func (t *Tracker) StartHeapSampler(interval time.Duration) {
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	t.samplerMu.Lock()
-	defer t.samplerMu.Unlock()
-	if t.samplerStop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	t.samplerStop = stop
-	go func() {
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		var ms runtime.MemStats
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				runtime.ReadMemStats(&ms)
-				updateMax(&t.heapPeak, int64(ms.HeapAlloc))
-			}
-		}
-	}()
 }
 
 // AddCPU records d of task time (one worker's time on one task).
@@ -158,18 +117,11 @@ func (t *Tracker) PeakBytes() int64 { return t.peak.Load() }
 
 // Stop ends the run and returns its cost. The tracker must not be reused.
 func (t *Tracker) Stop() Cost {
-	t.samplerMu.Lock()
-	if t.samplerStop != nil {
-		close(t.samplerStop)
-		t.samplerStop = nil
-	}
-	t.samplerMu.Unlock()
 	return Cost{
 		Wall:       time.Since(t.start),
 		CPU:        time.Duration(t.cpuNs.Load()),
 		PeakBytes:  t.peak.Load(),
 		FinalBytes: t.current.Load(),
-		HeapPeak:   t.heapPeak.Load(),
 	}
 }
 

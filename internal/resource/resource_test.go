@@ -1,7 +1,6 @@
 package resource
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -90,20 +89,5 @@ func TestFormatBytes(t *testing.T) {
 		if got := FormatBytes(in); got != want {
 			t.Errorf("FormatBytes(%d) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestHeapSampler(t *testing.T) {
-	tr := NewTracker()
-	tr.StartHeapSampler(time.Millisecond)
-	buf := make([]byte, 1<<20)
-	_ = buf
-	time.Sleep(20 * time.Millisecond)
-	cost := tr.Stop()
-	if cost.HeapPeak == 0 {
-		t.Error("heap sampler recorded nothing")
-	}
-	if !strings.Contains(cost.String(), "peak=") {
-		t.Errorf("cost string %q", cost.String())
 	}
 }

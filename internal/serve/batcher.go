@@ -396,12 +396,13 @@ func copyAttributions(req *request, ew *core.ExplainWorkspace, off int) {
 	}
 }
 
-// finish stamps the outcome on every request, signals them, and records the
-// flush metrics.
+// finish records the flush metrics, then stamps the outcome on every
+// request and signals them. Recording first means a client that has its
+// reply also finds its rows counted by the next scrape.
 func (b *Batcher) finish(reqs []*request, rt *Runtime, err error, reason, rows int) {
+	b.cfg.Metrics.observeFlush(reason, rows, len(reqs), err == nil)
 	for _, req := range reqs {
 		req.rt, req.err = rt, err
 		req.done <- struct{}{}
 	}
-	b.cfg.Metrics.observeFlush(reason, rows, len(reqs), err == nil)
 }

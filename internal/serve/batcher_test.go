@@ -328,3 +328,24 @@ func TestBatcherSteadyStateZeroAllocs(t *testing.T) {
 		t.Errorf("steady-state Submit allocates %.1f per request, want 0", allocs)
 	}
 }
+
+// TestBatcherMetricsCountRowsBeforeReply: a flush's rows are counted before
+// its requests are signalled, so right after each Submit returns, rowsScored
+// already includes that request's row. Thousands of sequential submits give
+// a reply-before-count ordering many chances to show.
+func TestBatcherMetricsCountRowsBeforeReply(t *testing.T) {
+	mm := &ModelMetrics{model: "m"}
+	b := NewBatcher(&fakeScorer{}, BatcherConfig{MaxBatch: 1, MaxWait: 0, Workers: 2, Metrics: mm})
+	defer b.Close()
+	rows := oneRow(1)
+	out := make([]float64, 1)
+	ctx := context.Background()
+	for i := 1; i <= 20000; i++ {
+		if _, err := b.Submit(ctx, rows, out); err != nil {
+			t.Fatal(err)
+		}
+		if got := mm.rowsScored.Load(); got != int64(i) {
+			t.Fatalf("after reply %d: rowsScored = %d, want %d", i, got, i)
+		}
+	}
+}

@@ -26,7 +26,7 @@ func TestSVRRecoversLinearFunction(t *testing.T) {
 	src := rng.New(1)
 	w := []float64{2, -1, 0.5}
 	x, y := linearProblem(200, 3, w, 0.7, 0.05, src)
-	m := TrainSVR(x, y, SVRParams{C: 10, Epsilon: 0.01, MaxIter: 500, Bias: true})
+	m := TrainSVR(x, y, SVRParams{C: 10, Epsilon: 0.01, MaxIter: 500, Bias: true}, nil)
 	// Held-out error should be small.
 	xt, yt := linearProblem(50, 3, w, 0.7, 0.05, src)
 	var mse float64
@@ -51,8 +51,8 @@ func TestSVRRecoversLinearFunction(t *testing.T) {
 func TestSVRRegularizationShrinksWeights(t *testing.T) {
 	src := rng.New(2)
 	x, y := linearProblem(50, 5, []float64{3, 0, 0, 0, 0}, 0, 0.1, src)
-	loose := TrainSVR(x, y, SVRParams{C: 10, MaxIter: 300})
-	tight := TrainSVR(x, y, SVRParams{C: 0.001, MaxIter: 300})
+	loose := TrainSVR(x, y, SVRParams{C: 10, MaxIter: 300}, nil)
+	tight := TrainSVR(x, y, SVRParams{C: 0.001, MaxIter: 300}, nil)
 	if linalg.Norm2(tight.W) >= linalg.Norm2(loose.W) {
 		t.Errorf("stronger regularization should shrink ||w||: %v vs %v",
 			linalg.Norm2(tight.W), linalg.Norm2(loose.W))
@@ -61,7 +61,7 @@ func TestSVRRegularizationShrinksWeights(t *testing.T) {
 
 func TestSVREdgeCases(t *testing.T) {
 	// Empty training set.
-	m := TrainSVR(linalg.NewMatrix(0, 3), nil, SVRParams{})
+	m := TrainSVR(linalg.NewMatrix(0, 3), nil, SVRParams{}, nil)
 	if m.Predict([]float64{1, 2, 3}) != 0 {
 		t.Error("empty-trained SVR should predict 0")
 	}
@@ -73,7 +73,7 @@ func TestSVREdgeCases(t *testing.T) {
 		y[i] = 5
 		x.Row(i)[0] = float64(i)
 	}
-	m = TrainSVR(x, y, SVRParams{C: 100, Bias: true, MaxIter: 500})
+	m = TrainSVR(x, y, SVRParams{C: 100, Bias: true, MaxIter: 500}, nil)
 	if math.Abs(m.Predict([]float64{3, 0})-5) > 0.2 {
 		t.Errorf("constant-target prediction = %v, want ~5", m.Predict([]float64{3, 0}))
 	}
@@ -85,7 +85,7 @@ func TestSVRPanicsOnMismatch(t *testing.T) {
 			t.Error("mismatched sizes did not panic")
 		}
 	}()
-	TrainSVR(linalg.NewMatrix(3, 2), []float64{1}, SVRParams{})
+	TrainSVR(linalg.NewMatrix(3, 2), []float64{1}, SVRParams{}, nil)
 }
 
 func TestBinarySVCSeparable(t *testing.T) {
@@ -144,4 +144,31 @@ func TestMultiSVCPanicsOnBadArity(t *testing.T) {
 		}
 	}()
 	TrainMultiSVC(linalg.NewMatrix(2, 1), []int{0, 0}, 1, SVCParams{})
+}
+
+// TestTrainSVRWorkspaceMatchesFresh: training in a reused workspace must
+// give exactly the model TrainSVR(nil) allocates fresh — weights, bias and
+// stopping iteration, bit for bit — whatever shapes the workspace served
+// before. Shapes shrink and grow so stale weights or duals would show.
+func TestTrainSVRWorkspaceMatchesFresh(t *testing.T) {
+	src := rng.New(77)
+	var ws SVRWorkspace
+	for _, shape := range []struct{ n, d int }{{20, 5}, {8, 2}, {16, 9}, {12, 4}, {0, 3}, {30, 7}} {
+		x, y := linearProblem(shape.n, shape.d, make([]float64, shape.d), 0.3, 1, src)
+		params := SVRParams{Seed: src.Uint64(), Bias: shape.d%2 == 1}
+		fresh := TrainSVR(x, y, params, nil)
+		reused := TrainSVR(x, y, params, &ws)
+		if reused.Iters != fresh.Iters || math.Float64bits(reused.B) != math.Float64bits(fresh.B) {
+			t.Fatalf("n=%d d=%d: iters=%d B=%v, fresh iters=%d B=%v",
+				shape.n, shape.d, reused.Iters, reused.B, fresh.Iters, fresh.B)
+		}
+		if len(reused.W) != len(fresh.W) {
+			t.Fatalf("n=%d d=%d: %d weights, fresh %d", shape.n, shape.d, len(reused.W), len(fresh.W))
+		}
+		for j := range fresh.W {
+			if math.Float64bits(reused.W[j]) != math.Float64bits(fresh.W[j]) {
+				t.Errorf("n=%d d=%d: W[%d] = %v, fresh %v", shape.n, shape.d, j, reused.W[j], fresh.W[j])
+			}
+		}
+	}
 }

@@ -58,24 +58,72 @@ type SVR struct {
 	Iters int // outer passes actually used
 }
 
+// SVRWorkspace pools the transient buffers of SVR training (weights, dual
+// variables, row norms, coordinate order) so repeated trainings — the
+// cross-validation folds and final fits of every term a worker handles —
+// allocate nothing. One workspace serves many sequential trainings; it must
+// not be shared across goroutines.
+type SVRWorkspace struct {
+	w     []float64
+	beta  []float64
+	qd    []float64
+	order []int
+}
+
+// ensure sizes the workspace for n training rows and d columns, zeroing the
+// weights and dual variables.
+func (ws *SVRWorkspace) ensure(n, d int) {
+	ws.w = zeroed(ws.w, d)
+	ws.beta = zeroed(ws.beta, n)
+	if cap(ws.qd) < n {
+		ws.qd = make([]float64, n)
+	}
+	ws.qd = ws.qd[:n]
+	if cap(ws.order) < n {
+		ws.order = make([]int, n)
+	}
+	ws.order = ws.order[:n]
+}
+
+// zeroed returns buf resized to n with every element 0.
+func zeroed(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = 0
+	}
+	return buf
+}
+
 // TrainSVR fits an L2-regularized L2-loss epsilon-SVR by dual coordinate
 // descent (Ho & Lin, 2012). X is n x d with one sample per row; y has length
 // n. It panics on dimension mismatches or NaN inputs surfaced as non-finite
 // progress.
-func TrainSVR(x *linalg.Matrix, y []float64, params SVRParams) *SVR {
+//
+// ws may be nil: the buffers are then freshly allocated and the returned
+// model owns its weights. With a workspace, the returned SVR's W aliases the
+// workspace and is only valid until its next use — callers keeping the model
+// copy W out first. The model is bit-identical either way.
+func TrainSVR(x *linalg.Matrix, y []float64, params SVRParams, ws *SVRWorkspace) *SVR {
 	p := params.withDefaults()
 	n, d := x.Rows, x.Cols
 	if len(y) != n {
 		panic(fmt.Sprintf("svm: TrainSVR %d samples but %d targets", n, len(y)))
 	}
-	w := make([]float64, d)
+	if ws == nil {
+		ws = &SVRWorkspace{}
+	}
+	ws.ensure(n, d)
+	w := ws.w
 	var b float64
 	if n == 0 {
 		return &SVR{W: w}
 	}
 	lambda := 0.5 / p.C // L2-loss dual regularizer
-	beta := make([]float64, n)
-	qd := make([]float64, n)
+	beta := ws.beta
+	qd := ws.qd
 	for i := 0; i < n; i++ {
 		row := x.Row(i)
 		qd[i] = linalg.Dot(row, row) + lambda
@@ -83,7 +131,7 @@ func TrainSVR(x *linalg.Matrix, y []float64, params SVRParams) *SVR {
 			qd[i]++
 		}
 	}
-	order := make([]int, n)
+	order := ws.order
 	for i := range order {
 		order[i] = i
 	}
