@@ -34,9 +34,6 @@ type Config struct {
 	Seed uint64
 	// Tracker, when non-nil, accrues the run's CPU time and analytic memory.
 	Tracker *resource.Tracker
-	// MinObserved is the minimum observed training values for a target
-	// before it falls back to the marginal predictor. <= 0 selects 6.
-	MinObserved int
 	// Limit, when non-nil, is a shared bounded compute pool: every unit of
 	// term-level work across all runs sharing the Limit holds one of its
 	// tokens, so concurrent ensemble members or variant-sweep cells cannot
@@ -50,15 +47,17 @@ type Config struct {
 	Obs *obs.Recorder
 }
 
+// minObserved is the fewest observed training values a target needs for a
+// learned predictor; with fewer, its term falls back to the marginal
+// predictor.
+const minObserved = 6
+
 func (c Config) withDefaults() Config {
 	if c.Learners.Real == nil && c.Learners.Cat == nil {
 		c.Learners = PaperLearners()
 	}
 	if c.CVFolds <= 1 {
 		c.CVFolds = 3
-	}
-	if c.MinObserved <= 0 {
-		c.MinObserved = 6
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -367,7 +366,7 @@ func trainTerm(train *dataset.Dataset, term Term, cfg Config, src *rng.Source, s
 }
 
 func trainRealTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, y []float64, cfg Config, src *rng.Source, sc *trainScratch) {
-	useMarginal := len(rows) < cfg.MinObserved || len(term.Inputs) == 0
+	useMarginal := len(rows) < minObserved || len(term.Inputs) == 0
 	if useMarginal {
 		tm.real = marginalRealPredictor(y)
 		// Scratch-backed: fitRealError's models copy what they retain.
@@ -417,7 +416,7 @@ func trainRealTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int,
 
 func trainCatTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, y []int, cfg Config, src *rng.Source, sc *trainScratch) {
 	conf := stats.NewConfusion(tm.arity)
-	useMarginal := len(rows) < cfg.MinObserved || len(term.Inputs) == 0
+	useMarginal := len(rows) < minObserved || len(term.Inputs) == 0
 	if useMarginal {
 		tm.cat = marginalCatPredictor(y, tm.arity)
 		for _, v := range y {

@@ -148,23 +148,6 @@ func standardizeMatrix(x *linalg.Matrix, means []float64) []float64 {
 	return scales
 }
 
-// SVCLearner adapts one-vs-rest linear SVC for categorical targets, with
-// the same imputation strategy as SVRLearner.
-func SVCLearner(params svm.SVCParams) CatLearnerFunc {
-	return func(x *linalg.Matrix, inputs dataset.Schema, y []int, arity int, seed uint64) CatPredictor {
-		ls := learnerScratchPool.Get().(*learnerScratch)
-		means, clean := imputeMatrixInto(x, ls)
-		// Copy before customizing (see SVRLearner): the closure is shared by
-		// concurrent term trainings.
-		p := params
-		p.Seed = seed
-		p.Bias = true
-		model := svm.TrainMultiSVC(clean, y, arity, p)
-		learnerScratchPool.Put(ls)
-		return &imputedCat{model: model, means: means}
-	}
-}
-
 // TreeRealLearner adapts regression trees (native missing-value handling).
 func TreeRealLearner(params tree.Params) RealLearnerFunc {
 	return func(x *linalg.Matrix, inputs dataset.Schema, y []float64, seed uint64) RealPredictor {
@@ -180,7 +163,7 @@ func TreeCatLearner(params tree.Params) CatLearnerFunc {
 	}
 }
 
-// learnerScratch pools the transient buffers of one SVR/SVC training call:
+// learnerScratch pools the transient buffers of one SVRLearner call:
 // the imputed matrix copy, the observation counts, and the standardized
 // target. Nothing stored here may be retained by a trained predictor — only
 // freshly allocated slices (means, scales) survive the call.
@@ -313,29 +296,6 @@ func (p *imputedReal) PredictBatch(x *linalg.Matrix, out []float64) {
 func (p *imputedReal) Bytes() int64 {
 	return p.model.Bytes() + int64(len(p.means)+len(p.scales))*8 + 16
 }
-
-type imputedCat struct {
-	model *svm.MultiSVC
-	means []float64
-	vecs  vecPool
-}
-
-func (p *imputedCat) PredictLabel(x []float64) int {
-	b := p.vecs.get(len(p.means))
-	label := p.model.Predict(imputeVec(x, p.means, *b))
-	p.vecs.put(b)
-	return label
-}
-
-func (p *imputedCat) PredictLabelBatch(x *linalg.Matrix, out []int) {
-	b := p.vecs.get(len(p.means))
-	for i := 0; i < x.Rows; i++ {
-		out[i] = p.model.Predict(imputeVec(x.Row(i), p.means, *b))
-	}
-	p.vecs.put(b)
-}
-
-func (p *imputedCat) Bytes() int64 { return p.model.Bytes() + int64(len(p.means))*8 }
 
 // constantReal is the fallback predictor for unlearnable terms (no inputs
 // drawn, or too few observed samples): it predicts the training mean, making

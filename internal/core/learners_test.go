@@ -89,26 +89,6 @@ func TestSVRLearnerHandlesMissingAtPredictTime(t *testing.T) {
 	}
 }
 
-func TestSVCLearnerPredictsLabels(t *testing.T) {
-	learn := SVCLearner(svm.SVCParams{C: 1, MaxIter: 300})
-	n := 60
-	x := linalg.NewMatrix(n, 1)
-	y := make([]int, n)
-	for i := 0; i < n; i++ {
-		x.Row(i)[0] = float64(i%3)*10 - 10
-		y[i] = i % 3
-	}
-	p := learn(x, realInputs(1), y, 3, 1)
-	for c := 0; c < 3; c++ {
-		if got := p.PredictLabel([]float64{float64(c)*10 - 10}); got != c {
-			t.Errorf("class %d predicted as %d", c, got)
-		}
-	}
-	if p.Bytes() <= 0 {
-		t.Error("Bytes must be positive")
-	}
-}
-
 func TestTreeLearnersAdapters(t *testing.T) {
 	rl := TreeRealLearner(tree.Params{})
 	n := 30

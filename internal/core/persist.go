@@ -35,7 +35,7 @@ const (
 	tagImputedSVR
 	tagTreeRegressor
 	tagConstantCat
-	tagImputedSVC
+	_ // 4: the retired linear SVC classifier; streams carrying it fail to load
 	tagTreeClassifier
 )
 
@@ -256,18 +256,6 @@ func validateCatPredictor(p CatPredictor, inputs, arity int) error {
 		if v.label < 0 || v.label >= arity {
 			return fmt.Errorf("constant label %d out of [0,%d)", v.label, arity)
 		}
-	case *imputedCat:
-		if v.model.K != arity {
-			return fmt.Errorf("SVC over %d classes for arity %d", v.model.K, arity)
-		}
-		if len(v.means) != inputs {
-			return fmt.Errorf("SVC with %d means for %d inputs", len(v.means), inputs)
-		}
-		for _, b := range v.model.Models {
-			if len(b.W) != inputs {
-				return fmt.Errorf("SVC with %d weights for %d inputs", len(b.W), inputs)
-			}
-		}
 	case *tree.Classifier:
 		if v.NumInputs() != inputs {
 			return fmt.Errorf("tree over %d inputs for a %d-input term", v.NumInputs(), inputs)
@@ -326,10 +314,6 @@ func encodeCatPredictor(w *binio.Writer, p CatPredictor) error {
 	case constantCat:
 		w.Int(tagConstantCat)
 		w.Int(v.label)
-	case *imputedCat:
-		w.Int(tagImputedSVC)
-		v.model.Encode(w)
-		w.F64s(v.means)
 	case *tree.Classifier:
 		w.Int(tagTreeClassifier)
 		v.Encode(w)
@@ -343,12 +327,6 @@ func decodeCatPredictor(r *binio.Reader) (CatPredictor, error) {
 	switch tag := r.Int(); tag {
 	case tagConstantCat:
 		return constantCat{label: r.Int()}, r.Err()
-	case tagImputedSVC:
-		m, err := svm.DecodeMultiSVC(r)
-		if err != nil {
-			return nil, err
-		}
-		return &imputedCat{model: m, means: r.F64s()}, r.Err()
 	case tagTreeClassifier:
 		return tree.DecodeClassifier(r)
 	default:

@@ -6,9 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"frac/internal/binio"
 	"frac/internal/dataset"
 	"frac/internal/linalg"
 	"frac/internal/rng"
+	"frac/internal/svm"
 	"frac/internal/tree"
 )
 
@@ -110,6 +112,74 @@ func TestPersistMarginalFallback(t *testing.T) {
 	}
 	got := roundTripModel(t, m)
 	assertSameScores(t, m, got, test)
+}
+
+// TestPredictorTagsPinned pins the on-disk predictor tags: a saved model
+// loads only while each predictor type keeps its number. Tag 4 is the
+// reserved slot of a removed classifier; a stream carrying it must fail to
+// load with an error that names the tag.
+func TestPredictorTagsPinned(t *testing.T) {
+	x := linalg.FromRows([][]float64{{0}, {1}, {2}, {3}})
+	tag := func(encode func(w *binio.Writer) error) int {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := encode(binio.NewWriter(&buf)); err != nil {
+			t.Fatal(err)
+		}
+		return binio.NewReader(&buf).Int()
+	}
+	reals := []struct {
+		p    RealPredictor
+		want int
+	}{
+		{constantReal{value: 1}, 0},
+		{&imputedReal{model: &svm.SVR{W: []float64{1}}, means: []float64{0}, scales: []float64{1}}, 1},
+		{TreeRealLearner(tree.Params{MinLeaf: 1})(x, realInputs(1), []float64{0, 0, 1, 1}, 1), 2},
+	}
+	for _, c := range reals {
+		if got := tag(func(w *binio.Writer) error { return encodeRealPredictor(w, c.p) }); got != c.want {
+			t.Errorf("%T written with tag %d, want %d", c.p, got, c.want)
+		}
+	}
+	cats := []struct {
+		p    CatPredictor
+		want int
+	}{
+		{constantCat{label: 1}, 3},
+		{TreeCatLearner(tree.Params{MinLeaf: 1})(x, realInputs(1), []int{0, 0, 1, 1}, 2, 1), 5},
+	}
+	for _, c := range cats {
+		if got := tag(func(w *binio.Writer) error { return encodeCatPredictor(w, c.p) }); got != c.want {
+			t.Errorf("%T written with tag %d, want %d", c.p, got, c.want)
+		}
+	}
+
+	// A one-term categorical model whose term has no inputs ends with its
+	// constantCat predictor (tag, label) and the absent-drift-reference
+	// flag, one 8-byte word each; rewrite the tag to 4.
+	schema := dataset.Schema{{Name: "c", Kind: dataset.Categorical, Arity: 2}}
+	train := dataset.New("train", schema, 8)
+	for i := 0; i < 8; i++ {
+		train.Sample(i)[0] = float64(i % 2)
+	}
+	m, err := Train(train, []Term{{Target: 0, Orig: 0}}, Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := m.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	at := len(blob) - 24
+	if got := binio.NewReader(bytes.NewReader(blob[at:])).Int(); got != 3 {
+		t.Fatalf("word at %d is %d, want the constant categorical tag 3", at, got)
+	}
+	blob[at] = 4
+	_, err = ReadModel(bytes.NewReader(blob))
+	if err == nil || !strings.Contains(err.Error(), "tag 4") {
+		t.Errorf("stream with categorical tag 4: err = %v, want one naming tag 4", err)
+	}
 }
 
 func TestReadModelRejectsGarbage(t *testing.T) {

@@ -64,13 +64,3 @@ func (s State) String() string {
 	}
 	return stateNames[s]
 }
-
-// ParseState inverts State.String (used by fracmetrics' -expect gate).
-func ParseState(s string) (State, error) {
-	for i, name := range stateNames {
-		if s == name {
-			return State(i), nil
-		}
-	}
-	return 0, fmt.Errorf("drift: unknown state %q (want healthy, drifting, or retrain_recommended)", s)
-}

@@ -190,9 +190,6 @@ func (m *Monitor) SetOnWindow(fn func(WindowStats)) { m.onWindow = fn }
 // whenever a window close changes the drift state.
 func (m *Monitor) SetOnStateChange(fn func(WindowStats)) { m.onState = fn }
 
-// Ref returns the reference distribution the monitor compares against.
-func (m *Monitor) Ref() *Reference { return m.ref }
-
 // Record folds one scored batch into the monitor: the per-sample totals
 // plus (optionally) a collector carrying the batch's per-term sums. NaN
 // scores are skipped; infinities clamp to the edge bins. Allocation-free;

@@ -108,6 +108,9 @@ func TestMonitorDetectsShiftAndRecovers(t *testing.T) {
 	if last := transitions[len(transitions)-1]; last != Healthy {
 		t.Errorf("final transition %v, want healthy", last)
 	}
+	if got := State(99).String(); got != "state(99)" {
+		t.Errorf("State(99).String() = %q", got)
+	}
 }
 
 func TestMonitorLocalizesDriftedTerm(t *testing.T) {

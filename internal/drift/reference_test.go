@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"frac/internal/binio"
@@ -187,20 +186,5 @@ func TestDecodeReferenceRejectsCorrupt(t *testing.T) {
 		if _, err := DecodeReference(binio.NewReader(bytes.NewReader(blob))); err == nil {
 			t.Errorf("%s: decode accepted corrupt blob", name)
 		}
-	}
-}
-
-func TestParseStateRoundTrip(t *testing.T) {
-	for _, s := range []State{Healthy, Drifting, RetrainRecommended} {
-		got, err := ParseState(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseState(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	if _, err := ParseState("bogus"); err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Errorf("ParseState(bogus) err = %v", err)
-	}
-	if got := State(99).String(); got != "state(99)" {
-		t.Errorf("State(99).String() = %q", got)
 	}
 }

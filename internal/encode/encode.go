@@ -94,21 +94,3 @@ func (e *OneHot) EncodeDataset(d *dataset.Dataset) *linalg.Matrix {
 	}
 	return out
 }
-
-// SlotOrigin maps an encoded slot back to (feature index, category). For a
-// real feature the category is -1. This supports the paper's note that
-// aggregate inspection of projected models can point back at input features.
-func (e *OneHot) SlotOrigin(slot int) (feature, category int) {
-	if slot < 0 || slot >= e.width {
-		panic(fmt.Sprintf("encode: slot %d out of [0,%d)", slot, e.width))
-	}
-	for j := len(e.schema) - 1; j >= 0; j-- {
-		if slot >= e.offsets[j] {
-			if e.schema[j].Kind == dataset.Categorical {
-				return j, slot - e.offsets[j]
-			}
-			return j, -1
-		}
-	}
-	panic("encode: unreachable")
-}

@@ -85,23 +85,6 @@ func TestEncodeDataset(t *testing.T) {
 	}
 }
 
-func TestSlotOrigin(t *testing.T) {
-	d := fixtureDataset(t)
-	enc := Fit(d)
-	if f, c := enc.SlotOrigin(0); f != 0 || c != -1 {
-		t.Errorf("slot 0 -> %d,%d", f, c)
-	}
-	if f, c := enc.SlotOrigin(2); f != 1 || c != 1 {
-		t.Errorf("slot 2 -> %d,%d", f, c)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range slot did not panic")
-		}
-	}()
-	enc.SlotOrigin(4)
-}
-
 func TestEncodeReusesBuffer(t *testing.T) {
 	d := fixtureDataset(t)
 	enc := Fit(d)

@@ -1,10 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-
-	"frac/internal/parallel"
-)
+import "fmt"
 
 //go:noinline
 func panicBadDims(op string, rows, cols int) {
@@ -106,59 +102,6 @@ func (m *Matrix) MulVec(x, dst []float64) []float64 {
 		dst[i] = DotFast(m.Row(i), x) // fast tier: callers are tolerance-pinned
 	}
 	return dst
-}
-
-// Transpose returns a newly allocated transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*m.Rows+i] = v
-		}
-	}
-	return out
-}
-
-// Mul returns the product a*b, parallelized across rows of a. It panics on a
-// dimension mismatch.
-func Mul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul dim mismatch: %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	parallel.For(a.Rows, func(i int) {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		// k-major inner ordering keeps b access sequential (cache friendly).
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	})
-	return out
-}
-
-// MulTransposed returns a * bᵀ without materializing the transpose; each
-// output element is a row-row dot product, parallelized across rows of a.
-func MulTransposed(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("linalg: MulTransposed dim mismatch: %dx%d * (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(a.Rows, b.Rows)
-	parallel.For(a.Rows, func(i int) {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			orow[j] = DotFast(arow, b.Row(j)) // fast tier: tolerance-pinned call sites
-		}
-	})
-	return out
 }
 
 // Bytes reports the memory footprint of the matrix payload.

@@ -103,13 +103,6 @@ func axpy4(a float64, x, y []float64) {
 	}
 }
 
-// Scale computes x *= a in place.
-func Scale(a float64, x []float64) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
 // Norm2 returns the Euclidean norm of x, guarding against overflow for the
 // magnitudes seen in this codebase via a scaled accumulation.
 func Norm2(x []float64) float64 {
@@ -168,16 +161,6 @@ func sqDist4(x, y []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// AddTo computes dst = x + y. dst may alias x or y.
-func AddTo(dst, x, y []float64) {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic("linalg: AddTo length mismatch")
-	}
-	for i := range dst {
-		dst[i] = x[i] + y[i]
-	}
 }
 
 // Fill sets every element of x to v.

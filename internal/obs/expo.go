@@ -151,33 +151,37 @@ func (m Metrics) Families() []MetricFamily {
 			one(float64(m.Pool.Releases))...)
 		add("frac_pool_queue_wait_seconds",
 			"Token queue-wait distribution (power-of-two buckets).", TypeHistogram,
-			histogramSamples(m.Pool.QueueWait)...)
+			histogramSamples(m.Pool.QueueWait.Buckets, m.Pool.QueueWait.Count,
+				m.Pool.QueueWait.TotalNs, 1e9, nil)...)
 	}
 	return fams
 }
 
-// histogramSamples converts the trimmed power-of-two nanosecond buckets into
-// the cumulative _bucket/_sum/_count series Prometheus expects.
-func histogramSamples(wm WaitMetrics) []MetricSample {
-	var out []MetricSample
+// histogramSamples renders trimmed power-of-two buckets (see Histogram) as
+// the cumulative _bucket/_sum/_count series Prometheus expects. Values are
+// divided by unit for the exposition (1e9 turns nanoseconds into seconds, 1
+// keeps plain counts), and labels lead every sample's label set.
+func histogramSamples(buckets []int64, count, sum int64, unit float64, labels []Label) []MetricSample {
+	with := func(more ...Label) []Label {
+		return append(append(make([]Label, 0, len(labels)+len(more)), labels...), more...)
+	}
+	out := make([]MetricSample, 0, len(buckets)+3)
 	var cum int64
-	for i, c := range wm.Buckets {
+	for i, c := range buckets {
 		cum += c
-		// Bucket i counts waits with 2^(i-1) ≤ ns < 2^i, so the upper edge in
-		// seconds is 2^i ns.
-		le := math.Pow(2, float64(i)) / 1e9
+		// Bucket i counts values below 2^i, its upper edge.
+		le := math.Pow(2, float64(i)) / unit
 		out = append(out, MetricSample{
 			Suffix: "_bucket",
-			Labels: []Label{{"le", formatFloat(le)}},
+			Labels: with(Label{"le", formatFloat(le)}),
 			Value:  float64(cum),
 		})
 	}
-	out = append(out,
-		MetricSample{Suffix: "_bucket", Labels: []Label{{"le", "+Inf"}}, Value: float64(wm.Count)},
-		MetricSample{Suffix: "_sum", Value: float64(wm.TotalNs) / 1e9},
-		MetricSample{Suffix: "_count", Value: float64(wm.Count)},
+	return append(out,
+		MetricSample{Suffix: "_bucket", Labels: with(Label{"le", "+Inf"}), Value: float64(count)},
+		MetricSample{Suffix: "_sum", Labels: with(), Value: float64(sum) / unit},
+		MetricSample{Suffix: "_count", Labels: with(), Value: float64(count)},
 	)
-	return out
 }
 
 func boolGauge(b bool) float64 {

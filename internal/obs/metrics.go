@@ -135,8 +135,8 @@ func (r *Recorder) Snapshot() Metrics {
 			CancelledAcquires: r.pool.cancelled.Load(),
 			Releases:          r.pool.releases.Load(),
 			QueueWait: WaitMetrics{
-				Count:   r.pool.blocked.Load() + r.pool.cancelled.Load(),
-				TotalNs: r.pool.waitNs.Load(),
+				Count:   r.pool.waitHist.count.Load(),
+				TotalNs: r.pool.waitHist.sum.Load(),
 				MaxNs:   r.pool.waitMax.Load(),
 				P50Ns:   r.pool.waitHist.quantile(0.50),
 				P90Ns:   r.pool.waitHist.quantile(0.90),

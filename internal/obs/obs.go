@@ -111,30 +111,48 @@ func (c Counter) String() string {
 	return "unknown"
 }
 
-// histBuckets is the queue-wait histogram resolution: bucket i counts waits
-// with 2^(i-1) ≤ ns < 2^i (bucket 0 is sub-nanosecond), which spans sub-µs
-// token handoffs to minute-long stalls in 40 buckets.
+// histBuckets is the Histogram resolution: bucket i counts values with
+// 2^(i-1) ≤ v < 2^i (bucket 0 holds 0). In nanoseconds that spans sub-µs
+// token handoffs to minute-long stalls; in rows or requests it exceeds any
+// batch.
 const histBuckets = 40
 
-// histogram is a lock-free power-of-two duration histogram.
-type histogram struct {
+// Histogram is a lock-free power-of-two histogram that also keeps the count
+// and sum of the values it observed. Values past the last bucket land in
+// it. The zero value is ready; Observe is allocation-free and safe for
+// concurrent use.
+type Histogram struct {
 	buckets [histBuckets]atomic.Int64
+	count   atomic.Int64
+	sum     atomic.Int64
 }
 
-func (h *histogram) observe(ns int64) {
-	if ns < 0 {
-		ns = 0
+// Observe records one value; negative values count as 0.
+func (h *Histogram) Observe(v int64) {
+	if v < 0 {
+		v = 0
 	}
-	i := bits.Len64(uint64(ns))
+	i := bits.Len64(uint64(v))
 	if i >= histBuckets {
 		i = histBuckets - 1
 	}
 	h.buckets[i].Add(1)
+	h.count.Add(1)
+	h.sum.Add(v)
+}
+
+// Count reports the number of observed values.
+func (h *Histogram) Count() int64 { return h.count.Load() }
+
+// Samples renders the histogram as Prometheus _bucket/_sum/_count series;
+// see histogramSamples for unit and labels.
+func (h *Histogram) Samples(unit float64, labels ...Label) []MetricSample {
+	return histogramSamples(h.snapshot(), h.count.Load(), h.sum.Load(), unit, labels)
 }
 
 // quantile returns an upper bound for the q-quantile (0 < q ≤ 1) of the
-// recorded durations, in nanoseconds, using bucket upper edges.
-func (h *histogram) quantile(q float64) int64 {
+// recorded values, using bucket upper edges.
+func (h *Histogram) quantile(q float64) int64 {
 	var total int64
 	for i := range h.buckets {
 		total += h.buckets[i].Load()
@@ -164,8 +182,8 @@ func (h *histogram) quantile(q float64) int64 {
 	return 1 << (histBuckets - 1)
 }
 
-func (h *histogram) snapshot() []int64 {
-	// Trim trailing empty buckets so the JSON stays compact.
+// snapshot returns the bucket counts with trailing empty buckets trimmed.
+func (h *Histogram) snapshot() []int64 {
 	last := -1
 	out := make([]int64, histBuckets)
 	for i := range h.buckets {
@@ -209,9 +227,8 @@ type poolStats struct {
 	cancelled atomic.Int64 // queued acquires abandoned on cancellation
 	releases  atomic.Int64
 
-	waitNs   atomic.Int64
 	waitMax  atomic.Int64
-	waitHist histogram
+	waitHist Histogram // queue waits in ns
 }
 
 // Recorder collects one run's telemetry. The zero value is NOT ready; use
@@ -445,9 +462,8 @@ func (r *Recorder) observeWait(ns int64) {
 	if ns < 0 {
 		ns = 0
 	}
-	r.pool.waitNs.Add(ns)
 	updateMax(&r.pool.waitMax, ns)
-	r.pool.waitHist.observe(ns)
+	r.pool.waitHist.Observe(ns)
 }
 
 // --- memory tracking ----------------------------------------------------

@@ -172,13 +172,13 @@ func TestPoolCancellationAccounting(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	var h histogram
+	var h Histogram
 	// 10 one-µs waits, 1 one-ms wait: p50 stays in the µs bucket, p99 lands
 	// in the ms bucket (bounds are bucket upper edges, i.e. powers of two).
 	for i := 0; i < 10; i++ {
-		h.observe(1000)
+		h.Observe(1000)
 	}
-	h.observe(1_000_000)
+	h.Observe(1_000_000)
 	if p50 := h.quantile(0.50); p50 < 1000 || p50 > 2048 {
 		t.Errorf("p50 = %d, want within (1000, 2048]", p50)
 	}
@@ -196,7 +196,7 @@ func TestHistogram(t *testing.T) {
 	if len(snap) > histBuckets {
 		t.Errorf("snapshot has %d buckets, cap is %d", len(snap), histBuckets)
 	}
-	var empty histogram
+	var empty Histogram
 	if q := empty.quantile(0.99); q != 0 {
 		t.Errorf("empty histogram quantile = %d, want 0", q)
 	}

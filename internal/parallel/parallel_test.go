@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 )
@@ -16,9 +17,35 @@ func TestForCoversAllIndices(t *testing.T) {
 	}
 }
 
+// TestForReraisesPanicAsPanicError: a worker panic inside For reaches the
+// caller's goroutine as a *PanicError instead of killing the process.
+func TestForReraisesPanicAsPanicError(t *testing.T) {
+	defer func() {
+		v := recover()
+		pe, ok := v.(*PanicError)
+		if !ok {
+			t.Fatalf("recovered %T (%v), want *PanicError", v, v)
+		}
+		if pe.Value != "boom" {
+			t.Errorf("panic value = %v, want boom", pe.Value)
+		}
+	}()
+	For(64, func(i int) {
+		if i == 3 {
+			panic("boom")
+		}
+	})
+	t.Error("For returned normally after a worker panic")
+}
+
 func TestForWorkersSingle(t *testing.T) {
 	order := []int{}
-	ForWorkers(5, 1, func(i int) { order = append(order, i) })
+	if err := ForWorkersErr(context.Background(), 5, 1, func(i int) error {
+		order = append(order, i)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("single worker must run in order, got %v", order)
@@ -37,7 +64,12 @@ func TestForZeroAndNegative(t *testing.T) {
 
 func TestForWorkersMoreWorkersThanIndices(t *testing.T) {
 	var hits [3]atomic.Int64
-	ForWorkers(3, 64, func(i int) { hits[i].Add(1) })
+	if err := ForWorkersErr(context.Background(), 3, 64, func(i int) error {
+		hits[i].Add(1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for i := range hits {
 		if got := hits[i].Load(); got != 1 {
 			t.Errorf("index %d ran %d times", i, got)
@@ -47,11 +79,16 @@ func TestForWorkersMoreWorkersThanIndices(t *testing.T) {
 
 func TestForWorkersZeroIndices(t *testing.T) {
 	ran := false
-	ForWorkers(0, 4, func(int) { ran = true })
+	run := func(int) error { ran = true; return nil }
+	if err := ForWorkersErr(context.Background(), 0, 4, run); err != nil {
+		t.Fatal(err)
+	}
 	if ran {
 		t.Error("fn ran for n == 0")
 	}
-	ForWorkers(-1, 4, func(int) { ran = true })
+	if err := ForWorkersErr(context.Background(), -1, 4, run); err != nil {
+		t.Fatal(err)
+	}
 	if ran {
 		t.Error("fn ran for n < 0")
 	}
@@ -59,7 +96,12 @@ func TestForWorkersZeroIndices(t *testing.T) {
 
 func TestForWorkersExceedingN(t *testing.T) {
 	var count atomic.Int32
-	ForWorkers(3, 100, func(i int) { count.Add(1) })
+	if err := ForWorkersErr(context.Background(), 3, 100, func(int) error {
+		count.Add(1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if count.Load() != 3 {
 		t.Errorf("ran %d iterations", count.Load())
 	}
@@ -67,7 +109,12 @@ func TestForWorkersExceedingN(t *testing.T) {
 
 func TestForWorkersNegativeWorkers(t *testing.T) {
 	var count atomic.Int32
-	ForWorkers(5, -2, func(i int) { count.Add(1) })
+	if err := ForWorkersErr(context.Background(), 5, -2, func(int) error {
+		count.Add(1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if count.Load() != 5 {
 		t.Errorf("ran %d iterations", count.Load())
 	}

@@ -133,9 +133,3 @@ func updateMax(a *atomic.Int64, v int64) {
 		}
 	}
 }
-
-// Sizer is implemented by models and data structures that can report their
-// analytic memory footprint in bytes.
-type Sizer interface {
-	Bytes() int64
-}

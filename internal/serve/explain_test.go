@@ -106,9 +106,9 @@ func TestServeExplainEndToEnd(t *testing.T) {
 	if got := mm.explainRows.Load(); got != 3 {
 		t.Fatalf("explain rows = %d, want 3", got)
 	}
-	if metrics.scoreSplit[0].count.Load() == 0 || metrics.scoreSplit[1].count.Load() == 0 {
+	if metrics.scoreSplit[0].Count() == 0 || metrics.scoreSplit[1].Count() == 0 {
 		t.Fatalf("latency split not populated: off=%d on=%d",
-			metrics.scoreSplit[0].count.Load(), metrics.scoreSplit[1].count.Load())
+			metrics.scoreSplit[0].Count(), metrics.scoreSplit[1].Count())
 	}
 	var famNames []string
 	for _, f := range metrics.Families() {

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -53,74 +51,14 @@ func codeClass(status int) int {
 	}
 }
 
-// numHistBuckets bounds the power-of-two histograms: bucket i counts values
-// with 2^(i-1) <= v < 2^i (same convention as the recorder's queue-wait
-// histogram), and 2^39 ns ≈ 9.2 min / 2^39 rows is beyond anything a request
-// or batch can reach.
-const numHistBuckets = 40
-
-// histo is a lock-free power-of-two histogram.
-type histo struct {
-	buckets [numHistBuckets]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64
-}
-
-func (h *histo) observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	i := bits.Len64(uint64(v))
-	if i >= numHistBuckets {
-		i = numHistBuckets - 1
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-}
-
-// samples renders the cumulative _bucket/_sum/_count series; recorded values
-// are multiplied by scale for the exposition (1e-9 turns nanoseconds into
-// seconds, 1 keeps plain counts). extra labels (e.g. the model name) are
-// prepended to every sample.
-func (h *histo) samples(scale float64, extra ...obs.Label) []obs.MetricSample {
-	hi := numHistBuckets
-	for hi > 0 && h.buckets[hi-1].Load() == 0 {
-		hi--
-	}
-	labels := func(more ...obs.Label) []obs.Label {
-		out := make([]obs.Label, 0, len(extra)+len(more))
-		out = append(out, extra...)
-		return append(out, more...)
-	}
-	out := make([]obs.MetricSample, 0, hi+3)
-	var cum int64
-	for i := 0; i < hi; i++ {
-		cum += h.buckets[i].Load()
-		le := math.Pow(2, float64(i)) * scale
-		out = append(out, obs.MetricSample{
-			Suffix: "_bucket",
-			Labels: labels(obs.Label{Name: "le", Value: formatMetric(le)}),
-			Value:  float64(cum),
-		})
-	}
-	count := h.count.Load()
-	out = append(out,
-		obs.MetricSample{Suffix: "_bucket", Labels: labels(obs.Label{Name: "le", Value: "+Inf"}), Value: float64(count)},
-		obs.MetricSample{Suffix: "_sum", Labels: labels(), Value: float64(h.sum.Load()) * scale},
-		obs.MetricSample{Suffix: "_count", Labels: labels(), Value: float64(count)},
-	)
-	return out
-}
-
 // ModelMetrics is one served model's share of the registry: batcher
 // accounting plus the drift snapshot hook, all labeled with the model name
 // in the exposition. All observe methods are nil-safe no-ops.
 type ModelMetrics struct {
 	model string
 
-	batchRows  histo // rows per flush (batch occupancy)
-	batchReqs  histo // coalesced requests per flush
+	batchRows  obs.Histogram // rows per flush (batch occupancy)
+	batchReqs  obs.Histogram // coalesced requests per flush
 	flushes    [numFlushReasons]atomic.Int64
 	flushErrs  atomic.Int64
 	rowsScored atomic.Int64
@@ -128,7 +66,7 @@ type ModelMetrics struct {
 
 	explainReqs  atomic.Int64
 	explainRows  atomic.Int64
-	explainDepth histo // requested attribution depth k per explain request
+	explainDepth obs.Histogram // requested attribution depth k per explain request
 
 	// Drift, when set, supplies the model's current drift snapshot per
 	// scrape (nil when the model is unmonitored).
@@ -141,8 +79,8 @@ func (m *ModelMetrics) observeFlush(reason, rows, reqs int, ok bool) {
 		return
 	}
 	m.flushes[reason].Add(1)
-	m.batchRows.observe(int64(rows))
-	m.batchReqs.observe(int64(reqs))
+	m.batchRows.Observe(int64(rows))
+	m.batchReqs.Observe(int64(reqs))
 	if ok {
 		m.rowsScored.Add(int64(rows))
 	} else {
@@ -157,7 +95,7 @@ func (m *ModelMetrics) observeExplain(k, rows int) {
 	}
 	m.explainReqs.Add(1)
 	m.explainRows.Add(int64(rows))
-	m.explainDepth.observe(int64(k))
+	m.explainDepth.Observe(int64(k))
 }
 
 // observeQueueDepth tracks the pending-queue high-water mark.
@@ -178,12 +116,12 @@ func (m *ModelMetrics) observeQueueDepth(d int) {
 // nil-safe no-ops so instrumentation can be wired through unconditionally.
 type Metrics struct {
 	requests [numEndpoints][numCodeClasses]atomic.Int64
-	latency  [numEndpoints]histo // request wall time, ns
+	latency  [numEndpoints]obs.Histogram // request wall time, ns
 
 	// scoreSplit separates /v1/score wall time by whether the request asked
 	// for explanations (index 1) or not (index 0), so the attribution
 	// overhead is directly readable from one scrape instead of inferred.
-	scoreSplit [2]histo
+	scoreSplit [2]obs.Histogram
 
 	mu       sync.Mutex
 	perModel map[string]*ModelMetrics
@@ -231,7 +169,7 @@ func (m *Metrics) observeRequest(ep endpoint, status int, ns int64) {
 		return
 	}
 	m.requests[ep][codeClass(status)].Add(1)
-	m.latency[ep].observe(ns)
+	m.latency[ep].Observe(ns)
 }
 
 // observeScoreSplit records one completed /v1/score request into the
@@ -244,7 +182,7 @@ func (m *Metrics) observeScoreSplit(explained bool, ns int64) {
 	if explained {
 		i = 1
 	}
-	m.scoreSplit[i].observe(ns)
+	m.scoreSplit[i].Observe(ns)
 }
 
 // Families renders the frac_serve_* exposition families.
@@ -275,21 +213,21 @@ func (m *Metrics) Families() []obs.MetricFamily {
 		"Completed HTTP requests by endpoint and status class.", obs.TypeCounter, reqSamples...)
 
 	for ep := endpoint(0); ep < numEndpoints; ep++ {
-		if m.latency[ep].count.Load() == 0 {
+		if m.latency[ep].Count() == 0 {
 			continue
 		}
 		add(fmt.Sprintf("frac_serve_%s_seconds", endpointNames[ep]),
 			"Request wall-time distribution for /"+endpointNames[ep]+" (power-of-two buckets).",
-			obs.TypeHistogram, m.latency[ep].samples(1e-9)...)
+			obs.TypeHistogram, m.latency[ep].Samples(1e9)...)
 	}
 
 	var splitSamples []obs.MetricSample
 	for i, onOff := range [2]string{"off", "on"} {
-		if m.scoreSplit[i].count.Load() == 0 {
+		if m.scoreSplit[i].Count() == 0 {
 			continue
 		}
 		splitSamples = append(splitSamples,
-			m.scoreSplit[i].samples(1e-9, obs.Label{Name: "explain", Value: onOff})...)
+			m.scoreSplit[i].Samples(1e9, obs.Label{Name: "explain", Value: onOff})...)
 	}
 	if splitSamples != nil {
 		add("frac_serve_explain_latency_seconds",
@@ -306,15 +244,15 @@ func (m *Metrics) Families() []obs.MetricFamily {
 	var batchRows, batchReqs, flushSamples, flushErrSamples, rowsScoredSamples, peakSamples []obs.MetricSample
 	var explainReqSamples, explainRowSamples, explainDepthSamples []obs.MetricSample
 	for _, mm := range models {
-		batchRows = append(batchRows, mm.batchRows.samples(1, obs.Label{Name: "model", Value: mm.model})...)
-		batchReqs = append(batchReqs, mm.batchReqs.samples(1, obs.Label{Name: "model", Value: mm.model})...)
+		batchRows = append(batchRows, mm.batchRows.Samples(1, obs.Label{Name: "model", Value: mm.model})...)
+		batchReqs = append(batchReqs, mm.batchReqs.Samples(1, obs.Label{Name: "model", Value: mm.model})...)
 		explainReqSamples = append(explainReqSamples,
 			obs.MetricSample{Labels: mlabel(mm), Value: float64(mm.explainReqs.Load())})
 		explainRowSamples = append(explainRowSamples,
 			obs.MetricSample{Labels: mlabel(mm), Value: float64(mm.explainRows.Load())})
-		if mm.explainDepth.count.Load() > 0 {
+		if mm.explainDepth.Count() > 0 {
 			explainDepthSamples = append(explainDepthSamples,
-				mm.explainDepth.samples(1, obs.Label{Name: "model", Value: mm.model})...)
+				mm.explainDepth.Samples(1, obs.Label{Name: "model", Value: mm.model})...)
 		}
 		for r := 0; r < numFlushReasons; r++ {
 			if v := mm.flushes[r].Load(); v > 0 {
@@ -460,12 +398,4 @@ func (m *Metrics) driftFamilies(models []*ModelMetrics) []obs.MetricFamily {
 	}
 	fams = append(fams, tf)
 	return fams
-}
-
-// formatMetric mirrors the exposition float rendering of internal/obs.
-func formatMetric(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%g", v)
 }

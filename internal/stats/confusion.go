@@ -34,15 +34,6 @@ func (c *Confusion) Add(truth, pred int) {
 	c.Counts[truth*c.K+pred]++
 }
 
-// Total reports the number of recorded observations.
-func (c *Confusion) Total() int {
-	t := 0
-	for _, v := range c.Counts {
-		t += v
-	}
-	return t
-}
-
 func (c *Confusion) smoothing() float64 {
 	if c.Smoothing > 0 {
 		return c.Smoothing
@@ -65,28 +56,4 @@ func (c *Confusion) ProbTrueGivenPred(truth, pred int) float64 {
 // normalized surprisal before entropy normalization.
 func (c *Confusion) Surprisal(truth, pred int) float64 {
 	return -math.Log(c.ProbTrueGivenPred(truth, pred))
-}
-
-// Accuracy reports the fraction of observations on the diagonal (0 when
-// empty).
-func (c *Confusion) Accuracy() float64 {
-	total := c.Total()
-	if total == 0 {
-		return 0
-	}
-	diag := 0
-	for i := 0; i < c.K; i++ {
-		diag += c.Counts[i*c.K+i]
-	}
-	return float64(diag) / float64(total)
-}
-
-// Merge adds the counts of other into c. The class counts must match.
-func (c *Confusion) Merge(other *Confusion) {
-	if other.K != c.K {
-		panic(fmt.Sprintf("stats: Confusion.Merge k mismatch %d vs %d", c.K, other.K))
-	}
-	for i, v := range other.Counts {
-		c.Counts[i] += v
-	}
 }

@@ -35,31 +35,6 @@ func TestConfusionSmoothingKeepsSurprisalFinite(t *testing.T) {
 	}
 }
 
-func TestConfusionAccuracy(t *testing.T) {
-	c := NewConfusion(2)
-	c.Add(0, 0)
-	c.Add(1, 1)
-	c.Add(1, 0)
-	if acc := c.Accuracy(); !almostEq(acc, 2.0/3, 1e-12) {
-		t.Errorf("accuracy = %v, want 2/3", acc)
-	}
-	empty := NewConfusion(2)
-	if empty.Accuracy() != 0 {
-		t.Error("empty confusion accuracy should be 0")
-	}
-}
-
-func TestConfusionMerge(t *testing.T) {
-	a, b := NewConfusion(2), NewConfusion(2)
-	a.Add(0, 0)
-	b.Add(1, 1)
-	b.Add(1, 0)
-	a.Merge(b)
-	if a.Total() != 3 {
-		t.Errorf("merged total = %d, want 3", a.Total())
-	}
-}
-
 func TestConfusionAddPanicsOutOfRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -61,15 +61,6 @@ func MinMax(xs []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, v := range xs {
-		s += v
-	}
-	return s
-}
-
 // Welford accumulates mean and variance in a single streaming pass, which the
 // experiment harness uses to aggregate per-replicate AUCs without retaining
 // them.

@@ -39,18 +39,6 @@ func EntropyFromCounts(counts []int) float64 {
 	return h
 }
 
-// EntropyFromProbs returns Σ -p log p over a probability vector, ignoring
-// zero entries.
-func EntropyFromProbs(ps []float64) float64 {
-	h := 0.0
-	for _, p := range ps {
-		if p > 0 {
-			h -= p * math.Log(p)
-		}
-	}
-	return h
-}
-
 // GaussianDifferentialEntropy returns the differential entropy of a Gaussian
 // fit to xs — the cheap continuous-entropy estimate used for NS
 // normalization when KDE precision is not needed.

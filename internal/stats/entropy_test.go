@@ -45,13 +45,6 @@ func TestEntropyBounds(t *testing.T) {
 	}
 }
 
-func TestEntropyFromProbs(t *testing.T) {
-	h := EntropyFromProbs([]float64{0.5, 0.5, 0})
-	if !almostEq(h, math.Ln2, 1e-12) {
-		t.Errorf("H(0.5,0.5,0) = %v, want ln 2", h)
-	}
-}
-
 func TestGaussianDifferentialEntropyMatchesKDEOnNormalData(t *testing.T) {
 	// Both estimators should roughly agree on a large Gaussian sample.
 	xs := make([]float64, 2000)

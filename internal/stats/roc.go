@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -62,61 +61,3 @@ func MidRanks(xs []float64) []float64 {
 	}
 	return ranks
 }
-
-// ROCPoint is one operating point of a ROC curve.
-type ROCPoint struct {
-	FPR, TPR  float64
-	Threshold float64
-}
-
-// ROC returns the full ROC curve (including the (0,0) and (1,1) endpoints)
-// sweeping the threshold from +inf downwards. Ties in score collapse to a
-// single point.
-func ROC(scores []float64, anomalous []bool) []ROCPoint {
-	if len(scores) != len(anomalous) {
-		panic(fmt.Sprintf("stats: ROC length mismatch %d vs %d", len(scores), len(anomalous)))
-	}
-	n := len(scores)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return scores[order[a]] > scores[order[b]] })
-	nA, nC := 0, 0
-	for _, a := range anomalous {
-		if a {
-			nA++
-		} else {
-			nC++
-		}
-	}
-	curve := []ROCPoint{{FPR: 0, TPR: 0, Threshold: inf()}}
-	tp, fp := 0, 0
-	for i := 0; i < n; {
-		j := i
-		for j < n && scores[order[j]] == scores[order[i]] {
-			if anomalous[order[j]] {
-				tp++
-			} else {
-				fp++
-			}
-			j++
-		}
-		curve = append(curve, ROCPoint{
-			FPR:       safeDiv(float64(fp), float64(nC)),
-			TPR:       safeDiv(float64(tp), float64(nA)),
-			Threshold: scores[order[i]],
-		})
-		i = j
-	}
-	return curve
-}
-
-func safeDiv(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
-func inf() float64 { return math.Inf(1) }

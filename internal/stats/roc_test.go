@@ -86,22 +86,3 @@ func TestAUCInvariantUnderMonotoneTransform(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestROCEndpoints(t *testing.T) {
-	scores := []float64{3, 1, 2, 0}
-	labels := []bool{true, true, false, false}
-	curve := ROC(scores, labels)
-	first, last := curve[0], curve[len(curve)-1]
-	if first.FPR != 0 || first.TPR != 0 {
-		t.Errorf("ROC must start at (0,0), got (%v,%v)", first.FPR, first.TPR)
-	}
-	if last.FPR != 1 || last.TPR != 1 {
-		t.Errorf("ROC must end at (1,1), got (%v,%v)", last.FPR, last.TPR)
-	}
-	// Monotone non-decreasing in both axes.
-	for i := 1; i < len(curve); i++ {
-		if curve[i].FPR < curve[i-1].FPR || curve[i].TPR < curve[i-1].TPR {
-			t.Fatalf("ROC not monotone at %d: %+v", i, curve)
-		}
-	}
-}

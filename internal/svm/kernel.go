@@ -1,7 +1,6 @@
 package svm
 
 import (
-	"fmt"
 	"math"
 
 	"frac/internal/linalg"
@@ -12,8 +11,6 @@ import (
 type Kernel interface {
 	// Eval returns K(x, y).
 	Eval(x, y []float64) float64
-	// Name identifies the kernel for reports.
-	Name() string
 }
 
 // LinearKernel is K(x, y) = xᵀy.
@@ -21,9 +18,6 @@ type LinearKernel struct{}
 
 // Eval implements Kernel.
 func (LinearKernel) Eval(x, y []float64) float64 { return linalg.DotFast(x, y) }
-
-// Name implements Kernel.
-func (LinearKernel) Name() string { return "linear" }
 
 // RBFKernel is K(x, y) = exp(-γ‖x-y‖²).
 type RBFKernel struct {
@@ -34,9 +28,6 @@ type RBFKernel struct {
 func (k RBFKernel) Eval(x, y []float64) float64 {
 	return math.Exp(-k.Gamma * linalg.SqDist(x, y))
 }
-
-// Name implements Kernel.
-func (k RBFKernel) Name() string { return fmt.Sprintf("rbf(γ=%g)", k.Gamma) }
 
 // MedianGamma returns the RBF heuristic γ = 1/median(‖x_i-x_j‖²) over the
 // sample pairs of X (capped pair enumeration for big n), a standard default

@@ -1,7 +1,6 @@
 package svm
 
 import (
-	"fmt"
 	"math"
 
 	"frac/internal/linalg"
@@ -168,13 +167,3 @@ func (m *OneClassSVM) AnomalyScore(x []float64) float64 { return -m.Decision(x) 
 
 // NumSupport reports the number of support vectors.
 func (m *OneClassSVM) NumSupport() int { return len(m.alphas) }
-
-// Bytes reports the model's analytic footprint.
-func (m *OneClassSVM) Bytes() int64 {
-	return m.support.Bytes() + int64(len(m.alphas))*8 + 8
-}
-
-// String summarizes the model.
-func (m *OneClassSVM) String() string {
-	return fmt.Sprintf("oneclass-svm(kernel=%s, sv=%d)", m.kernel.Name(), len(m.alphas))
-}

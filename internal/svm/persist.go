@@ -1,10 +1,6 @@
 package svm
 
-import (
-	"fmt"
-
-	"frac/internal/binio"
-)
+import "frac/internal/binio"
 
 // Serialization of trained linear models (model persistence).
 
@@ -20,49 +16,6 @@ func DecodeSVR(r *binio.Reader) (*SVR, error) {
 	m := &SVR{W: r.F64s(), B: r.F64(), Iters: r.Int()}
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	return m, nil
-}
-
-// Encode serializes the binary classifier.
-func (m *BinarySVC) Encode(w *binio.Writer) {
-	w.F64s(m.W)
-	w.F64(m.B)
-}
-
-// DecodeBinarySVC reads a BinarySVC serialized with Encode.
-func DecodeBinarySVC(r *binio.Reader) (*BinarySVC, error) {
-	m := &BinarySVC{W: r.F64s(), B: r.F64()}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Encode serializes the one-vs-rest classifier.
-func (m *MultiSVC) Encode(w *binio.Writer) {
-	w.Int(m.K)
-	for _, b := range m.Models {
-		b.Encode(w)
-	}
-}
-
-// DecodeMultiSVC reads a MultiSVC serialized with Encode.
-func DecodeMultiSVC(r *binio.Reader) (*MultiSVC, error) {
-	k := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if k < 2 || k > 1<<20 {
-		return nil, fmt.Errorf("svm: decoded class count %d", k)
-	}
-	m := &MultiSVC{K: k, Models: make([]*BinarySVC, k)}
-	for i := range m.Models {
-		b, err := DecodeBinarySVC(r)
-		if err != nil {
-			return nil, err
-		}
-		m.Models[i] = b
 	}
 	return m, nil
 }

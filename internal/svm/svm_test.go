@@ -88,64 +88,6 @@ func TestSVRPanicsOnMismatch(t *testing.T) {
 	TrainSVR(linalg.NewMatrix(3, 2), []float64{1}, SVRParams{}, nil)
 }
 
-func TestBinarySVCSeparable(t *testing.T) {
-	src := rng.New(3)
-	n := 100
-	x := linalg.NewMatrix(n, 2)
-	labels := make([]bool, n)
-	for i := 0; i < n; i++ {
-		x.Row(i)[0] = src.Norm()
-		x.Row(i)[1] = src.Norm()
-		labels[i] = x.Row(i)[0]+x.Row(i)[1] > 0
-	}
-	m := TrainBinarySVC(x, labels, SVCParams{C: 1, MaxIter: 300, Bias: true})
-	errs := 0
-	for i := 0; i < n; i++ {
-		if m.Predict(x.Row(i)) != labels[i] {
-			errs++
-		}
-	}
-	if errs > 3 {
-		t.Errorf("%d training errors on separable data", errs)
-	}
-}
-
-func TestMultiSVC(t *testing.T) {
-	src := rng.New(4)
-	n := 150
-	x := linalg.NewMatrix(n, 2)
-	y := make([]int, n)
-	centers := [][2]float64{{-3, 0}, {3, 0}, {0, 4}}
-	for i := 0; i < n; i++ {
-		c := i % 3
-		y[i] = c
-		x.Row(i)[0] = centers[c][0] + src.Norm()*0.5
-		x.Row(i)[1] = centers[c][1] + src.Norm()*0.5
-	}
-	m := TrainMultiSVC(x, y, 3, SVCParams{C: 1, MaxIter: 300, Bias: true})
-	errs := 0
-	for i := 0; i < n; i++ {
-		if m.Predict(x.Row(i)) != y[i] {
-			errs++
-		}
-	}
-	if errs > 5 {
-		t.Errorf("%d errors on well-separated 3-class data", errs)
-	}
-	if m.Bytes() <= 0 {
-		t.Error("Bytes must be positive")
-	}
-}
-
-func TestMultiSVCPanicsOnBadArity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("k=1 did not panic")
-		}
-	}()
-	TrainMultiSVC(linalg.NewMatrix(2, 1), []int{0, 0}, 1, SVCParams{})
-}
-
 // TestTrainSVRWorkspaceMatchesFresh: training in a reused workspace must
 // give exactly the model TrainSVR(nil) allocates fresh — weights, bias and
 // stopping iteration, bit for bit — whatever shapes the workspace served

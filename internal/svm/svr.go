@@ -195,14 +195,6 @@ func (m *SVR) Predict(x []float64) float64 {
 	return linalg.Dot(m.W, x) + m.B
 }
 
-// PredictBatch evaluates wᵀx + b for every row of x into out (len >=
-// x.Rows) with zero allocations.
-func (m *SVR) PredictBatch(x *linalg.Matrix, out []float64) {
-	for i := 0; i < x.Rows; i++ {
-		out[i] = linalg.Dot(m.W, x.Row(i)) + m.B
-	}
-}
-
 // Bytes reports the model's analytic footprint.
 func (m *SVR) Bytes() int64 { return int64(len(m.W))*8 + 16 }
 

@@ -207,14 +207,3 @@ func ProfileByName(name string) (Profile, error) {
 	}
 	return Profile{}, fmt.Errorf("synth: unknown profile %q", name)
 }
-
-// ExpressionProfiles returns the six expression profiles.
-func ExpressionProfiles() []Profile {
-	var out []Profile
-	for _, p := range Compendium() {
-		if !p.SNP {
-			out = append(out, p)
-		}
-	}
-	return out
-}

@@ -260,9 +260,3 @@ func TestProfileByNameUnknown(t *testing.T) {
 		t.Error("unknown profile accepted")
 	}
 }
-
-func TestExpressionProfilesCount(t *testing.T) {
-	if got := len(ExpressionProfiles()); got != 6 {
-		t.Errorf("%d expression profiles, want 6", got)
-	}
-}
