@@ -143,7 +143,8 @@ const (
 func NewRNG(seed uint64) *RNG { return rng.New(seed) }
 
 // Train fits a FRaC model over the given term wiring on an all-normal
-// training set.
+// training set. A training set that fails Dataset.Validate, such as a
+// categorical cell that is not a label of its feature, is an error.
 func Train(train *Dataset, terms []Term, cfg Config) (*Model, error) {
 	return core.Train(train, terms, cfg)
 }

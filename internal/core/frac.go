@@ -141,11 +141,16 @@ func termStreams(root *rng.Source, terms []Term) []*rng.Source {
 // term trainings on every worker, a cancelled context aborts the run with
 // ctx.Err(), and worker panics come back as wrapped *parallel.PanicError
 // values instead of killing the process. Work in flight when the context is
-// cancelled finishes its current term first.
+// cancelled finishes its current term first. The training set is validated
+// first: a categorical cell that is not a label of its feature is an error,
+// since the learners index count tables by it.
 func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Config) (*Model, error) {
 	cfg = cfg.withDefaults()
 	if train.NumSamples() == 0 {
 		return nil, fmt.Errorf("core: empty training set")
+	}
+	if err := train.Validate(); err != nil {
+		return nil, fmt.Errorf("core: training set: %w", err)
 	}
 	for i, t := range terms {
 		if err := t.Validate(train.NumFeatures()); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"frac/internal/dataset"
@@ -87,6 +88,32 @@ func TestTrainValidatesTerms(t *testing.T) {
 	empty := dataset.New("e", train.Schema, 0)
 	if _, err := Train(empty, FullTerms(2), Config{}); err == nil {
 		t.Error("empty training set accepted")
+	}
+}
+
+// TestTrainRejectsBadCategoricalCells: a categorical training cell that is
+// not a label of its feature, fractional or out of range, is an error
+// whether the feature is a term's input or its target — not a silent
+// truncation or a worker panic.
+func TestTrainRejectsBadCategoricalCells(t *testing.T) {
+	schema := dataset.Schema{
+		{Name: "a", Kind: dataset.Categorical, Arity: 3},
+		{Name: "b", Kind: dataset.Categorical, Arity: 3},
+	}
+	terms := []Term{{Target: 1, Orig: 1, Inputs: []int{0}}}
+	for _, bad := range []float64{1.5, 5} {
+		for col, role := range []string{"input", "target"} {
+			train := dataset.New("train", schema, 30)
+			for i := 0; i < 30; i++ {
+				train.Sample(i)[0] = float64(i % 3)
+				train.Sample(i)[1] = float64(i % 3)
+			}
+			train.Sample(4)[col] = bad
+			_, err := Train(train, terms, Config{Seed: 1})
+			if err == nil || !strings.Contains(err.Error(), "is not a label in [0,3)") {
+				t.Errorf("%s cell %v: err = %v, want a label-range error", role, bad, err)
+			}
+		}
 	}
 }
 
