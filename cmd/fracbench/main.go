@@ -79,10 +79,6 @@ type benchDoc struct {
 	// not by fracbench — writeResults carries the section across
 	// regenerations).
 	GoBench map[string]float64 `json:"go_bench,omitempty"`
-	// Serve holds the fracload serving exhibit (QPS + latency tail;
-	// maintained by `fracload -bench-out`, not by fracbench — writeResults
-	// carries the section across regenerations).
-	Serve json.RawMessage `json:"serve,omitempty"`
 }
 
 // bench carries the regeneration state: harness options, iteration policy,
@@ -177,11 +173,9 @@ func (b *bench) writeResults(path string) error {
 			VariantFractions []variantFraction      `json:"variant_fractions"`
 			Kernels          []kernelCost           `json:"kernels"`
 			GoBench          map[string]float64     `json:"go_bench"`
-			Serve            json.RawMessage        `json:"serve"`
 		}
 		if json.Unmarshal(prev, &old) == nil {
 			b.doc.GoBench = old.GoBench
-			b.doc.Serve = old.Serve
 			if len(b.doc.Kernels) == 0 {
 				b.doc.Kernels = old.Kernels
 			}

@@ -19,9 +19,8 @@
 // schema and reporting explain-on p50/p99 next to the plain numbers — the
 // attribution path's overhead as a measured delta within one run.
 //
-// -bench-out merges the results into BENCH_results.json as the "serve"
-// exhibit (other sections are preserved); -min-qps and -max-p99 turn the run
-// into a pass/fail gate for CI (both apply to the explain pass too).
+// -min-qps and -max-p99 turn the run into a pass/fail gate for CI (both
+// apply to the explain pass too).
 package main
 
 import (
@@ -54,7 +53,6 @@ type options struct {
 	seed        int64
 	minQPS      float64
 	maxP99      time.Duration
-	benchOut    string
 	rowsFrom    string
 	shift       float64
 	explain     int
@@ -71,7 +69,6 @@ func main() {
 	flag.Int64Var(&opt.seed, "seed", 1, "row synthesis seed")
 	flag.Float64Var(&opt.minQPS, "min-qps", 0, "fail (exit 1) if sustained QPS falls below this")
 	flag.DurationVar(&opt.maxP99, "max-p99", 0, "fail (exit 1) if client-side p99 latency exceeds this")
-	flag.StringVar(&opt.benchOut, "bench-out", "", "merge results into this BENCH_results.json as the \"serve\" exhibit")
 	flag.StringVar(&opt.rowsFrom, "rows-from", "", "TSV dataset to replay rows from (normal rows only) instead of synthesizing")
 	flag.Float64Var(&opt.shift, "shift", 0, "add this constant to every real feature (covariate-shift injection)")
 	flag.IntVar(&opt.explain, "explain", 0, "after the plain pass, run a second measured pass requesting top-K attributions and validating their schema (0 = off)")
@@ -119,32 +116,23 @@ type attributionDoc struct {
 	Terms        int      `json:"terms"`
 }
 
-// result is the measured outcome (and the BENCH_results.json exhibit).
+// result is the measured outcome.
 type result struct {
-	Model          string  `json:"model"`
-	ModelHash      string  `json:"model_hash"`
-	Features       int     `json:"features"`
-	Terms          int     `json:"terms"`
-	Concurrency    int     `json:"concurrency"`
-	RowsPerRequest int     `json:"rows_per_request"`
-	DurationSecs   float64 `json:"duration_seconds"`
-	Requests       int64   `json:"requests"`
-	Errors         int64   `json:"errors"`
-	QPS            float64 `json:"qps"`
-	RowsPerSec     float64 `json:"rows_per_sec"`
-	P50Ms          float64 `json:"p50_ms"`
-	P90Ms          float64 `json:"p90_ms"`
-	P99Ms          float64 `json:"p99_ms"`
-	P999Ms         float64 `json:"p999_ms"`
-	MaxMs          float64 `json:"max_ms"`
+	DurationSecs float64
+	Requests     int64
+	Errors       int64
+	QPS          float64
+	RowsPerSec   float64
+	P50Ms        float64
+	P90Ms        float64
+	P99Ms        float64
+	P999Ms       float64
+	MaxMs        float64
 
-	// Explain-pass results, present only when -explain K > 0.
-	ExplainK        int     `json:"explain_k,omitempty"`
-	ExplainRequests int64   `json:"explain_requests,omitempty"`
-	ExplainErrors   int64   `json:"explain_errors,omitempty"`
-	ExplainQPS      float64 `json:"explain_qps,omitempty"`
-	ExplainP50Ms    float64 `json:"explain_p50_ms,omitempty"`
-	ExplainP99Ms    float64 `json:"explain_p99_ms,omitempty"`
+	// Explain-pass results, set only when -explain K > 0.
+	ExplainQPS   float64
+	ExplainP50Ms float64
+	ExplainP99Ms float64
 }
 
 func run(opt options) error {
@@ -211,7 +199,7 @@ func run(opt options) error {
 	if err != nil {
 		return err
 	}
-	res := plain.toResult(target, opt)
+	res := plain.toResult(opt)
 	fmt.Printf("fracload: %d requests in %.2fs (%d errors)\n", res.Requests, res.DurationSecs, res.Errors)
 	fmt.Printf("fracload: %.0f req/s, %.0f rows/s\n", res.QPS, res.RowsPerSec)
 	fmt.Printf("fracload: latency p50=%.3fms p90=%.3fms p99=%.3fms p999=%.3fms max=%.3fms\n",
@@ -231,9 +219,6 @@ func run(opt options) error {
 		if err != nil {
 			return fmt.Errorf("explain pass: %w", err)
 		}
-		res.ExplainK = opt.explain
-		res.ExplainRequests = expl.requests
-		res.ExplainErrors = expl.errors
 		res.ExplainQPS = expl.qps()
 		res.ExplainP50Ms = ms(quantile(expl.lats, 0.50))
 		res.ExplainP99Ms = ms(quantile(expl.lats, 0.99))
@@ -245,12 +230,6 @@ func run(opt options) error {
 		}
 	}
 
-	if opt.benchOut != "" {
-		if err := mergeExhibit(opt.benchOut, res); err != nil {
-			return err
-		}
-		fmt.Printf("fracload: serve exhibit written to %s\n", opt.benchOut)
-	}
 	if res.Errors > 0 {
 		return fmt.Errorf("%d requests failed", res.Errors)
 	}
@@ -285,24 +264,18 @@ type phase struct {
 
 func (p *phase) qps() float64 { return float64(p.requests) / p.elapsed.Seconds() }
 
-func (p *phase) toResult(target modelEntry, opt options) result {
+func (p *phase) toResult(opt options) result {
 	return result{
-		Model:          target.Name,
-		ModelHash:      target.ModelHash,
-		Features:       len(target.Schema),
-		Terms:          target.Terms,
-		Concurrency:    opt.concurrency,
-		RowsPerRequest: opt.rows,
-		DurationSecs:   p.elapsed.Seconds(),
-		Requests:       p.requests,
-		Errors:         p.errors,
-		QPS:            p.qps(),
-		RowsPerSec:     float64(p.requests) * float64(opt.rows) / p.elapsed.Seconds(),
-		P50Ms:          ms(quantile(p.lats, 0.50)),
-		P90Ms:          ms(quantile(p.lats, 0.90)),
-		P99Ms:          ms(quantile(p.lats, 0.99)),
-		P999Ms:         ms(quantile(p.lats, 0.999)),
-		MaxMs:          ms(p.lats[len(p.lats)-1]),
+		DurationSecs: p.elapsed.Seconds(),
+		Requests:     p.requests,
+		Errors:       p.errors,
+		QPS:          p.qps(),
+		RowsPerSec:   float64(p.requests) * float64(opt.rows) / p.elapsed.Seconds(),
+		P50Ms:        ms(quantile(p.lats, 0.50)),
+		P90Ms:        ms(quantile(p.lats, 0.90)),
+		P99Ms:        ms(quantile(p.lats, 0.99)),
+		P999Ms:       ms(quantile(p.lats, 0.999)),
+		MaxMs:        ms(p.lats[len(p.lats)-1]),
 	}
 }
 
@@ -532,27 +505,4 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 		i = len(sorted) - 1
 	}
 	return sorted[i]
-}
-
-// mergeExhibit writes res as the "serve" section of path, preserving every
-// other top-level section (go_bench baselines, linalg exhibits, ...).
-func mergeExhibit(path string, res result) error {
-	doc := map[string]json.RawMessage{}
-	if blob, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(blob, &doc); err != nil {
-			return fmt.Errorf("%s exists but is not a JSON object: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	blob, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
-	doc["serve"] = blob
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -77,7 +77,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8316", "HTTP listen address for the scoring API")
 		maxBatch   = flag.Int("max-batch", 64, "rows at which a micro-batch flushes immediately")
-		maxWait    = flag.Duration("max-wait", 2*time.Millisecond, "max time the oldest queued request waits for a batch to fill (0 = no coalescing)")
 		workers    = flag.Int("serve-workers", 0, "concurrent scoring workers (0 = GOMAXPROCS)")
 		queueDepth = flag.Int("queue-depth", 1024, "pending requests beyond which /v1/score returns 503")
 		maxRows    = flag.Int("max-rows", 4096, "rows per score request limit")
@@ -98,7 +97,6 @@ func main() {
 		MaxExplain:   *maxExplain,
 		Batcher: serve.BatcherConfig{
 			MaxBatch:   *maxBatch,
-			MaxWait:    *maxWait,
 			Workers:    *workers,
 			QueueDepth: *queueDepth,
 		},
@@ -109,6 +107,30 @@ func main() {
 	}, tele); err != nil {
 		fmt.Fprintf(os.Stderr, "fracserve: %v\n", err)
 		os.Exit(1)
+	}
+}
+
+// Connection limits of the scoring API. A client has readHeaderTimeout to
+// send its headers and readTimeout for the whole request; an idle
+// keep-alive connection closes after idleTimeout. There is no write
+// timeout: a 4096-row explained request on a wide model can take seconds
+// to score.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 120 * time.Second
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer wraps the scoring API in an http.Server with the limits
+// above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout, // zero would fall back to readTimeout
+		MaxHeaderBytes:    maxHeaderBytes,
 	}
 }
 
@@ -129,7 +151,6 @@ func run(addr string, models modelList, cfg serve.ServerConfig, tele obs.CLIFlag
 			"addr", addr,
 			"models", models.String(),
 			"max-batch", strconv.Itoa(cfg.Batcher.MaxBatch),
-			"max-wait", cfg.Batcher.MaxWait.String(),
 			"serve-workers", strconv.Itoa(cfg.Batcher.Workers),
 			"queue-depth", strconv.Itoa(cfg.Batcher.QueueDepth),
 			"max-rows", strconv.Itoa(cfg.MaxRows),
@@ -195,7 +216,7 @@ func run(addr string, models modelList, cfg serve.ServerConfig, tele obs.CLIFlag
 	}
 	fmt.Printf("fracserve: listening on http://%s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: api}
+	httpSrv := newHTTPServer(api)
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 
@@ -29,6 +30,11 @@ const (
 	modelVersion = 2
 )
 
+// codecBufSize is the buffer the codec puts in front of the caller's
+// stream: the encoding moves one 8-byte word per call, and an unbuffered
+// file would turn each word into a syscall.
+const codecBufSize = 64 << 10
+
 // Predictor type tags.
 const (
 	tagConstantReal = iota
@@ -39,9 +45,11 @@ const (
 	tagTreeClassifier
 )
 
-// WriteTo serializes the trained model.
+// WriteTo serializes the trained model. It buffers internally and flushes
+// before it returns.
 func (m *Model) WriteTo(w io.Writer) (int64, error) {
-	bw := binio.NewWriter(w)
+	buf := bufio.NewWriterSize(w, codecBufSize)
+	bw := binio.NewWriter(buf)
 	bw.String(modelMagic)
 	bw.Int(modelVersion)
 	encodeSchema(bw, m.schema)
@@ -58,13 +66,19 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 	// The io.WriterTo contract wants a byte count; the binio writer does
 	// not track one, so report 0 with the error status (callers here use
 	// the error only).
-	return 0, bw.Err()
+	if err := bw.Err(); err != nil {
+		return 0, err
+	}
+	return 0, buf.Flush()
 }
 
 // ReadModel deserializes a model written by WriteTo. The model scores
-// samples but is not registered with any resource tracker.
+// samples but is not registered with any resource tracker. ReadModel
+// buffers internally, so it may read past the end of the model: a caller
+// that reads on from r after it must not expect to resume at the model's
+// last byte.
 func ReadModel(r io.Reader) (*Model, error) {
-	br := binio.NewReader(r)
+	br := binio.NewReader(bufio.NewReaderSize(r, codecBufSize))
 	if magic := br.String(); magic != modelMagic {
 		if err := br.Err(); err != nil {
 			return nil, err

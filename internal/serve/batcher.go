@@ -20,9 +20,11 @@ import (
 // are independent of the other rows, so any partitioning of rows into
 // batches is bit-identical (the parity test pins this end to end).
 //
-// A request enters the queue whole (all its rows stay together) and the
-// flushing worker coalesces queued requests until the batch reaches
-// MaxBatch rows or the oldest request has waited MaxWait. Flushes score
+// A request enters the queue whole (all its rows stay together). The queue
+// is work-conserving: a free worker takes the first queued request, drains
+// whatever is already queued without blocking, up to MaxBatch rows, and
+// flushes at once. At low load nothing waits; under load requests pile up
+// while the workers score, so batches grow with the load. Flushes score
 // against exactly one runtime, so hot reloads can never produce a torn
 // batch. Steady state the enqueue → flush → respond round trip performs
 // zero allocations: requests, batch matrices, and totals are pooled.
@@ -41,13 +43,12 @@ var (
 // Flush reasons, recorded per flush when metrics are attached.
 const (
 	flushFull  = iota // batch reached MaxBatch rows
-	flushTimer        // MaxWait elapsed with a partial batch
-	flushEager        // MaxWait is zero: every request flushes alone
+	flushEmpty        // the queue was empty when collection stopped
 	flushDrain        // queue closed during collection (shutdown drain)
 	numFlushReasons
 )
 
-var flushReasonNames = [numFlushReasons]string{"full", "timer", "eager", "drain"}
+var flushReasonNames = [numFlushReasons]string{"full", "empty", "drain"}
 
 // BatcherConfig parameterizes the queue.
 type BatcherConfig struct {
@@ -56,8 +57,7 @@ type BatcherConfig struct {
 	// whole (requests are never split), so a batch can exceed MaxBatch by
 	// at most one request's rows.
 	MaxBatch int
-	// MaxWait bounds how long the oldest queued request waits for the
-	// batch to fill; 0 disables coalescing (every request flushes alone).
+	// Deprecated: ignored; the batcher never waits.
 	MaxWait time.Duration
 	// Workers is the number of concurrent flushing workers, each with its
 	// own scoring scratch. <= 0 selects GOMAXPROCS.
@@ -65,7 +65,7 @@ type BatcherConfig struct {
 	// QueueDepth bounds pending requests; submissions beyond it fail fast
 	// with ErrQueueFull. <= 0 selects 1024.
 	QueueDepth int
-	// Metrics, when non-nil, receives batch-occupancy and flush
+	// Metrics, when non-nil, receives batch-occupancy, flush and queue-wait
 	// accounting for this batcher's model.
 	Metrics *ModelMetrics
 }
@@ -107,9 +107,11 @@ type request struct {
 	// rows.Rows when explain > 0): the flushing worker appends each row's
 	// top-explain attributions into attr[i] before signalling done.
 	attr [][]core.Attribution
-	rt   *Runtime // runtime that scored the batch (nil on error)
-	err  error
-	done chan struct{}
+	// enqueued is the submit time, stamped only when metrics are attached.
+	enqueued time.Time
+	rt       *Runtime // runtime that scored the batch (nil on error)
+	err      error
+	done     chan struct{}
 }
 
 // Batcher is the coalescing queue in front of one model handle.
@@ -175,6 +177,9 @@ func (b *Batcher) SubmitExplained(ctx context.Context, rows *linalg.Matrix, out 
 	req := b.reqPool.Get().(*request)
 	req.ctx, req.rows, req.out, req.rt, req.err = ctx, rows, out, nil, nil
 	req.explain, req.attr = k, attr
+	if b.cfg.Metrics != nil {
+		req.enqueued = time.Now()
+	}
 
 	// The enqueue is non-blocking and happens under the read lock, so Close
 	// (which closes the channel under the write lock) can never race a send.
@@ -246,40 +251,25 @@ func (b *Batcher) worker(index int) {
 	// attribute flush time to the serve phase per worker.
 	parallel.LabelWorker(context.Background(), "serve_flush", index)
 	w := &workerState{ws: core.NewScoreWorkspace(), col: drift.NewCollector()}
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for first := range b.reqs {
 		w.pending = append(w.pending[:0], first)
 		rows := first.rows.Rows
 		reason := flushFull
-		switch {
-		case rows >= b.cfg.MaxBatch:
-			// Flush immediately; oversized requests go out whole.
-		case b.cfg.MaxWait <= 0:
-			reason = flushEager
-		default:
-			timer.Reset(b.cfg.MaxWait)
-			fired := false
-		collect:
-			for rows < b.cfg.MaxBatch {
-				select {
-				case r, ok := <-b.reqs:
-					if !ok {
-						reason = flushDrain
-						break collect
-					}
-					w.pending = append(w.pending, r)
-					rows += r.rows.Rows
-				case <-timer.C:
-					fired = true
-					reason = flushTimer
+		// Take what is already queued, never waiting for more. An oversized
+		// first request skips the loop and goes out whole.
+	collect:
+		for rows < b.cfg.MaxBatch {
+			select {
+			case r, ok := <-b.reqs:
+				if !ok {
+					reason = flushDrain
 					break collect
 				}
-			}
-			if !fired && !timer.Stop() {
-				<-timer.C
+				w.pending = append(w.pending, r)
+				rows += r.rows.Rows
+			default:
+				reason = flushEmpty
+				break collect
 			}
 		}
 		b.flush(w, reason)
@@ -288,6 +278,8 @@ func (b *Batcher) worker(index int) {
 
 // flush scores one coalesced batch and responds to every request in it.
 func (b *Batcher) flush(w *workerState, reason int) {
+	b.cfg.Metrics.observeQueueWait(w.pending)
+
 	// Requests whose context expired while queued are rejected without
 	// scoring; their Submit already returned, but the contract (set
 	// outcome, then signal) is kept uniform.

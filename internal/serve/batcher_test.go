@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -86,41 +88,85 @@ func submitN(t *testing.T, b *Batcher, n int) {
 	wg.Wait()
 }
 
-// TestBatcherFlushBehavior is the table-driven coalescing contract: max-wait
-// fires with a partial batch, max-size flushes early (well before a long
-// max-wait), an oversized request flushes whole, and MaxWait=0 serves every
-// request alone.
+// submitAsync submits a one-row request whose score is v and reports on
+// the returned channel the submit's error, or a wrong score.
+func submitAsync(b *Batcher, v float64) <-chan error {
+	errc := make(chan error, 1)
+	go func() {
+		out := make([]float64, 1)
+		_, err := b.Submit(context.Background(), oneRow(v), out)
+		if err == nil && out[0] != v {
+			err = fmt.Errorf("submit %v scored %v", v, out[0])
+		}
+		errc <- err
+	}()
+	return errc
+}
+
+// holdFirstFlush submits one request and waits until the single worker is
+// scoring it inside f, whose release channel then holds the flush until the
+// test sends or closes. It returns the held submit's outcome channel.
+func holdFirstFlush(t *testing.T, b *Batcher, f *fakeScorer) <-chan error {
+	t.Helper()
+	errc := submitAsync(b, -1)
+	select {
+	case <-f.started:
+	case err := <-errc:
+		t.Fatalf("held submit returned %v before reaching the scorer", err)
+	}
+	return errc
+}
+
+// awaitDepth polls until n requests are queued.
+func awaitDepth(t *testing.T, b *Batcher, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); b.Depth() != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want %d", b.Depth(), n)
+		}
+	}
+}
+
+// flushWant is one expected flush: its row count and reason.
+type flushWant struct{ rows, reason int }
+
+// TestBatcherFlushBehavior is the table-driven flush contract. In the held
+// cases the single worker's first flush is held while one-row requests
+// queue behind it, so the batch boundaries after the release are
+// deterministic: the worker takes everything already queued, up to MaxBatch
+// rows, and flushes without waiting for more. The other cases submit
+// concurrently: a batch never passes MaxBatch by more than one request, and
+// an oversized request flushes whole.
 func TestBatcherFlushBehavior(t *testing.T) {
 	cases := []struct {
-		name       string
-		cfg        BatcherConfig
+		name string
+		cfg  BatcherConfig
+		// held, when > 0, queues that many one-row requests behind a held
+		// flush; want lists the flushes that follow the held one.
+		held int
+		want []flushWant
+		// Otherwise submits concurrent requests of rowsPer rows each.
 		submits    int
 		rowsPer    int
-		maxElapsed time.Duration // guards "flushed early, not at max-wait"
 		checkBatch func(t *testing.T, batches []int)
 	}{
 		{
-			name:       "max-wait fires with partial batch",
-			cfg:        BatcherConfig{MaxBatch: 1000, MaxWait: 20 * time.Millisecond, Workers: 1},
-			submits:    3,
-			rowsPer:    1,
-			maxElapsed: 5 * time.Second,
-			checkBatch: func(t *testing.T, batches []int) {
-				for _, n := range batches {
-					if n >= 1000 {
-						t.Errorf("batch of %d rows reached MaxBatch; the timer should have fired first", n)
-					}
-				}
-			},
+			name: "queued requests drain into one flush",
+			cfg:  BatcherConfig{MaxBatch: 1000, Workers: 1},
+			held: 5,
+			want: []flushWant{{5, flushEmpty}},
+		},
+		{
+			name: "drain splits at max-batch",
+			cfg:  BatcherConfig{MaxBatch: 4, Workers: 1},
+			held: 10,
+			want: []flushWant{{4, flushFull}, {4, flushFull}, {2, flushEmpty}},
 		},
 		{
 			name:    "max-size flushes early",
-			cfg:     BatcherConfig{MaxBatch: 4, MaxWait: time.Hour, Workers: 1},
+			cfg:     BatcherConfig{MaxBatch: 4, Workers: 1},
 			submits: 8,
 			rowsPer: 1,
-			// With an hour-long max-wait, completion at all proves the size
-			// trigger; the elapsed guard just keeps the failure mode finite.
-			maxElapsed: 10 * time.Second,
 			checkBatch: func(t *testing.T, batches []int) {
 				for _, n := range batches {
 					if n > 4+1 {
@@ -130,38 +176,26 @@ func TestBatcherFlushBehavior(t *testing.T) {
 			},
 		},
 		{
-			name:       "oversized request flushes whole",
-			cfg:        BatcherConfig{MaxBatch: 2, MaxWait: time.Hour, Workers: 1},
-			submits:    1,
-			rowsPer:    7,
-			maxElapsed: 10 * time.Second,
+			name:    "oversized request flushes whole",
+			cfg:     BatcherConfig{MaxBatch: 2, Workers: 1},
+			submits: 1,
+			rowsPer: 7,
 			checkBatch: func(t *testing.T, batches []int) {
 				if len(batches) != 1 || batches[0] != 7 {
 					t.Errorf("batches = %v, want one batch of 7", batches)
 				}
 			},
 		},
-		{
-			name:       "max-wait zero serves requests alone",
-			cfg:        BatcherConfig{MaxBatch: 1000, MaxWait: 0, Workers: 1},
-			submits:    5,
-			rowsPer:    1,
-			maxElapsed: 10 * time.Second,
-			checkBatch: func(t *testing.T, batches []int) {
-				for _, n := range batches {
-					if n != 1 {
-						t.Errorf("eager mode coalesced a batch of %d rows", n)
-					}
-				}
-			},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.held > 0 {
+				runHeld(t, tc.cfg, tc.held, tc.want)
+				return
+			}
 			f := &fakeScorer{}
 			b := NewBatcher(f, tc.cfg)
 			defer b.Close()
-			start := time.Now()
 			if tc.rowsPer == 1 {
 				submitN(t, b, tc.submits)
 			} else {
@@ -170,9 +204,6 @@ func TestBatcherFlushBehavior(t *testing.T) {
 				if _, err := b.Submit(context.Background(), rows, out); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if elapsed := time.Since(start); elapsed > tc.maxElapsed {
-				t.Errorf("submissions took %v, want < %v", elapsed, tc.maxElapsed)
 			}
 			batches, rows := f.snapshot()
 			if want := tc.submits * tc.rowsPer; rows != want {
@@ -183,12 +214,84 @@ func TestBatcherFlushBehavior(t *testing.T) {
 	}
 }
 
+// runHeld queues n one-row requests behind a held flush, then releases one
+// flush at a time and checks each flush's rows and reason. The single
+// worker records a flush's reason before it starts the next flush, so the
+// reason counters read at each flush start cover every earlier flush.
+func runHeld(t *testing.T, cfg BatcherConfig, n int, want []flushWant) {
+	t.Helper()
+	// started has room for a signal from every possible flush, so a flush
+	// beyond want never blocks.
+	f := &fakeScorer{started: make(chan struct{}, n+1), release: make(chan struct{})}
+	mm := &ModelMetrics{model: "m"}
+	cfg.Metrics = mm
+	b := NewBatcher(f, cfg)
+	defer b.Close()
+	release := sync.OnceFunc(func() { close(f.release) })
+	defer release() // runs before Close, so a failed test never strands the worker
+
+	held := holdFirstFlush(t, b, f)
+	queued := []<-chan error{held}
+	for i := 0; i < n; i++ {
+		queued = append(queued, submitAsync(b, float64(i)))
+	}
+	awaitDepth(t, b, n)
+
+	reasons := func() (r [numFlushReasons]int64) {
+		for i := range r {
+			r[i] = mm.flushes[i].Load()
+		}
+		return r
+	}
+	f.release <- struct{}{} // the held flush
+	var snaps [][numFlushReasons]int64
+	for range want {
+		select {
+		case <-f.started:
+		case <-time.After(10 * time.Second):
+			batches, _ := f.snapshot()
+			t.Fatalf("only %d flushes after the held one, want %d (batches %v)",
+				len(snaps), len(want), batches)
+		}
+		snaps = append(snaps, reasons())
+		f.release <- struct{}{}
+	}
+	release() // any flush beyond want passes straight through
+	for _, c := range queued {
+		if err := <-c; err != nil {
+			t.Error(err)
+		}
+	}
+	snaps = append(snaps, reasons())
+
+	batches, _ := f.snapshot()
+	wantBatches := []int{1}
+	for _, w := range want {
+		wantBatches = append(wantBatches, w.rows)
+	}
+	if !slices.Equal(batches, wantBatches) {
+		t.Fatalf("flushed batches of %v rows, want %v", batches, wantBatches)
+	}
+	for i, w := range want {
+		for r := range snaps[i] {
+			wantN := int64(0)
+			if r == w.reason {
+				wantN = 1
+			}
+			if got := snaps[i+1][r] - snaps[i][r]; got != wantN {
+				t.Errorf("flush %d (%d rows): reason %s counted %d times, want %d",
+					i+1, w.rows, flushReasonNames[r], got, wantN)
+			}
+		}
+	}
+}
+
 // TestBatcherRejectsCancelledWhileQueued pins the 503 path: a request whose
 // context is cancelled while it waits behind a slow flush is rejected with
 // the context error and never reaches the scorer.
 func TestBatcherRejectsCancelledWhileQueued(t *testing.T) {
 	f := &fakeScorer{delay: 100 * time.Millisecond}
-	b := NewBatcher(f, BatcherConfig{MaxBatch: 1, MaxWait: 0, Workers: 1})
+	b := NewBatcher(f, BatcherConfig{MaxBatch: 1, Workers: 1})
 	defer b.Close()
 
 	// Occupy the single worker.
@@ -222,36 +325,21 @@ func TestBatcherRejectsCancelledWhileQueued(t *testing.T) {
 func TestBatcherQueueFull(t *testing.T) {
 	// started holds one signal per flush: the two setup requests.
 	f := &fakeScorer{started: make(chan struct{}, 2), release: make(chan struct{})}
-	b := NewBatcher(f, BatcherConfig{MaxBatch: 1, MaxWait: 0, Workers: 1, QueueDepth: 1})
+	b := NewBatcher(f, BatcherConfig{MaxBatch: 1, Workers: 1, QueueDepth: 1})
 	defer b.Close()
 	release := sync.OnceFunc(func() { close(f.release) })
 	defer release() // runs before Close, so a failed test never strands the worker
 
-	errs := make(chan error, 2)
-	submit := func(v float64) {
-		out := make([]float64, 1)
-		_, err := b.Submit(context.Background(), oneRow(v), out)
-		errs <- err
-	}
-	go submit(1)
-	select { // the worker now holds request 1 and the queue is empty
-	case <-f.started:
-	case err := <-errs:
-		t.Fatalf("first setup submit returned %v before reaching the scorer", err)
-	}
-	go submit(2)
-	for deadline := time.Now().Add(10 * time.Second); b.Depth() != 1; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("second setup request never reached the queue")
-		}
-	}
+	held := holdFirstFlush(t, b, f) // the worker holds request 1; the queue is empty
+	queued := submitAsync(b, 2)
+	awaitDepth(t, b, 1)
 	out := make([]float64, 1)
 	if _, err := b.Submit(context.Background(), oneRow(3), out); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("submit to full queue returned %v, want ErrQueueFull", err)
 	}
 	release()
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
+	for _, c := range []<-chan error{held, queued} {
+		if err := <-c; err != nil {
 			t.Errorf("setup submit: %v", err)
 		}
 	}
@@ -262,7 +350,7 @@ func TestBatcherQueueFull(t *testing.T) {
 // is idempotent.
 func TestBatcherCloseDrains(t *testing.T) {
 	f := &fakeScorer{delay: 10 * time.Millisecond}
-	b := NewBatcher(f, BatcherConfig{MaxBatch: 4, MaxWait: time.Millisecond, Workers: 2, QueueDepth: 64})
+	b := NewBatcher(f, BatcherConfig{MaxBatch: 4, Workers: 2, QueueDepth: 64})
 
 	const n = 16
 	var accepted atomic.Int64
@@ -302,30 +390,68 @@ func TestBatcherCloseDrains(t *testing.T) {
 }
 
 // TestBatcherSteadyStateZeroAllocs guards the pooled enqueue/dequeue round
-// trip: after warm-up, a Submit through flush and response must not allocate.
+// trip: after warm-up, a Submit through flush and response must not
+// allocate, with or without metrics (and so the queue-wait stamp) attached.
 func TestBatcherSteadyStateZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
-	// Preallocate the recording slice so the fake's own bookkeeping never
-	// shows up in the allocation count.
-	f := &fakeScorer{batches: make([]int, 0, 1<<14)}
-	b := NewBatcher(f, BatcherConfig{MaxBatch: 8, MaxWait: 0, Workers: 1})
-	defer b.Close()
+	for _, mm := range []*ModelMetrics{nil, {model: "m"}} {
+		// Preallocate the recording slice so the fake's own bookkeeping
+		// never shows up in the allocation count.
+		f := &fakeScorer{batches: make([]int, 0, 1<<14)}
+		b := NewBatcher(f, BatcherConfig{MaxBatch: 8, Workers: 1, Metrics: mm})
+		defer b.Close()
 
-	rows := oneRow(3)
-	out := make([]float64, 1)
-	ctx := context.Background()
-	for i := 0; i < 100; i++ { // warm the pools
-		if _, err := b.Submit(ctx, rows, out); err != nil {
+		rows := oneRow(3)
+		out := make([]float64, 1)
+		ctx := context.Background()
+		for i := 0; i < 100; i++ { // warm the pools
+			if _, err := b.Submit(ctx, rows, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := b.Submit(ctx, rows, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state Submit (metrics attached: %v) allocates %.1f per request, want 0",
+				mm != nil, allocs)
+		}
+	}
+}
+
+// TestBatcherRecordsQueueWait: a request queued behind a flush held for
+// 20 ms records a queue wait of at least 20 ms, measured from its enqueue
+// to the start of its own flush.
+func TestBatcherRecordsQueueWait(t *testing.T) {
+	const hold = 20 * time.Millisecond
+	f := &fakeScorer{started: make(chan struct{}, 1), release: make(chan struct{})}
+	mm := &ModelMetrics{model: "m"}
+	b := NewBatcher(f, BatcherConfig{Workers: 1, Metrics: mm})
+	defer b.Close()
+	release := sync.OnceFunc(func() { close(f.release) })
+	defer release()
+
+	held := holdFirstFlush(t, b, f)
+	queued := submitAsync(b, 1)
+	awaitDepth(t, b, 1)
+	time.Sleep(hold)
+	release()
+	for _, c := range []<-chan error{held, queued} {
+		if err := <-c; err != nil {
 			t.Fatal(err)
 		}
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := b.Submit(ctx, rows, out); err != nil {
-			t.Fatal(err)
+	if n := mm.queueWait.Count(); n != 2 {
+		t.Fatalf("queue wait recorded for %d requests, want 2", n)
+	}
+	// The held request found an idle worker and waited next to nothing, so
+	// the sum is, to within that, the queued request's wait.
+	for _, s := range mm.queueWait.Samples(1e9) {
+		if s.Suffix == "_sum" && s.Value < hold.Seconds() {
+			t.Errorf("queue wait sum %.4fs, want >= %.4fs", s.Value, hold.Seconds())
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Submit allocates %.1f per request, want 0", allocs)
 	}
 }
 
@@ -335,7 +461,7 @@ func TestBatcherSteadyStateZeroAllocs(t *testing.T) {
 // a reply-before-count ordering many chances to show.
 func TestBatcherMetricsCountRowsBeforeReply(t *testing.T) {
 	mm := &ModelMetrics{model: "m"}
-	b := NewBatcher(&fakeScorer{}, BatcherConfig{MaxBatch: 1, MaxWait: 0, Workers: 2, Metrics: mm})
+	b := NewBatcher(&fakeScorer{}, BatcherConfig{MaxBatch: 1, Workers: 2, Metrics: mm})
 	defer b.Close()
 	rows := oneRow(1)
 	out := make([]float64, 1)

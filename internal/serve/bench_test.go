@@ -9,15 +9,15 @@ import (
 
 // BenchmarkServeScore measures the serving hot path gated by benchguard: one
 // row submitted through the micro-batcher (pool → enqueue → flush → runtime
-// scoring → response). MaxWait is zero so the measurement is the per-request
-// floor, not a coalescing-timer artifact.
+// scoring → response). One submitter keeps the queue empty, so every flush
+// is a single request and the measurement is the per-request floor.
 func BenchmarkServeScore(b *testing.B) {
 	path := testModelFile(b, 42)
 	h, err := NewHandle("m", path)
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := NewBatcher(h, BatcherConfig{MaxBatch: 8, MaxWait: 0, Workers: 1})
+	q := NewBatcher(h, BatcherConfig{MaxBatch: 8, Workers: 1})
 	defer q.Close()
 
 	rows := testProbeRows(1)
@@ -45,7 +45,7 @@ func BenchmarkServeScoreExplain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := NewBatcher(h, BatcherConfig{MaxBatch: 8, MaxWait: 0, Workers: 1})
+	q := NewBatcher(h, BatcherConfig{MaxBatch: 8, Workers: 1})
 	defer q.Close()
 
 	rows := testProbeRows(1)
@@ -72,7 +72,7 @@ func BenchmarkServeScoreBatch64(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := NewBatcher(h, BatcherConfig{MaxBatch: 64, MaxWait: 0, Workers: 1})
+	q := NewBatcher(h, BatcherConfig{MaxBatch: 64, Workers: 1})
 	defer q.Close()
 
 	rows := testProbeRows(64)

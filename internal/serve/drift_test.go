@@ -186,7 +186,7 @@ func newDriftHarness(t *testing.T, window int) *driftHarness {
 	srv, err := NewServer([]*Handle{h}, ServerConfig{
 		Metrics:  metrics,
 		Recorder: rec,
-		Batcher:  BatcherConfig{MaxBatch: 32, MaxWait: 0},
+		Batcher:  BatcherConfig{MaxBatch: 32},
 		Drift:    DriftConfig{Window: window},
 	})
 	if err != nil {

@@ -7,10 +7,11 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"frac/internal/core"
+	"frac/internal/drift"
 	"frac/internal/linalg"
 )
 
@@ -22,7 +23,7 @@ func TestServeExplainEndToEnd(t *testing.T) {
 	metrics := &Metrics{}
 	_, ts, _ := newTestServer(t, ServerConfig{
 		Metrics: metrics,
-		Batcher: BatcherConfig{MaxBatch: 8, MaxWait: 0, Workers: 1},
+		Batcher: BatcherConfig{MaxBatch: 8, Workers: 1},
 	})
 
 	rows := `[[0.5,1.0,0.479,1,0],[0.5,-5,0.479,1,0],[0.5,null,0.479,1,0]]`
@@ -131,7 +132,7 @@ func TestServeExplainEndToEnd(t *testing.T) {
 func TestServeExplainValidation(t *testing.T) {
 	_, ts, _ := newTestServer(t, ServerConfig{
 		MaxExplain: 8,
-		Batcher:    BatcherConfig{MaxWait: 0, Workers: 1},
+		Batcher:    BatcherConfig{Workers: 1},
 	})
 	row := `[[0.5,1.0,0.479,1,0]]`
 	for _, tc := range []struct {
@@ -182,6 +183,25 @@ func probeChunk(off, n int) *linalg.Matrix {
 	return chunk
 }
 
+// heldScorer passes flushes through to Scorer, holding each one until
+// release is closed. It signals started without blocking as a flush begins.
+type heldScorer struct {
+	Scorer
+	started chan struct{}
+	release chan struct{}
+	flushes atomic.Int64
+}
+
+func (s *heldScorer) ScoreBatch(rows *linalg.Matrix, out []float64, ws *core.ScoreWorkspace, col *drift.Collector, ew *core.ExplainWorkspace, k int) (*Runtime, error) {
+	s.flushes.Add(1)
+	select {
+	case s.started <- struct{}{}:
+	default:
+	}
+	<-s.release
+	return s.Scorer.ScoreBatch(rows, out, ws, col, ew, k)
+}
+
 // TestBatcherMixedExplainDepths coalesces plain and explained requests
 // through one batcher and checks each request gets exactly its own depth
 // with scores and attributions bit-identical to scoring its rows directly.
@@ -190,9 +210,15 @@ func TestBatcherMixedExplainDepths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One worker with a generous wait so concurrent submissions coalesce.
-	q := NewBatcher(h, BatcherConfig{MaxBatch: 64, MaxWait: 50 * time.Millisecond, Workers: 1})
+	// The single worker's first flush is held while the submissions queue,
+	// so on release they coalesce into one batch.
+	gate := &heldScorer{Scorer: h, started: make(chan struct{}, 1), release: make(chan struct{})}
+	q := NewBatcher(gate, BatcherConfig{MaxBatch: 64, Workers: 1})
 	defer q.Close()
+	release := sync.OnceFunc(func() { close(gate.release) })
+	defer release()
+	go q.Submit(context.Background(), probeChunk(6, 1), make([]float64, 1))
+	<-gate.started
 
 	type sub struct {
 		rows *linalg.Matrix
@@ -218,7 +244,12 @@ func TestBatcherMixedExplainDepths(t *testing.T) {
 			_, s.err = q.SubmitExplained(context.Background(), s.rows, s.out, s.attr, s.k)
 		}(s)
 	}
+	awaitDepth(t, q, len(subs))
+	release()
 	wg.Wait()
+	if n := gate.flushes.Load(); n != 2 {
+		t.Fatalf("%d flushes, want the held one and one coalesced batch", n)
+	}
 	for i, s := range subs {
 		if s.err != nil {
 			t.Fatalf("submission %d: %v", i, s.err)
@@ -275,7 +306,7 @@ func TestServeExplainOffZeroAllocs(t *testing.T) {
 	}
 	// And through the batcher round trip (Submit delegates to the explain
 	// path with k = 0).
-	q := NewBatcher(h, BatcherConfig{MaxBatch: 8, MaxWait: 0, Workers: 1})
+	q := NewBatcher(h, BatcherConfig{MaxBatch: 8, Workers: 1})
 	defer q.Close()
 	ctx := context.Background()
 	if _, err := q.Submit(ctx, probe, out); err != nil {

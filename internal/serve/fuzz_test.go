@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // FuzzScoreRequest fuzzes the /v1/score JSON decoder end to end through the
@@ -61,7 +60,7 @@ func FuzzScoreRequest(f *testing.F) {
 			srv, err = NewServer([]*Handle{h}, ServerConfig{
 				MaxRows:      64,
 				MaxBodyBytes: 1 << 16,
-				Batcher:      BatcherConfig{MaxBatch: 8, MaxWait: 100 * time.Microsecond, Workers: 2},
+				Batcher:      BatcherConfig{MaxBatch: 8, Workers: 2},
 			})
 			if err != nil {
 				t.Fatal(err)

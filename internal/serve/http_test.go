@@ -10,7 +10,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"frac/internal/core"
 	"frac/internal/obs/httpserve"
@@ -254,7 +253,7 @@ func TestServeMetricsExposition(t *testing.T) {
 	metrics := &Metrics{}
 	_, ts, _ := newTestServer(t, ServerConfig{
 		Metrics: metrics,
-		Batcher: BatcherConfig{MaxBatch: 8, MaxWait: time.Millisecond},
+		Batcher: BatcherConfig{MaxBatch: 8},
 	})
 	for i := 0; i < 3; i++ {
 		post(t, ts.URL+"/v1/score", `{"rows":[[0.1,0.2,0.3,1,0]]}`)
@@ -278,6 +277,8 @@ func TestServeMetricsExposition(t *testing.T) {
 		"# TYPE frac_serve_batch_rows histogram",
 		`frac_serve_batch_rows_bucket{model="m",le=`,
 		`frac_serve_flushes_total{model="m",reason=`,
+		"# TYPE frac_serve_queue_wait_seconds histogram",
+		`frac_serve_queue_wait_seconds_count{model="m"} 3`,
 		// The live queue-depth gauge is always exported, even at zero.
 		"frac_serve_queue_depth 0",
 	} {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"frac/internal/drift"
 	"frac/internal/obs"
@@ -59,6 +60,7 @@ type ModelMetrics struct {
 
 	batchRows  obs.Histogram // rows per flush (batch occupancy)
 	batchReqs  obs.Histogram // coalesced requests per flush
+	queueWait  obs.Histogram // per request, enqueue to flush start, ns
 	flushes    [numFlushReasons]atomic.Int64
 	flushErrs  atomic.Int64
 	rowsScored atomic.Int64
@@ -85,6 +87,18 @@ func (m *ModelMetrics) observeFlush(reason, rows, reqs int, ok bool) {
 		m.rowsScored.Add(int64(rows))
 	} else {
 		m.flushErrs.Add(1)
+	}
+}
+
+// observeQueueWait records, for every request of a flush that is starting,
+// its time from enqueue to now.
+func (m *ModelMetrics) observeQueueWait(reqs []*request) {
+	if m == nil {
+		return
+	}
+	now := time.Now()
+	for _, req := range reqs {
+		m.queueWait.Observe(now.Sub(req.enqueued).Nanoseconds())
 	}
 }
 
@@ -241,11 +255,12 @@ func (m *Metrics) Families() []obs.MetricFamily {
 		out = append(out, obs.Label{Name: "model", Value: mm.model})
 		return append(out, more...)
 	}
-	var batchRows, batchReqs, flushSamples, flushErrSamples, rowsScoredSamples, peakSamples []obs.MetricSample
+	var batchRows, batchReqs, queueWait, flushSamples, flushErrSamples, rowsScoredSamples, peakSamples []obs.MetricSample
 	var explainReqSamples, explainRowSamples, explainDepthSamples []obs.MetricSample
 	for _, mm := range models {
 		batchRows = append(batchRows, mm.batchRows.Samples(1, obs.Label{Name: "model", Value: mm.model})...)
 		batchReqs = append(batchReqs, mm.batchReqs.Samples(1, obs.Label{Name: "model", Value: mm.model})...)
+		queueWait = append(queueWait, mm.queueWait.Samples(1e9, obs.Label{Name: "model", Value: mm.model})...)
 		explainReqSamples = append(explainReqSamples,
 			obs.MetricSample{Labels: mlabel(mm), Value: float64(mm.explainReqs.Load())})
 		explainRowSamples = append(explainRowSamples,
@@ -275,8 +290,11 @@ func (m *Metrics) Families() []obs.MetricFamily {
 	add("frac_serve_batch_requests",
 		"Coalesced requests per flush (power-of-two buckets).",
 		obs.TypeHistogram, batchReqs...)
+	add("frac_serve_queue_wait_seconds",
+		"Per-request time from enqueue to the start of its flush (power-of-two buckets).",
+		obs.TypeHistogram, queueWait...)
 	add("frac_serve_flushes_total",
-		"Batch flushes by reason (full/timer/eager/drain).", obs.TypeCounter, flushSamples...)
+		"Batch flushes by reason (full/empty/drain).", obs.TypeCounter, flushSamples...)
 	add("frac_serve_flush_errors_total",
 		"Flushes whose scoring failed.", obs.TypeCounter, flushErrSamples...)
 	add("frac_serve_rows_scored_total",

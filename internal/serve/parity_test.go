@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"frac/internal/core"
 	"frac/internal/dataset"
@@ -94,7 +95,7 @@ func TestServedScoresBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			srv, err := NewServer([]*Handle{h}, ServerConfig{
-				Batcher: BatcherConfig{MaxBatch: maxBatch, MaxWait: 500 * time.Microsecond, Workers: 2},
+				Batcher: BatcherConfig{MaxBatch: maxBatch, Workers: 2},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -169,5 +170,44 @@ func TestRuntimeScoreMatchesPersistRoundTrip(t *testing.T) {
 	}
 	if rt.Hash() == "" || rt.NumTerms() != model.NumTerms() {
 		t.Errorf("runtime identity: hash=%q terms=%d want terms=%d", rt.Hash(), rt.NumTerms(), model.NumTerms())
+	}
+}
+
+// TestRuntimeHashIsFileHash pins the model_hash contract: a runtime's hash
+// is the FNV-64a of the artifact file's bytes, all of them, however far the
+// buffered decoder read. Junk past the model, longer than the decoder's
+// buffer, is covered too.
+func TestRuntimeHashIsFileHash(t *testing.T) {
+	path := testModelFile(t, 42)
+	fileHash := func() string {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(blob)
+		return fmt.Sprintf("%016x", h.Sum64())
+	}
+	for _, trailing := range []int{0, 200 << 10} {
+		if trailing > 0 {
+			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = f.Write(bytes.Repeat([]byte{0xA5}, trailing))
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		rt, err := LoadRuntime(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fileHash(); rt.Hash() != want {
+			t.Errorf("%d trailing bytes: runtime hash %s, file hash %s", trailing, rt.Hash(), want)
+		}
 	}
 }

@@ -52,6 +52,11 @@ func LoadRuntime(path string) (*Runtime, error) {
 	defer f.Close()
 	h := fnv.New64a()
 	model, err := core.ReadModel(io.TeeReader(f, h))
+	if err == nil {
+		// ReadModel may stop anywhere past the model's last byte; hash the
+		// rest, so the identity covers exactly the file.
+		_, err = io.Copy(h, f)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: loading %s: %w", path, err)
 	}

@@ -83,7 +83,7 @@ func TestReloadSoakNoTornResponses(t *testing.T) {
 	}
 	srv, err := NewServer([]*Handle{h}, ServerConfig{
 		Metrics: &Metrics{},
-		Batcher: BatcherConfig{MaxBatch: 8, MaxWait: 200 * time.Microsecond, Workers: 4},
+		Batcher: BatcherConfig{MaxBatch: 8, Workers: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher(h, BatcherConfig{MaxBatch: 4, MaxWait: time.Millisecond, Workers: 2, QueueDepth: 256})
+	b := NewBatcher(h, BatcherConfig{MaxBatch: 4, Workers: 2, QueueDepth: 256})
 
 	probe := testProbeRows(1)
 	want := make([]float64, 1)
