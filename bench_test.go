@@ -253,37 +253,26 @@ func trainScaleDataset(n, f int, seed uint64) *frac.Dataset {
 	return d
 }
 
-// BenchmarkTrainDataset sweeps full-FRaC training across feature scales for
-// both SVR routes: the default in-core trainer, and the reference route
-// (Learners.SVR nil) that gathers a copy per term and trains through
-// Learners.Real. The benchguard CI step compares these timings against the
+// BenchmarkTrainDataset sweeps full-FRaC training across feature scales with
+// the default learners, so every term trains through the in-core SVR
+// pipeline. The benchguard CI step compares these timings against the
 // committed BENCH_results.json baseline.
 func BenchmarkTrainDataset(b *testing.B) {
-	reference := frac.PaperLearners()
-	reference.SVR = nil
 	for _, f := range []int{64, 256, 1024} {
 		train := trainScaleDataset(32, f, 7)
 		terms := frac.FullTerms(f)
-		for _, route := range []struct {
-			name string
-			cfg  frac.Config
-		}{
-			{name: "incore", cfg: frac.Config{Seed: 5}},
-			{name: "reference", cfg: frac.Config{Seed: 5, Learners: reference}},
-		} {
-			b.Run(fmt.Sprintf("f=%d/%s", f, route.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					model, err := frac.Train(train, terms, route.cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if model.NumTerms() != f {
-						b.Fatalf("%d terms", model.NumTerms())
-					}
+		b.Run(fmt.Sprintf("f=%d", f), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				model, err := frac.Train(train, terms, frac.Config{Seed: 5})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if model.NumTerms() != f {
+					b.Fatalf("%d terms", model.NumTerms())
+				}
+			}
+		})
 	}
 }
 

@@ -1,16 +1,19 @@
 // Command benchguard is the CI benchmark-regression gate: it parses
 // `go test -bench` output (stdin or -input), compares each benchmark's ns/op
 // against the go_bench baselines committed in BENCH_results.json, and exits
-// non-zero when a benchmark regressed by more than -tolerance.
+// non-zero when a benchmark regressed by more than -tolerance or when a
+// baseline has no live result. The second rule keeps a renamed or deleted
+// benchmark from leaving the gate silently: rerun it, or delete its row.
 //
-// Record or refresh baselines:
+// Record or refresh baselines from the output of every command the CI gate
+// step runs (-update merges, so rows it does not see keep their values):
 //
-//	go test -run '^$' -bench 'BenchmarkScoreDataset$|BenchmarkTrainTerm$|BenchmarkTrainDataset' -cpu 1 . \
-//	    | go run ./cmd/benchguard -update
+//	go test -run '^$' -bench ... -cpu 1 ./pkg >> bench_live.txt   # each command
+//	go run ./cmd/benchguard -update -input bench_live.txt
 //
 // Gate a change (the CI bench-smoke job):
 //
-//	go test -run '^$' -bench ... -cpu 1 . | go run ./cmd/benchguard
+//	go run ./cmd/benchguard -input bench_live.txt
 //
 // Always pass -cpu 1: the committed baselines were recorded at GOMAXPROCS 1,
 // and at a higher GOMAXPROCS the parallel training benches speed up while
@@ -29,6 +32,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -122,6 +126,18 @@ func checkRegressions(live, base map[string]float64, tolerance float64, calibrat
 		}
 	}
 	return rows
+}
+
+// missingLive lists, sorted, the baselines that have no live result.
+func missingLive(live, base map[string]float64) []string {
+	var names []string
+	for name := range base {
+		if _, ok := live[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names
 }
 
 func median(xs []float64) float64 {
@@ -218,10 +234,18 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rows := checkRegressions(live, base, *tolerance, *calibrate)
+	if err := gate(os.Stdout, live, base, *tolerance, *calibrate); err != nil {
+		return fmt.Errorf("%s: %w", *baselinePath, err)
+	}
+	return nil
+}
+
+// gate prints one verdict line per baseline and fails when a benchmark
+// regressed beyond tolerance or a baseline has no live result.
+func gate(w io.Writer, live, base map[string]float64, tolerance float64, calibrate bool) error {
+	rows := checkRegressions(live, base, tolerance, calibrate)
 	if len(rows) == 0 {
-		return fmt.Errorf("no benchmarks overlap the %d baselines in %s (run benchguard -update first)",
-			len(base), *baselinePath)
+		return fmt.Errorf("no benchmarks overlap the %d baselines (run benchguard -update first)", len(base))
 	}
 	failed := 0
 	for _, r := range rows {
@@ -230,12 +254,24 @@ func run() error {
 			verdict = "REGRESSION"
 			failed++
 		}
-		fmt.Printf("%-60s %14.0f %14.0f %7.3f  %s\n", r.Name, r.BaseNs, r.LiveNs, r.Ratio, verdict)
+		fmt.Fprintf(w, "%-60s %14.0f %14.0f %7.3f  %s\n", r.Name, r.BaseNs, r.LiveNs, r.Ratio, verdict)
 	}
+	missing := missingLive(live, base)
+	for _, name := range missing {
+		fmt.Fprintf(w, "%-60s %14.0f %14s %7s  %s\n", name, base[name], "-", "-", "MISSING")
+	}
+	var errs []string
 	if failed > 0 {
-		return fmt.Errorf("%d of %d benchmarks regressed beyond %.0f%%", failed, len(rows), *tolerance*100)
+		errs = append(errs, fmt.Sprintf("%d of %d benchmarks regressed beyond %.0f%%", failed, len(rows), tolerance*100))
 	}
-	fmt.Printf("benchguard: %d benchmarks within %.0f%% of baseline\n", len(rows), *tolerance*100)
+	if len(missing) > 0 {
+		errs = append(errs, fmt.Sprintf("%d baselines have no live result (rerun them, or delete their go_bench rows): %s",
+			len(missing), strings.Join(missing, ", ")))
+	}
+	if len(errs) > 0 {
+		return errors.New(strings.Join(errs, "; "))
+	}
+	fmt.Fprintf(w, "benchguard: %d benchmarks within %.0f%% of baseline\n", len(rows), tolerance*100)
 	return nil
 }
 

@@ -148,3 +148,27 @@ func TestUpdateCreatesMissingFile(t *testing.T) {
 		t.Fatalf("go_bench = %v", got)
 	}
 }
+
+// TestGateFailsOnBaselineWithoutLiveResult: a baseline whose benchmark was
+// renamed or deleted must fail the gate and be named, not drop out of the
+// comparison; with every baseline live, the same timings pass.
+func TestGateFailsOnBaselineWithoutLiveResult(t *testing.T) {
+	base := map[string]float64{"a": 100, "b": 100, "c": 100, "old/incore": 100, "old/reference": 100}
+	live := map[string]float64{"a": 100, "b": 105, "c": 95, "new": 50}
+	var out strings.Builder
+	err := gate(&out, live, base, 0.15, true)
+	if err == nil {
+		t.Fatal("gate passed with two baselines missing from the live results")
+	}
+	for _, name := range []string{"old/incore", "old/reference"} {
+		if !strings.Contains(err.Error(), name) || !strings.Contains(out.String(), name) {
+			t.Errorf("%q not named; err = %v, output:\n%s", name, err, out.String())
+		}
+	}
+	delete(base, "old/incore")
+	delete(base, "old/reference")
+	out.Reset()
+	if err := gate(&out, live, base, 0.15, true); err != nil {
+		t.Errorf("gate failed with every baseline live: %v\n%s", err, out.String())
+	}
+}

@@ -1,8 +1,6 @@
 // Command fracbench regenerates the paper's evaluation exhibits over the
 // synthetic compendium. Subcommands: table1, table2, table3, table4, table5,
-// fig1, fig2, fig3, ablations, baselines, interpret, kernels, all. The
-// kernels exhibit times the linalg kernel tiers directly (median ns/op and
-// effective GB/s at f ∈ {64, 256, 1024, 4096}).
+// fig1, fig2, fig3, ablations, baselines, interpret, all.
 //
 // Example:
 //
@@ -69,11 +67,6 @@ type benchDoc struct {
 	Manifest         *obs.Manifest          `json:"manifest,omitempty"`
 	Exhibits         map[string]exhibitCost `json:"exhibits"`
 	VariantFractions []variantFraction      `json:"variant_fractions,omitempty"`
-	// Kernels holds the linalg kernel microbenchmark grid (the `kernels`
-	// subcommand): per-kernel median ns/op and effective GB/s at each vector
-	// length. writeResults carries the section across regenerations that do
-	// not re-run the kernels exhibit.
-	Kernels []kernelCost `json:"kernels,omitempty"`
 	// GoBench holds the `go test -bench` ns/op baselines that the CI
 	// regression gate compares against (maintained by `benchguard -update`,
 	// not by fracbench — writeResults carries the section across
@@ -164,24 +157,20 @@ func (b *bench) recordTable5Rows(rows []eval.Table5Row) {
 }
 
 func (b *bench) writeResults(path string) error {
-	if path == "" || (len(b.doc.Exhibits) == 0 && len(b.doc.Kernels) == 0) {
+	if path == "" || len(b.doc.Exhibits) == 0 {
 		return nil
 	}
 	if prev, err := os.ReadFile(path); err == nil {
 		var old struct {
 			Exhibits         map[string]exhibitCost `json:"exhibits"`
 			VariantFractions []variantFraction      `json:"variant_fractions"`
-			Kernels          []kernelCost           `json:"kernels"`
 			GoBench          map[string]float64     `json:"go_bench"`
 		}
 		if json.Unmarshal(prev, &old) == nil {
 			b.doc.GoBench = old.GoBench
-			if len(b.doc.Kernels) == 0 {
-				b.doc.Kernels = old.Kernels
-			}
 			// Exhibits not regenerated this run keep their prior entries, so
-			// a partial regeneration (one table, or just `kernels`) never
-			// drops the rest of the document.
+			// a partial regeneration (one table) never drops the rest of the
+			// document.
 			for name, cost := range old.Exhibits {
 				if _, ok := b.doc.Exhibits[name]; !ok {
 					b.doc.Exhibits[name] = cost
@@ -390,8 +379,6 @@ func run(cmd string, b *bench) error {
 		return ablations(full)
 	case "baselines":
 		return baselines()
-	case "kernels":
-		return runKernels(b)
 	case "interpret":
 		return interpret()
 	case "fig1":
@@ -432,11 +419,8 @@ func run(cmd string, b *bench) error {
 		if err := baselines(); err != nil {
 			return err
 		}
-		if err := runKernels(b); err != nil {
-			return err
-		}
 		return interpret()
 	default:
-		return fmt.Errorf("unknown subcommand %q (want table1..table5, fig1..fig3, ablations, baselines, interpret, kernels, all)", cmd)
+		return fmt.Errorf("unknown subcommand %q (want table1..table5, fig1..fig3, ablations, baselines, interpret, all)", cmd)
 	}
 }

@@ -18,7 +18,7 @@ import (
 
 // Config parameterizes FRaC training and scoring.
 type Config struct {
-	// Learners supplies the supervised models; zero value selects
+	// Learners supplies the supervised models; the zero value selects
 	// PaperLearners (linear SVR for continuous, trees for categorical).
 	Learners Learners
 	// CVFolds is the error-model cross-validation fold count. <= 1 selects 3.
@@ -53,7 +53,7 @@ type Config struct {
 const minObserved = 6
 
 func (c Config) withDefaults() Config {
-	if c.Learners.Real == nil && c.Learners.Cat == nil {
+	if c.Learners.isZero() {
 		c.Learners = PaperLearners()
 	}
 	if c.CVFolds <= 1 {
@@ -143,7 +143,8 @@ func termStreams(root *rng.Source, terms []Term) []*rng.Source {
 // values instead of killing the process. Work in flight when the context is
 // cancelled finishes its current term first. The training set is validated
 // first: a categorical cell that is not a label of its feature is an error,
-// since the learners index count tables by it.
+// since the learners index count tables by it, and so is a term with inputs
+// but no learner for its target's kind.
 func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Config) (*Model, error) {
 	cfg = cfg.withDefaults()
 	if train.NumSamples() == 0 {
@@ -156,6 +157,9 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 		if err := t.Validate(train.NumFeatures()); err != nil {
 			return nil, fmt.Errorf("term %d: %w", i, err)
 		}
+	}
+	if err := cfg.Learners.check(train.Schema, terms); err != nil {
+		return nil, err
 	}
 	m := &Model{cfg: cfg, schema: train.Schema, terms: make([]termModel, len(terms))}
 	streams := termStreams(rng.New(cfg.Seed), terms)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -44,17 +45,47 @@ type RealLearnerFunc func(x *linalg.Matrix, inputs dataset.Schema, y []float64, 
 // [0, arity).
 type CatLearnerFunc func(x *linalg.Matrix, inputs dataset.Schema, y []int, arity int, seed uint64) CatPredictor
 
-// Learners bundles the supervised models FRaC builds per feature kind.
+// Learners bundles the supervised models FRaC builds per feature kind. With
+// no field set it is unset: Config then uses PaperLearners, and JLSpec keeps
+// the config's learners. Every term with at least one input needs the
+// learner for its target's kind: SVR or Real for a real target, Cat for a
+// categorical one.
 type Learners struct {
-	Name string
-	Real RealLearnerFunc
-	Cat  CatLearnerFunc
-	// SVR, when non-nil, declares that Real is SVRLearner with exactly these
-	// hyperparameters, and every non-marginal real term then trains through
-	// the in-core SVR pipeline (DESIGN.md §10) instead of calling Real. The
-	// models are bit-identical; only the memory traffic changes. Custom Real
-	// learners must leave this nil.
+	// SVR, when non-nil, is the learner for real targets: a linear SVR with
+	// these hyperparameters, trained by core's in-core pipeline (DESIGN.md
+	// §10). Inputs and target are standardized to zero mean and unit
+	// variance first — the svm-scale step of the libSVM workflow the
+	// paper's experiments rely on — so the regularization strength C means
+	// the same thing in every feature space, including JL-projected spaces
+	// whose raw variances are much larger than 1. Missing inputs are imputed
+	// with their column mean, and categorical inputs enter as their numeric
+	// labels, matching the original FRaC release's handling.
 	SVR *svm.SVRParams
+	// Real trains real targets when SVR is nil.
+	Real RealLearnerFunc
+	// Cat trains categorical targets.
+	Cat CatLearnerFunc
+}
+
+// isZero reports whether no learner is set.
+func (l Learners) isZero() bool { return l.SVR == nil && l.Real == nil && l.Cat == nil }
+
+// check reports the first term that has inputs but no learner for its
+// target's kind, before any worker would call the missing one.
+func (l Learners) check(schema dataset.Schema, terms []Term) error {
+	for _, t := range terms {
+		if len(t.Inputs) == 0 {
+			continue
+		}
+		feat := schema[t.Target]
+		switch {
+		case feat.Kind == dataset.Categorical && l.Cat == nil:
+			return fmt.Errorf("core: categorical feature %d (%q) has no learner: Learners.Cat is nil", t.Target, feat.Name)
+		case feat.Kind != dataset.Categorical && l.SVR == nil && l.Real == nil:
+			return fmt.Errorf("core: real feature %d (%q) has no learner: Learners.SVR and Learners.Real are nil", t.Target, feat.Name)
+		}
+	}
+	return nil
 }
 
 // PaperLearners returns the paper's §III.B configuration: linear SVMs for
@@ -67,85 +98,16 @@ func PaperLearners() Learners {
 // MixedLearners builds the SVR + decision-tree combination with explicit
 // hyperparameters.
 func MixedLearners(svrParams svm.SVRParams, treeParams tree.Params) Learners {
-	p := svrParams
-	return Learners{
-		Name: "svr+tree",
-		Real: SVRLearner(svrParams),
-		Cat:  TreeCatLearner(treeParams),
-		SVR:  &p,
-	}
+	return Learners{SVR: &svrParams, Cat: TreeCatLearner(treeParams)}
 }
 
 // TreeLearners uses decision trees for both feature kinds (the paper's SNP
 // configuration, plus regression trees for the JL-space ablation).
 func TreeLearners(params tree.Params) Learners {
 	return Learners{
-		Name: "tree",
 		Real: TreeRealLearner(params),
 		Cat:  TreeCatLearner(params),
 	}
-}
-
-// SVRLearner adapts linear support-vector regression, adding mean
-// imputation for missing inputs (SVMs need fully numeric matrices;
-// categorical inputs participate as their numeric labels, matching the
-// original FRaC release's handling). Inputs and target are standardized to
-// zero mean and unit variance before training — the svm-scale step of the
-// libSVM workflow the paper's experiments rely on — so the regularization
-// strength C means the same thing in every feature space, including
-// JL-projected spaces whose raw variances are much larger than 1.
-func SVRLearner(params svm.SVRParams) RealLearnerFunc {
-	return func(x *linalg.Matrix, inputs dataset.Schema, y []float64, seed uint64) RealPredictor {
-		ls := learnerScratchPool.Get().(*learnerScratch)
-		means, clean := imputeMatrixInto(x, ls)
-		scales := standardizeMatrix(clean, means)
-		yMean, yVar := stats.MeanVar(y)
-		ySD := math.Sqrt(yVar)
-		if ySD < stats.MinSigma {
-			ySD = 1
-		}
-		yStd := ls.floats(len(y))
-		for i, v := range y {
-			yStd[i] = (v - yMean) / ySD
-		}
-		// Copy before customizing: the closure is shared by every concurrent
-		// term training, so writing through the captured params would race.
-		p := params
-		p.Seed = seed
-		p.Bias = true
-		model := svm.TrainSVR(clean, yStd, p, nil)
-		learnerScratchPool.Put(ls)
-		return &imputedReal{model: model, means: means, scales: scales, yMean: yMean, ySD: ySD}
-	}
-}
-
-// standardizeMatrix scales each column of the (already imputed, mean-known)
-// matrix in place to unit standard deviation around the provided means, and
-// returns the per-column scales (1/sd; 0-variance columns get scale 0,
-// zeroing them out).
-func standardizeMatrix(x *linalg.Matrix, means []float64) []float64 {
-	scales := make([]float64, x.Cols)
-	for j := 0; j < x.Cols; j++ {
-		var ss float64
-		for i := 0; i < x.Rows; i++ {
-			d := x.At(i, j) - means[j]
-			ss += d * d
-		}
-		sd := 0.0
-		if x.Rows > 1 {
-			sd = math.Sqrt(ss / float64(x.Rows-1))
-		}
-		if sd > stats.MinSigma {
-			scales[j] = 1 / sd
-		}
-	}
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for j := range row {
-			row[j] = (row[j] - means[j]) * scales[j]
-		}
-	}
-	return scales
 }
 
 // TreeRealLearner adapts regression trees (native missing-value handling).
@@ -161,69 +123,6 @@ func TreeCatLearner(params tree.Params) CatLearnerFunc {
 	return func(x *linalg.Matrix, inputs dataset.Schema, y []int, arity int, seed uint64) CatPredictor {
 		return tree.TrainClassifier(x, inputs, y, arity, params)
 	}
-}
-
-// learnerScratch pools the transient buffers of one SVRLearner call:
-// the imputed matrix copy, the observation counts, and the standardized
-// target. Nothing stored here may be retained by a trained predictor — only
-// freshly allocated slices (means, scales) survive the call.
-type learnerScratch struct {
-	clean  *linalg.Matrix
-	counts []int
-	yStd   []float64
-}
-
-var learnerScratchPool = sync.Pool{New: func() any { return new(learnerScratch) }}
-
-// floats returns the scratch float buffer resized to length n.
-func (ls *learnerScratch) floats(n int) []float64 {
-	if cap(ls.yStd) < n {
-		ls.yStd = make([]float64, n)
-	}
-	ls.yStd = ls.yStd[:n]
-	return ls.yStd
-}
-
-// imputeMatrixInto computes per-column means over observed cells and returns
-// them with an imputed copy of x; columns with no observed values impute 0.
-// The copy and count buffers come from ls. The returned means slice is
-// freshly allocated (predictors retain it); the clean matrix is
-// scratch-owned and only valid until ls is reused.
-func imputeMatrixInto(x *linalg.Matrix, ls *learnerScratch) (means []float64, clean *linalg.Matrix) {
-	means = make([]float64, x.Cols)
-	if cap(ls.counts) < x.Cols {
-		ls.counts = make([]int, x.Cols)
-	}
-	counts := ls.counts[:x.Cols]
-	for j := range counts {
-		counts[j] = 0
-	}
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for j, v := range row {
-			if !math.IsNaN(v) {
-				means[j] += v
-				counts[j]++
-			}
-		}
-	}
-	for j := range means {
-		if counts[j] > 0 {
-			means[j] /= float64(counts[j])
-		}
-	}
-	ls.clean = linalg.Resize(ls.clean, x.Rows, x.Cols)
-	clean = ls.clean
-	copy(clean.Data, x.Data)
-	for i := 0; i < clean.Rows; i++ {
-		row := clean.Row(i)
-		for j, v := range row {
-			if math.IsNaN(v) {
-				row[j] = means[j]
-			}
-		}
-	}
-	return means, clean
 }
 
 // imputeVec fills missing entries of x with means, writing into dst (reused

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"frac/internal/dataset"
 	"frac/internal/linalg"
+	"frac/internal/parallel"
+	"frac/internal/rng"
 	"frac/internal/svm"
 	"frac/internal/tree"
 )
@@ -122,13 +126,78 @@ func TestMarginalPredictors(t *testing.T) {
 
 func TestPaperLearnersRouting(t *testing.T) {
 	l := PaperLearners()
-	if l.Real == nil || l.Cat == nil {
+	if l.SVR == nil || l.Cat == nil {
 		t.Fatal("paper learners incomplete")
 	}
-	if l.Name != "svr+tree" {
-		t.Errorf("name = %q", l.Name)
+	if l.Real != nil {
+		t.Error("paper learners must train real terms through the in-core SVR route only")
 	}
-	if l.SVR == nil {
-		t.Error("paper learners must train real terms through the in-core SVR route")
+}
+
+// TestSVROnlyLearnersKeepTheirParams: a Learners that sets only SVR is a
+// complete configuration for all-real data, not an unset one replaced by
+// PaperLearners. It must score exactly like MixedLearners with the same SVR
+// hyperparameters, through Config and through JLSpec alike.
+func TestSVROnlyLearnersKeepTheirParams(t *testing.T) {
+	src := rng.New(17)
+	train := randomRealDataset("svr-only-train", 30, 6, 0.3, 0.2, src)
+	test := randomRealDataset("svr-only-test", 8, 6, 0.3, 0.2, src)
+	p := svm.SVRParams{C: 0.01}
+	runs := []struct {
+		name string
+		run  func(Learners) (*Result, error)
+	}{
+		{"config", func(l Learners) (*Result, error) {
+			return Run(train, test, FullTerms(6), Config{Seed: 3, Learners: l})
+		}},
+		{"jl-spec", func(l Learners) (*Result, error) {
+			return RunJL(train, test, JLSpec{Dim: 4, Learners: l}, rng.New(5), Config{Seed: 3})
+		}},
+	}
+	for _, r := range runs {
+		scores := func(l Learners) []float64 {
+			t.Helper()
+			res, err := r.run(l)
+			if err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+			return res.Scores
+		}
+		got, want, def := scores(Learners{SVR: &p}), scores(MixedLearners(p, tree.Params{})), scores(Learners{})
+		differs := false
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s sample %d: SVR-only %v, MixedLearners %v", r.name, i, got[i], want[i])
+			}
+			differs = differs || want[i] != def[i]
+		}
+		if !differs {
+			t.Fatalf("%s: C=%v scores equal the default learners'; the case cannot tell them apart", r.name, p.C)
+		}
+	}
+}
+
+// TestTrainRejectsMissingLearner: a term with inputs whose target kind has
+// no learner is a plain error naming the feature, returned before any
+// worker starts — not a nil-func panic inside one.
+func TestTrainRejectsMissingLearner(t *testing.T) {
+	allReal, _ := tinyRealTrainTest()
+	mixed, _ := goldenTrainTest()
+	cases := []struct {
+		name     string
+		train    *dataset.Dataset
+		learners Learners
+		feature  string
+	}{
+		{"cat-only, real target", allReal, Learners{Cat: TreeCatLearner(tree.Params{})}, `"f0"`},
+		{"svr-only, categorical target", mixed, Learners{SVR: &svm.SVRParams{}}, `"c0"`},
+		{"real-only, categorical target", mixed, Learners{Real: TreeRealLearner(tree.Params{})}, `"c0"`},
+	}
+	for _, c := range cases {
+		_, err := Train(c.train, FullTerms(c.train.NumFeatures()), Config{Seed: 1, Learners: c.learners})
+		var pe *parallel.PanicError
+		if err == nil || errors.As(err, &pe) || !strings.Contains(err.Error(), c.feature) {
+			t.Errorf("%s: err = %v, want a plain error naming feature %s", c.name, err, c.feature)
+		}
 	}
 }

@@ -18,10 +18,11 @@ type JLSpec struct {
 	Dim int
 	// Family selects the projection entry distribution; default Gaussian.
 	Family jl.Family
-	// Learners optionally overrides the model used in the projected space.
-	// Nil Real selects linear SVR — the paper observes that
-	// entropy-minimizing trees are NOT invariant under linear maps and
-	// perform worse there; TreeLearners exercises that ablation.
+	// Learners optionally overrides the model used in the projected space;
+	// the zero value keeps the config's learners (linear SVR by default) —
+	// the paper observes that entropy-minimizing trees are NOT invariant
+	// under linear maps and perform worse there; TreeLearners exercises
+	// that ablation.
 	Learners Learners
 }
 
@@ -40,7 +41,7 @@ func RunJLCtx(ctx context.Context, train, test *dataset.Dataset, spec JLSpec, sr
 		return nil, fmt.Errorf("core: JL dimension %d", spec.Dim)
 	}
 	cfg = cfg.withDefaults()
-	if spec.Learners.Real != nil || spec.Learners.Cat != nil {
+	if !spec.Learners.isZero() {
 		cfg.Learners = spec.Learners
 	}
 

@@ -13,13 +13,13 @@ import (
 
 // The in-core SVR term trainer (DESIGN.md §10) fits every non-marginal real
 // term when Learners.SVR is set, whatever the wiring and however many target
-// cells are missing. It replays the reference route — gather, then
-// SVRLearner's imputeMatrixInto, standardizeMatrix, target standardization,
-// TrainSVR and imputedReal prediction — float for float, but reads each
-// term's cells straight from the training matrix into one per-worker buffer:
-// no gathered copy, no imputed second copy, no fold views, and no fresh
-// solver buffers per fit. TestInCoreTrainingBitIdentical pins the scores to
-// the reference route bit for bit.
+// cells are missing. It reads each term's cells straight from the training
+// matrix into one per-worker buffer: no gathered copy, no imputed second
+// copy, no fold views, and no fresh solver buffers per fit.
+// TestInCoreTrainingBitIdentical pins its scores bit for bit to the frozen
+// gather-path reference in svrref_test.go, which gathers each term, imputes
+// and standardizes a copy, and trains and predicts through the same
+// TrainSVR and imputedReal.
 
 // svrScratch is the per-worker state of the in-core trainer. Nothing in it
 // outlives a term: the final fit copies out what the model retains.
@@ -62,10 +62,10 @@ func (ts *svrScratch) resize(m, d int, rec *obs.Recorder) {
 // standardize writes the design for the training-set rows in order: the
 // term's input columns in term order, missing cells imputed to the column
 // mean, every cell centred and scaled with statistics over the first nFit
-// rows only. The statistics follow imputeMatrixInto and standardizeMatrix
-// float for float: each column accumulates in row order, imputed cells
-// deviate by exactly 0, the sample SD divides by nFit-1, and columns whose
-// SD is at most MinSigma get scale 0.
+// rows only. The statistics follow the reference's float for float: each
+// column accumulates in row order, imputed cells deviate by exactly 0, the
+// sample SD divides by nFit-1, and columns whose SD is at most MinSigma get
+// scale 0.
 func (ts *svrScratch) standardize(x *linalg.Matrix, order []int, nFit int, inputs []int) {
 	means, scales, counts := ts.means, ts.scales, ts.counts
 	for j := range means {
@@ -120,8 +120,8 @@ func (ts *svrScratch) standardize(x *linalg.Matrix, order []int, nFit int, input
 }
 
 // train standardizes the design for order and fits the SVR on its first
-// len(y) rows, with SVRLearner's target handling (MeanVar, MinSigma floor,
-// bias on). The model's W aliases the workspace.
+// len(y) rows, with the reference's target handling (MeanVar, MinSigma
+// floor, bias on). The model's W aliases the workspace.
 func (ts *svrScratch) train(x *linalg.Matrix, order []int, inputs []int, y []float64, params svm.SVRParams, seed uint64) (model *svm.SVR, yMean, ySD float64) {
 	nFit := len(y)
 	ts.standardize(x, order, nFit, inputs)

@@ -48,15 +48,6 @@ func randomRealDataset(name string, n, f int, colMissP, cellMissP float64, src *
 	return d
 }
 
-// referenceLearners is PaperLearners with the in-core SVR route off: real
-// terms gather a copy and train through Learners.Real = SVRLearner, the
-// reference the in-core trainer must match bit for bit.
-func referenceLearners() Learners {
-	l := PaperLearners()
-	l.SVR = nil
-	return l
-}
-
 // inCoreWirings runs one variant's wiring over train/test, drawing its
 // random choices from a fresh stream of seed so two calls agree.
 var inCoreWirings = []struct {

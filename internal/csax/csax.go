@@ -59,26 +59,23 @@ type Config struct {
 	// Bootstraps is the number of resampled FRaC runs (the paper's CSAX
 	// uses bootstrapping; 1 disables resampling). <= 0 selects 5.
 	Bootstraps int
-	// EnrichmentThreshold is the ES above which a set counts as enriched
-	// in one run, for the robustness fraction. <= 0 selects 0.3.
-	EnrichmentThreshold float64
-	// Weight is the GSEA weighting exponent p on the ranking metric.
-	// 0 selects 1 (weighted KS; the GSEA default).
-	Weight float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.Bootstraps <= 0 {
 		c.Bootstraps = 5
 	}
-	if c.EnrichmentThreshold <= 0 {
-		c.EnrichmentThreshold = 0.3
-	}
-	if c.Weight == 0 {
-		c.Weight = 1
-	}
 	return c
 }
+
+const (
+	// enrichmentThreshold is the ES at or above which a set counts as
+	// enriched in one run, for the robustness fraction.
+	enrichmentThreshold = 0.3
+	// gseaWeight is the GSEA weighting exponent p on the ranking metric:
+	// 1 is the weighted KS statistic, the GSEA default.
+	gseaWeight = 1
+)
 
 // SetScore is one gene set's evidence for one sample.
 type SetScore struct {
@@ -86,8 +83,8 @@ type SetScore struct {
 	// ES is the mean enrichment score across bootstrap runs (positive:
 	// members concentrate among the most surprising features).
 	ES float64
-	// Robustness is the fraction of bootstrap runs with ES above the
-	// configured threshold — CSAX's stability measure.
+	// Robustness is the fraction of bootstrap runs with ES at or above
+	// the enrichment threshold — CSAX's stability measure.
 	Robustness float64
 }
 
@@ -164,14 +161,14 @@ func Characterize(train, test *dataset.Dataset, terms []core.Term, sets []GeneSe
 				metric[orig] = scores[s]
 			}
 			for _, g := range sets {
-				es := EnrichmentScore(feats, metric, g.Members, cfg.Weight)
+				es := EnrichmentScore(feats, metric, g.Members, gseaWeight)
 				sc := agg[g.Name]
 				if sc == nil {
 					sc = &SetScore{Name: g.Name}
 					agg[g.Name] = sc
 				}
 				sc.ES += es / float64(len(runs))
-				if es >= cfg.EnrichmentThreshold {
+				if es >= enrichmentThreshold {
 					sc.Robustness += 1 / float64(len(runs))
 				}
 			}

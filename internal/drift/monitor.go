@@ -7,61 +7,52 @@ import (
 	"frac/internal/stats"
 )
 
-// Config parameterizes a Monitor. The zero value selects defaults tuned so
-// a small (dozens-of-samples) reference does not false-alarm on healthy
-// traffic while a gross covariate shift still fires within two windows.
+// Config parameterizes a Monitor.
 type Config struct {
 	// WindowSize is the number of served scores per comparison window;
 	// <= 0 selects 512. Windows close at batch boundaries, so a closed
 	// window holds at least WindowSize samples (at most one batch more).
 	WindowSize int
-
-	// Slack, in nats per sample, is subtracted from the martingale's
-	// per-window log evidence before it accumulates (a CUSUM reference
-	// value). It absorbs the irreducible plug-in gap between a
-	// finite-sample reference and genuinely healthy traffic: only drifts
-	// whose per-sample KL divergence from the reference exceeds the slack
-	// grow the alarm. <= 0 selects 0.15.
-	Slack float64
-
-	// LogMAlert is the log martingale wealth at which the state leaves
-	// healthy (ln 100 ≈ 4.6 by default — a 100:1 e-value, i.e. sequential
-	// significance well past 0.01).
-	LogMAlert float64
-	// LogMRetrain escalates straight to retrain_recommended (ln 1e6 by
-	// default).
-	LogMRetrain float64
-	// PSIAlert is the debiased-PSI gross-shift trigger; it exists to fire
-	// on the *first* drifted window, before the martingale's alternative
-	// has adapted. <= 0 selects 2.0 — far above finite-sample noise, far
-	// below what a real covariate shift produces.
-	PSIAlert float64
-	// DriftingWindows is the consecutive-alerting-window count that
-	// escalates drifting to retrain_recommended. <= 0 selects 3.
-	DriftingWindows int
 }
 
 func (c Config) withDefaults() Config {
 	if c.WindowSize <= 0 {
 		c.WindowSize = 512
 	}
-	if c.Slack <= 0 {
-		c.Slack = 0.15
-	}
-	if c.LogMAlert <= 0 {
-		c.LogMAlert = math.Log(100)
-	}
-	if c.LogMRetrain <= 0 {
-		c.LogMRetrain = math.Log(1e6)
-	}
-	if c.PSIAlert <= 0 {
-		c.PSIAlert = 2.0
-	}
-	if c.DriftingWindows <= 0 {
-		c.DriftingWindows = 3
-	}
 	return c
 }
+
+// The alarm thresholds are tuned so a small (dozens-of-samples) reference
+// does not false-alarm on healthy traffic while a gross covariate shift
+// still fires within two windows.
+const (
+	// slack, in nats per sample, is subtracted from the martingale's
+	// per-window log evidence before it accumulates (a CUSUM reference
+	// value). It absorbs the irreducible plug-in gap between a
+	// finite-sample reference and genuinely healthy traffic: only drifts
+	// whose per-sample KL divergence from the reference exceeds the slack
+	// grow the alarm.
+	slack = 0.15
+	// psiAlert is the debiased-PSI gross-shift trigger; it exists to fire
+	// on the *first* drifted window, before the martingale's alternative
+	// has adapted. 2.0 is far above finite-sample noise and far below what
+	// a real covariate shift produces.
+	psiAlert = 2.0
+	// driftingWindows is the consecutive-alerting-window count that
+	// escalates drifting to retrain_recommended.
+	driftingWindows = 3
+)
+
+// The martingale thresholds are logarithms, which Go cannot fold into
+// constants.
+var (
+	// logMAlert is the log martingale wealth at which the state leaves
+	// healthy: ln 100 ≈ 4.6, a 100:1 e-value, i.e. sequential significance
+	// well past 0.01.
+	logMAlert = math.Log(100)
+	// logMRetrain escalates straight to retrain_recommended.
+	logMRetrain = math.Log(1e6)
+)
 
 // logMCap (per monitor, 2× the retrain threshold) bounds the accumulated
 // log wealth: evidence beyond it changes no decision, but an unbounded
@@ -255,8 +246,8 @@ func (m *Monitor) closeWindow() {
 			ev += float64(c) * math.Log(m.alt[k]*cells)
 		}
 	}
-	ev -= m.cfg.Slack * float64(n)
-	m.logM = math.Min(math.Max(0, m.logM+ev), 2*m.cfg.LogMRetrain)
+	ev -= slack * float64(n)
+	m.logM = math.Min(math.Max(0, m.logM+ev), 2*logMRetrain)
 	// Adapt the alternative toward this window's (Laplace-smoothed)
 	// frequencies for the next window.
 	for k := range m.alt {
@@ -281,18 +272,18 @@ func (m *Monitor) closeWindow() {
 	prev := m.state
 	alerting := false
 	switch {
-	case m.logM >= m.cfg.LogMAlert:
+	case m.logM >= logMAlert:
 		alerting = true
 		m.trigger = "martingale"
-	case psi >= m.cfg.PSIAlert:
+	case psi >= psiAlert:
 		alerting = true
 		m.trigger = "psi"
 	}
-	quiet := m.logM < m.cfg.LogMAlert/2 && psi < m.cfg.PSIAlert/2
+	quiet := m.logM < logMAlert/2 && psi < psiAlert/2
 	switch {
 	case alerting:
 		m.streak++
-		if m.streak >= m.cfg.DriftingWindows || m.logM >= m.cfg.LogMRetrain {
+		if m.streak >= driftingWindows || m.logM >= logMRetrain {
 			m.state = RetrainRecommended
 		} else if m.state != RetrainRecommended {
 			m.state = Drifting

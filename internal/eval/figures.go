@@ -87,7 +87,7 @@ func Fig2(o Options) (Fig2Result, error) {
 	}
 	enc := encode.Fit(d)
 	hot := enc.Encode(d.Sample(0), nil)
-	t := jl.New(4, enc.Width(), o.JLFamily, rng.New(o.Seed).Stream("fig2"))
+	t := jl.New(4, enc.Width(), jl.Gaussian, rng.New(o.Seed).Stream("fig2"))
 	proj := t.Apply(hot, nil)
 
 	w := o.out()

@@ -18,7 +18,6 @@ import (
 
 	"frac/internal/core"
 	"frac/internal/dataset"
-	"frac/internal/jl"
 	"frac/internal/obs"
 	"frac/internal/resource"
 	"frac/internal/rng"
@@ -62,8 +61,6 @@ type Options struct {
 	// JLDim is the expression-data projection dimension *at paper scale*
 	// (paper: 1024); the harness divides by Scale.
 	JLDim int
-	// JLFamily selects the projection distribution (default Gaussian).
-	JLFamily jl.Family
 
 	// JLRepeats is the number of independent projections per JL data point
 	// on the schizophrenia exhibits (paper: 10).

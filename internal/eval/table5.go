@@ -114,7 +114,7 @@ func jlPoint(p synth.Profile, o Options, rep dataset.Replicate, dim, repeats int
 	var costs []resource.Cost
 	for i := 0; i < repeats; i++ {
 		auc, c, err := runScored(o.ctx(), p, o, rep, func(ctx context.Context, cfg core.Config) ([]float64, error) {
-			spec := core.JLSpec{Dim: dim, Family: o.JLFamily}
+			spec := core.JLSpec{Dim: dim}
 			if p.SNP {
 				spec.Learners = cfg.Learners // trees in projected space
 			}

@@ -40,7 +40,7 @@ func JLSpecVariant() VariantSpec {
 		Name: VariantJL,
 		Run: func(ctx context.Context, rep dataset.Replicate, src *rng.Source, cfg core.Config, o Options) ([]float64, error) {
 			res, err := core.RunJLCtx(ctx, rep.Train, rep.Test,
-				core.JLSpec{Dim: o.ScaledJLDim(o.JLDim), Family: o.JLFamily}, src, cfg)
+				core.JLSpec{Dim: o.ScaledJLDim(o.JLDim)}, src, cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -87,8 +87,8 @@ const (
 	// terms_masked_train.
 	CounterTermsMasked
 	// CounterTermsGathered counts non-marginal terms trained through the
-	// gather-and-copy loop and Learners.Real/Cat: categorical targets, tree
-	// or custom learners, and the SVR reference route (Learners.SVR nil).
+	// gather-and-copy loop and Learners.Real/Cat: categorical targets and
+	// tree or custom learners.
 	CounterTermsGathered
 	// CounterDesignCacheBytes accumulates how many bytes the in-core
 	// trainer's per-worker design buffers grew by; it stops moving once
