@@ -165,10 +165,18 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 	streams := termStreams(rng.New(cfg.Seed), terms)
 	phase := cfg.Obs.Start(obs.PhaseTrain)
 	defer phase.End()
+	gram, err := trainGramState(ctx, train, terms, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if gram != nil && cfg.Tracker != nil {
+		cfg.Tracker.Alloc(gram.bytes())
+		defer cfg.Tracker.Release(gram.bytes())
+	}
 	cfg.Obs.AddPlanned(int64(len(terms)))
-	err := parallel.ForWorkersWithStateErr(parallel.WithPhaseLabel(ctx, "train"),
+	err = parallel.ForWorkersWithStateErr(parallel.WithPhaseLabel(ctx, "train"),
 		len(terms), cfg.Workers, cfg.Limit,
-		func(w int) *trainScratch { return &trainScratch{worker: w} },
+		func(w int) *trainScratch { return &trainScratch{worker: w, gram: gram} },
 		func(ti int, sc *trainScratch) error {
 			var tm termModel
 			var err error
@@ -195,6 +203,30 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 		return nil, err
 	}
 	return m, nil
+}
+
+// trainGramState builds the Train's shared Gram-route state when some term
+// takes the route, and returns nil otherwise. The build is one unit of work:
+// it holds a token of the shared pool, its CPU time accrues to the tracker,
+// and a panic comes back as an error.
+func trainGramState(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Config) (*gramShared, error) {
+	if !needsGram(train, terms, cfg) {
+		return nil, nil
+	}
+	var gram *gramShared
+	err := parallel.ForWorkersWithStateErr(parallel.WithPhaseLabel(ctx, "train"), 1, 1, cfg.Limit,
+		func(int) struct{} { return struct{}{} },
+		func(int, struct{}) error {
+			var err error
+			task := func() { gram, err = buildGram(ctx, train, cfg) }
+			if cfg.Tracker != nil {
+				cfg.Tracker.TimeTask(task)
+			} else {
+				task()
+			}
+			return err
+		})
+	return gram, err
 }
 
 // release returns the model's tracked bytes to the tracker. Idempotent per
@@ -257,6 +289,11 @@ type trainScratch struct {
 	// svr is the in-core SVR trainer's state (design buffer, column
 	// statistics, solver workspace). SVR terms use it instead of x/foldX.
 	svr svrScratch
+
+	// gram is the Train's shared Gram-route state, read-only and the same
+	// for every worker; nil when no term takes the route, and outside
+	// TrainCtx.
+	gram *gramShared
 }
 
 // gather copies the input columns of the selected rows into the scratch
@@ -333,6 +370,15 @@ func subIntsInto(dst []int, y []int, idx []int) []int {
 	return dst
 }
 
+// cvFolds is a Train's one CV fold policy (DESIGN.md §10): the partition of
+// a target's m observed rows depends only on the Train seed and m, never on
+// the term, so every SVR, tree and custom-learner term with m observed rows
+// cross-validates over the same folds, and the Gram route can build each
+// fold's Gram once for all of them.
+func cvFolds(cfg Config, m int) [][]int {
+	return dataset.KFold(m, cfg.CVFolds, rng.New(cfg.Seed).StreamAt("folds", uint64(m)))
+}
+
 // trainTerm fits one NS summand using the worker's scratch buffers.
 func trainTerm(train *dataset.Dataset, term Term, cfg Config, src *rng.Source, sc *trainScratch) (termModel, error) {
 	feat := train.Schema[term.Target]
@@ -390,7 +436,12 @@ func trainRealTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int,
 	}
 	if cfg.Learners.SVR != nil {
 		cfg.Obs.Add(obs.CounterTermsMasked, 1)
-		trainSVRTerm(tm, train, term, rows, y, cfg, src, sc)
+		if sc.gram.takes(term, len(rows)) {
+			cfg.Obs.Add(obs.CounterTermsGram, 1)
+			trainGramTerm(tm, train, term, y, cfg, src, sc)
+		} else {
+			trainSVRTerm(tm, train, term, rows, y, cfg, src, sc)
+		}
 		return
 	}
 	cfg.Obs.Add(obs.CounterTermsGathered, 1)
@@ -401,7 +452,7 @@ func trainRealTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int,
 		defer cfg.Tracker.Release(x.Bytes())
 	}
 	// Cross-validated residuals for the error model.
-	folds := dataset.KFold(len(rows), cfg.CVFolds, src)
+	folds := cvFolds(cfg, len(rows))
 	residuals := sc.residuals[:0]
 	for fi, fold := range folds {
 		trIdx := sc.complement(len(rows), fold)
@@ -441,7 +492,7 @@ func trainCatTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, 
 		cfg.Tracker.Alloc(x.Bytes())
 		defer cfg.Tracker.Release(x.Bytes())
 	}
-	folds := dataset.KFold(len(rows), cfg.CVFolds, src)
+	folds := cvFolds(cfg, len(rows))
 	for fi, fold := range folds {
 		trIdx := sc.complement(len(rows), fold)
 		if len(trIdx) == 0 || len(fold) == 0 {

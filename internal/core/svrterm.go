@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 
 	"frac/internal/dataset"
@@ -13,13 +14,24 @@ import (
 
 // The in-core SVR term trainer (DESIGN.md §10) fits every non-marginal real
 // term when Learners.SVR is set, whatever the wiring and however many target
-// cells are missing. It reads each term's cells straight from the training
+// cells are missing, on one of two routes chosen by the term's shape alone.
+//
+// The primal route reads each term's cells straight from the training
 // matrix into one per-worker buffer: no gathered copy, no imputed second
 // copy, no fold views, and no fresh solver buffers per fit.
 // TestInCoreTrainingBitIdentical pins its scores bit for bit to the frozen
 // gather-path reference in svrref_test.go, which gathers each term, imputes
 // and standardizes a copy, and trains and predicts through the same
 // TrainSVR and imputedReal.
+//
+// The Gram route takes the terms whose target is observed on every training
+// row and whose inputs are all the other features, when the training set
+// has fewer rows than such a term has inputs (n < f−1, the paper's regime).
+// Those terms share their rows and, since a Train draws one set of CV folds
+// (cvFolds), every fit's standardized design but for one column. So TrainCtx
+// builds each fit's Gram once (gramShared), and a term trains on the rank-one
+// downdate K − z_t·z_tᵀ in O(n²) per epoch instead of O(n·f). Its scores
+// match the reference's to rounding (1e-9 relative, pinned by the same test).
 
 // svrScratch is the per-worker state of the in-core trainer. Nothing in it
 // outlives a term: the final fit copies out what the model retains.
@@ -35,6 +47,13 @@ type svrScratch struct {
 	counts []int
 	yStd   []float64
 	ws     svm.SVRWorkspace
+
+	// The Gram route's per-term state: the target column standardized with
+	// a fit's statistics, the fit's downdated Gram, and the recovered
+	// full-width weights.
+	zt []float64
+	kt *linalg.Matrix
+	w  []float64
 }
 
 // resize sizes the scratch for a term with m observed rows and d inputs and
@@ -119,28 +138,46 @@ func (ts *svrScratch) standardize(x *linalg.Matrix, order []int, nFit int, input
 	}
 }
 
-// train standardizes the design for order and fits the SVR on its first
-// len(y) rows, with the reference's target handling (MeanVar, MinSigma
-// floor, bias on). The model's W aliases the workspace.
-func (ts *svrScratch) train(x *linalg.Matrix, order []int, inputs []int, y []float64, params svm.SVRParams, seed uint64) (model *svm.SVR, yMean, ySD float64) {
-	nFit := len(y)
-	ts.standardize(x, order, nFit, inputs)
+// standardizeTarget writes y standardized the reference's way (MeanVar,
+// MinSigma floor) into the scratch.
+func (ts *svrScratch) standardizeTarget(y []float64) (yStd []float64, yMean, ySD float64) {
 	yMean, yVar := stats.MeanVar(y)
 	ySD = math.Sqrt(yVar)
 	if ySD < stats.MinSigma {
 		ySD = 1
 	}
-	if cap(ts.yStd) < nFit {
-		ts.yStd = make([]float64, nFit)
+	if cap(ts.yStd) < len(y) {
+		ts.yStd = make([]float64, len(y))
 	}
-	yStd := ts.yStd[:nFit]
+	yStd = ts.yStd[:len(y)]
 	for i, v := range y {
 		yStd[i] = (v - yMean) / ySD
 	}
+	return yStd, yMean, ySD
+}
+
+// train standardizes the design for order and fits the SVR on its first
+// len(y) rows, with the reference's target handling and the bias on. The
+// model's W aliases the workspace.
+func (ts *svrScratch) train(x *linalg.Matrix, order []int, inputs []int, y []float64, params svm.SVRParams, seed uint64, rec *obs.Recorder) (model *svm.SVR, yMean, ySD float64) {
+	nFit := len(y)
+	ts.standardize(x, order, nFit, inputs)
+	yStd, yMean, ySD := ts.standardizeTarget(y)
 	params.Seed = seed
 	params.Bias = true
 	ts.fit = linalg.Matrix{Rows: nFit, Cols: len(inputs), Data: ts.design.Data[:nFit*len(inputs)]}
-	return svm.TrainSVR(&ts.fit, yStd, params, &ts.ws), yMean, ySD
+	model = svm.TrainSVR(&ts.fit, yStd, params, &ts.ws)
+	countFit(rec, model.Iters, params.MaxIter)
+	return model, yMean, ySD
+}
+
+// countFit records one SVR fit's solver counters.
+func countFit(rec *obs.Recorder, iters, maxIter int) {
+	rec.Add(obs.CounterSVRFits, 1)
+	rec.Add(obs.CounterSVREpochs, int64(iters))
+	if iters >= maxIter {
+		rec.Add(obs.CounterSVRMaxIter, 1)
+	}
 }
 
 // trainSVRTerm fits one non-marginal real term in core: cross-validated
@@ -157,8 +194,8 @@ func trainSVRTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, 
 		cfg.Tracker.Alloc(ts.design.Bytes())
 		defer cfg.Tracker.Release(ts.design.Bytes())
 	}
-	params := *cfg.Learners.SVR
-	folds := dataset.KFold(m, cfg.CVFolds, src)
+	params := cfg.Learners.SVR.WithDefaults()
+	folds := cvFolds(cfg, m)
 	residuals := sc.residuals[:0]
 	for fi, fold := range folds {
 		trIdx := sc.complement(m, fold)
@@ -174,7 +211,7 @@ func trainSVRTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, 
 		}
 		ts.order = order
 		sc.foldYF = subFloatsInto(sc.foldYF, y, trIdx)
-		model, yMean, ySD := ts.train(train.X, order, term.Inputs, sc.foldYF, params, src.Seed()^uint64(fi+1))
+		model, yMean, ySD := ts.train(train.X, order, term.Inputs, sc.foldYF, params, src.Seed()^uint64(fi+1), cfg.Obs)
 		for k, h := range fold {
 			pred := model.Predict(ts.design.Row(len(trIdx)+k))*ySD + yMean
 			residuals = append(residuals, y[h]-pred)
@@ -185,7 +222,7 @@ func trainSVRTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, 
 		residuals = []float64{0}
 	}
 	tm.realErr = fitRealError(residuals, cfg.KDEError)
-	model, yMean, ySD := ts.train(train.X, rows, term.Inputs, y, params, src.Seed())
+	model, yMean, ySD := ts.train(train.X, rows, term.Inputs, y, params, src.Seed(), cfg.Obs)
 	tm.real = &imputedReal{
 		model:  &svm.SVR{W: linalg.Clone(model.W), B: model.B, Iters: model.Iters},
 		means:  linalg.Clone(ts.means),
@@ -193,4 +230,257 @@ func trainSVRTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, 
 		yMean:  yMean,
 		ySD:    ySD,
 	}
+}
+
+// gramShared is what the Gram route's terms share within one Train: for
+// each CV fold and for the final fit, the statistics of every feature over
+// the fit's training rows and the Grams of the standardized rows. TrainCtx
+// builds it once, before any term trains, and only if some term takes the
+// route. Workers read it and never write it, and it lives for one call: it
+// is never cached, since a caller may change the training set in place
+// between Trains.
+type gramShared struct {
+	n, f  int
+	folds []gramFit // the CV fits whose two sides are non-empty, in fold order
+	full  gramFit   // the final fit over every row; it holds nothing out
+	// z holds the final fit's standardized rows (n x f); each term's
+	// weights are recovered from it.
+	z *linalg.Matrix
+}
+
+// gramFit is one fit's share of gramShared.
+type gramFit struct {
+	fold   int   // the fold's index in cvFolds, which seeds the fit
+	order  []int // training rows first, then held-out rows
+	nFit   int   // how many of order are training rows
+	means  []float64
+	scales []float64
+	k      *linalg.Matrix // nFit x nFit Gram of the standardized training rows
+	c      *linalg.Matrix // held-out x training cross-Gram
+}
+
+// bytes reports the fit's analytic footprint.
+func (gf *gramFit) bytes() int64 {
+	return int64(len(gf.order))*8 + int64(len(gf.means)+len(gf.scales))*8 + gf.k.Bytes() + gf.c.Bytes()
+}
+
+// bytes reports the shared state's analytic footprint.
+func (g *gramShared) bytes() int64 {
+	b := g.z.Bytes() + g.full.bytes()
+	for i := range g.folds {
+		b += g.folds[i].bytes()
+	}
+	return b
+}
+
+// allButTarget reports whether term's inputs are every other of f features,
+// in order: the only input list the shared Grams describe.
+func allButTarget(term Term, f int) bool {
+	if len(term.Inputs) != f-1 {
+		return false
+	}
+	for j, c := range term.Inputs {
+		if j >= term.Target {
+			j++
+		}
+		if c != j {
+			return false
+		}
+	}
+	return true
+}
+
+// needsGram reports whether some term of a Train over train takes the Gram
+// route: SVR learners, fewer rows than a term has inputs (n < f−1), and a
+// real target observed on every row whose inputs are all the other
+// features. The rule reads only the input's shape; there is no knob.
+func needsGram(train *dataset.Dataset, terms []Term, cfg Config) bool {
+	n, f := train.NumSamples(), train.NumFeatures()
+	if cfg.Learners.SVR == nil || n < minObserved || n >= f-1 {
+		return false
+	}
+	for _, t := range terms {
+		if train.Schema[t.Target].Kind == dataset.Categorical || !allButTarget(t, f) {
+			continue
+		}
+		observed := true
+		for i := 0; i < n && observed; i++ {
+			observed = !dataset.IsMissing(train.X.At(i, t.Target))
+		}
+		if observed {
+			return true
+		}
+	}
+	return false
+}
+
+// takes reports whether a real term with m observed target rows trains on
+// the Gram route; g is nil when no term of the Train does.
+func (g *gramShared) takes(term Term, m int) bool {
+	return g != nil && m == g.n && allButTarget(term, g.f)
+}
+
+// buildGram builds a Train's shared Gram state. Every fit is standardized
+// by svrScratch.standardize over all f columns into one n x f buffer, so
+// each feature's statistics and cells are bit-identical to those the primal
+// route computes for it; the buffer ends up holding the final fit's rows,
+// which gramShared keeps. ctx is checked between fits.
+func buildGram(ctx context.Context, train *dataset.Dataset, cfg Config) (*gramShared, error) {
+	n, f := train.NumSamples(), train.NumFeatures()
+	g := &gramShared{n: n, f: f}
+	all := make([]int, max(n, f))
+	for i := range all {
+		all[i] = i
+	}
+	var ts svrScratch
+	ts.resize(n, f, nil)
+	var sc trainScratch
+	for fi, fold := range cvFolds(cfg, n) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		trIdx := sc.complement(n, fold)
+		if len(trIdx) == 0 || len(fold) == 0 {
+			continue
+		}
+		order := append(append(make([]int, 0, n), trIdx...), fold...)
+		g.folds = append(g.folds, ts.shareFit(train.X, fi, order, len(trIdx), all[:f]))
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	g.full = ts.shareFit(train.X, -1, all[:n], n, all[:f])
+	g.z = ts.design
+	return g, nil
+}
+
+// shareFit standardizes the rows of order with statistics over the first
+// nFit and returns the fit's statistics and Grams (exact-tier Dot, DESIGN.md
+// §12). The Gram is symmetric bit for bit: each pair is computed once.
+func (ts *svrScratch) shareFit(x *linalg.Matrix, fold int, order []int, nFit int, all []int) gramFit {
+	ts.standardize(x, order, nFit, all)
+	gf := gramFit{
+		fold: fold, order: order, nFit: nFit,
+		means: linalg.Clone(ts.means), scales: linalg.Clone(ts.scales),
+		k: linalg.NewMatrix(nFit, nFit), c: linalg.NewMatrix(len(order)-nFit, nFit),
+	}
+	for i := 0; i < nFit; i++ {
+		zi := ts.design.Row(i)
+		for j := i; j < nFit; j++ {
+			v := linalg.Dot(zi, ts.design.Row(j))
+			gf.k.Row(i)[j], gf.k.Row(j)[i] = v, v
+		}
+	}
+	for h := 0; h < gf.c.Rows; h++ {
+		zh, dst := ts.design.Row(nFit+h), gf.c.Row(h)
+		for j := range dst {
+			dst[j] = linalg.Dot(zh, ts.design.Row(j))
+		}
+	}
+	return gf
+}
+
+// resizeGram sizes the Gram route's scratch for n rows and f features and
+// reports any growth to rec.
+func (ts *svrScratch) resizeGram(n, f int, rec *obs.Recorder) {
+	old := 0
+	if ts.kt != nil {
+		old = cap(ts.kt.Data)
+	}
+	ts.kt = linalg.Resize(ts.kt, n, n)
+	if grown := cap(ts.kt.Data) - old; grown > 0 {
+		rec.Add(obs.CounterDesignCacheBytes, int64(grown)*8)
+	}
+	if cap(ts.zt) < n {
+		ts.zt = make([]float64, n)
+	}
+	if cap(ts.w) < f {
+		ts.w = make([]float64, f)
+	}
+}
+
+// downdate prepares term t's share of fit gf: zt is column t standardized
+// with the fit's statistics (the cell standardize writes, bit for bit), and
+// kt = K − z_t·z_tᵀ over the training rows is the Gram of the term's own
+// standardized inputs, which are every column but t.
+func (ts *svrScratch) downdate(x *linalg.Matrix, gf *gramFit, t int) {
+	mean, scale := gf.means[t], gf.scales[t]
+	zt := ts.zt[:len(gf.order)]
+	for i, r := range gf.order {
+		v := x.At(r, t)
+		if math.IsNaN(v) {
+			v = mean
+		}
+		zt[i] = (v - mean) * scale
+	}
+	ts.kt = linalg.Resize(ts.kt, gf.nFit, gf.nFit)
+	for i := 0; i < gf.nFit; i++ {
+		src, dst, zi := gf.k.Row(i), ts.kt.Row(i), zt[i]
+		for j := range dst {
+			dst[j] = src[j] - zi*zt[j]
+		}
+	}
+}
+
+// trainGramTerm fits one term on the Gram route: the primal route's folds,
+// seeds, target handling and solver steps, with each fit's design replaced
+// by its downdated Gram. A held-out row h predicts (C·β)_h − z_{h,t}·(z_tᵀβ)
+// + b, which is wᵀz_h + b over the term's inputs; the final fit's weights
+// are W = Zᵀβ without column t. The trained imputedReal has the primal
+// route's shape, so scoring and the artifact format do not change. y holds
+// the target on every training row.
+func trainGramTerm(tm *termModel, train *dataset.Dataset, term Term, y []float64, cfg Config, src *rng.Source, sc *trainScratch) {
+	g, ts, t := sc.gram, &sc.svr, term.Target
+	ts.resizeGram(g.n, g.f, cfg.Obs)
+	if cfg.Tracker != nil {
+		cfg.Tracker.Alloc(ts.kt.Bytes())
+		defer cfg.Tracker.Release(ts.kt.Bytes())
+	}
+	params := cfg.Learners.SVR.WithDefaults()
+	params.Bias = true
+	fit := func(gf *gramFit, y []float64, seed uint64) (dual svm.SVRDual, yMean, ySD float64) {
+		ts.downdate(train.X, gf, t)
+		yStd, yMean, ySD := ts.standardizeTarget(y)
+		params.Seed = seed
+		dual = svm.TrainSVRGram(ts.kt, yStd, params, &ts.ws)
+		countFit(cfg.Obs, dual.Iters, params.MaxIter)
+		return dual, yMean, ySD
+	}
+	residuals := sc.residuals[:0]
+	for i := range g.folds {
+		gf := &g.folds[i]
+		sc.foldYF = subFloatsInto(sc.foldYF, y, gf.order[:gf.nFit])
+		dual, yMean, ySD := fit(gf, sc.foldYF, src.Seed()^uint64(gf.fold+1))
+		s := linalg.Dot(ts.zt[:gf.nFit], dual.Beta)
+		for h, r := range gf.order[gf.nFit:] {
+			pred := linalg.Dot(gf.c.Row(h), dual.Beta) - ts.zt[gf.nFit+h]*s + dual.B
+			residuals = append(residuals, y[r]-(pred*ySD+yMean))
+		}
+	}
+	sc.residuals = residuals
+	if len(residuals) == 0 {
+		residuals = []float64{0}
+	}
+	tm.realErr = fitRealError(residuals, cfg.KDEError)
+	dual, yMean, ySD := fit(&g.full, y, src.Seed())
+	w := ts.w[:g.f]
+	for j := range w {
+		w[j] = 0
+	}
+	for i, b := range dual.Beta {
+		linalg.Axpy(b, g.z.Row(i), w)
+	}
+	tm.real = &imputedReal{
+		model:  &svm.SVR{W: withoutColumn(w, t), B: dual.B, Iters: dual.Iters},
+		means:  withoutColumn(g.full.means, t),
+		scales: withoutColumn(g.full.scales, t),
+		yMean:  yMean,
+		ySD:    ySD,
+	}
+}
+
+// withoutColumn returns a fresh copy of v without element t.
+func withoutColumn(v []float64, t int) []float64 {
+	out := make([]float64, 0, len(v)-1)
+	return append(append(out, v[:t]...), v[t+1:]...)
 }

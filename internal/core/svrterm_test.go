@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -8,6 +9,8 @@ import (
 	"frac/internal/dataset"
 	"frac/internal/obs"
 	"frac/internal/rng"
+	"frac/internal/svm"
+	"frac/internal/tree"
 )
 
 // randomRealDataset builds an all-real dataset with correlated columns and a
@@ -49,40 +52,97 @@ func randomRealDataset(name string, n, f int, colMissP, cellMissP float64, src *
 }
 
 // inCoreWirings runs one variant's wiring over train/test, drawing its
-// random choices from a fresh stream of seed so two calls agree.
+// random choices from a fresh stream of seed so two calls agree. gram
+// reports, term by term, which of the run's terms the Gram route trains.
 var inCoreWirings = []struct {
 	name string
 	run  func(train, test *dataset.Dataset, seed uint64, cfg Config) (*Result, error)
+	gram func(train *dataset.Dataset, seed uint64, terms []Term) []bool
 }{
 	{"full", func(train, test *dataset.Dataset, _ uint64, cfg Config) (*Result, error) {
 		return Run(train, test, FullTerms(train.NumFeatures()), cfg)
-	}},
+	}, gramShapedTerms},
 	{"diverse", func(train, test *dataset.Dataset, seed uint64, cfg Config) (*Result, error) {
 		return RunDiverse(train, test, 0.5, 2, rng.New(seed), cfg)
-	}},
+	}, gramShapedTerms},
 	{"partial", func(train, test *dataset.Dataset, seed uint64, cfg Config) (*Result, error) {
 		res, _, err := RunPartialFiltered(train, test, RandomFilter, 0.5, rng.New(seed), cfg)
 		return res, err
-	}},
+	}, gramShapedTerms},
 	{"jl", func(train, test *dataset.Dataset, seed uint64, cfg Config) (*Result, error) {
-		return RunJL(train, test, JLSpec{Dim: 2 + int(seed%5)}, rng.New(seed), cfg)
+		return RunJL(train, test, JLSpec{Dim: jlTestDim(train, seed)}, rng.New(seed), cfg)
+	}, func(train *dataset.Dataset, seed uint64, terms []Term) []bool {
+		// The projected set is fully observed and every term is all but
+		// one, so the shape decides for all terms at once.
+		wide := train.NumSamples() < jlTestDim(train, seed)-1
+		out := make([]bool, len(terms))
+		for i := range out {
+			out[i] = wide
+		}
+		return out
 	}},
 }
+
+// jlTestDim is the JL wiring's projected width: narrow for a narrow
+// training set, and as wide as the raw space for a wide one, so both routes
+// run in JL space too.
+func jlTestDim(train *dataset.Dataset, seed uint64) int {
+	if train.NumSamples() < train.NumFeatures()-1 {
+		return train.NumFeatures() + int(seed%3)
+	}
+	return 2 + int(seed%5)
+}
+
+// gramShapedTerms reports which terms over train the Gram route takes,
+// restating its rule on its own: fewer rows than inputs, inputs that are all
+// f−1 other features, and a target observed on every row.
+func gramShapedTerms(train *dataset.Dataset, _ uint64, terms []Term) []bool {
+	n, f := train.NumSamples(), train.NumFeatures()
+	out := make([]bool, len(terms))
+	for i, t := range terms {
+		if n >= f-1 || len(t.Inputs) != f-1 {
+			continue
+		}
+		out[i] = true
+		for r := 0; r < n; r++ {
+			if dataset.IsMissing(train.X.At(r, t.Target)) {
+				out[i] = false
+			}
+		}
+	}
+	return out
+}
+
+// gramTolerance bounds how far a Gram-routed term's score may sit from the
+// reference's, relative to the larger magnitude: the two routes take the
+// same solver steps and differ only in rounding.
+const gramTolerance = 1e-9
 
 // TestInCoreTrainingBitIdentical is the in-core trainer's equivalence
 // property: for random shapes, seeds, missingness patterns, fold counts,
 // error models and worker counts, over the full, diverse (two predictors per
 // feature), partial-filter and JL-projected wirings, the default learners
-// produce EXACTLY (Float64bits) the per-term scores of the reference route.
-// The counters prove both routes really ran, so the property cannot hold
-// vacuously.
+// reproduce the per-term scores of the frozen reference route. Terms on the
+// primal route match EXACTLY (Float64bits). Terms on the Gram route — the
+// wide trials (n < f−1) make many, next to primal terms whose target has
+// holes — match to gramTolerance: the Gram form sums the same products in
+// another order. The counters prove that the Gram route, the primal route
+// and the reference route all ran and that each took exactly the terms the
+// shape rule gives it, so the property cannot hold vacuously.
 func TestInCoreTrainingBitIdentical(t *testing.T) {
 	meta := rng.New(0xd151_dead)
-	for trial := 0; trial < 24; trial++ {
+	var gramTerms, primalTerms, refTerms int64
+	worst := 0.0
+	for trial := 0; trial < 36; trial++ {
 		wiring := inCoreWirings[trial%len(inCoreWirings)]
 		n := 8 + meta.IntN(32)
 		f := 2 + meta.IntN(10)
 		colMissP := []float64{0, 0.3, 0.6}[trial%3]
+		if trial >= 24 { // wide: fewer rows than a full term has inputs
+			n = 8 + meta.IntN(8)
+			f = n + 2 + meta.IntN(10)
+			colMissP = []float64{0, 0.3}[trial%2]
+		}
 		folds := []int{2, 3, 5}[meta.IntN(3)]
 		seed, wseed := meta.Uint64(), meta.Uint64()
 		src := rng.New(meta.Uint64())
@@ -108,23 +168,45 @@ func TestInCoreTrainingBitIdentical(t *testing.T) {
 		if inCore.PerTerm.Rows != ref.PerTerm.Rows {
 			t.Fatalf("trial %d %s: %d terms, reference %d", trial, wiring.name, inCore.PerTerm.Rows, ref.PerTerm.Rows)
 		}
+		gram := wiring.gram(train, wseed, inCore.Terms)
+		var wantGram int64
 		for ti := 0; ti < ref.PerTerm.Rows; ti++ {
 			got, want := inCore.PerTerm.Row(ti), ref.PerTerm.Row(ti)
 			for s := range got {
+				if gram[ti] {
+					gap := math.Abs(got[s]-want[s]) / math.Max(math.Abs(got[s]), math.Abs(want[s]))
+					if got[s] == want[s] {
+						gap = 0
+					}
+					worst = math.Max(worst, gap)
+					if !(gap <= gramTolerance) {
+						t.Fatalf("trial %d %s (n=%d f=%d folds=%d) Gram-routed term %d sample %d: in-core %v, reference %v (relative gap %.3g)",
+							trial, wiring.name, n, f, folds, ti, s, got[s], want[s], gap)
+					}
+					continue
+				}
 				if math.Float64bits(got[s]) != math.Float64bits(want[s]) {
 					t.Fatalf("trial %d %s (n=%d f=%d folds=%d) term %d sample %d: in-core %v (bits %016x), reference %v (bits %016x)",
 						trial, wiring.name, n, f, folds, ti, s,
 						got[s], math.Float64bits(got[s]), want[s], math.Float64bits(want[s]))
 				}
 			}
+			if gram[ti] {
+				wantGram++
+			}
 		}
 		// Both routes must have trained the same non-marginal terms, each
 		// its own way: all-real data leaves nothing for the gather loop in
-		// the default run.
-		inCoreTerms, refTerms := inRec.Count(obs.CounterTermsMasked), refRec.Count(obs.CounterTermsGathered)
-		if inCoreTerms == 0 || inCoreTerms != refTerms {
+		// the default run, and the Gram route took exactly the terms the
+		// shape rule names.
+		inCoreTerms, trialRef := inRec.Count(obs.CounterTermsMasked), refRec.Count(obs.CounterTermsGathered)
+		if inCoreTerms == 0 || inCoreTerms != trialRef {
 			t.Fatalf("trial %d %s: %d in-core terms, %d reference terms — both must be equal and non-zero",
-				trial, wiring.name, inCoreTerms, refTerms)
+				trial, wiring.name, inCoreTerms, trialRef)
+		}
+		if got := inRec.Count(obs.CounterTermsGram); got != wantGram {
+			t.Fatalf("trial %d %s (n=%d f=%d): %d terms took the Gram route, the shape rule gives %d",
+				trial, wiring.name, n, f, got, wantGram)
 		}
 		if got := inRec.Count(obs.CounterTermsGathered); got != 0 {
 			t.Errorf("trial %d %s: %d real terms took the gather loop with Learners.SVR set", trial, wiring.name, got)
@@ -132,42 +214,143 @@ func TestInCoreTrainingBitIdentical(t *testing.T) {
 		if got := refRec.Count(obs.CounterTermsMasked); got != 0 {
 			t.Errorf("trial %d %s: %d terms trained in core with Learners.SVR nil", trial, wiring.name, got)
 		}
+		// Every in-core term made one fit per fold plus its final fit.
+		if got, want := inRec.Count(obs.CounterSVRFits), int64(folds+1)*inCoreTerms; got != want {
+			t.Errorf("trial %d %s: %d SVR fits, want (%d folds + 1) x %d terms = %d", trial, wiring.name, got, folds, inCoreTerms, want)
+		}
+		if fits, epochs := inRec.Count(obs.CounterSVRFits), inRec.Count(obs.CounterSVREpochs); epochs < fits {
+			t.Errorf("trial %d %s: %d epochs over %d fits", trial, wiring.name, epochs, fits)
+		}
+		gramTerms += wantGram
+		primalTerms += inCoreTerms - wantGram
+		refTerms += trialRef
 	}
+	if gramTerms == 0 || primalTerms == 0 || refTerms == 0 {
+		t.Fatalf("%d Gram-routed, %d primal and %d reference terms: every route must run", gramTerms, primalTerms, refTerms)
+	}
+	t.Logf("%d Gram-routed terms (worst relative gap %.3g), %d primal terms bit-identical", gramTerms, worst, primalTerms)
 }
 
 // TestInCoreTrainingWorkerInvariance: with the in-core trainer (default),
-// scores stay bit-identical across worker counts on the mixed-schema golden
-// fixture — per-worker scratch must not introduce any scheduling-dependent
-// state.
+// scores stay bit-identical across worker counts, on the mixed-schema
+// golden fixture (primal route) and on a wide all-real fixture where most
+// terms take the Gram route — per-worker scratch and the shared Gram state
+// must not introduce any scheduling-dependent state.
 func TestInCoreTrainingWorkerInvariance(t *testing.T) {
-	train, test := goldenTrainTest()
-	terms := FullTerms(train.NumFeatures())
-	run := func(workers int) (*Result, *obs.Recorder) {
-		t.Helper()
-		rec := obs.New()
-		res, err := Run(train, test, terms, Config{Seed: 42, Workers: workers, Obs: rec})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	goldenTrain, goldenTest := goldenTrainTest()
+	src := rng.New(0x9a3)
+	wideTrain := randomRealDataset("wide-train", 14, 40, 0.3, 0.2, src)
+	wideTest := randomRealDataset("wide-test", 6, 40, 0.3, 0.2, src)
+	for _, fx := range []struct {
+		name        string
+		train, test *dataset.Dataset
+		gram        bool
+	}{{"golden", goldenTrain, goldenTest, false}, {"wide", wideTrain, wideTest, true}} {
+		terms := FullTerms(fx.train.NumFeatures())
+		run := func(workers int) (*Result, *obs.Recorder) {
+			t.Helper()
+			rec := obs.New()
+			res, err := Run(fx.train, fx.test, terms, Config{Seed: 42, Workers: workers, Obs: rec})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", fx.name, workers, err)
+			}
+			return res, rec
 		}
-		return res, rec
-	}
-	ref, refRec := run(1)
-	if refRec.Count(obs.CounterTermsMasked) == 0 {
-		t.Fatal("golden fixture did not engage the in-core trainer")
-	}
-	if refRec.Count(obs.CounterDesignCacheBytes) == 0 {
-		t.Error("design buffer growth not reported")
-	}
-	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		got, rec := run(w)
-		if rec.Count(obs.CounterTermsMasked) != refRec.Count(obs.CounterTermsMasked) {
-			t.Errorf("workers=%d: %d in-core terms, want %d (routing must be scheduling-independent)",
-				w, rec.Count(obs.CounterTermsMasked), refRec.Count(obs.CounterTermsMasked))
+		ref, refRec := run(1)
+		masked, gram := refRec.Count(obs.CounterTermsMasked), refRec.Count(obs.CounterTermsGram)
+		if masked == 0 {
+			t.Fatalf("%s fixture did not engage the in-core trainer", fx.name)
 		}
-		for s := range got.Scores {
-			if math.Float64bits(got.Scores[s]) != math.Float64bits(ref.Scores[s]) {
-				t.Errorf("workers=%d sample %d: %v, want %v", w, s, got.Scores[s], ref.Scores[s])
+		if fx.gram != (gram > 0) || (fx.gram && gram == masked) {
+			t.Fatalf("%s fixture: %d of %d in-core terms took the Gram route", fx.name, gram, masked)
+		}
+		if refRec.Count(obs.CounterDesignCacheBytes) == 0 {
+			t.Errorf("%s: scratch growth not reported", fx.name)
+		}
+		for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
+			got, rec := run(w)
+			if rec.Count(obs.CounterTermsMasked) != masked || rec.Count(obs.CounterTermsGram) != gram {
+				t.Errorf("%s workers=%d: %d in-core and %d Gram terms, want %d and %d (routing must be scheduling-independent)",
+					fx.name, w, rec.Count(obs.CounterTermsMasked), rec.Count(obs.CounterTermsGram), masked, gram)
+			}
+			for s := range got.Scores {
+				if math.Float64bits(got.Scores[s]) != math.Float64bits(ref.Scores[s]) {
+					t.Errorf("%s workers=%d sample %d: %v, want %v", fx.name, w, s, got.Scores[s], ref.Scores[s])
+				}
 			}
 		}
+	}
+}
+
+// TestSolverCountersBothRoutes pins the solver counters on a fixture that
+// runs both in-core routes: every term makes one fit per CV fold plus its
+// final fit, and with MaxIter 1 every fit uses exactly one epoch and counts
+// as stopped at MaxIter.
+func TestSolverCountersBothRoutes(t *testing.T) {
+	src := rng.New(0x5c)
+	train := randomRealDataset("counters", 12, 30, 0.3, 0.2, src)
+	for _, maxIter := range []int{0, 1} {
+		rec := obs.New()
+		cfg := Config{Seed: 3, CVFolds: 4, Obs: rec, Learners: MixedLearners(svm.SVRParams{MaxIter: maxIter}, tree.Params{})}
+		if _, err := Train(train, FullTerms(train.NumFeatures()), cfg); err != nil {
+			t.Fatal(err)
+		}
+		masked, gram := rec.Count(obs.CounterTermsMasked), rec.Count(obs.CounterTermsGram)
+		if gram == 0 || gram == masked {
+			t.Fatalf("MaxIter %d: %d of %d terms on the Gram route; the fixture must run both routes", maxIter, gram, masked)
+		}
+		fits, epochs, capped := rec.Count(obs.CounterSVRFits), rec.Count(obs.CounterSVREpochs), rec.Count(obs.CounterSVRMaxIter)
+		if fits != (4+1)*masked {
+			t.Errorf("MaxIter %d: %d fits, want (4 folds + 1) x %d terms", maxIter, fits, masked)
+		}
+		if maxIter == 1 && (epochs != fits || capped != fits) {
+			t.Errorf("MaxIter 1: %d epochs and %d capped fits over %d fits, want all equal", epochs, capped, fits)
+		}
+		if maxIter == 0 && (epochs <= fits || capped >= fits) {
+			t.Errorf("default MaxIter: %d epochs and %d capped fits over %d fits", epochs, capped, fits)
+		}
+	}
+}
+
+// TestTrainTermWithoutSharedGram: trainTerm called directly, without
+// TrainCtx and so without the shared Gram state, trains a Gram-shaped term
+// on the primal route, and its model predicts what Train's Gram-routed
+// model predicts, to rounding.
+func TestTrainTermWithoutSharedGram(t *testing.T) {
+	src := rng.New(0x71)
+	train := randomRealDataset("direct", 10, 24, 0, 0, src)
+	test := randomRealDataset("direct-test", 5, 24, 0, 0, src)
+	terms := FullTerms(train.NumFeatures())
+	rec := obs.New()
+	cfg := Config{Seed: 8, Obs: rec}.withDefaults()
+	model, err := TrainCtx(context.Background(), train, terms, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Count(obs.CounterTermsGram); got != int64(len(terms)) {
+		t.Fatalf("%d of %d terms on the Gram route in Train", got, len(terms))
+	}
+	streams := termStreams(rng.New(cfg.Seed), terms)
+	direct := obs.New()
+	cfg.Obs = direct
+	for ti, term := range terms {
+		tm, err := trainTerm(train, term, cfg, streams[ti], new(trainScratch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < test.NumSamples(); s++ {
+			x := make([]float64, 0, len(term.Inputs))
+			for _, c := range term.Inputs {
+				x = append(x, test.Sample(s)[c])
+			}
+			got, want := tm.real.Predict(x), model.terms[ti].real.Predict(x)
+			if math.Abs(got-want) > gramTolerance*math.Max(math.Abs(got), math.Abs(want)) {
+				t.Fatalf("term %d sample %d: direct %v, Train %v", ti, s, got, want)
+			}
+		}
+	}
+	if direct.Count(obs.CounterTermsGram) != 0 || direct.Count(obs.CounterTermsMasked) != int64(len(terms)) {
+		t.Errorf("direct trainTerm: %d Gram and %d in-core terms, want 0 and %d",
+			direct.Count(obs.CounterTermsGram), direct.Count(obs.CounterTermsMasked), len(terms))
 	}
 }

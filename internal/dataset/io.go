@@ -20,10 +20,11 @@ import (
 // Column type suffixes: ":real" for continuous, ":catK" for a categorical
 // feature of arity K. The label column holds 0 (normal) / 1 (anomalous).
 
-// WriteTSV serializes d to w.
+// WriteTSV serializes d to w. Each row is formatted into one reused buffer
+// ('g'/-1 floats, decimal labels), so writing allocates nothing per row.
 //
-// Write errors are sticky on the bufio.Writer, so the individual Fprint
-// results need no checks; the final Flush surfaces the first failure.
+// Write errors are sticky on the bufio.Writer, so the individual writes
+// need no checks; the final Flush surfaces the first failure.
 func WriteTSV(w io.Writer, d *Dataset) error {
 	bw := bufio.NewWriter(w)
 	if d.Name != "" {
@@ -41,27 +42,30 @@ func WriteTSV(w io.Writer, d *Dataset) error {
 		}
 	}
 	fmt.Fprintln(bw, strings.Join(cols, "\t"))
+	var line []byte
 	for i := 0; i < d.NumSamples(); i++ {
-		row := d.Sample(i)
-		fields := make([]string, 0, len(row)+1)
+		line = line[:0]
 		if d.Anomalous != nil {
 			if d.Anomalous[i] {
-				fields = append(fields, "1")
+				line = append(line, '1')
 			} else {
-				fields = append(fields, "0")
+				line = append(line, '0')
 			}
 		}
-		for j, v := range row {
+		for j, v := range d.Sample(i) {
+			if j > 0 || d.Anomalous != nil {
+				line = append(line, '\t')
+			}
 			switch {
 			case IsMissing(v):
-				fields = append(fields, "?")
+				line = append(line, '?')
 			case d.Schema[j].Kind == Categorical:
-				fields = append(fields, strconv.Itoa(int(v)))
+				line = strconv.AppendInt(line, int64(int(v)), 10)
 			default:
-				fields = append(fields, strconv.FormatFloat(v, 'g', -1, 64))
+				line = strconv.AppendFloat(line, v, 'g', -1, 64)
 			}
 		}
-		fmt.Fprintln(bw, strings.Join(fields, "\t"))
+		bw.Write(append(line, '\n'))
 	}
 	return bw.Flush()
 }
@@ -126,54 +130,67 @@ func ReadTSV(r io.Reader) (*Dataset, error) {
 			return nil, fmt.Errorf("dataset: unknown type %q in column %q", typ, col)
 		}
 	}
-	var rows [][]float64
+	var data []float64
 	var labels []bool
-	lineNo := 1
+	nRows, lineNo := 0, 1
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Split(line, "\t")
 		want := len(schema)
 		if hasLabel {
 			want++
 		}
-		if len(fields) != want {
-			return nil, fmt.Errorf("dataset: line %d has %d fields, want %d", lineNo, len(fields), want)
+		if got := strings.Count(line, "\t") + 1; got != want {
+			return nil, fmt.Errorf("dataset: line %d has %d fields, want %d", lineNo, got, want)
+		}
+		// Fields are walked in place; the count check above guarantees
+		// exactly want of them.
+		rest := line
+		field := func() string {
+			i := strings.IndexByte(rest, '\t')
+			if i < 0 {
+				f := rest
+				rest = ""
+				return f
+			}
+			f := rest[:i]
+			rest = rest[i+1:]
+			return f
 		}
 		if hasLabel {
-			switch fields[0] {
+			switch fv := field(); fv {
 			case "0":
 				labels = append(labels, false)
 			case "1":
 				labels = append(labels, true)
 			default:
-				return nil, fmt.Errorf("dataset: line %d has label %q, want 0 or 1", lineNo, fields[0])
+				return nil, fmt.Errorf("dataset: line %d has label %q, want 0 or 1", lineNo, fv)
 			}
-			fields = fields[1:]
 		}
-		row := make([]float64, len(schema))
-		for j, fv := range fields {
+		for j := range schema {
+			fv := field()
 			if fv == "?" {
-				row[j] = math.NaN()
+				data = append(data, math.NaN())
 				continue
 			}
 			v, err := strconv.ParseFloat(fv, 64)
 			if err != nil {
 				return nil, fmt.Errorf("dataset: line %d column %d: %v", lineNo, j, err)
 			}
-			row[j] = v
+			data = append(data, v)
 		}
-		rows = append(rows, row)
+		nRows++
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	d := New(name, schema, len(rows))
-	for i, row := range rows {
-		copy(d.Sample(i), row)
+	d := New(name, schema, 0)
+	d.X.Rows = nRows
+	if data != nil {
+		d.X.Data = data
 	}
 	if hasLabel {
 		if labels == nil {

@@ -83,24 +83,36 @@ const (
 	// CounterBytesDecoded counts input bytes parsed (TSV / model loads).
 	CounterBytesDecoded
 	// CounterTermsMasked counts real terms trained by the in-core SVR
-	// trainer (Learners.SVR set). Its JSON key keeps the historical name
-	// terms_masked_train.
+	// trainer (Learners.SVR set), on either of its routes. Its JSON key
+	// keeps the historical name terms_masked_train.
 	CounterTermsMasked
 	// CounterTermsGathered counts non-marginal terms trained through the
 	// gather-and-copy loop and Learners.Real/Cat: categorical targets and
 	// tree or custom learners.
 	CounterTermsGathered
 	// CounterDesignCacheBytes accumulates how many bytes the in-core
-	// trainer's per-worker design buffers grew by; it stops moving once
-	// every worker's buffer fits the widest term.
+	// trainer's per-worker design and Gram buffers grew by; it stops
+	// moving once every worker's buffers fit the widest term.
 	CounterDesignCacheBytes
+	// CounterTermsGram counts the in-core SVR terms that trained on the
+	// Gram route (a subset of CounterTermsMasked).
+	CounterTermsGram
+	// CounterSVRFits counts SVR fits, CV folds and final fits alike, on
+	// both routes.
+	CounterSVRFits
+	// CounterSVREpochs sums the coordinate-descent epochs of those fits.
+	CounterSVREpochs
+	// CounterSVRMaxIter counts the fits that used all MaxIter epochs
+	// instead of stopping at the tolerance.
+	CounterSVRMaxIter
 	numCounters
 )
 
 var counterNames = [numCounters]string{
 	"terms_trained", "terms_scored", "features_kept", "features_dropped",
 	"members_combined", "bytes_decoded", "terms_masked_train",
-	"terms_gather_train", "design_cache_bytes",
+	"terms_gather_train", "design_cache_bytes", "terms_gram_train",
+	"svr_fits", "svr_epochs", "svr_maxiter_fits",
 }
 
 // String returns the JSON key of the counter.

@@ -114,3 +114,83 @@ func TestTrainSVRWorkspaceMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// gramOf returns the Gram matrix of x's rows.
+func gramOf(x *linalg.Matrix) *linalg.Matrix {
+	k := linalg.NewMatrix(x.Rows, x.Rows)
+	for i := 0; i < x.Rows; i++ {
+		for j := 0; j < x.Rows; j++ {
+			k.Row(i)[j] = linalg.Dot(x.Row(i), x.Row(j))
+		}
+	}
+	return k
+}
+
+// TestTrainSVRGramMatchesPrimal is the Gram form's equivalence property: on
+// 1,200 seeded problems with fewer rows than columns and with about as many,
+// at C ∈ {0.1, 1, 10} with and without a bias, TrainSVRGram stops after
+// exactly TrainSVR's epochs, and its predictions Σᵢ βᵢ(xᵢ·x) + b on the
+// training rows and on fresh rows match TrainSVR's wᵀx + b to 1e-9 of the
+// problem's largest prediction. Only rounding separates the two: the steps,
+// their order and the stopping test are shared. One workspace serves every
+// fit of both forms, so stale state would show too.
+func TestTrainSVRGramMatchesPrimal(t *testing.T) {
+	src := rng.New(0x6a4d)
+	var ws SVRWorkspace
+	worst := 0.0
+	for trial := 0; trial < 1200; trial++ {
+		n := 4 + src.IntN(40)
+		d := n + 1 + src.IntN(3*n) // n < d
+		if trial%2 == 1 {
+			d = max(1, n-2+src.IntN(5)) // n ≈ d
+		}
+		w := make([]float64, d)
+		for j := range w {
+			w[j] = src.Normal(0, 1)
+		}
+		x, y := linearProblem(n, d, w, 0.5, 0.5, src)
+		xt, _ := linearProblem(8, d, w, 0.5, 0.5, src)
+		params := SVRParams{C: []float64{0.1, 1, 10}[trial%3], Bias: trial%4 < 2, Seed: src.Uint64()}
+		primal := TrainSVR(x, y, params, nil)
+		dual := TrainSVRGram(gramOf(x), y, params, &ws)
+		if dual.Iters != primal.Iters {
+			t.Fatalf("trial %d (n=%d d=%d C=%v): Gram form stopped after %d epochs, primal %d",
+				trial, n, d, params.C, dual.Iters, primal.Iters)
+		}
+		var want, got []float64
+		for _, m := range []*linalg.Matrix{x, xt} {
+			for r := 0; r < m.Rows; r++ {
+				want = append(want, primal.Predict(m.Row(r)))
+				pred := dual.B
+				for i := 0; i < n; i++ {
+					pred += dual.Beta[i] * linalg.Dot(x.Row(i), m.Row(r))
+				}
+				got = append(got, pred)
+			}
+		}
+		scale := 0.0
+		for _, v := range want {
+			scale = max(scale, math.Abs(v))
+		}
+		for i := range want {
+			gap := math.Abs(got[i]-want[i]) / scale
+			worst = max(worst, gap)
+			if gap > 1e-9 {
+				t.Fatalf("trial %d (n=%d d=%d C=%v): prediction %d is %v, primal %v (gap %.3g of %v)",
+					trial, n, d, params.C, i, got[i], want[i], gap, scale)
+			}
+		}
+		// Keep the workspace's primal buffers in use between Gram fits.
+		TrainSVR(x, y, params, &ws)
+	}
+	t.Logf("worst relative prediction gap %.3g", worst)
+}
+
+func TestTrainSVRGramPanicsOnMismatch(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("a non-square Gram matrix did not panic")
+		}
+	}()
+	TrainSVRGram(linalg.NewMatrix(3, 2), []float64{1, 2, 3}, SVRParams{}, nil)
+}

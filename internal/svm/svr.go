@@ -35,7 +35,8 @@ type SVRParams struct {
 	Seed uint64
 }
 
-func (p SVRParams) withDefaults() SVRParams {
+// WithDefaults returns p with every unset field at its default.
+func (p SVRParams) WithDefaults() SVRParams {
 	if p.C <= 0 {
 		p.C = 1
 	}
@@ -61,10 +62,11 @@ type SVR struct {
 // SVRWorkspace pools the transient buffers of SVR training (weights, dual
 // variables, row norms, coordinate order) so repeated trainings — the
 // cross-validation folds and final fits of every term a worker handles —
-// allocate nothing. One workspace serves many sequential trainings; it must
-// not be shared across goroutines.
+// allocate nothing. One workspace serves many sequential trainings, primal
+// and Gram form alike; it must not be shared across goroutines.
 type SVRWorkspace struct {
 	w     []float64
+	kb    []float64
 	beta  []float64
 	qd    []float64
 	order []int
@@ -107,7 +109,7 @@ func zeroed(buf []float64, n int) []float64 {
 // workspace and is only valid until its next use — callers keeping the model
 // copy W out first. The model is bit-identical either way.
 func TrainSVR(x *linalg.Matrix, y []float64, params SVRParams, ws *SVRWorkspace) *SVR {
-	p := params.withDefaults()
+	p := params.WithDefaults()
 	n, d := x.Rows, x.Cols
 	if len(y) != n {
 		panic(fmt.Sprintf("svm: TrainSVR %d samples but %d targets", n, len(y)))
@@ -116,17 +118,66 @@ func TrainSVR(x *linalg.Matrix, y []float64, params SVRParams, ws *SVRWorkspace)
 		ws = &SVRWorkspace{}
 	}
 	ws.ensure(n, d)
-	w := ws.w
-	var b float64
 	if n == 0 {
-		return &SVR{W: w}
+		return &SVR{W: ws.w}
 	}
-	lambda := 0.5 / p.C // L2-loss dual regularizer
-	beta := ws.beta
-	qd := ws.qd
 	for i := 0; i < n; i++ {
 		row := x.Row(i)
-		qd[i] = linalg.Dot(row, row) + lambda
+		ws.qd[i] = linalg.Dot(row, row)
+	}
+	b, iters := ws.descend(p, x, false, y)
+	return &SVR{W: ws.w, B: b, Iters: iters}
+}
+
+// SVRDual is a fit in dual form: the coefficient of each training row, the
+// bias, and the epochs used. The primal weights are w = Σᵢ Beta[i]·xᵢ.
+type SVRDual struct {
+	Beta  []float64
+	B     float64
+	Iters int
+}
+
+// TrainSVRGram fits the problem TrainSVR fits, given the Gram matrix of the
+// training rows (k is n x n with k[i][j] = xᵢ·xⱼ, symmetric) instead of the
+// rows themselves. The coordinate order, update rule and stopping test are
+// TrainSVR's; only the gradient's linear part comes from a maintained Kβ
+// instead of w·xᵢ, so an epoch costs O(n²) instead of O(n·d), and the fit
+// equals TrainSVR's up to rounding, with the same Iters. Beta aliases ws,
+// as TrainSVR's W does; ws may be nil.
+func TrainSVRGram(k *linalg.Matrix, y []float64, params SVRParams, ws *SVRWorkspace) SVRDual {
+	p := params.WithDefaults()
+	n := k.Rows
+	if k.Cols != n || len(y) != n {
+		panic(fmt.Sprintf("svm: TrainSVRGram %dx%d Gram but %d targets", k.Rows, k.Cols, len(y)))
+	}
+	if ws == nil {
+		ws = &SVRWorkspace{}
+	}
+	ws.ensure(n, 0)
+	ws.kb = zeroed(ws.kb, n)
+	if n == 0 {
+		return SVRDual{Beta: ws.beta}
+	}
+	for i := 0; i < n; i++ {
+		ws.qd[i] = k.At(i, i)
+	}
+	b, iters := ws.descend(p, k, true, y)
+	return SVRDual{Beta: ws.beta, B: b, Iters: iters}
+}
+
+// descend is the repository's one dual coordinate-descent loop. qd holds
+// each row's squared norm on entry. rows are the training rows, with the
+// primal weights ws.w as the gradient source, or, when gram is set, the
+// rows of the Gram matrix, with the maintained ws.kb = Kβ as the gradient
+// source; both take the same steps in the same order.
+func (ws *SVRWorkspace) descend(p SVRParams, rows *linalg.Matrix, gram bool, y []float64) (b float64, iters int) {
+	lambda := 0.5 / p.C // L2-loss dual regularizer
+	beta, qd, acc := ws.beta, ws.qd, ws.w
+	if gram {
+		acc = ws.kb
+	}
+	for i := range qd {
+		qd[i] += lambda
 		if p.Bias {
 			qd[i]++
 		}
@@ -136,14 +187,19 @@ func TrainSVR(x *linalg.Matrix, y []float64, params SVRParams, ws *SVRWorkspace)
 		order[i] = i
 	}
 	src := rng.New(p.Seed ^ 0x5f3759df)
-	iters := 0
 	for iter := 0; iter < p.MaxIter; iter++ {
 		iters = iter + 1
 		src.Shuffle(order)
 		maxViolation := 0.0
 		for _, i := range order {
-			row := x.Row(i)
-			g := linalg.Dot(w, row) + b*boolTo1(p.Bias) - y[i] + lambda*beta[i]
+			row := rows.Row(i)
+			var lin float64
+			if gram {
+				lin = acc[i]
+			} else {
+				lin = linalg.Dot(acc, row)
+			}
+			g := lin + b*boolTo1(p.Bias) - y[i] + lambda*beta[i]
 			gp := g + p.Epsilon
 			gn := g - p.Epsilon
 
@@ -178,7 +234,7 @@ func TrainSVR(x *linalg.Matrix, y []float64, params SVRParams, ws *SVRWorkspace)
 				continue
 			}
 			beta[i] += delta
-			linalg.Axpy(delta, row, w)
+			linalg.Axpy(delta, row, acc)
 			if p.Bias {
 				b += delta
 			}
@@ -187,7 +243,7 @@ func TrainSVR(x *linalg.Matrix, y []float64, params SVRParams, ws *SVRWorkspace)
 			break
 		}
 	}
-	return &SVR{W: w, B: b, Iters: iters}
+	return b, iters
 }
 
 // Predict returns wᵀx + b.
