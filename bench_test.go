@@ -253,10 +253,13 @@ func trainScaleDataset(n, f int, seed uint64) *frac.Dataset {
 	return d
 }
 
-// BenchmarkTrainDataset sweeps full-FRaC training across feature scales with
-// the default learners, so every term trains through the in-core SVR
-// pipeline. The benchguard CI step compares these timings against the
-// committed BENCH_results.json baseline.
+// BenchmarkTrainDataset times full-FRaC training with the default learners.
+// The f=N arms sweep feature scales on all-real data, so every term trains
+// through the in-core SVR pipeline. The snp arm trains one autism 1:32
+// replicate, the train-snp workload's shape (211 training rows, 227 ternary
+// SNP features), so every term is a tree on the shared categorical design.
+// The benchguard CI step compares these timings against the committed
+// BENCH_results.json baseline.
 func BenchmarkTrainDataset(b *testing.B) {
 	for _, f := range []int{64, 256, 1024} {
 		train := trainScaleDataset(32, f, 7)
@@ -274,6 +277,33 @@ func BenchmarkTrainDataset(b *testing.B) {
 			}
 		})
 	}
+	b.Run("snp", func(b *testing.B) {
+		p, err := frac.ProfileByName("autism")
+		if err != nil {
+			b.Fatal(err)
+		}
+		pool, err := p.Generate(32, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reps, err := frac.MakeReplicates(pool, 1, 2.0/3, frac.NewRNG(1).StreamAt("split", 0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		train := reps[0].Train
+		terms := frac.FullTerms(train.NumFeatures())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			model, err := frac.Train(train, terms, frac.Config{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if model.NumTerms() != len(terms) {
+				b.Fatalf("%d terms", model.NumTerms())
+			}
+		}
+	})
 }
 
 func BenchmarkFilteredRun(b *testing.B) {

@@ -14,6 +14,7 @@ import (
 	"frac/internal/resource"
 	"frac/internal/rng"
 	"frac/internal/stats"
+	"frac/internal/tree"
 )
 
 // Config parameterizes FRaC training and scoring.
@@ -165,18 +166,33 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 	streams := termStreams(rng.New(cfg.Seed), terms)
 	phase := cfg.Obs.Start(obs.PhaseTrain)
 	defer phase.End()
-	gram, err := trainGramState(ctx, train, terms, cfg)
-	if err != nil {
-		return nil, err
+	var (
+		gram   *gramShared
+		design *tree.Design
+		err    error
+	)
+	if needsGram(train, terms, cfg) {
+		if gram, err = buildShared(ctx, cfg, func() (*gramShared, error) { return buildGram(ctx, train, cfg) }); err != nil {
+			return nil, err
+		}
+		if cfg.Tracker != nil {
+			cfg.Tracker.Alloc(gram.bytes())
+			defer cfg.Tracker.Release(gram.bytes())
+		}
 	}
-	if gram != nil && cfg.Tracker != nil {
-		cfg.Tracker.Alloc(gram.bytes())
-		defer cfg.Tracker.Release(gram.bytes())
+	if needsDesign(train, terms, cfg) {
+		if design, err = buildShared(ctx, cfg, func() (*tree.Design, error) { return tree.NewDesign(train.X, train.Schema), nil }); err != nil {
+			return nil, err
+		}
+		if cfg.Tracker != nil {
+			cfg.Tracker.Alloc(design.Bytes())
+			defer cfg.Tracker.Release(design.Bytes())
+		}
 	}
 	cfg.Obs.AddPlanned(int64(len(terms)))
 	err = parallel.ForWorkersWithStateErr(parallel.WithPhaseLabel(ctx, "train"),
 		len(terms), cfg.Workers, cfg.Limit,
-		func(w int) *trainScratch { return &trainScratch{worker: w, gram: gram} },
+		func(w int) *trainScratch { return &trainScratch{worker: w, gram: gram, design: design} },
 		func(ti int, sc *trainScratch) error {
 			var tm termModel
 			var err error
@@ -205,20 +221,17 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 	return m, nil
 }
 
-// trainGramState builds the Train's shared Gram-route state when some term
-// takes the route, and returns nil otherwise. The build is one unit of work:
-// it holds a token of the shared pool, its CPU time accrues to the tracker,
-// and a panic comes back as an error.
-func trainGramState(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Config) (*gramShared, error) {
-	if !needsGram(train, terms, cfg) {
-		return nil, nil
-	}
-	var gram *gramShared
+// buildShared runs the build of a Train's shared state as one unit of
+// work: it holds a token of the shared pool, its CPU time accrues to the
+// tracker, it does not start once ctx is done, and a panic comes back as an
+// error.
+func buildShared[T any](ctx context.Context, cfg Config, build func() (T, error)) (T, error) {
+	var out T
 	err := parallel.ForWorkersWithStateErr(parallel.WithPhaseLabel(ctx, "train"), 1, 1, cfg.Limit,
 		func(int) struct{} { return struct{}{} },
 		func(int, struct{}) error {
 			var err error
-			task := func() { gram, err = buildGram(ctx, train, cfg) }
+			task := func() { out, err = build() }
 			if cfg.Tracker != nil {
 				cfg.Tracker.TimeTask(task)
 			} else {
@@ -226,7 +239,7 @@ func trainGramState(ctx context.Context, train *dataset.Dataset, terms []Term, c
 			}
 			return err
 		})
-	return gram, err
+	return out, err
 }
 
 // release returns the model's tracked bytes to the tracker. Idempotent per
@@ -294,6 +307,16 @@ type trainScratch struct {
 	// for every worker; nil when no term takes the route, and outside
 	// TrainCtx.
 	gram *gramShared
+
+	// design is the Train's shared categorical design, read-only and the
+	// same for every worker; nil when no term takes the tree route, and
+	// outside TrainCtx. tree is the tree route's builder scratch, labels
+	// the current target's label per design row, and fitRows a fold fit's
+	// design rows.
+	design  *tree.Design
+	tree    tree.Scratch
+	labels  []int
+	fitRows []int
 }
 
 // gather copies the input columns of the selected rows into the scratch
@@ -485,6 +508,11 @@ func trainCatTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, 
 		tm.catErr = conf
 		return
 	}
+	if sc.design != nil && treeShaped(train.Schema, term) {
+		cfg.Obs.Add(obs.CounterTermsTree, 1)
+		trainTreeTerm(tm, train, term, rows, y, conf, cfg, sc)
+		return
+	}
 	cfg.Obs.Add(obs.CounterTermsGathered, 1)
 	inputSchema := train.Schema.Select(term.Inputs)
 	x := sc.gather(train, rows, term.Inputs)
@@ -500,13 +528,13 @@ func trainCatTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, 
 		}
 		xTr := sc.foldView(x, trIdx)
 		sc.foldYI = subIntsInto(sc.foldYI, y, trIdx)
-		p := cfg.Learners.Cat(xTr, inputSchema, sc.foldYI, tm.arity, src.Seed()^uint64(fi+1))
+		p := fitCat(cfg, xTr, inputSchema, sc.foldYI, tm.arity, src.Seed()^uint64(fi+1))
 		for _, h := range fold {
 			conf.Add(y[h], p.PredictLabel(x.Row(h)))
 		}
 	}
 	tm.catErr = conf
-	tm.cat = cfg.Learners.Cat(x, inputSchema, y, tm.arity, src.Seed())
+	tm.cat = fitCat(cfg, x, inputSchema, y, tm.arity, src.Seed())
 }
 
 // scoreCat converts an observed categorical value and its prediction into

@@ -48,8 +48,8 @@ type CatLearnerFunc func(x *linalg.Matrix, inputs dataset.Schema, y []int, arity
 // Learners bundles the supervised models FRaC builds per feature kind. With
 // no field set it is unset: Config then uses PaperLearners, and JLSpec keeps
 // the config's learners. Every term with at least one input needs the
-// learner for its target's kind: SVR or Real for a real target, Cat for a
-// categorical one.
+// learner for its target's kind: SVR or Real for a real target, Tree or Cat
+// for a categorical one.
 type Learners struct {
 	// SVR, when non-nil, is the learner for real targets: a linear SVR with
 	// these hyperparameters, trained by core's in-core pipeline (DESIGN.md
@@ -63,12 +63,20 @@ type Learners struct {
 	SVR *svm.SVRParams
 	// Real trains real targets when SVR is nil.
 	Real RealLearnerFunc
-	// Cat trains categorical targets.
+	// Tree, when non-nil, is the learner for categorical targets: an
+	// entropy-minimizing classification tree with these parameters, which
+	// handles missing inputs natively. Core trains it on the Train's shared
+	// categorical design when the term's inputs are all categorical, and on
+	// the gathered term otherwise (DESIGN.md §10).
+	Tree *tree.Params
+	// Cat trains categorical targets when Tree is nil.
 	Cat CatLearnerFunc
 }
 
 // isZero reports whether no learner is set.
-func (l Learners) isZero() bool { return l.SVR == nil && l.Real == nil && l.Cat == nil }
+func (l Learners) isZero() bool {
+	return l.SVR == nil && l.Real == nil && l.Tree == nil && l.Cat == nil
+}
 
 // check reports the first term that has inputs but no learner for its
 // target's kind, before any worker would call the missing one.
@@ -79,8 +87,8 @@ func (l Learners) check(schema dataset.Schema, terms []Term) error {
 		}
 		feat := schema[t.Target]
 		switch {
-		case feat.Kind == dataset.Categorical && l.Cat == nil:
-			return fmt.Errorf("core: categorical feature %d (%q) has no learner: Learners.Cat is nil", t.Target, feat.Name)
+		case feat.Kind == dataset.Categorical && l.Tree == nil && l.Cat == nil:
+			return fmt.Errorf("core: categorical feature %d (%q) has no learner: Learners.Tree and Learners.Cat are nil", t.Target, feat.Name)
 		case feat.Kind != dataset.Categorical && l.SVR == nil && l.Real == nil:
 			return fmt.Errorf("core: real feature %d (%q) has no learner: Learners.SVR and Learners.Real are nil", t.Target, feat.Name)
 		}
@@ -98,30 +106,19 @@ func PaperLearners() Learners {
 // MixedLearners builds the SVR + decision-tree combination with explicit
 // hyperparameters.
 func MixedLearners(svrParams svm.SVRParams, treeParams tree.Params) Learners {
-	return Learners{SVR: &svrParams, Cat: TreeCatLearner(treeParams)}
+	return Learners{SVR: &svrParams, Tree: &treeParams}
 }
 
 // TreeLearners uses decision trees for both feature kinds (the paper's SNP
 // configuration, plus regression trees for the JL-space ablation).
 func TreeLearners(params tree.Params) Learners {
-	return Learners{
-		Real: TreeRealLearner(params),
-		Cat:  TreeCatLearner(params),
-	}
+	return Learners{Real: TreeRealLearner(params), Tree: &params}
 }
 
 // TreeRealLearner adapts regression trees (native missing-value handling).
 func TreeRealLearner(params tree.Params) RealLearnerFunc {
 	return func(x *linalg.Matrix, inputs dataset.Schema, y []float64, seed uint64) RealPredictor {
 		return tree.TrainRegressor(x, inputs, y, params)
-	}
-}
-
-// TreeCatLearner adapts classification trees (native missing-value
-// handling).
-func TreeCatLearner(params tree.Params) CatLearnerFunc {
-	return func(x *linalg.Matrix, inputs dataset.Schema, y []int, arity int, seed uint64) CatPredictor {
-		return tree.TrainClassifier(x, inputs, y, arity, params)
 	}
 }
 

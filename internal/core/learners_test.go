@@ -126,11 +126,14 @@ func TestMarginalPredictors(t *testing.T) {
 
 func TestPaperLearnersRouting(t *testing.T) {
 	l := PaperLearners()
-	if l.SVR == nil || l.Cat == nil {
+	if l.SVR == nil || l.Tree == nil {
 		t.Fatal("paper learners incomplete")
 	}
 	if l.Real != nil {
 		t.Error("paper learners must train real terms through the in-core SVR route only")
+	}
+	if l.Cat != nil {
+		t.Error("paper learners must train categorical terms through Learners.Tree only")
 	}
 }
 

@@ -1,0 +1,243 @@
+package core
+
+import (
+	"bytes"
+	"math"
+	"runtime"
+	"testing"
+
+	"frac/internal/dataset"
+	"frac/internal/obs"
+	"frac/internal/resource"
+	"frac/internal/rng"
+	"frac/internal/svm"
+	"frac/internal/tree"
+)
+
+// randomCatTrainTest builds train and test sets over one schema: nCat
+// categorical columns of arity 2–4 that track a shared latent value, so
+// trees have structure to learn, followed by nReal real columns. Each
+// column independently becomes "holey" with probability colMissP, and a
+// holey column drops a fifth of its cells, so targets are fully and
+// partially observed side by side.
+func randomCatTrainTest(n, nTest, nCat, nReal int, colMissP float64, src *rng.Source) (train, test *dataset.Dataset) {
+	schema := make(dataset.Schema, nCat+nReal)
+	holey := make([]bool, len(schema))
+	for j := range schema {
+		if j < nCat {
+			schema[j] = dataset.Feature{Name: "c", Kind: dataset.Categorical, Arity: 2 + src.IntN(3)}
+		} else {
+			schema[j] = dataset.Feature{Name: "r", Kind: dataset.Real}
+		}
+		holey[j] = src.Bernoulli(colMissP)
+	}
+	fill := func(name string, rows int) *dataset.Dataset {
+		d := dataset.New(name, schema, rows)
+		for i := 0; i < rows; i++ {
+			latent := src.Normal(0, 1)
+			s := d.Sample(i)
+			for j, f := range schema {
+				switch {
+				case holey[j] && src.Bernoulli(0.2):
+					s[j] = dataset.Missing
+				case f.Kind == dataset.Categorical && src.Bernoulli(0.7):
+					s[j] = float64(int(math.Abs(latent)*2+float64(j%2)) % f.Arity)
+				case f.Kind == dataset.Categorical:
+					s[j] = float64(src.IntN(f.Arity))
+				default:
+					s[j] = latent + src.Normal(0, 0.5)
+				}
+			}
+		}
+		return d
+	}
+	return fill("cat-train", n), fill("cat-test", nTest)
+}
+
+// treeWirings are the wirings the tree route is pinned under: full terms,
+// diverse input subsets (two predictors per feature) and partial
+// filtering, each drawing its choices from a fresh stream of seed.
+var treeWirings = []struct {
+	name string
+	run  func(train, test *dataset.Dataset, seed uint64, cfg Config) (*Result, error)
+}{
+	{"full", func(train, test *dataset.Dataset, _ uint64, cfg Config) (*Result, error) {
+		return Run(train, test, FullTerms(train.NumFeatures()), cfg)
+	}},
+	{"diverse", func(train, test *dataset.Dataset, seed uint64, cfg Config) (*Result, error) {
+		return RunDiverse(train, test, 0.5, 2, rng.New(seed), cfg)
+	}},
+	{"partial", func(train, test *dataset.Dataset, seed uint64, cfg Config) (*Result, error) {
+		res, _, err := RunPartialFiltered(train, test, RandomFilter, 0.5, rng.New(seed), cfg)
+		return res, err
+	}},
+}
+
+// TestTreeRouteBitIdentical is the tree route's equivalence property: over
+// random all-categorical and mixed data sets with partially observed
+// targets, fold counts, error models, MinLeaf values and worker counts,
+// under the full, diverse and partial-filter wirings, Learners.Tree
+// reproduces the per-term scores of the gather reference
+// Learners{Cat: TreeCatLearner(p)} exactly (Float64bits), and on the full
+// wiring the saved models are byte-identical. The counters prove that the
+// design route and the gather route both ran, and that the two runs
+// trained the same categorical terms.
+func TestTreeRouteBitIdentical(t *testing.T) {
+	meta := rng.New(0x7ee5)
+	var routeTerms, gatherTerms int64
+	for trial := 0; trial < 30; trial++ {
+		wiring := treeWirings[trial%len(treeWirings)]
+		mixed := trial%2 == 1
+		nReal := 0
+		if mixed {
+			nReal = 1 + meta.IntN(4)
+		}
+		n, nCat := 10+meta.IntN(60), 2+meta.IntN(10)
+		colMissP := []float64{0, 0.3, 0.6}[(trial/2)%3]
+		folds := []int{2, 3, 5}[meta.IntN(3)]
+		p := tree.Params{MinLeaf: 1 + meta.IntN(3)}
+		seed, wseed := meta.Uint64(), meta.Uint64()
+		train, test := randomCatTrainTest(n, 8, nCat, nReal, colMissP, rng.New(meta.Uint64()))
+
+		cfg := Config{Seed: seed, CVFolds: folds, KDEError: trial%4 == 1, Workers: 1 + meta.IntN(4)}
+		route, ref := cfg, cfg
+		route.Learners = Learners{Tree: &p}
+		ref.Learners = Learners{Cat: TreeCatLearner(p)}
+		if mixed {
+			svr := svm.SVRParams{}
+			route.Learners.SVR, ref.Learners.SVR = &svr, &svr
+		}
+		routeRec, refRec := obs.New(), obs.New()
+		route.Obs, ref.Obs = routeRec, refRec
+		got, err := wiring.run(train, test, wseed, route)
+		if err != nil {
+			t.Fatalf("trial %d %s route run: %v", trial, wiring.name, err)
+		}
+		want, err := wiring.run(train, test, wseed, ref)
+		if err != nil {
+			t.Fatalf("trial %d %s reference run: %v", trial, wiring.name, err)
+		}
+		if got.PerTerm.Rows != want.PerTerm.Rows {
+			t.Fatalf("trial %d %s: %d terms, reference %d", trial, wiring.name, got.PerTerm.Rows, want.PerTerm.Rows)
+		}
+		for ti := 0; ti < want.PerTerm.Rows; ti++ {
+			g, w := got.PerTerm.Row(ti), want.PerTerm.Row(ti)
+			for s := range w {
+				if math.Float64bits(g[s]) != math.Float64bits(w[s]) {
+					t.Fatalf("trial %d %s (n=%d cat=%d real=%d folds=%d) term %d sample %d: route %v, reference %v",
+						trial, wiring.name, n, nCat, nReal, folds, ti, s, g[s], w[s])
+				}
+			}
+		}
+
+		onDesign, gathered := routeRec.Count(obs.CounterTermsTree), routeRec.Count(obs.CounterTermsGathered)
+		if refGathered := refRec.Count(obs.CounterTermsGathered); onDesign+gathered != refGathered {
+			t.Fatalf("trial %d %s: %d design and %d gathered tree terms, reference gathered %d",
+				trial, wiring.name, onDesign, gathered, refGathered)
+		}
+		if refRec.Count(obs.CounterTermsTree) != 0 || refRec.Count(obs.CounterTreeFits) != 0 {
+			t.Fatalf("trial %d %s: the Learners.Cat run counted tree-route work", trial, wiring.name)
+		}
+		routeTerms += onDesign
+		gatherTerms += gathered
+
+		if wiring.name == "full" {
+			saved := func(cfg Config) []byte {
+				t.Helper()
+				cfg.Obs = nil
+				m, err := Train(train, FullTerms(train.NumFeatures()), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if _, err := m.WriteTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			if !bytes.Equal(saved(route), saved(ref)) {
+				t.Fatalf("trial %d: the route's saved model differs from the reference's", trial)
+			}
+		}
+	}
+	if routeTerms == 0 || gatherTerms == 0 {
+		t.Fatalf("%d terms on the design route, %d gathered: both routes must run", routeTerms, gatherTerms)
+	}
+	t.Logf("%d terms on the design route and %d gathered tree terms bit-identical", routeTerms, gatherTerms)
+}
+
+// TestTreeFitCountersBothRoutes pins tree_fits on a fixture that runs both
+// tree routes: mixed data under the diverse wiring gives categorical terms
+// with all-categorical inputs (design route) and with real inputs (gather
+// route), and every one of them makes one fit per CV fold plus its final
+// fit.
+func TestTreeFitCountersBothRoutes(t *testing.T) {
+	train, test := randomCatTrainTest(40, 6, 8, 3, 0.3, rng.New(0x3f))
+	rec := obs.New()
+	cfg := Config{Seed: 4, CVFolds: 4, Obs: rec}
+	if _, err := RunDiverse(train, test, 0.5, 2, rng.New(9), cfg); err != nil {
+		t.Fatal(err)
+	}
+	onDesign, gathered := rec.Count(obs.CounterTermsTree), rec.Count(obs.CounterTermsGathered)
+	if onDesign == 0 || gathered == 0 {
+		t.Fatalf("%d design and %d gathered tree terms: the fixture must run both routes", onDesign, gathered)
+	}
+	if got, want := rec.Count(obs.CounterTreeFits), (4+1)*(onDesign+gathered); got != want {
+		t.Errorf("%d tree fits, want (4 folds + 1) x (%d + %d) terms = %d", got, onDesign, gathered, want)
+	}
+}
+
+// TestTreeRouteWorkerInvariance: a fixture whose categorical terms all take
+// the design route scores bit for bit the same at 1, 2, 4 and GOMAXPROCS
+// workers, with the same routing.
+func TestTreeRouteWorkerInvariance(t *testing.T) {
+	train, test := randomCatTrainTest(50, 8, 16, 0, 0.3, rng.New(0x11))
+	terms := FullTerms(train.NumFeatures())
+	run := func(workers int) (*Result, *obs.Recorder) {
+		t.Helper()
+		rec := obs.New()
+		res, err := Run(train, test, terms, Config{Seed: 7, Workers: workers, Obs: rec})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res, rec
+	}
+	ref, refRec := run(1)
+	if got := refRec.Count(obs.CounterTermsTree); got != int64(len(terms)) {
+		t.Fatalf("%d of %d terms on the design route", got, len(terms))
+	}
+	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
+		got, rec := run(w)
+		if rec.Count(obs.CounterTermsTree) != refRec.Count(obs.CounterTermsTree) {
+			t.Errorf("workers=%d: %d design-route terms, want %d", w, rec.Count(obs.CounterTermsTree), refRec.Count(obs.CounterTermsTree))
+		}
+		for s := range got.Scores {
+			if math.Float64bits(got.Scores[s]) != math.Float64bits(ref.Scores[s]) {
+				t.Errorf("workers=%d sample %d: %v, want %v", w, s, got.Scores[s], ref.Scores[s])
+			}
+		}
+	}
+}
+
+// TestTreeRouteAccountedPeak: an all-categorical Train tracks the shared
+// design once and nothing per design-route term, so its accounted peak does
+// not depend on which terms overlap in time: it is the design's bytes plus
+// the trained model's, at any worker count.
+func TestTreeRouteAccountedPeak(t *testing.T) {
+	train, _ := randomCatTrainTest(60, 1, 24, 0, 0.3, rng.New(0x2b))
+	terms := FullTerms(train.NumFeatures())
+	design := tree.NewDesign(train.X, train.Schema).Bytes()
+	for _, w := range []int{1, 2, 4} {
+		tracker, rec := resource.NewTracker(), obs.New()
+		m, err := Train(train, terms, Config{Seed: 3, Workers: w, Tracker: tracker, Obs: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Count(obs.CounterTermsTree); got != int64(len(terms)) {
+			t.Fatalf("workers=%d: %d of %d terms on the design route", w, got, len(terms))
+		}
+		if got, want := tracker.PeakBytes(), design+m.Bytes(); got != want {
+			t.Errorf("workers=%d: accounted peak %d bytes, want design %d + model %d = %d", w, got, design, m.Bytes(), want)
+		}
+	}
+}

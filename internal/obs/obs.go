@@ -87,8 +87,8 @@ const (
 	// keeps the historical name terms_masked_train.
 	CounterTermsMasked
 	// CounterTermsGathered counts non-marginal terms trained through the
-	// gather-and-copy loop and Learners.Real/Cat: categorical targets and
-	// tree or custom learners.
+	// gather-and-copy loop: Learners.Real and Learners.Cat terms, and
+	// Learners.Tree terms off the shared design.
 	CounterTermsGathered
 	// CounterDesignCacheBytes accumulates how many bytes the in-core
 	// trainer's per-worker design and Gram buffers grew by; it stops
@@ -105,6 +105,12 @@ const (
 	// CounterSVRMaxIter counts the fits that used all MaxIter epochs
 	// instead of stopping at the tolerance.
 	CounterSVRMaxIter
+	// CounterTermsTree counts the categorical terms trained on the
+	// Train's shared categorical design (Learners.Tree set).
+	CounterTermsTree
+	// CounterTreeFits counts the tree fits core makes with Learners.Tree,
+	// CV folds and final fits alike, on the shared design and off it.
+	CounterTreeFits
 	numCounters
 )
 
@@ -112,7 +118,8 @@ var counterNames = [numCounters]string{
 	"terms_trained", "terms_scored", "features_kept", "features_dropped",
 	"members_combined", "bytes_decoded", "terms_masked_train",
 	"terms_gather_train", "design_cache_bytes", "terms_gram_train",
-	"svr_fits", "svr_epochs", "svr_maxiter_fits",
+	"svr_fits", "svr_epochs", "svr_maxiter_fits", "terms_tree_train",
+	"tree_fits",
 }
 
 // String returns the JSON key of the counter.

@@ -3,6 +3,7 @@ package tree
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -27,10 +28,9 @@ func TrainClassifier(x *linalg.Matrix, inputs dataset.Schema, y []int, arity int
 	if arity < 2 {
 		panic(fmt.Sprintf("tree: classifier arity %d", arity))
 	}
-	b := newBuilder(x, inputs, params, arity)
-	b.catY = y
-	b.build(0, x.Rows, 0)
-	return &Classifier{tree: tree{nodes: b.nodes, inputs: inputs}, Arity: arity}
+	s, rows := privateFit(x, inputs, params)
+	s.catY, s.arity = y, arity
+	return &Classifier{tree: tree{nodes: s.grow(rows), inputs: inputs}, Arity: arity}
 }
 
 // TrainRegressor fits a variance-minimizing regression tree. Every observed
@@ -42,25 +42,66 @@ func TrainRegressor(x *linalg.Matrix, inputs dataset.Schema, y []float64, params
 	if len(inputs) != x.Cols {
 		panic(fmt.Sprintf("tree: %d input features but schema has %d", x.Cols, len(inputs)))
 	}
-	b := newBuilder(x, inputs, params, 0)
-	b.realY = y
-	b.build(0, x.Rows, 0)
-	return &Regressor{tree: tree{nodes: b.nodes, inputs: inputs}}
+	s, rows := privateFit(x, inputs, params)
+	s.realY = y
+	return &Regressor{tree: tree{nodes: s.grow(rows), inputs: inputs}}
 }
 
-// builder holds induction state; exactly one of catY/realY is set. Every
-// buffer is allocated once per fit and reused by every node and feature, so
-// a fit allocates only these and the nodes it returns.
-type builder struct {
-	n      int
-	cols   []float64 // x copied column-major: column j is cols[j*n : (j+1)*n]
+// privateFit prepares a fit over every row of x: a private design of its
+// categorical columns read through the identity column map, and a
+// column-major copy of its real columns. It returns the fit's scratch and
+// its row list, 0 to x.Rows−1.
+func privateFit(x *linalg.Matrix, inputs dataset.Schema, params Params) (*Scratch, []int) {
+	n, d := x.Rows, x.Cols
+	all := make([]int, max(n, d))
+	for i := range all {
+		all[i] = i
+	}
+	s := &Scratch{fit: fit{d: NewDesign(x, inputs), cols: all[:d], inputs: inputs, params: params.withDefaults()}}
+	if nReal := d - inputs.NumCategorical(); nReal > 0 {
+		vals := make([]float64, nReal*n)
+		s.reals = make([][]float64, d)
+		k := 0
+		for j, f := range inputs {
+			if f.Kind != dataset.Categorical {
+				s.reals[j] = vals[k*n : (k+1)*n : (k+1)*n]
+				k++
+			}
+		}
+		for i := 0; i < n; i++ {
+			for j, v := range x.Row(i) {
+				if col := s.reals[j]; col != nil {
+					col[i] = v
+				}
+			}
+		}
+	}
+	return s, all[:n]
+}
+
+// fit says where one fit reads its inputs and targets; exactly one of
+// catY/realY is set. Rows are design rows, and catY and realY are indexed
+// by them.
+type fit struct {
+	d      *Design
+	cols   []int       // input j's design column, for categorical inputs
+	reals  [][]float64 // input j's values by row, for real inputs
 	inputs dataset.Schema
 	params Params
-	nodes  []node
 
 	catY  []int
 	arity int // classification arity
 	realY []float64
+}
+
+// Scratch is the working memory of tree fits: the fit's row list, the
+// partition buffer, the threshold scan's sorter, the count tables and the
+// label masks. Every buffer is sized once per fit and reused by every node
+// and feature, and fits that share a Scratch (one at a time) reuse them
+// all, so after warm-up a fit allocates only the nodes it returns. The zero
+// value is ready.
+type Scratch struct {
+	fit
 
 	// rows holds each row index once. A node owns a contiguous segment of
 	// it, in the order the node's rows were routed to it, and partitions
@@ -72,143 +113,211 @@ type builder struct {
 	sorter byValue
 
 	// Classification scratch: a categorical scan's joint (category, label)
-	// count table, flat arityJ×arity, and per-label counts.
+	// count table, flat arityJ×arity, per-label counts, and one label mask
+	// per class over the design's rows (bitsets says whether the fit uses
+	// them: a classification fit with categorical inputs).
 	joint              []int
 	total, left, right []int
-	logs               []float64 // logTable()
+	plogp              []float64 // plogpTable()
+	masks              []uint64
+	bitsets            bool
 
 	// Categorical-scan per-category totals: row counts, and for regression
 	// target sums and sums of squares.
 	perCat    []int
 	sums, sqs []float64
+
+	nodes []node
 }
 
-func newBuilder(x *linalg.Matrix, inputs dataset.Schema, params Params, arity int) *builder {
-	maxArity := 0
-	for _, f := range inputs {
-		if f.Kind == dataset.Categorical && f.Arity > maxArity {
-			maxArity = f.Arity
+// grow sizes the scratch for the fit s.fit describes over rows and grows
+// its tree. The nodes it returns are s.nodes, which the next fit reuses.
+func (s *Scratch) grow(rows []int) []node {
+	maxArity, hasCat := 0, false
+	for _, f := range s.inputs {
+		if f.Kind == dataset.Categorical {
+			maxArity, hasCat = max(maxArity, f.Arity), true
 		}
 	}
-	n := x.Rows
-	cols := make([]float64, n*x.Cols)
-	for i := 0; i < n; i++ {
-		for j, v := range x.Row(i) {
-			cols[j*n+i] = v
-		}
+	s.rows = append(s.rows[:0], rows...)
+	s.part = resize(s.part, len(rows))
+	if cap(s.sorter.idx) < len(rows) {
+		s.sorter.idx = make([]int, 0, len(rows))
 	}
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
-	b := &builder{
-		n: n, cols: cols, inputs: inputs, params: params.withDefaults(),
-		arity: arity, rows: rows, part: make([]int, n),
-		sorter: byValue{idx: make([]int, 0, n)},
-		perCat: make([]int, maxArity),
-	}
-	if arity > 0 {
-		b.joint = make([]int, maxArity*arity)
-		b.total, b.left, b.right = make([]int, arity), make([]int, arity), make([]int, arity)
-		b.logs = logTable()
+	s.perCat = resize(s.perCat, maxArity)
+	s.bitsets = s.catY != nil && hasCat
+	if s.catY != nil {
+		s.joint = resize(s.joint, maxArity*s.arity)
+		s.total, s.left, s.right = resize(s.total, s.arity), resize(s.left, s.arity), resize(s.right, s.arity)
+		s.plogp = plogpTable()
 	} else {
-		b.sums, b.sqs = make([]float64, maxArity), make([]float64, maxArity)
+		s.sums, s.sqs = resize(s.sums, maxArity), resize(s.sqs, maxArity)
 	}
-	return b
+	if s.bitsets {
+		s.masks = resize(s.masks, s.arity*s.d.words)
+	}
+	s.nodes = s.nodes[:0]
+	s.d.codes.grow(s)
+	return s.nodes
 }
 
-func (b *builder) column(j int) []float64 { return b.cols[j*b.n : (j+1)*b.n] }
+// resize returns buf with length n, reallocated only when it is too short.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
 
-// logTableRows bounds the row counts whose entropies read logTable: the table
-// holds t(t+1)/2 entries for every t up to it (257 KiB), so its size does not
-// grow with the training set. Entropies over more rows call math.Log; on the
-// paper's SNP data sets (at most 317 training rows) they are under 1% of the
-// calls, while math.Log made up about a third of a fit's time.
-const logTableRows = 256
+// builder grows one tree over a design whose codes have type C.
+type builder[C codeWord] struct {
+	*Scratch
+	codes codeCols[C]
+}
 
-// logTable returns math.Log(float64(c)/float64(t)) at index t(t-1)/2 + c-1
-// for 1 <= c <= t <= logTableRows. It is built once per process and only
-// read after, so concurrent fits share it.
-var logTable = sync.OnceValue(func() []float64 {
-	tab := make([]float64, logTableRows*(logTableRows+1)/2)
-	for t := 1; t <= logTableRows; t++ {
+func (cc codeCols[C]) grow(s *Scratch) {
+	b := builder[C]{Scratch: s, codes: cc}
+	b.build(0, len(s.rows), 0)
+}
+
+// column returns the codes of categorical input j, indexed by row.
+func (b *builder[C]) column(j int) codeCols[C] {
+	off := b.d.cols[b.cols[j]].codes
+	return b.codes[off : off+b.d.n]
+}
+
+// bitsetRows is the fewest rows at which a classification node counts its
+// categorical splits with popcounts over label masks rather than with a
+// loop over its rows' codes. Both loops give the same integers; the
+// benchmark that chose it is in DESIGN.md §7.
+const bitsetRows = 32
+
+// plogpRows bounds the row counts whose entropies read plogpTable: the
+// table holds t+1 entries for every t up to it (259 KiB), so its size does
+// not grow with the training set. Entropies over more rows call
+// stats.EntropyFromCounts; on the paper's SNP data sets (at most 317
+// training rows) they are under 1% of the calls.
+const plogpRows = 256
+
+// plogpTable returns p·log(p) for p = c/t at index t(t+1)/2 + c, for
+// 0 <= c <= t <= plogpRows, and 0 at c = 0. p and the product are computed
+// as stats.EntropyFromCounts computes them, so subtracting an entry gives
+// the bits of its h -= p*math.Log(p). The table is built once per process
+// and only read after, so concurrent fits share it.
+var plogpTable = sync.OnceValue(func() []float64 {
+	tab := make([]float64, (plogpRows+1)*(plogpRows+2)/2)
+	for t := 1; t <= plogpRows; t++ {
 		for c := 1; c <= t; c++ {
-			tab[t*(t-1)/2+c-1] = math.Log(float64(c) / float64(t))
+			p := float64(c) / float64(t)
+			tab[t*(t+1)/2+c] = p * math.Log(p)
 		}
 	}
 	return tab
 })
 
-// entropy is stats.EntropyFromCounts(counts) for counts summing to t. It
-// reads log(p) from the log table but keeps the expression h -= p*log(p) and
-// its order, so the result is the same to the bit.
-func (b *builder) entropy(counts []int, t int) float64 {
-	if t > logTableRows {
+// entropy is stats.EntropyFromCounts(counts) for counts summing to t, to
+// the bit: each term is the table's rounded product, subtracted in the
+// same order, and a zero count subtracts 0.
+func (s *Scratch) entropy(counts []int, t int) float64 {
+	if t > plogpRows {
 		return stats.EntropyFromCounts(counts)
 	}
-	logs := b.logs[t*(t-1)/2 : t*(t+1)/2] // logs[c-1] = log(c/t)
+	tab := s.plogp[t*(t+1)/2 : (t+1)*(t+2)/2]
 	h := 0.0
 	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / float64(t)
-		h -= p * logs[c-1]
+		h -= tab[c]
 	}
 	return h
 }
 
-// labelCounts counts the labels of rows into b.total.
-func (b *builder) labelCounts(rows []int) []int {
-	counts := b.total
+// labelCounts counts the labels of rows into s.total.
+func (s *Scratch) labelCounts(rows []int) []int {
+	counts := s.total
 	clear(counts)
 	for _, r := range rows {
-		counts[b.catY[r]]++
+		counts[s.catY[r]]++
 	}
 	return counts
 }
 
+// setMasks writes one mask per class over the design's rows: bit r of
+// class y's mask is 1 when row r is one of rows and has label y.
+func (s *Scratch) setMasks(rows []int) {
+	words := s.d.words
+	clear(s.masks)
+	for _, r := range rows {
+		s.masks[s.catY[r]*words+r>>6] |= 1 << (uint(r) & 63)
+	}
+}
+
+// countBits fills joint, flat arity×s.arity, with the (category, label)
+// counts of the node whose masks setMasks wrote, and perCat and total with
+// its row sums and column sums; it returns their total. Each count is the
+// popcount of the category's rows within the label's mask.
+func (s *Scratch) countBits(joint, perCat, total []int, col *designCol) (nObs int) {
+	words, arity := s.d.words, s.arity
+	clear(total)
+	for c := range perCat {
+		set := s.d.bits[col.bits+c*words : col.bits+(c+1)*words]
+		nc := 0
+		for y := range total {
+			mask := s.masks[y*words : (y+1)*words]
+			mask = mask[:len(set)]
+			k := 0
+			for w, v := range set {
+				k += bits.OnesCount64(v & mask[w])
+			}
+			joint[c*arity+y] = k
+			total[y] += k
+			nc += k
+		}
+		perCat[c] = nc
+		nObs += nc
+	}
+	return nObs
+}
+
 // impurity returns the node impurity of rows: entropy (classification) or
 // variance (regression), both in "per-sample" units.
-func (b *builder) impurity(rows []int) float64 {
-	if b.catY != nil {
-		return b.entropy(b.labelCounts(rows), len(rows))
+func (s *Scratch) impurity(rows []int) float64 {
+	if s.catY != nil {
+		return s.entropy(s.labelCounts(rows), len(rows))
 	}
-	var s, ss float64
+	var sum, ss float64
 	for _, r := range rows {
-		v := b.realY[r]
-		s += v
+		v := s.realY[r]
+		sum += v
 		ss += v * v
 	}
 	n := float64(len(rows))
-	mean := s / n
+	mean := sum / n
 	return ss/n - mean*mean // population variance
 }
 
 // leaf appends a leaf node for rows and returns its index.
-func (b *builder) leaf(rows []int) int32 {
+func (s *Scratch) leaf(rows []int) int32 {
 	var nd node
 	nd.feature = -1
 	nd.category = -1
-	if b.catY != nil {
+	if s.catY != nil {
 		best, bestC := 0, -1
-		for c, n := range b.labelCounts(rows) {
+		for c, n := range s.labelCounts(rows) {
 			if n > bestC {
 				best, bestC = c, n
 			}
 		}
 		nd.label = best
 	} else {
-		var s float64
+		var sum float64
 		for _, r := range rows {
-			s += b.realY[r]
+			sum += s.realY[r]
 		}
 		if len(rows) > 0 {
-			nd.value = s / float64(len(rows))
+			nd.value = sum / float64(len(rows))
 		}
 	}
-	b.nodes = append(b.nodes, nd)
-	return int32(len(b.nodes) - 1)
+	s.nodes = append(s.nodes, nd)
+	return int32(len(s.nodes) - 1)
 }
 
 // split describes a candidate split of a node.
@@ -219,17 +328,9 @@ type split struct {
 	gain      float64
 }
 
-// goesLeft reports the branch of an observed value.
-func (s split) goesLeft(v float64) bool {
-	if s.category >= 0 {
-		return int(v) == s.category
-	}
-	return v < s.threshold
-}
-
 // build recursively grows the subtree over the rows in b.rows[lo:hi],
 // returning its root index.
-func (b *builder) build(lo, hi, depth int) int32 {
+func (b *builder[C]) build(lo, hi, depth int) int32 {
 	rows := b.rows[lo:hi]
 	if len(rows) == 0 {
 		// Degenerate: empty training set yields a zero-payload leaf.
@@ -241,6 +342,9 @@ func (b *builder) build(lo, hi, depth int) int32 {
 	imp := b.impurity(rows)
 	if imp <= 0 {
 		return b.leaf(rows)
+	}
+	if b.bitsets && len(rows) >= bitsetRows {
+		b.setMasks(rows)
 	}
 	best, ok := b.bestSplit(rows, imp)
 	if !ok || best.gain < b.params.MinGain {
@@ -265,6 +369,13 @@ func (b *builder) build(lo, hi, depth int) int32 {
 	return idx
 }
 
+// Branches of a row under a split.
+const (
+	goLeft = iota
+	goRight
+	goMissing
+)
+
 // partition reorders rows for split s so the left child's rows come first,
 // returning their count. Missing rows join the side with more observed rows,
 // ties going left. Each child keeps its rows in their order here, observed
@@ -272,19 +383,37 @@ func (b *builder) build(lo, hi, depth int) int32 {
 // order. When either child would hold fewer than MinLeaf rows, partition
 // reports !ok and leaves rows as they were, so the node's leaf sums them in
 // their original order.
-func (b *builder) partition(rows []int, s split) (nLeft int, missingLeft, ok bool) {
-	col := b.column(s.feature)
-	var nl, nr, nm int
-	for _, r := range rows {
-		switch v := col[r]; {
-		case dataset.IsMissing(v):
-			nm++
-		case s.goesLeft(v):
-			nl++
-		default:
-			nr++
-		}
+func (b *builder[C]) partition(rows []int, s split) (nLeft int, missingLeft, ok bool) {
+	var codes codeCols[C]
+	var vals []float64
+	if s.category >= 0 {
+		codes = b.column(s.feature)
+	} else {
+		vals = b.reals[s.feature]
 	}
+	branch := func(r int) int {
+		if s.category >= 0 {
+			switch c := codes[r]; {
+			case c == ^C(0):
+				return goMissing
+			case int(c) == s.category:
+				return goLeft
+			}
+			return goRight
+		}
+		switch v := vals[r]; {
+		case dataset.IsMissing(v):
+			return goMissing
+		case v < s.threshold:
+			return goLeft
+		}
+		return goRight
+	}
+	var count [3]int
+	for _, r := range rows {
+		count[branch(r)]++
+	}
+	nl, nr, nm := count[goLeft], count[goRight], count[goMissing]
 	missingLeft = nl >= nr
 	nLeft, nRight := nl, nr+nm
 	if missingLeft {
@@ -295,23 +424,15 @@ func (b *builder) partition(rows []int, s split) (nLeft int, missingLeft, ok boo
 	}
 	// Stage the new order, [left | missing | right] or [left | right |
 	// missing], then copy it back over the segment.
-	iL, iR, iM := 0, nl, nl+nr
+	next := [3]int{goLeft: 0, goRight: nl, goMissing: nl + nr}
 	if missingLeft {
-		iM, iR = nl, nl+nm
+		next[goMissing], next[goRight] = nl, nl+nm
 	}
 	part := b.part[:len(rows)]
 	for _, r := range rows {
-		switch v := col[r]; {
-		case dataset.IsMissing(v):
-			part[iM] = r
-			iM++
-		case s.goesLeft(v):
-			part[iL] = r
-			iL++
-		default:
-			part[iR] = r
-			iR++
-		}
+		br := branch(r)
+		part[next[br]] = r
+		next[br]++
 	}
 	copy(rows, part)
 	return nLeft, missingLeft, true
@@ -322,7 +443,7 @@ func (b *builder) partition(rows []int, s split) (nLeft int, missingLeft, ok boo
 // observed values and scaled by the observed fraction (the C4.5
 // missing-value correction), so features that are mostly missing cannot win
 // on a handful of rows.
-func (b *builder) bestSplit(rows []int, parentImp float64) (best split, found bool) {
+func (b *builder[C]) bestSplit(rows []int, parentImp float64) (best split, found bool) {
 	for j, f := range b.inputs {
 		var cand split
 		var ok bool
@@ -350,49 +471,49 @@ func (s *byValue) Len() int           { return len(s.idx) }
 func (s *byValue) Less(a, c int) bool { return s.col[s.idx[a]] < s.col[s.idx[c]] }
 func (s *byValue) Swap(a, c int)      { s.idx[a], s.idx[c] = s.idx[c], s.idx[a] }
 
-func (b *builder) bestThresholdSplit(rows []int, j int, parentImp float64) (split, bool) {
-	col := b.column(j)
-	obs := b.sorter.idx[:0]
+func (s *Scratch) bestThresholdSplit(rows []int, j int, parentImp float64) (split, bool) {
+	col := s.reals[j]
+	obs := s.sorter.idx[:0]
 	for _, r := range rows {
 		if !dataset.IsMissing(col[r]) {
 			obs = append(obs, r)
 		}
 	}
-	if len(obs) < 2*b.params.MinLeaf {
+	if len(obs) < 2*s.params.MinLeaf {
 		return split{}, false
 	}
-	b.sorter.idx, b.sorter.col = obs, col
-	sort.Sort(&b.sorter)
+	s.sorter.idx, s.sorter.col = obs, col
+	sort.Sort(&s.sorter)
 	obsFrac := float64(len(obs)) / float64(len(rows))
 
 	var bestGain float64 = math.Inf(-1)
 	var bestThr float64
 	found := false
 
-	if b.catY != nil {
-		total, leftC, rightC := b.total, b.left, b.right
+	if s.catY != nil {
+		total, leftC, rightC := s.total, s.left, s.right
 		clear(total)
 		clear(leftC)
 		for _, r := range obs {
-			total[b.catY[r]]++
+			total[s.catY[r]]++
 		}
 		nl := 0
 		for i := 0; i < len(obs)-1; i++ {
-			leftC[b.catY[obs[i]]]++
+			leftC[s.catY[obs[i]]]++
 			nl++
 			vi, vn := col[obs[i]], col[obs[i+1]]
 			if vi == vn {
 				continue
 			}
 			nr := len(obs) - nl
-			if nl < b.params.MinLeaf || nr < b.params.MinLeaf {
+			if nl < s.params.MinLeaf || nr < s.params.MinLeaf {
 				continue
 			}
-			hl := b.entropy(leftC, nl)
+			hl := s.entropy(leftC, nl)
 			for c := range total {
 				rightC[c] = total[c] - leftC[c]
 			}
-			hr := b.entropy(rightC, nr)
+			hr := s.entropy(rightC, nr)
 			imp := (float64(nl)*hl + float64(nr)*hr) / float64(len(obs))
 			gain := (parentImp - imp) * obsFrac
 			if gain > bestGain {
@@ -402,14 +523,14 @@ func (b *builder) bestThresholdSplit(rows []int, j int, parentImp float64) (spli
 	} else {
 		var totalS, totalSS float64
 		for _, r := range obs {
-			v := b.realY[r]
+			v := s.realY[r]
 			totalS += v
 			totalSS += v * v
 		}
 		var ls, lss float64
 		nl := 0
 		for i := 0; i < len(obs)-1; i++ {
-			v := b.realY[obs[i]]
+			v := s.realY[obs[i]]
 			ls += v
 			lss += v * v
 			nl++
@@ -418,7 +539,7 @@ func (b *builder) bestThresholdSplit(rows []int, j int, parentImp float64) (spli
 				continue
 			}
 			nr := len(obs) - nl
-			if nl < b.params.MinLeaf || nr < b.params.MinLeaf {
+			if nl < s.params.MinLeaf || nr < s.params.MinLeaf {
 				continue
 			}
 			imp := (childVar(ls, lss, nl)*float64(nl) + childVar(totalS-ls, totalSS-lss, nr)*float64(nr)) / float64(len(obs))
@@ -441,8 +562,7 @@ func childVar(s, ss float64, n int) float64 {
 	return v
 }
 
-func (b *builder) bestCategoricalSplit(rows []int, j int, parentImp float64) (split, bool) {
-	col := b.column(j)
+func (b *builder[C]) bestCategoricalSplit(rows []int, j int, parentImp float64) (split, bool) {
 	arityJ := b.inputs[j].Arity
 	perCat := b.perCat[:arityJ]
 	nObs := 0
@@ -451,28 +571,33 @@ func (b *builder) bestCategoricalSplit(rows []int, j int, parentImp float64) (sp
 	bestCat := -1
 
 	if b.catY != nil {
-		// Count only the joint table in the row scan; the per-category,
-		// per-label and observed totals are integer sums of it, so deriving
-		// them afterwards gives the same numbers.
+		// Count the joint table, with popcounts over the node's label masks
+		// or with a loop over its rows. The per-category, per-label and
+		// observed totals are integer sums of it, so any order of
+		// deriving them gives the same numbers.
 		arity := b.arity
 		joint := b.joint[:arityJ*arity]
-		clear(joint)
-		for _, r := range rows {
-			v := col[r]
-			if !dataset.IsMissing(v) {
-				joint[int(v)*arity+b.catY[r]]++
-			}
-		}
 		total, rightC := b.total, b.right
-		clear(total)
-		for c := range perCat {
-			nc := 0
-			for y, k := range joint[c*arity : (c+1)*arity] {
-				nc += k
-				total[y] += k
+		if len(rows) >= bitsetRows {
+			nObs = b.countBits(joint, perCat, total, &b.d.cols[b.cols[j]])
+		} else {
+			codes := b.column(j)
+			clear(joint)
+			for _, r := range rows {
+				if c := codes[r]; c != ^C(0) {
+					joint[int(c)*arity+b.catY[r]]++
+				}
 			}
-			perCat[c] = nc
-			nObs += nc
+			clear(total)
+			for c := range perCat {
+				nc := 0
+				for y, k := range joint[c*arity : (c+1)*arity] {
+					nc += k
+					total[y] += k
+				}
+				perCat[c] = nc
+				nObs += nc
+			}
 		}
 		if nObs < 2*b.params.MinLeaf {
 			return split{}, false
@@ -502,12 +627,13 @@ func (b *builder) bestCategoricalSplit(rows []int, j int, parentImp float64) (sp
 		clear(sqs)
 		clear(perCat)
 		var totalS, totalSS float64
+		codes := b.column(j)
 		for _, r := range rows {
-			x := col[r]
-			if dataset.IsMissing(x) {
+			code := codes[r]
+			if code == ^C(0) {
 				continue
 			}
-			c := int(x)
+			c := int(code)
 			v := b.realY[r]
 			sums[c] += v
 			sqs[c] += v * v
