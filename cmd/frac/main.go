@@ -207,16 +207,17 @@ func trainAndSave(ctx context.Context, trainPath, modelPath, driftRefPath string
 	if trainPath == "" {
 		return fmt.Errorf("-save-model needs -train")
 	}
+	learners, err := learnersFor(opt.learners)
+	if err != nil {
+		return err
+	}
 	train, err := readDataset(trainPath, opt.obs)
 	if err != nil {
 		return err
 	}
 	train = normalsOnly(train)
 	opt.describeDataset(train.Name, train.NumFeatures(), train.NumSamples(), 0, 0)
-	cfg := frac.Config{Seed: opt.seed, Workers: opt.workers, Obs: opt.obs}
-	if opt.learners == "tree" {
-		cfg.Learners = frac.TreeLearnersDefault()
-	}
+	cfg := frac.Config{Seed: opt.seed, Workers: opt.workers, Obs: opt.obs, Learners: learners}
 	model, err := frac.TrainCtx(ctx, train, frac.FullTerms(train.NumFeatures()), cfg)
 	if err != nil {
 		return err
@@ -230,6 +231,18 @@ func trainAndSave(ctx context.Context, trainPath, modelPath, driftRefPath string
 	fmt.Printf("trained on %d samples x %d features; model saved to %s\n",
 		train.NumSamples(), train.NumFeatures(), modelPath)
 	return nil
+}
+
+// learnersFor returns the learners a -learners value names: the zero
+// Learners, which Config reads as the paper's, or all trees.
+func learnersFor(name string) (frac.Learners, error) {
+	switch name {
+	case "paper":
+		return frac.Learners{}, nil
+	case "tree":
+		return frac.TreeLearnersDefault(), nil
+	}
+	return frac.Learners{}, fmt.Errorf("unknown -learners %q: want paper or tree", name)
 }
 
 // writeFileAtomic writes path through write so that a reader (a fracserve
@@ -354,6 +367,10 @@ func (opt options) describeDataset(name string, features, samples, trainRows, te
 }
 
 func run(ctx context.Context, dataPath, trainPath, testPath string, replicates int, opt options) error {
+	learners, err := learnersFor(opt.learners)
+	if err != nil {
+		return err
+	}
 	reps, err := loadReplicates(dataPath, trainPath, testPath, replicates, opt.seed, opt.obs)
 	if err != nil {
 		return err
@@ -378,10 +395,7 @@ func run(ctx context.Context, dataPath, trainPath, testPath string, replicates i
 		opt.obs.Annotate("replicate", strconv.Itoa(i))
 		tracker := resource.NewTracker()
 		cfg := frac.Config{Seed: opt.seed, Workers: opt.workers, Tracker: tracker,
-			Obs: opt.obs, Limit: opt.limit}
-		if opt.learners == "tree" {
-			cfg.Learners = frac.TreeLearnersDefault()
-		}
+			Obs: opt.obs, Limit: opt.limit, Learners: learners}
 		res, scores, err := runVariant(ctx, rep, opt, cfg)
 		if err != nil {
 			return err
@@ -425,6 +439,9 @@ func run(ctx context.Context, dataPath, trainPath, testPath string, replicates i
 func loadReplicates(dataPath, trainPath, testPath string, n int, seed uint64, rec *obs.Recorder) ([]frac.Replicate, error) {
 	switch {
 	case dataPath != "" && trainPath == "" && testPath == "":
+		if n < 1 {
+			return nil, fmt.Errorf("-replicates %d: want at least 1", n)
+		}
 		pool, err := readDataset(dataPath, rec)
 		if err != nil {
 			return nil, err

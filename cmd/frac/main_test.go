@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -111,4 +112,57 @@ func TestWriteFileAtomicKeepsOldArtifactOnError(t *testing.T) {
 		t.Errorf("artifact after successful write = %q (%v), want %q", got, err, "new model")
 	}
 	onlyArtifact()
+}
+
+// TestRejectsBadFlagValues: a -learners value other than paper or tree, in
+// replicate mode and with -save-model, and -replicates below 1 with -data
+// are errors naming the allowed values, returned before anything trains or
+// is saved; paper and tree run.
+func TestRejectsBadFlagValues(t *testing.T) {
+	dir := t.TempDir()
+	const n, f = 30, 4
+	pool := realDataset("pool", n, f)
+	pool.Anomalous = make([]bool, n)
+	for i := 0; i < n; i += 5 {
+		pool.Anomalous[i] = true
+	}
+	poolPath := filepath.Join(dir, "pool.tsv")
+	if err := frac.WriteDatasetFile(poolPath, pool); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name       string
+		replicates int
+		learners   string
+		want       []string
+	}{
+		{"learners trees", 1, "trees", []string{`"trees"`, "paper", "tree"}},
+		{"learners empty", 1, "", []string{"paper", "tree"}},
+		{"replicates 0", 0, "paper", []string{"-replicates", "at least 1"}},
+		{"replicates -2", -2, "tree", []string{"-replicates", "at least 1"}},
+	} {
+		err := run(ctx, poolPath, "", "", c.replicates, options{variant: "full", seed: 1, learners: c.learners})
+		if err == nil {
+			t.Errorf("%s: run succeeded, want an error", c.name)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: err = %v, want it to name %s", c.name, err, w)
+			}
+		}
+	}
+	modelPath := filepath.Join(dir, "m.frac")
+	if err := trainAndSave(ctx, poolPath, modelPath, "", true, options{seed: 1, learners: "trees"}); err == nil || !strings.Contains(err.Error(), "paper or tree") {
+		t.Errorf("-save-model -learners trees: err = %v, want one naming paper and tree", err)
+	}
+	if _, err := os.Stat(modelPath); !os.IsNotExist(err) {
+		t.Errorf("-save-model -learners trees left a model behind (stat: %v)", err)
+	}
+	for _, learners := range []string{"paper", "tree"} {
+		if err := run(ctx, poolPath, "", "", 1, options{variant: "full", seed: 1, learners: learners}); err != nil {
+			t.Errorf("-learners %s: %v", learners, err)
+		}
+	}
 }

@@ -362,7 +362,8 @@ func Characterize(train, test *Dataset, terms []Term, sets []GeneSet, src *RNG, 
 
 // SaveModel serializes a trained model (versioned binary format), so
 // training and scoring can be separated — train once, persist, score new
-// samples later. Models built with custom Learners are not serializable.
+// samples later. Every model Train builds serializes: its learners are the
+// built-in SVR and trees, since custom learners are gone.
 func SaveModel(w io.Writer, m *Model) error {
 	_, err := m.WriteTo(w)
 	return err

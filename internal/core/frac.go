@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"frac/internal/dataset"
 	"frac/internal/drift"
@@ -272,10 +273,9 @@ func (m *Model) Bytes() int64 {
 func (m *Model) NumTerms() int { return len(m.terms) }
 
 // trainScratch is the reusable per-worker state of Train: one worker
-// processes many terms and reuses these buffers for every gather, fold
-// complement, and fold-view copy, so training one term allocates only what
-// the trained model retains. Nothing stored here may outlive a term —
-// learners receive scratch-backed matrices and must not retain them (see
+// processes many terms and reuses these buffers for every term's targets,
+// fold complements and fits, so training one term allocates only what the
+// trained model retains. Nothing stored here may outlive a term (see
 // DESIGN.md "Performance notes").
 type trainScratch struct {
 	// worker is the owning worker's index, carried only for span attribution
@@ -286,13 +286,8 @@ type trainScratch struct {
 	yF   []float64
 	yI   []int
 
-	x *linalg.Matrix // gathered term matrix (all observed rows)
-
-	foldX  *linalg.Matrix // fold-view training matrix (current fold only)
-	foldYF []float64
-	foldYI []int
-	idx    []int  // complement (training-row) indices of the current fold
-	mark   []bool // fold membership marks
+	idx  []int  // complement (training-row) indices of the current fold
+	mark []bool // fold membership marks
 
 	// residuals accumulates the cross-validated residuals of one real term;
 	// fitRealError's models copy what they retain (the KDE clones its
@@ -300,7 +295,7 @@ type trainScratch struct {
 	residuals []float64
 
 	// svr is the in-core SVR trainer's state (design buffer, column
-	// statistics, solver workspace). SVR terms use it instead of x/foldX.
+	// statistics, solver workspace).
 	svr svrScratch
 
 	// gram is the Train's shared Gram-route state, read-only and the same
@@ -308,29 +303,16 @@ type trainScratch struct {
 	// TrainCtx.
 	gram *gramShared
 
-	// design is the Train's shared categorical design, read-only and the
-	// same for every worker; nil when no term takes the tree route, and
-	// outside TrainCtx. tree is the tree route's builder scratch, labels
-	// the current target's label per design row, and fitRows a fold fit's
+	// design is the Train's shared tree design, read-only and the same for
+	// every worker; nil when no term takes the tree route, and outside
+	// TrainCtx. tree is the tree route's fit scratch, labels and
+	// targets the current target by design row, and fitRows a fold fit's
 	// design rows.
 	design  *tree.Design
 	tree    tree.Scratch
 	labels  []int
+	targets []float64
 	fitRows []int
-}
-
-// gather copies the input columns of the selected rows into the scratch
-// matrix, preserving NaN missing markers.
-func (sc *trainScratch) gather(train *dataset.Dataset, rows, inputs []int) *linalg.Matrix {
-	sc.x = linalg.Resize(sc.x, len(rows), len(inputs))
-	for i, r := range rows {
-		src := train.Sample(r)
-		dst := sc.x.Row(i)
-		for j, c := range inputs {
-			dst[j] = src[c]
-		}
-	}
-	return sc.x
 }
 
 // complement returns the indices of [0, n) not in exclude, reusing the
@@ -359,50 +341,17 @@ func (sc *trainScratch) complement(n int, exclude []int) []int {
 	return idx
 }
 
-// foldView copies the selected rows of the gathered matrix into the
-// fold-local training matrix. One buffer serves every fold of every term a
-// worker handles, so CV costs one gather plus row copies instead of
-// CVFolds+1 fresh matrices.
-func (sc *trainScratch) foldView(x *linalg.Matrix, rows []int) *linalg.Matrix {
-	sc.foldX = linalg.Resize(sc.foldX, len(rows), x.Cols)
-	for i, r := range rows {
-		copy(sc.foldX.Row(i), x.Row(r))
-	}
-	return sc.foldX
-}
-
-func subFloatsInto(dst []float64, y []float64, idx []int) []float64 {
-	if cap(dst) < len(idx) {
-		dst = make([]float64, len(idx))
-	}
-	dst = dst[:len(idx)]
-	for i, r := range idx {
-		dst[i] = y[r]
-	}
-	return dst
-}
-
-func subIntsInto(dst []int, y []int, idx []int) []int {
-	if cap(dst) < len(idx) {
-		dst = make([]int, len(idx))
-	}
-	dst = dst[:len(idx)]
-	for i, r := range idx {
-		dst[i] = y[r]
-	}
-	return dst
-}
-
 // cvFolds is a Train's one CV fold policy (DESIGN.md §10): the partition of
 // a target's m observed rows depends only on the Train seed and m, never on
-// the term, so every SVR, tree and custom-learner term with m observed rows
-// cross-validates over the same folds, and the Gram route can build each
-// fold's Gram once for all of them.
+// the term, so every SVR and tree term with m observed rows cross-validates
+// over the same folds, and the Gram route can build each fold's Gram once
+// for all of them.
 func cvFolds(cfg Config, m int) [][]int {
 	return dataset.KFold(m, cfg.CVFolds, rng.New(cfg.Seed).StreamAt("folds", uint64(m)))
 }
 
-// trainTerm fits one NS summand using the worker's scratch buffers.
+// trainTerm fits one NS summand using the worker's scratch buffers. A term
+// on the tree route (takesTree) needs sc.design, which TrainCtx provides.
 func trainTerm(train *dataset.Dataset, term Term, cfg Config, src *rng.Source, sc *trainScratch) (termModel, error) {
 	feat := train.Schema[term.Target]
 	tm := termModel{term: term, isCat: feat.Kind == dataset.Categorical, arity: feat.Arity}
@@ -416,125 +365,66 @@ func trainTerm(train *dataset.Dataset, term Term, cfg Config, src *rng.Source, s
 	}
 	sc.rows = rows
 	if tm.isCat {
-		y := sc.yI
-		if cap(y) < len(rows) {
-			y = make([]int, len(rows))
+		sc.yI = slices.Grow(sc.yI[:0], len(rows))
+		for _, r := range rows {
+			sc.yI = append(sc.yI, int(train.X.At(r, term.Target)))
 		}
-		y = y[:len(rows)]
-		for i, r := range rows {
-			y[i] = int(train.X.At(r, term.Target))
-		}
-		sc.yI = y
-		tm.entropy = stats.ShannonEntropy(y, feat.Arity)
-		trainCatTerm(&tm, train, term, rows, y, cfg, src, sc)
+		tm.entropy = stats.ShannonEntropy(sc.yI, feat.Arity)
 	} else {
-		y := sc.yF
-		if cap(y) < len(rows) {
-			y = make([]float64, len(rows))
+		sc.yF = slices.Grow(sc.yF[:0], len(rows))
+		for _, r := range rows {
+			sc.yF = append(sc.yF, train.X.At(r, term.Target))
 		}
-		y = y[:len(rows)]
-		for i, r := range rows {
-			y[i] = train.X.At(r, term.Target)
+		tm.entropy = continuousEntropy(sc.yF, cfg.Entropy)
+	}
+	switch {
+	case len(rows) < minObserved || len(term.Inputs) == 0:
+		trainMarginalTerm(&tm, cfg, sc)
+	case takesTree(train.Schema, term, cfg.Learners):
+		if cfg.Learners.gather != nil {
+			tm = cfg.Learners.gather(tm, train, term, rows, cfg, src, sc)
+			break
 		}
-		sc.yF = y
-		tm.entropy = continuousEntropy(y, cfg.Entropy)
-		trainRealTerm(&tm, train, term, rows, y, cfg, src, sc)
+		if sc.design == nil {
+			return tm, fmt.Errorf("core: feature %d (%q) trains as a tree, but the Train has no shared design", term.Target, feat.Name)
+		}
+		cfg.Obs.Add(obs.CounterTermsTree, 1)
+		trainTreeTerm(&tm, train, term, rows, cfg, sc)
+	case !tm.isCat && cfg.Learners.SVR != nil:
+		cfg.Obs.Add(obs.CounterTermsMasked, 1)
+		if sc.gram.takes(term, len(rows)) {
+			cfg.Obs.Add(obs.CounterTermsGram, 1)
+			trainGramTerm(&tm, train, term, sc.yF, cfg, src, sc)
+		} else {
+			trainSVRTerm(&tm, train, term, rows, sc.yF, cfg, src, sc)
+		}
+	default:
+		return tm, fmt.Errorf("core: feature %d (%q) has no learner", term.Target, feat.Name)
 	}
 	return tm, nil
 }
 
-func trainRealTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, y []float64, cfg Config, src *rng.Source, sc *trainScratch) {
-	useMarginal := len(rows) < minObserved || len(term.Inputs) == 0
-	if useMarginal {
-		tm.real = marginalRealPredictor(y)
-		// Scratch-backed: fitRealError's models copy what they retain.
-		resid := sc.residuals[:0]
-		mean := stats.Mean(y)
-		for _, v := range y {
-			resid = append(resid, v-mean)
-		}
-		sc.residuals = resid
-		tm.realErr = fitRealError(resid, cfg.KDEError)
-		return
-	}
-	if cfg.Learners.SVR != nil {
-		cfg.Obs.Add(obs.CounterTermsMasked, 1)
-		if sc.gram.takes(term, len(rows)) {
-			cfg.Obs.Add(obs.CounterTermsGram, 1)
-			trainGramTerm(tm, train, term, y, cfg, src, sc)
-		} else {
-			trainSVRTerm(tm, train, term, rows, y, cfg, src, sc)
-		}
-		return
-	}
-	cfg.Obs.Add(obs.CounterTermsGathered, 1)
-	inputSchema := train.Schema.Select(term.Inputs)
-	x := sc.gather(train, rows, term.Inputs)
-	if cfg.Tracker != nil {
-		cfg.Tracker.Alloc(x.Bytes())
-		defer cfg.Tracker.Release(x.Bytes())
-	}
-	// Cross-validated residuals for the error model.
-	folds := cvFolds(cfg, len(rows))
-	residuals := sc.residuals[:0]
-	for fi, fold := range folds {
-		trIdx := sc.complement(len(rows), fold)
-		if len(trIdx) == 0 || len(fold) == 0 {
-			continue
-		}
-		xTr := sc.foldView(x, trIdx)
-		sc.foldYF = subFloatsInto(sc.foldYF, y, trIdx)
-		p := cfg.Learners.Real(xTr, inputSchema, sc.foldYF, src.Seed()^uint64(fi+1))
-		for _, h := range fold {
-			residuals = append(residuals, y[h]-p.Predict(x.Row(h)))
-		}
-	}
-	sc.residuals = residuals
-	if len(residuals) == 0 {
-		residuals = []float64{0}
-	}
-	tm.realErr = fitRealError(residuals, cfg.KDEError)
-	tm.real = cfg.Learners.Real(x, inputSchema, y, src.Seed())
-}
-
-func trainCatTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, y []int, cfg Config, src *rng.Source, sc *trainScratch) {
-	conf := stats.NewConfusion(tm.arity)
-	useMarginal := len(rows) < minObserved || len(term.Inputs) == 0
-	if useMarginal {
-		tm.cat = marginalCatPredictor(y, tm.arity)
-		for _, v := range y {
+// trainMarginalTerm fits the fallback of a term with no inputs or too few
+// observed targets (sc.yI or sc.yF): the target's marginal distribution.
+func trainMarginalTerm(tm *termModel, cfg Config, sc *trainScratch) {
+	if tm.isCat {
+		tm.cat = marginalCatPredictor(sc.yI, tm.arity)
+		conf := stats.NewConfusion(tm.arity)
+		for _, v := range sc.yI {
 			conf.Add(v, tm.cat.PredictLabel(nil))
 		}
 		tm.catErr = conf
 		return
 	}
-	if sc.design != nil && treeShaped(train.Schema, term) {
-		cfg.Obs.Add(obs.CounterTermsTree, 1)
-		trainTreeTerm(tm, train, term, rows, y, conf, cfg, sc)
-		return
+	tm.real = marginalRealPredictor(sc.yF)
+	// Scratch-backed: fitRealError's models copy what they retain.
+	resid := sc.residuals[:0]
+	mean := stats.Mean(sc.yF)
+	for _, v := range sc.yF {
+		resid = append(resid, v-mean)
 	}
-	cfg.Obs.Add(obs.CounterTermsGathered, 1)
-	inputSchema := train.Schema.Select(term.Inputs)
-	x := sc.gather(train, rows, term.Inputs)
-	if cfg.Tracker != nil {
-		cfg.Tracker.Alloc(x.Bytes())
-		defer cfg.Tracker.Release(x.Bytes())
-	}
-	folds := cvFolds(cfg, len(rows))
-	for fi, fold := range folds {
-		trIdx := sc.complement(len(rows), fold)
-		if len(trIdx) == 0 || len(fold) == 0 {
-			continue
-		}
-		xTr := sc.foldView(x, trIdx)
-		sc.foldYI = subIntsInto(sc.foldYI, y, trIdx)
-		p := fitCat(cfg, xTr, inputSchema, sc.foldYI, tm.arity, src.Seed()^uint64(fi+1))
-		for _, h := range fold {
-			conf.Add(y[h], p.PredictLabel(x.Row(h)))
-		}
-	}
-	tm.catErr = conf
-	tm.cat = fitCat(cfg, x, inputSchema, y, tm.arity, src.Seed())
+	sc.residuals = resid
+	tm.realErr = fitRealError(resid, cfg.KDEError)
 }
 
 // scoreCat converts an observed categorical value and its prediction into

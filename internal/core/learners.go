@@ -7,6 +7,7 @@ import (
 
 	"frac/internal/dataset"
 	"frac/internal/linalg"
+	"frac/internal/rng"
 	"frac/internal/stats"
 	"frac/internal/svm"
 	"frac/internal/tree"
@@ -36,20 +37,21 @@ type CatPredictor interface {
 	Bytes() int64
 }
 
-// RealLearnerFunc trains a continuous-target predictor. x is the gathered
-// n x d input matrix (possibly containing NaN for missing cells), inputs its
-// schema, y the observed targets.
+// RealLearnerFunc is the type of Learners.Real.
+//
+// Deprecated: custom learners are gone; Train never calls one.
 type RealLearnerFunc func(x *linalg.Matrix, inputs dataset.Schema, y []float64, seed uint64) RealPredictor
 
-// CatLearnerFunc trains a categorical-target predictor with labels in
-// [0, arity).
+// CatLearnerFunc is the type of Learners.Cat.
+//
+// Deprecated: custom learners are gone; Train never calls one.
 type CatLearnerFunc func(x *linalg.Matrix, inputs dataset.Schema, y []int, arity int, seed uint64) CatPredictor
 
-// Learners bundles the supervised models FRaC builds per feature kind. With
-// no field set it is unset: Config then uses PaperLearners, and JLSpec keeps
-// the config's learners. Every term with at least one input needs the
-// learner for its target's kind: SVR or Real for a real target, Tree or Cat
-// for a categorical one.
+// Learners bundles the supervised models FRaC builds per feature kind: SVR
+// for real targets and Tree for categorical ones, and Tree for real targets
+// too when SVR is nil. With no field set it is unset: Config then uses
+// PaperLearners, and JLSpec keeps the config's learners. Train returns an
+// error when a term with inputs has no learner for its target's kind.
 type Learners struct {
 	// SVR, when non-nil, is the learner for real targets: a linear SVR with
 	// these hyperparameters, trained by core's in-core pipeline (DESIGN.md
@@ -61,16 +63,31 @@ type Learners struct {
 	// with their column mean, and categorical inputs enter as their numeric
 	// labels, matching the original FRaC release's handling.
 	SVR *svm.SVRParams
-	// Real trains real targets when SVR is nil.
-	Real RealLearnerFunc
-	// Tree, when non-nil, is the learner for categorical targets: an
-	// entropy-minimizing classification tree with these parameters, which
-	// handles missing inputs natively. Core trains it on the Train's shared
-	// categorical design when the term's inputs are all categorical, and on
-	// the gathered term otherwise (DESIGN.md §10).
+	// Tree, when non-nil, is the tree learner: an entropy-minimizing
+	// classification tree for categorical targets, and a variance-minimizing
+	// regression tree for real targets when SVR is nil, with these
+	// parameters. Trees handle missing inputs natively, and core trains
+	// every one on the Train's shared design (DESIGN.md §10).
 	Tree *tree.Params
-	// Cat trains categorical targets when Tree is nil.
+
+	// Real is no longer called: set SVR or Tree instead. A Learners whose
+	// only learners are Real or Cat is not unset but has no learner, so
+	// Train rejects it.
+	//
+	// Deprecated: custom learners are gone.
+	Real RealLearnerFunc
+	// Cat is no longer called; see Real.
+	//
+	// Deprecated: custom learners are gone.
 	Cat CatLearnerFunc
+
+	// gather, when non-nil, trains the terms the tree route would
+	// (takesTree) through a gather-and-copy loop over Real and Cat instead,
+	// and returns tm trained. Only this package's test files set it, to the
+	// frozen reference the tree and SVR routes are pinned to
+	// (gatherref_test.go). tm passes by value so that it does not escape to
+	// the heap.
+	gather func(tm termModel, train *dataset.Dataset, term Term, rows []int, cfg Config, src *rng.Source, sc *trainScratch) termModel
 }
 
 // isZero reports whether no learner is set.
@@ -81,16 +98,19 @@ func (l Learners) isZero() bool {
 // check reports the first term that has inputs but no learner for its
 // target's kind, before any worker would call the missing one.
 func (l Learners) check(schema dataset.Schema, terms []Term) error {
+	if l.Tree != nil {
+		return nil
+	}
 	for _, t := range terms {
 		if len(t.Inputs) == 0 {
 			continue
 		}
 		feat := schema[t.Target]
 		switch {
-		case feat.Kind == dataset.Categorical && l.Tree == nil && l.Cat == nil:
-			return fmt.Errorf("core: categorical feature %d (%q) has no learner: Learners.Tree and Learners.Cat are nil", t.Target, feat.Name)
-		case feat.Kind != dataset.Categorical && l.SVR == nil && l.Real == nil:
-			return fmt.Errorf("core: real feature %d (%q) has no learner: Learners.SVR and Learners.Real are nil", t.Target, feat.Name)
+		case feat.Kind == dataset.Categorical:
+			return fmt.Errorf("core: categorical feature %d (%q) has no learner: Learners.Tree is nil", t.Target, feat.Name)
+		case l.SVR == nil:
+			return fmt.Errorf("core: real feature %d (%q) has no learner: Learners.SVR and Learners.Tree are nil", t.Target, feat.Name)
 		}
 	}
 	return nil
@@ -112,14 +132,7 @@ func MixedLearners(svrParams svm.SVRParams, treeParams tree.Params) Learners {
 // TreeLearners uses decision trees for both feature kinds (the paper's SNP
 // configuration, plus regression trees for the JL-space ablation).
 func TreeLearners(params tree.Params) Learners {
-	return Learners{Real: TreeRealLearner(params), Tree: &params}
-}
-
-// TreeRealLearner adapts regression trees (native missing-value handling).
-func TreeRealLearner(params tree.Params) RealLearnerFunc {
-	return func(x *linalg.Matrix, inputs dataset.Schema, y []float64, seed uint64) RealPredictor {
-		return tree.TrainRegressor(x, inputs, y, params)
-	}
+	return Learners{Tree: &params}
 }
 
 // imputeVec fills missing entries of x with means, writing into dst (reused

@@ -93,8 +93,13 @@ func TestSVRLearnerHandlesMissingAtPredictTime(t *testing.T) {
 	}
 }
 
+// TestTreeLearnersAdapters: TreeLearners is Learners.Tree alone, and a
+// regression tree, which it trains real targets with, fits a step.
 func TestTreeLearnersAdapters(t *testing.T) {
-	rl := TreeRealLearner(tree.Params{})
+	p := tree.Params{MinLeaf: 3}
+	if l := TreeLearners(p); l.Tree == nil || *l.Tree != p || l.SVR != nil || l.Real != nil || l.Cat != nil {
+		t.Errorf("TreeLearners(%+v) = %+v, want Learners.Tree alone", p, l)
+	}
 	n := 30
 	x := linalg.NewMatrix(n, 1)
 	y := make([]float64, n)
@@ -104,9 +109,9 @@ func TestTreeLearnersAdapters(t *testing.T) {
 			y[i] = 10
 		}
 	}
-	p := rl(x, realInputs(1), y, 1)
-	if math.Abs(p.Predict([]float64{20})-10) > 0.5 {
-		t.Errorf("regression tree adapter predicts %v", p.Predict([]float64{20}))
+	r := tree.TrainRegressor(x, realInputs(1), y, tree.Params{})
+	if math.Abs(r.Predict([]float64{20})-10) > 0.5 {
+		t.Errorf("regression tree predicts %v", r.Predict([]float64{20}))
 	}
 }
 
@@ -182,25 +187,32 @@ func TestSVROnlyLearnersKeepTheirParams(t *testing.T) {
 
 // TestTrainRejectsMissingLearner: a term with inputs whose target kind has
 // no learner is a plain error naming the feature, returned before any
-// worker starts — not a nil-func panic inside one.
+// worker starts — not a nil-func panic inside one. The deprecated Real and
+// Cat fields are no learner, and Tree alone is one for both kinds.
 func TestTrainRejectsMissingLearner(t *testing.T) {
 	allReal, _ := tinyRealTrainTest()
 	mixed, _ := goldenTrainTest()
+	allCat, _ := randomCatTrainTest(20, 1, 3, 0, 0, rng.New(5))
 	cases := []struct {
 		name     string
 		train    *dataset.Dataset
 		learners Learners
 		feature  string
 	}{
-		{"cat-only, real target", allReal, Learners{Cat: TreeCatLearner(tree.Params{})}, `"f0"`},
 		{"svr-only, categorical target", mixed, Learners{SVR: &svm.SVRParams{}}, `"c0"`},
-		{"real-only, categorical target", mixed, Learners{Real: TreeRealLearner(tree.Params{})}, `"c0"`},
+		{"real-only", allReal, Learners{Real: TreeRealLearner(tree.Params{})}, `"f0"`},
+		{"cat-only", allCat, Learners{Cat: TreeCatLearner(tree.Params{})}, `"c"`},
 	}
 	for _, c := range cases {
 		_, err := Train(c.train, FullTerms(c.train.NumFeatures()), Config{Seed: 1, Learners: c.learners})
 		var pe *parallel.PanicError
 		if err == nil || errors.As(err, &pe) || !strings.Contains(err.Error(), c.feature) {
 			t.Errorf("%s: err = %v, want a plain error naming feature %s", c.name, err, c.feature)
+		}
+	}
+	for _, train := range []*dataset.Dataset{allReal, mixed} {
+		if _, err := Train(train, FullTerms(train.NumFeatures()), Config{Seed: 1, Learners: Learners{Tree: &tree.Params{}}}); err != nil {
+			t.Errorf("tree-only on %s: %v", train.Name, err)
 		}
 	}
 }

@@ -16,8 +16,7 @@ import (
 // Model persistence: train once (hours on real genomic data at full scale),
 // save, and score new patient samples later without retraining. The format
 // is a versioned little-endian binary stream covering every predictor type
-// the built-in learners produce; custom Learners implementations are not
-// serializable and WriteTo reports them as errors.
+// Train produces; WriteTo reports any other predictor as an error.
 
 // Version history:
 //

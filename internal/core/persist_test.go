@@ -134,7 +134,7 @@ func TestPredictorTagsPinned(t *testing.T) {
 	}{
 		{constantReal{value: 1}, 0},
 		{&imputedReal{model: &svm.SVR{W: []float64{1}}, means: []float64{0}, scales: []float64{1}}, 1},
-		{TreeRealLearner(tree.Params{MinLeaf: 1})(x, realInputs(1), []float64{0, 0, 1, 1}, 1), 2},
+		{tree.TrainRegressor(x, realInputs(1), []float64{0, 0, 1, 1}, tree.Params{MinLeaf: 1}), 2},
 	}
 	for _, c := range reals {
 		if got := tag(func(w *binio.Writer) error { return encodeRealPredictor(w, c.p) }); got != c.want {
@@ -146,7 +146,7 @@ func TestPredictorTagsPinned(t *testing.T) {
 		want int
 	}{
 		{constantCat{label: 1}, 3},
-		{TreeCatLearner(tree.Params{MinLeaf: 1})(x, realInputs(1), []int{0, 0, 1, 1}, 2, 1), 5},
+		{tree.TrainClassifier(x, realInputs(1), []int{0, 0, 1, 1}, 2, tree.Params{MinLeaf: 1}), 5},
 	}
 	for _, c := range cats {
 		if got := tag(func(w *binio.Writer) error { return encodeCatPredictor(w, c.p) }); got != c.want {

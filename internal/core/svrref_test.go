@@ -17,10 +17,13 @@ import (
 // TestInCoreTrainingBitIdentical pins that pipeline's scores to this one's
 // bit for bit, so do not change it.
 
-// referenceLearners routes real terms through the gather loop and
-// SVRLearner with PaperLearners' hyperparameters.
+// referenceLearners routes every learned term through the gather loop
+// (gatherref_test.go): with Tree set and SVR nil, takesTree gives the loop
+// every learned term, and it trains real terms with SVRLearner and
+// categorical terms with TreeCatLearner, with PaperLearners'
+// hyperparameters.
 func referenceLearners() Learners {
-	return Learners{Real: SVRLearner(svm.SVRParams{}), Cat: TreeCatLearner(tree.Params{})}
+	return Learners{Tree: &tree.Params{}, Real: SVRLearner(svm.SVRParams{}), Cat: TreeCatLearner(tree.Params{}), gather: gatherTerm}
 }
 
 // SVRLearner adapts linear support-vector regression, adding mean

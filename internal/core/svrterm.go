@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 
 	"frac/internal/dataset"
 	"frac/internal/linalg"
@@ -40,8 +41,10 @@ type svrScratch struct {
 	// held-out rows after them; fit views the leading training rows.
 	design *linalg.Matrix
 	fit    linalg.Matrix
-	// order lists the training-set rows behind design's rows.
+	// order lists the training-set rows behind design's rows, and yFit the
+	// targets of a fold fit's training rows.
 	order  []int
+	yFit   []float64
 	means  []float64
 	scales []float64
 	counts []int
@@ -202,16 +205,16 @@ func trainSVRTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, 
 		if len(trIdx) == 0 || len(fold) == 0 {
 			continue
 		}
-		order := ts.order[:0]
+		order, yFit := ts.order[:0], slices.Grow(ts.yFit[:0], len(trIdx))
 		for _, i := range trIdx {
 			order = append(order, rows[i])
+			yFit = append(yFit, y[i])
 		}
 		for _, h := range fold {
 			order = append(order, rows[h])
 		}
-		ts.order = order
-		sc.foldYF = subFloatsInto(sc.foldYF, y, trIdx)
-		model, yMean, ySD := ts.train(train.X, order, term.Inputs, sc.foldYF, params, src.Seed()^uint64(fi+1), cfg.Obs)
+		ts.order, ts.yFit = order, yFit
+		model, yMean, ySD := ts.train(train.X, order, term.Inputs, yFit, params, src.Seed()^uint64(fi+1), cfg.Obs)
 		for k, h := range fold {
 			pred := model.Predict(ts.design.Row(len(trIdx)+k))*ySD + yMean
 			residuals = append(residuals, y[h]-pred)
@@ -449,8 +452,12 @@ func trainGramTerm(tm *termModel, train *dataset.Dataset, term Term, y []float64
 	residuals := sc.residuals[:0]
 	for i := range g.folds {
 		gf := &g.folds[i]
-		sc.foldYF = subFloatsInto(sc.foldYF, y, gf.order[:gf.nFit])
-		dual, yMean, ySD := fit(gf, sc.foldYF, src.Seed()^uint64(gf.fold+1))
+		yFit := slices.Grow(ts.yFit[:0], gf.nFit)
+		for _, r := range gf.order[:gf.nFit] {
+			yFit = append(yFit, y[r])
+		}
+		ts.yFit = yFit
+		dual, yMean, ySD := fit(gf, yFit, src.Seed()^uint64(gf.fold+1))
 		s := linalg.Dot(ts.zt[:gf.nFit], dual.Beta)
 		for h, r := range gf.order[gf.nFit:] {
 			pred := linalg.Dot(gf.c.Row(h), dual.Beta) - ts.zt[gf.nFit+h]*s + dual.B

@@ -2,31 +2,36 @@ package core
 
 import (
 	"frac/internal/dataset"
-	"frac/internal/linalg"
 	"frac/internal/obs"
 	"frac/internal/stats"
 	"frac/internal/tree"
 )
 
-// The tree route (DESIGN.md §10): with Learners.Tree set, a categorical
-// term whose inputs are all categorical trains on the Train's shared
-// categorical design, a tree.Design that TrainCtx builds once from the
-// training set and every worker reads. Each CV fold fit and the final fit
-// take the term's observed design rows as their row list and term.Inputs as
-// their column map, and the held-out rows are classified by walking the
-// fold's tree over the design, so such a term gathers and copies nothing.
-// Any other categorical term under Learners.Tree fits tree.TrainClassifier
-// on its gathered rows, and TestTreeRouteBitIdentical pins both to the
-// gather reference, Learners{Cat: TreeCatLearner(p)}, bit for bit.
+// The tree route (DESIGN.md §10): with Learners.Tree set, every learned
+// categorical term, and every learned real term when Learners.SVR is nil,
+// trains on the Train's shared design, a tree.Design of the training set's
+// columns that TrainCtx builds once and every worker reads. Each CV fold
+// fit and the final fit take the term's observed design rows as their row
+// list and term.Inputs as their column map, and the held-out rows are
+// predicted by walking the fold's tree over the design, so a tree term
+// gathers and copies nothing. TestTreeRouteBitIdentical pins the route to
+// the frozen gather-and-copy reference (gatherref_test.go) bit for bit.
 
-// needsDesign reports whether some term of a Train over train takes the
-// tree route, so that TrainCtx builds the shared design only then.
+// takesTree is the tree route's rule: a learned term (one with inputs and
+// at least minObserved observed targets) trains as a tree under l when
+// l.Tree is set and its target is categorical or l.SVR is nil.
+func takesTree(schema dataset.Schema, term Term, l Learners) bool {
+	return l.Tree != nil && (schema[term.Target].Kind == dataset.Categorical || l.SVR == nil)
+}
+
+// needsDesign reports whether some term of a Train over train trains on
+// the shared design, so that TrainCtx builds the design only then.
 func needsDesign(train *dataset.Dataset, terms []Term, cfg Config) bool {
-	if cfg.Learners.Tree == nil {
+	if cfg.Learners.gather != nil {
 		return false
 	}
 	for _, t := range terms {
-		if !treeShaped(train.Schema, t) {
+		if len(t.Inputs) == 0 || !takesTree(train.Schema, t, cfg.Learners) {
 			continue
 		}
 		observed := 0
@@ -42,45 +47,20 @@ func needsDesign(train *dataset.Dataset, terms []Term, cfg Config) bool {
 	return false
 }
 
-// treeShaped reports whether term has a categorical target and at least
-// one input, all of them categorical: the terms the shared design covers.
-func treeShaped(schema dataset.Schema, term Term) bool {
-	if schema[term.Target].Kind != dataset.Categorical || len(term.Inputs) == 0 {
-		return false
+// trainTreeTerm fits a learned term on the tree route. rows are the
+// target's observed training rows, and sc.yI (categorical target) or sc.yF
+// (real target) their targets.
+func trainTreeTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, cfg Config, sc *trainScratch) {
+	d, p, cols := sc.design, *cfg.Learners.Tree, term.Inputs
+	inputs := train.Schema.Select(cols)
+	var conf *stats.Confusion
+	if tm.isCat {
+		sc.labels = byDesignRow(sc.labels, d.Rows(), rows, sc.yI)
+		conf = stats.NewConfusion(tm.arity)
+	} else {
+		sc.targets = byDesignRow(sc.targets, d.Rows(), rows, sc.yF)
 	}
-	for _, c := range term.Inputs {
-		if schema[c].Kind != dataset.Categorical {
-			return false
-		}
-	}
-	return true
-}
-
-// fitCat fits one categorical predictor off the shared design: Learners.Tree's
-// tree on the gathered rows when it is set, Learners.Cat's otherwise.
-func fitCat(cfg Config, x *linalg.Matrix, inputs dataset.Schema, y []int, arity int, seed uint64) CatPredictor {
-	if p := cfg.Learners.Tree; p != nil {
-		cfg.Obs.Add(obs.CounterTreeFits, 1)
-		return tree.TrainClassifier(x, inputs, y, arity, *p)
-	}
-	return cfg.Learners.Cat(x, inputs, y, arity, seed)
-}
-
-// trainTreeTerm fits a term on the tree route: rows are the target's
-// observed training rows and y their labels, conf is the term's empty
-// confusion matrix.
-func trainTreeTerm(tm *termModel, train *dataset.Dataset, term Term, rows, y []int, conf *stats.Confusion, cfg Config, sc *trainScratch) {
-	d, p := sc.design, *cfg.Learners.Tree
-	labels := sc.labels
-	if cap(labels) < d.Rows() {
-		labels = make([]int, d.Rows())
-	}
-	labels = labels[:d.Rows()]
-	for i, r := range rows {
-		labels[r] = y[i]
-	}
-	sc.labels = labels
-	inputs := train.Schema.Select(term.Inputs)
+	residuals := sc.residuals[:0]
 	for _, fold := range cvFolds(cfg, len(rows)) {
 		trIdx := sc.complement(len(rows), fold)
 		if len(trIdx) == 0 || len(fold) == 0 {
@@ -91,13 +71,42 @@ func trainTreeTerm(tm *termModel, train *dataset.Dataset, term Term, rows, y []i
 			fitRows = append(fitRows, rows[i])
 		}
 		sc.fitRows = fitRows
-		c := tree.FitClassifier(d, term.Inputs, inputs, fitRows, labels, tm.arity, p, &sc.tree)
 		cfg.Obs.Add(obs.CounterTreeFits, 1)
+		if tm.isCat {
+			c := tree.FitClassifier(d, cols, inputs, fitRows, sc.labels, tm.arity, p, &sc.tree)
+			for _, h := range fold {
+				conf.Add(sc.yI[h], c.PredictDesignRow(d, cols, rows[h]))
+			}
+			continue
+		}
+		r := tree.FitRegressor(d, cols, inputs, fitRows, sc.targets, p, &sc.tree)
 		for _, h := range fold {
-			conf.Add(y[h], c.PredictDesignRow(d, term.Inputs, rows[h]))
+			residuals = append(residuals, sc.yF[h]-r.PredictDesignRow(d, cols, rows[h]))
 		}
 	}
-	tm.catErr = conf
-	tm.cat = tree.FitClassifier(d, term.Inputs, inputs, rows, labels, tm.arity, p, &sc.tree)
 	cfg.Obs.Add(obs.CounterTreeFits, 1)
+	if tm.isCat {
+		tm.catErr = conf
+		tm.cat = tree.FitClassifier(d, cols, inputs, rows, sc.labels, tm.arity, p, &sc.tree)
+		return
+	}
+	sc.residuals = residuals
+	if len(residuals) == 0 {
+		residuals = []float64{0}
+	}
+	tm.realErr = fitRealError(residuals, cfg.KDEError)
+	tm.real = tree.FitRegressor(d, cols, inputs, rows, sc.targets, p, &sc.tree)
+}
+
+// byDesignRow lays y, the targets of rows, out by design row in buf, which
+// it returns resized to n: buf[rows[i]] = y[i]. Other entries are stale.
+func byDesignRow[T any](buf []T, n int, rows []int, y []T) []T {
+	if cap(buf) < n {
+		buf = make([]T, n)
+	}
+	buf = buf[:n]
+	for i, r := range rows {
+		buf[r] = y[i]
+	}
+	return buf
 }

@@ -73,40 +73,78 @@ var treeWirings = []struct {
 	}},
 }
 
+// treeTerms counts the terms of a Train over train that train as trees
+// under l (takesTree) with at least minObserved observed targets. withReal
+// counts those with a real input.
+func treeTerms(train *dataset.Dataset, terms []Term, l Learners) (all, withReal int) {
+	for _, term := range terms {
+		if len(term.Inputs) == 0 || !takesTree(train.Schema, term, l) {
+			continue
+		}
+		observed := 0
+		for i := 0; i < train.NumSamples(); i++ {
+			if !dataset.IsMissing(train.X.At(i, term.Target)) {
+				observed++
+			}
+		}
+		if observed < minObserved {
+			continue
+		}
+		all++
+		for _, c := range term.Inputs {
+			if train.Schema[c].Kind != dataset.Categorical {
+				withReal++
+				break
+			}
+		}
+	}
+	return all, withReal
+}
+
 // TestTreeRouteBitIdentical is the tree route's equivalence property: over
-// random all-categorical and mixed data sets with partially observed
-// targets, fold counts, error models, MinLeaf values and worker counts,
-// under the full, diverse and partial-filter wirings, Learners.Tree
-// reproduces the per-term scores of the gather reference
-// Learners{Cat: TreeCatLearner(p)} exactly (Float64bits), and on the full
-// wiring the saved models are byte-identical. The counters prove that the
-// design route and the gather route both ran, and that the two runs
-// trained the same categorical terms.
+// random data sets with partially observed targets, fold counts, error
+// models, MinLeaf values and worker counts, under the full, diverse and
+// partial-filter wirings, the tree route reproduces the per-term scores of
+// the frozen gather reference (treeReference) exactly (Float64bits), and
+// on the full wiring the saved models are byte-identical. The first 30
+// trials alternate Learners{Tree} on all-categorical data and SVR plus
+// Tree on mixed data (categorical terms with real inputs next to SVR
+// terms); the 20 after them alternate TreeLearners on all-real data
+// (regression trees) and on mixed data. The counters prove that the
+// reference gathered exactly the terms the route trained on the design,
+// that the route gathered nothing, and that the mixed trials trained terms
+// with a real input on the design route.
 func TestTreeRouteBitIdentical(t *testing.T) {
 	meta := rng.New(0x7ee5)
-	var routeTerms, gatherTerms int64
-	for trial := 0; trial < 30; trial++ {
+	var routeTerms, realInputTerms int
+	for trial := 0; trial < 50; trial++ {
 		wiring := treeWirings[trial%len(treeWirings)]
-		mixed := trial%2 == 1
+		treeOnly, mixed := trial >= 30, trial%2 == 1
 		nReal := 0
 		if mixed {
 			nReal = 1 + meta.IntN(4)
 		}
 		n, nCat := 10+meta.IntN(60), 2+meta.IntN(10)
+		if treeOnly && !mixed {
+			nCat, nReal = 0, 2+meta.IntN(8)
+		}
 		colMissP := []float64{0, 0.3, 0.6}[(trial/2)%3]
 		folds := []int{2, 3, 5}[meta.IntN(3)]
 		p := tree.Params{MinLeaf: 1 + meta.IntN(3)}
 		seed, wseed := meta.Uint64(), meta.Uint64()
 		train, test := randomCatTrainTest(n, 8, nCat, nReal, colMissP, rng.New(meta.Uint64()))
 
-		cfg := Config{Seed: seed, CVFolds: folds, KDEError: trial%4 == 1, Workers: 1 + meta.IntN(4)}
+		kde := trial%4 == 1
+		if treeOnly {
+			kde = (trial/2)%2 == 1
+		}
+		cfg := Config{Seed: seed, CVFolds: folds, KDEError: kde, Workers: 1 + meta.IntN(4)}
 		route, ref := cfg, cfg
 		route.Learners = Learners{Tree: &p}
-		ref.Learners = Learners{Cat: TreeCatLearner(p)}
-		if mixed {
-			svr := svm.SVRParams{}
-			route.Learners.SVR, ref.Learners.SVR = &svr, &svr
+		if mixed && !treeOnly {
+			route.Learners.SVR = &svm.SVRParams{}
 		}
+		ref.Learners = treeReference(route.Learners)
 		routeRec, refRec := obs.New(), obs.New()
 		route.Obs, ref.Obs = routeRec, refRec
 		got, err := wiring.run(train, test, wseed, route)
@@ -130,16 +168,22 @@ func TestTreeRouteBitIdentical(t *testing.T) {
 			}
 		}
 
-		onDesign, gathered := routeRec.Count(obs.CounterTermsTree), routeRec.Count(obs.CounterTermsGathered)
-		if refGathered := refRec.Count(obs.CounterTermsGathered); onDesign+gathered != refGathered {
-			t.Fatalf("trial %d %s: %d design and %d gathered tree terms, reference gathered %d",
-				trial, wiring.name, onDesign, gathered, refGathered)
+		onDesign := routeRec.Count(obs.CounterTermsTree)
+		all, withReal := treeTerms(train, got.Terms, route.Learners)
+		if onDesign != int64(all) || refRec.Count(obs.CounterTermsGathered) != onDesign {
+			t.Fatalf("trial %d %s: %d design-route terms, %d tree terms, reference gathered %d",
+				trial, wiring.name, onDesign, all, refRec.Count(obs.CounterTermsGathered))
+		}
+		if gathered := routeRec.Count(obs.CounterTermsGathered); gathered != 0 {
+			t.Fatalf("trial %d %s: the route gathered %d terms", trial, wiring.name, gathered)
 		}
 		if refRec.Count(obs.CounterTermsTree) != 0 || refRec.Count(obs.CounterTreeFits) != 0 {
-			t.Fatalf("trial %d %s: the Learners.Cat run counted tree-route work", trial, wiring.name)
+			t.Fatalf("trial %d %s: the reference run counted tree-route work", trial, wiring.name)
 		}
-		routeTerms += onDesign
-		gatherTerms += gathered
+		routeTerms += all
+		if mixed {
+			realInputTerms += withReal
+		}
 
 		if wiring.name == "full" {
 			saved := func(cfg Config) []byte {
@@ -160,30 +204,62 @@ func TestTreeRouteBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if routeTerms == 0 || gatherTerms == 0 {
-		t.Fatalf("%d terms on the design route, %d gathered: both routes must run", routeTerms, gatherTerms)
+	if realInputTerms == 0 {
+		t.Fatalf("%d terms on the design route, none of them in a mixed trial with a real input", routeTerms)
 	}
-	t.Logf("%d terms on the design route and %d gathered tree terms bit-identical", routeTerms, gatherTerms)
+	t.Logf("%d terms on the design route bit-identical to the reference, %d of them mixed terms with a real input",
+		routeTerms, realInputTerms)
 }
 
-// TestTreeFitCountersBothRoutes pins tree_fits on a fixture that runs both
-// tree routes: mixed data under the diverse wiring gives categorical terms
-// with all-categorical inputs (design route) and with real inputs (gather
-// route), and every one of them makes one fit per CV fold plus its final
-// fit.
-func TestTreeFitCountersBothRoutes(t *testing.T) {
-	train, test := randomCatTrainTest(40, 6, 8, 3, 0.3, rng.New(0x3f))
-	rec := obs.New()
-	cfg := Config{Seed: 4, CVFolds: 4, Obs: rec}
-	if _, err := RunDiverse(train, test, 0.5, 2, rng.New(9), cfg); err != nil {
-		t.Fatal(err)
+// TestTreeFitCountersOneRoute pins the tree counters: with TreeLearners on
+// all-real, all-categorical and mixed data, and with PaperLearners on
+// mixed data, under the diverse wiring, every tree term trains on the
+// design route with one fit per CV fold plus its final fit, and no term
+// takes the gather loop.
+func TestTreeFitCountersOneRoute(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		nCat, nReal int
+		learners    Learners
+	}{
+		{"tree/all-real", 0, 6, TreeLearners(tree.Params{})},
+		{"tree/all-categorical", 8, 0, TreeLearners(tree.Params{})},
+		{"tree/mixed", 8, 3, TreeLearners(tree.Params{})},
+		{"paper/mixed", 8, 3, PaperLearners()},
+	} {
+		train, test := randomCatTrainTest(40, 6, c.nCat, c.nReal, 0.3, rng.New(0x3f))
+		rec := obs.New()
+		res, err := RunDiverse(train, test, 0.5, 2, rng.New(9), Config{Seed: 4, CVFolds: 4, Obs: rec, Learners: c.learners})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		onDesign := rec.Count(obs.CounterTermsTree)
+		if all, _ := treeTerms(train, res.Terms, c.learners); all == 0 || onDesign != int64(all) {
+			t.Fatalf("%s: %d of %d tree terms on the design route", c.name, onDesign, all)
+		}
+		if got, want := rec.Count(obs.CounterTreeFits), (4+1)*onDesign; got != want {
+			t.Errorf("%s: %d tree fits, want (4 folds + 1) x %d terms = %d", c.name, got, onDesign, want)
+		}
+		if got := rec.Count(obs.CounterTermsGathered); got != 0 {
+			t.Errorf("%s: %d terms took the gather loop", c.name, got)
+		}
 	}
-	onDesign, gathered := rec.Count(obs.CounterTermsTree), rec.Count(obs.CounterTermsGathered)
-	if onDesign == 0 || gathered == 0 {
-		t.Fatalf("%d design and %d gathered tree terms: the fixture must run both routes", onDesign, gathered)
-	}
-	if got, want := rec.Count(obs.CounterTreeFits), (4+1)*(onDesign+gathered); got != want {
-		t.Errorf("%d tree fits, want (4 folds + 1) x (%d + %d) terms = %d", got, onDesign, gathered, want)
+}
+
+// TestTrainTermWithoutSharedDesign: trainTerm called outside TrainCtx has
+// no shared design, so a term takesTree gives the tree route is an error
+// naming the feature, not a worker panic.
+func TestTrainTermWithoutSharedDesign(t *testing.T) {
+	train, _ := randomCatTrainTest(30, 1, 2, 2, 0, rng.New(0x5d))
+	terms := FullTerms(train.NumFeatures())
+	cfg := Config{Seed: 2, Learners: TreeLearners(tree.Params{})}.withDefaults()
+	for _, term := range terms {
+		if !takesTree(train.Schema, term, cfg.Learners) {
+			t.Fatalf("term %d does not take the tree route under TreeLearners", term.Target)
+		}
+		if _, err := trainTerm(train, term, cfg, rng.New(1), new(trainScratch)); err == nil {
+			t.Errorf("term %d: trained as a tree without the shared design", term.Target)
+		}
 	}
 }
 
@@ -219,25 +295,38 @@ func TestTreeRouteWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestTreeRouteAccountedPeak: an all-categorical Train tracks the shared
-// design once and nothing per design-route term, so its accounted peak does
-// not depend on which terms overlap in time: it is the design's bytes plus
-// the trained model's, at any worker count.
+// TestTreeRouteAccountedPeak: a Train whose learned terms are all trees
+// tracks the shared design once and nothing per tree term, so its accounted
+// peak does not depend on which terms overlap in time: it is the design's
+// bytes plus the trained model's, at any worker count. The fixtures are
+// all-categorical data under the default learners, and all-real and mixed
+// data under TreeLearners.
 func TestTreeRouteAccountedPeak(t *testing.T) {
-	train, _ := randomCatTrainTest(60, 1, 24, 0, 0.3, rng.New(0x2b))
-	terms := FullTerms(train.NumFeatures())
-	design := tree.NewDesign(train.X, train.Schema).Bytes()
-	for _, w := range []int{1, 2, 4} {
-		tracker, rec := resource.NewTracker(), obs.New()
-		m, err := Train(train, terms, Config{Seed: 3, Workers: w, Tracker: tracker, Obs: rec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rec.Count(obs.CounterTermsTree); got != int64(len(terms)) {
-			t.Fatalf("workers=%d: %d of %d terms on the design route", w, got, len(terms))
-		}
-		if got, want := tracker.PeakBytes(), design+m.Bytes(); got != want {
-			t.Errorf("workers=%d: accounted peak %d bytes, want design %d + model %d = %d", w, got, design, m.Bytes(), want)
+	for _, c := range []struct {
+		name        string
+		nCat, nReal int
+		learners    Learners
+	}{
+		{"paper/all-categorical", 24, 0, Learners{}},
+		{"tree/all-real", 0, 12, TreeLearners(tree.Params{})},
+		{"tree/mixed", 16, 6, TreeLearners(tree.Params{})},
+	} {
+		train, _ := randomCatTrainTest(60, 1, c.nCat, c.nReal, 0.3, rng.New(0x2b))
+		terms := FullTerms(train.NumFeatures())
+		design := tree.NewDesign(train.X, train.Schema).Bytes()
+		for _, w := range []int{1, 2, 4} {
+			tracker, rec := resource.NewTracker(), obs.New()
+			m, err := Train(train, terms, Config{Seed: 3, Workers: w, Tracker: tracker, Obs: rec, Learners: c.learners})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rec.Count(obs.CounterTermsTree); got != int64(len(terms)) {
+				t.Fatalf("%s workers=%d: %d of %d terms on the design route", c.name, w, got, len(terms))
+			}
+			if got, want := tracker.PeakBytes(), design+m.Bytes(); got != want {
+				t.Errorf("%s workers=%d: accounted peak %d bytes, want design %d + model %d = %d",
+					c.name, w, got, design, m.Bytes(), want)
+			}
 		}
 	}
 }

@@ -86,9 +86,13 @@ const (
 	// trainer (Learners.SVR set), on either of its routes. Its JSON key
 	// keeps the historical name terms_masked_train.
 	CounterTermsMasked
-	// CounterTermsGathered counts non-marginal terms trained through the
-	// gather-and-copy loop: Learners.Real and Learners.Cat terms, and
-	// Learners.Tree terms off the shared design.
+	// CounterTermsGathered counted non-marginal terms trained through the
+	// gather-and-copy loop, which is gone from the product: nothing in it
+	// adds to the counter, so it reads 0. It stays only because perfbench
+	// reads it (ROADMAP item 1), and the frozen test references still count
+	// their gathered terms into it.
+	//
+	// Deprecated: it always reads 0 outside tests.
 	CounterTermsGathered
 	// CounterDesignCacheBytes accumulates how many bytes the in-core
 	// trainer's per-worker design and Gram buffers grew by; it stops
@@ -105,11 +109,14 @@ const (
 	// CounterSVRMaxIter counts the fits that used all MaxIter epochs
 	// instead of stopping at the tolerance.
 	CounterSVRMaxIter
-	// CounterTermsTree counts the categorical terms trained on the
-	// Train's shared categorical design (Learners.Tree set).
+	// CounterTermsTree counts the non-marginal terms trained as trees on
+	// the Train's shared design (Learners.Tree set): every categorical
+	// term, and every real term when Learners.SVR is nil, whatever the
+	// kinds of its inputs.
 	CounterTermsTree
-	// CounterTreeFits counts the tree fits core makes with Learners.Tree,
-	// CV folds and final fits alike, on the shared design and off it.
+	// CounterTreeFits counts the tree fits of those terms, classification
+	// and regression, CV folds and final fits alike, so it reads
+	// (CV folds + 1) × CounterTermsTree.
 	CounterTreeFits
 	numCounters
 )

@@ -1,7 +1,6 @@
 package tree
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
@@ -17,66 +16,29 @@ import (
 // and every observed categorical input value must be a label in [0, Arity).
 // Rows whose value for a candidate split feature is missing do not
 // participate in that split's scoring and are routed down the majority
-// branch.
+// branch. It is FitClassifier on a private design of x, over every row and
+// the identity column map.
 func TrainClassifier(x *linalg.Matrix, inputs dataset.Schema, y []int, arity int, params Params) *Classifier {
-	if x.Rows != len(y) {
-		panic(fmt.Sprintf("tree: %d samples but %d labels", x.Rows, len(y)))
-	}
-	if len(inputs) != x.Cols {
-		panic(fmt.Sprintf("tree: %d input features but schema has %d", x.Cols, len(inputs)))
-	}
-	if arity < 2 {
-		panic(fmt.Sprintf("tree: classifier arity %d", arity))
-	}
-	s, rows := privateFit(x, inputs, params)
-	s.catY, s.arity = y, arity
-	return &Classifier{tree: tree{nodes: s.grow(rows), inputs: inputs}, Arity: arity}
+	d, cols, rows := privateDesign(x, inputs)
+	return FitClassifier(d, cols, inputs, rows, y, arity, params, new(Scratch))
 }
 
 // TrainRegressor fits a variance-minimizing regression tree. Every observed
-// categorical input value must be a label in [0, Arity).
+// categorical input value must be a label in [0, Arity). It is FitRegressor
+// on a private design of x, over every row and the identity column map.
 func TrainRegressor(x *linalg.Matrix, inputs dataset.Schema, y []float64, params Params) *Regressor {
-	if x.Rows != len(y) {
-		panic(fmt.Sprintf("tree: %d samples but %d targets", x.Rows, len(y)))
-	}
-	if len(inputs) != x.Cols {
-		panic(fmt.Sprintf("tree: %d input features but schema has %d", x.Cols, len(inputs)))
-	}
-	s, rows := privateFit(x, inputs, params)
-	s.realY = y
-	return &Regressor{tree: tree{nodes: s.grow(rows), inputs: inputs}}
+	d, cols, rows := privateDesign(x, inputs)
+	return FitRegressor(d, cols, inputs, rows, y, params, new(Scratch))
 }
 
-// privateFit prepares a fit over every row of x: a private design of its
-// categorical columns read through the identity column map, and a
-// column-major copy of its real columns. It returns the fit's scratch and
-// its row list, 0 to x.Rows−1.
-func privateFit(x *linalg.Matrix, inputs dataset.Schema, params Params) (*Scratch, []int) {
-	n, d := x.Rows, x.Cols
-	all := make([]int, max(n, d))
+// privateDesign returns the design of x, the identity column map and the
+// list of every row.
+func privateDesign(x *linalg.Matrix, inputs dataset.Schema) (d *Design, cols, rows []int) {
+	all := make([]int, max(x.Rows, x.Cols))
 	for i := range all {
 		all[i] = i
 	}
-	s := &Scratch{fit: fit{d: NewDesign(x, inputs), cols: all[:d], inputs: inputs, params: params.withDefaults()}}
-	if nReal := d - inputs.NumCategorical(); nReal > 0 {
-		vals := make([]float64, nReal*n)
-		s.reals = make([][]float64, d)
-		k := 0
-		for j, f := range inputs {
-			if f.Kind != dataset.Categorical {
-				s.reals[j] = vals[k*n : (k+1)*n : (k+1)*n]
-				k++
-			}
-		}
-		for i := 0; i < n; i++ {
-			for j, v := range x.Row(i) {
-				if col := s.reals[j]; col != nil {
-					col[i] = v
-				}
-			}
-		}
-	}
-	return s, all[:n]
+	return NewDesign(x, inputs), all[:x.Cols], all[:x.Rows]
 }
 
 // fit says where one fit reads its inputs and targets; exactly one of
@@ -84,8 +46,7 @@ func privateFit(x *linalg.Matrix, inputs dataset.Schema, params Params) (*Scratc
 // by them.
 type fit struct {
 	d      *Design
-	cols   []int       // input j's design column, for categorical inputs
-	reals  [][]float64 // input j's values by row, for real inputs
+	cols   []int // input j's design column
 	inputs dataset.Schema
 	params Params
 
@@ -130,9 +91,9 @@ type Scratch struct {
 	nodes []node
 }
 
-// grow sizes the scratch for the fit s.fit describes over rows and grows
-// its tree. The nodes it returns are s.nodes, which the next fit reuses.
-func (s *Scratch) grow(rows []int) []node {
+// grow sizes the scratch for the fit s.fit describes over rows, grows its
+// tree in s.nodes and returns the tree with a copy of them.
+func (s *Scratch) grow(rows []int) tree {
 	maxArity, hasCat := 0, false
 	for _, f := range s.inputs {
 		if f.Kind == dataset.Categorical {
@@ -158,7 +119,7 @@ func (s *Scratch) grow(rows []int) []node {
 	}
 	s.nodes = s.nodes[:0]
 	s.d.codes.grow(s)
-	return s.nodes
+	return tree{nodes: append([]node(nil), s.nodes...), inputs: s.inputs}
 }
 
 // resize returns buf with length n, reallocated only when it is too short.
@@ -182,7 +143,7 @@ func (cc codeCols[C]) grow(s *Scratch) {
 
 // column returns the codes of categorical input j, indexed by row.
 func (b *builder[C]) column(j int) codeCols[C] {
-	off := b.d.cols[b.cols[j]].codes
+	off := b.d.cols[b.cols[j]].off
 	return b.codes[off : off+b.d.n]
 }
 
@@ -389,7 +350,7 @@ func (b *builder[C]) partition(rows []int, s split) (nLeft int, missingLeft, ok 
 	if s.category >= 0 {
 		codes = b.column(s.feature)
 	} else {
-		vals = b.reals[s.feature]
+		vals = b.d.realCol(b.cols[s.feature])
 	}
 	branch := func(r int) int {
 		if s.category >= 0 {
@@ -472,7 +433,7 @@ func (s *byValue) Less(a, c int) bool { return s.col[s.idx[a]] < s.col[s.idx[c]]
 func (s *byValue) Swap(a, c int)      { s.idx[a], s.idx[c] = s.idx[c], s.idx[a] }
 
 func (s *Scratch) bestThresholdSplit(rows []int, j int, parentImp float64) (split, bool) {
-	col := s.reals[j]
+	col := s.d.realCol(s.cols[j])
 	obs := s.sorter.idx[:0]
 	for _, r := range rows {
 		if !dataset.IsMissing(col[r]) {

@@ -37,7 +37,7 @@ func snpTerm(tb testing.TB) (*linalg.Matrix, dataset.Schema, []int) {
 
 // TestTrainClassifierAllocs guards the per-fit allocation budget: a fit
 // allocates its returned nodes, its private design and a fixed set of
-// per-fit buffers, never per node or per candidate feature. It makes 24
+// per-fit buffers, never per node or per candidate feature. It makes 25
 // allocations; the fixture's tree has 41 nodes, 20 of them internal, so one
 // allocation per internal node or per leaf breaks the bound.
 func TestTrainClassifierAllocs(t *testing.T) {
@@ -54,10 +54,10 @@ func TestTrainClassifierAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkTrainClassifier times one tree fit at the train-snp shape on
-// the gather path: TrainClassifier builds its private design and fits.
-// Under the paper's learners an all-SNP FRaC run fits on the shared design
-// instead, which the root package's BenchmarkTrainDataset/snp times. The
+// BenchmarkTrainClassifier times one tree fit at the train-snp shape with
+// its own design: TrainClassifier builds a private design of the matrix and
+// fits on it. A FRaC run builds one design per Train and fits every tree
+// term on it, which the root package's BenchmarkTrainDataset/snp times. The
 // benchguard CI step runs it at -benchtime 1000x, about a second.
 func BenchmarkTrainClassifier(b *testing.B) {
 	x, inputs, y := snpTerm(b)

@@ -9,9 +9,9 @@ import (
 	"frac/internal/linalg"
 )
 
-// Design is a read-only, bit-sliced copy of a data set's categorical
-// columns, built once and read by every tree fit over its rows (DESIGN.md
-// §7). A categorical column of arity a is stored twice:
+// Design is a read-only copy of a data set's columns laid out for tree
+// fits, built once and read by every fit over its rows (DESIGN.md §7). A
+// categorical column of arity a is bit-sliced and stored twice:
 //
 //   - one code per row: the row's label, or the missing sentinel, the code
 //     type's largest value;
@@ -19,22 +19,25 @@ import (
 //     category c's set is 1 when row r holds label c, so a missing row is
 //     in no set.
 //
-// Real columns are not stored. Codes use the narrowest of uint8, uint16,
-// uint32 and uint64 whose sentinel exceeds every label of the schema. A
-// Design is never written after NewDesign returns, so concurrent fits may
-// share it.
+// A real column is stored once, column-major as n float64 values, NaN for
+// a missing cell. Codes use the narrowest of uint8, uint16, uint32 and
+// uint64 whose sentinel exceeds every label of the schema. A Design is
+// never written after NewDesign returns, so concurrent fits may share it.
 type Design struct {
 	n, words int
 	cols     []designCol // one per data set column
 	bits     []uint64
+	reals    []float64
 	codes    codeTable
 }
 
 // designCol locates one data set column in a Design.
 type designCol struct {
-	arity int // 0 for a real column, which the Design does not store
-	codes int // the column's codes are codes[codes : codes+n]
-	bits  int // category c's bitset is bits[bits+c*words : bits+(c+1)*words]
+	arity int // 0 for a real column
+	// off places the column's n cells: a categorical column's codes are
+	// codes[off : off+n], a real column's values reals[off : off+n].
+	off  int
+	bits int // category c's bitset is bits[bits+c*words : bits+(c+1)*words]
 }
 
 // codeWord is a Design's code type.
@@ -53,8 +56,8 @@ type codeTable interface {
 	bytes() int64
 }
 
-// NewDesign builds the design of x's categorical columns, whose kinds and
-// arities schema gives. Every observed categorical cell must be a label in
+// NewDesign builds the design of x, whose columns' kinds and arities
+// schema gives. Every observed categorical cell must be a label in
 // [0, Arity).
 func NewDesign(x *linalg.Matrix, schema dataset.Schema) *Design {
 	if len(schema) != x.Cols {
@@ -62,17 +65,20 @@ func NewDesign(x *linalg.Matrix, schema dataset.Schema) *Design {
 	}
 	n := x.Rows
 	d := &Design{n: n, words: (n + 63) / 64, cols: make([]designCol, len(schema))}
-	maxArity, nCat, nBits := 0, 0, 0
+	maxArity, nCat, nReal, nBits := 0, 0, 0, 0
 	for j, f := range schema {
 		if f.Kind != dataset.Categorical {
+			d.cols[j] = designCol{off: nReal * n}
+			nReal++
 			continue
 		}
-		d.cols[j] = designCol{arity: f.Arity, codes: nCat * n, bits: nBits}
+		d.cols[j] = designCol{arity: f.Arity, off: nCat * n, bits: nBits}
 		maxArity = max(maxArity, f.Arity)
 		nCat++
 		nBits += f.Arity * d.words
 	}
 	d.bits = make([]uint64, nBits)
+	d.reals = make([]float64, nReal*n)
 	switch {
 	case maxArity <= math.MaxUint8:
 		d.codes = fillCodes(d, x, make(codeCols[uint8], nCat*n))
@@ -86,25 +92,26 @@ func NewDesign(x *linalg.Matrix, schema dataset.Schema) *Design {
 	return d
 }
 
-// fillCodes writes x's categorical cells into codes and d's bitsets.
+// fillCodes writes x's cells into codes, d's bitsets and d's real columns.
 func fillCodes[C codeWord](d *Design, x *linalg.Matrix, codes codeCols[C]) codeCols[C] {
 	for i := 0; i < d.n; i++ {
 		row := x.Row(i)
 		for j := range d.cols {
 			col := &d.cols[j]
+			v := row[j]
 			if col.arity == 0 {
+				d.reals[col.off+i] = v
 				continue
 			}
-			v := row[j]
 			if dataset.IsMissing(v) {
-				codes[col.codes+i] = ^C(0)
+				codes[col.off+i] = ^C(0)
 				continue
 			}
 			c := int(v)
 			if float64(c) != v || c < 0 || c >= col.arity {
 				panic(fmt.Sprintf("tree: row %d column %d: value %v is not a label in [0,%d)", i, j, v, col.arity))
 			}
-			codes[col.codes+i] = C(c)
+			codes[col.off+i] = C(c)
 			d.bits[col.bits+c*d.words+i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
@@ -116,7 +123,13 @@ func (d *Design) Rows() int { return d.n }
 
 // Bytes reports the design's analytic footprint.
 func (d *Design) Bytes() int64 {
-	return int64(len(d.cols))*24 + int64(len(d.bits))*8 + d.codes.bytes()
+	return int64(len(d.cols))*24 + int64(len(d.bits))*8 + int64(len(d.reals))*8 + d.codes.bytes()
+}
+
+// realCol returns the values of real design column c, indexed by row.
+func (d *Design) realCol(c int) []float64 {
+	off := d.cols[c].off
+	return d.reals[off : off+d.n : off+d.n]
 }
 
 func (cc codeCols[C]) bytes() int64 {
@@ -125,18 +138,25 @@ func (cc codeCols[C]) bytes() int64 {
 }
 
 // walk descends t from its root to the leaf that design row r lands in,
-// reading input j from design column cols[j]. Every split of t must be
-// categorical.
+// reading input j from design column cols[j], as tree.walk descends for
+// the row's gathered cells.
 func (cc codeCols[C]) walk(t *tree, d *Design, cols []int, r int) *node {
 	cur := &t.nodes[0]
 	for cur.feature >= 0 {
-		if cur.category < 0 {
-			panic("tree: a design walk reached a threshold split")
-		}
-		code := cc[d.cols[cols[cur.feature]].codes+r]
-		goLeft := int(code) == cur.category
-		if code == ^C(0) {
-			goLeft = cur.missingLeft
+		col := &d.cols[cols[cur.feature]]
+		var goLeft bool
+		if cur.category >= 0 {
+			code := cc[col.off+r]
+			goLeft = int(code) == cur.category
+			if code == ^C(0) {
+				goLeft = cur.missingLeft
+			}
+		} else {
+			v := d.reals[col.off+r]
+			goLeft = v < cur.threshold
+			if dataset.IsMissing(v) {
+				goLeft = cur.missingLeft
+			}
 		}
 		if goLeft {
 			cur = &t.nodes[cur.left]
@@ -149,35 +169,58 @@ func (cc codeCols[C]) walk(t *tree, d *Design, cols []int, r int) *node {
 
 // PredictDesignRow returns the label of the leaf design row r lands in when
 // input j is design column cols[j]: the label PredictLabel gives the row's
-// cells gathered through cols. Every input of c must be categorical.
+// cells gathered through cols.
 func (c *Classifier) PredictDesignRow(d *Design, cols []int, r int) int {
 	return d.codes.walk(&c.tree, d, cols, r).label
 }
 
+// PredictDesignRow returns the mean target of the leaf design row r lands
+// in when input j is design column cols[j]: the value Predict gives the
+// row's cells gathered through cols.
+func (p *Regressor) PredictDesignRow(d *Design, cols []int, r int) float64 {
+	return d.codes.walk(&p.tree, d, cols, r).value
+}
+
 // FitClassifier fits the classification tree that TrainClassifier fits on
 // the gathered rows, reading its inputs from a shared design instead: input
-// j is design column cols[j] and must be categorical, with the arity inputs
-// gives it; rows lists the fit's design rows, in order; and y holds a label
-// in [0, arity) for every design row, of which only the fit's rows are
-// read. s is the fit's working memory: after warm-up a fit allocates only
-// the classifier it returns.
+// j is design column cols[j], of the kind and arity inputs gives it; rows
+// lists the fit's design rows, in order; and y holds a label in [0, arity)
+// for every design row, of which only the fit's rows are read. s is the
+// fit's working memory: after warm-up a fit allocates only the classifier
+// it returns.
 func FitClassifier(d *Design, cols []int, inputs dataset.Schema, rows, y []int, arity int, params Params, s *Scratch) *Classifier {
-	if len(cols) != len(inputs) {
-		panic(fmt.Sprintf("tree: %d input columns but schema has %d", len(cols), len(inputs)))
-	}
-	if len(y) != d.n {
-		panic(fmt.Sprintf("tree: design has %d rows but %d labels", d.n, len(y)))
-	}
+	checkFit(d, cols, inputs, len(y))
 	if arity < 2 {
 		panic(fmt.Sprintf("tree: classifier arity %d", arity))
 	}
+	s.fit = fit{d: d, cols: cols, inputs: inputs, params: params.withDefaults(), catY: y, arity: arity}
+	return &Classifier{tree: s.grow(rows), Arity: arity}
+}
+
+// FitRegressor fits the regression tree that TrainRegressor fits on the
+// gathered rows, reading its inputs from a shared design as FitClassifier
+// does; y holds a target for every design row, of which only the fit's
+// rows are read.
+func FitRegressor(d *Design, cols []int, inputs dataset.Schema, rows []int, y []float64, params Params, s *Scratch) *Regressor {
+	checkFit(d, cols, inputs, len(y))
+	s.fit = fit{d: d, cols: cols, inputs: inputs, params: params.withDefaults(), realY: y}
+	return &Regressor{tree: s.grow(rows)}
+}
+
+// checkFit panics unless input j of inputs is design column cols[j], of
+// the same kind and arity, and there is one target per design row.
+func checkFit(d *Design, cols []int, inputs dataset.Schema, targets int) {
+	if len(cols) != len(inputs) {
+		panic(fmt.Sprintf("tree: %d input columns but schema has %d", len(cols), len(inputs)))
+	}
+	if targets != d.n {
+		panic(fmt.Sprintf("tree: design has %d rows but %d targets", d.n, targets))
+	}
 	for j, f := range inputs {
-		if f.Kind != dataset.Categorical || f.Arity != d.cols[cols[j]].arity {
-			panic(fmt.Sprintf("tree: input %d (%s, arity %d) is not design column %d's categorical arity %d",
-				j, f.Name, f.Arity, cols[j], d.cols[cols[j]].arity))
+		col := d.cols[cols[j]]
+		if f.Arity != col.arity || (f.Kind == dataset.Categorical) != (col.arity > 0) {
+			panic(fmt.Sprintf("tree: input %d (%s, arity %d) does not match design column %d (arity %d)",
+				j, f.Name, f.Arity, cols[j], col.arity))
 		}
 	}
-	s.fit = fit{d: d, cols: cols, inputs: inputs, params: params.withDefaults(), catY: y, arity: arity}
-	nodes := s.grow(rows)
-	return &Classifier{tree: tree{nodes: append([]node(nil), nodes...), inputs: inputs}, Arity: arity}
 }
