@@ -198,6 +198,43 @@ func BenchmarkScoreDataset(b *testing.B) {
 	}
 }
 
+// snpReplicate builds one autism 1:32 replicate, the train-snp workload's
+// shape: 211 training rows of 227 ternary SNP features.
+func snpReplicate(b *testing.B) frac.Replicate {
+	b.Helper()
+	p, err := frac.ProfileByName("autism")
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool, err := p.Generate(32, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reps, err := frac.MakeReplicates(pool, 1, 2.0/3, frac.NewRNG(1).StreamAt("split", 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return reps[0]
+}
+
+// BenchmarkScoreDatasetSNP is BenchmarkScoreDataset for tree terms: an
+// autism 1:32 model, every term a tree under the default learners, scoring
+// its replicate's test set. The benchguard CI step does not gate it.
+func BenchmarkScoreDatasetSNP(b *testing.B) {
+	b.ReportAllocs()
+	rep := snpReplicate(b)
+	model, err := frac.Train(rep.Train, frac.FullTerms(rep.Train.NumFeatures()), frac.Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := model.ScoreDataset(rep.Test); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkScoreDatasetTelemetry is BenchmarkScoreDataset with an enabled
 // recorder: the delta between the two pins the enabled-telemetry overhead on
 // the scoring hot path (budget: ≤2%, DESIGN.md §9). Per-term spans run at the
@@ -278,19 +315,7 @@ func BenchmarkTrainDataset(b *testing.B) {
 		})
 	}
 	b.Run("snp", func(b *testing.B) {
-		p, err := frac.ProfileByName("autism")
-		if err != nil {
-			b.Fatal(err)
-		}
-		pool, err := p.Generate(32, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reps, err := frac.MakeReplicates(pool, 1, 2.0/3, frac.NewRNG(1).StreamAt("split", 0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		train := reps[0].Train
+		train := snpReplicate(b).Train
 		terms := frac.FullTerms(train.NumFeatures())
 		b.ReportAllocs()
 		b.ResetTimer()

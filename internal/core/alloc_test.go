@@ -1,11 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"frac/internal/dataset"
 	"frac/internal/linalg"
 	"frac/internal/rng"
+	"frac/internal/synth"
+	"frac/internal/tree"
 )
 
 // raceDetectorEnabled is set by race_enabled_test.go under -race. The race
@@ -42,7 +48,8 @@ func TestScoreZeroAllocs(t *testing.T) {
 }
 
 // TestPredictBatchZeroAllocs asserts the batch prediction paths of every
-// trained predictor kind allocate nothing after warm-up.
+// trained predictor kind allocate nothing after warm-up, reading each
+// term's inputs from the raw test rows through its column map.
 func TestPredictBatchZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
 	train, test := goldenTrainTest()
@@ -55,24 +62,17 @@ func TestPredictBatchZeroAllocs(t *testing.T) {
 	labels := make([]int, n)
 	for ti := range model.terms {
 		tm := &model.terms[ti]
-		in := linalg.NewMatrix(n, len(tm.term.Inputs))
-		for s := 0; s < n; s++ {
-			src := test.Sample(s)
-			dst := in.Row(s)
-			for j, c := range tm.term.Inputs {
-				dst[j] = src[c]
-			}
-		}
+		cols := tm.term.Inputs
 		var allocs float64
 		if tm.isCat {
-			tm.cat.PredictLabelBatch(in, labels)
+			tm.cat.PredictLabelBatch(test.X, cols, labels)
 			allocs = testing.AllocsPerRun(50, func() {
-				tm.cat.PredictLabelBatch(in, labels)
+				tm.cat.PredictLabelBatch(test.X, cols, labels)
 			})
 		} else {
-			tm.real.PredictBatch(in, preds)
+			tm.real.PredictBatch(test.X, cols, preds)
 			allocs = testing.AllocsPerRun(50, func() {
-				tm.real.PredictBatch(in, preds)
+				tm.real.PredictBatch(test.X, cols, preds)
 			})
 		}
 		if allocs != 0 {
@@ -155,6 +155,80 @@ func TestTrainMarginalTermSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// liveHeap returns the bytes of live heap objects: HeapAlloc after two
+// collections, the second of which also empties the sync.Pool victim
+// caches the first left.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestRetainedHeapMatchesBytes holds Model.Bytes, the accounting that
+// resource trackers and the exhibits' memory columns read, to what a model
+// really retains: the live-heap growth a Train leaves, with its terms built
+// inside the measured window, and the growth a ReadModel of its artifact
+// leaves, each within 15% of the model's Bytes. The data sets are autism
+// 1:32 (every term a tree) and biomarkers 1:32 (every term an SVR), one
+// replicate's training set each. A warm-up Train first builds the
+// process's one-time tables.
+func TestRetainedHeapMatchesBytes(t *testing.T) {
+	skipUnderRace(t)
+	const tolerance = 0.15
+	for _, name := range []string{"autism", "biomarkers"} {
+		p, err := synth.ProfileByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := p.Generate(32, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps, err := dataset.MakeReplicates(pool, 1, 2.0/3, rng.New(1).StreamAt("split", 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		train := reps[0].Train
+		cfg := Config{Seed: 1}
+		if _, err := Train(train, FullTerms(train.NumFeatures()), cfg); err != nil {
+			t.Fatal(err)
+		}
+		before := liveHeap()
+		trained, err := Train(train, FullTerms(train.NumFeatures()), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trainGrowth := liveHeap() - before
+		var buf bytes.Buffer
+		if _, err := trained.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		before = liveHeap()
+		loaded, err := ReadModel(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		readGrowth := liveHeap() - before
+		for _, c := range []struct {
+			what   string
+			growth int64
+			m      *Model
+		}{{"Train", trainGrowth, trained}, {"ReadModel", readGrowth, loaded}} {
+			ratio := float64(c.growth) / float64(c.m.Bytes())
+			t.Logf("%s 1:32 %s: live heap grew %d bytes, Model.Bytes %d (%.3f×)", name, c.what, c.growth, c.m.Bytes(), ratio)
+			if math.Abs(ratio-1) > tolerance {
+				t.Errorf("%s 1:32 %s: live heap grew %d bytes, %.3f× Model.Bytes %d, want within %.0f%%",
+					name, c.what, c.growth, ratio, c.m.Bytes(), tolerance*100)
+			}
+		}
+		// The training set and the artifact stay live across both windows.
+		runtime.KeepAlive(train)
+		runtime.KeepAlive(buf.Bytes())
+	}
+}
+
 func predictorOf(tm *termModel) any {
 	if tm.isCat {
 		return tm.cat
@@ -162,60 +236,112 @@ func predictorOf(tm *termModel) any {
 	return tm.real
 }
 
-// TestBatchMatchesPerSamplePrediction pins the batch prediction path to the
-// scalar one bit for bit: ScoreDataset's per-term contributions must equal
-// scoring each sample through the term's scalar Predict/PredictLabel, the
-// predictors that training holdouts use.
+// TestBatchMatchesPerSamplePrediction pins the column-map contract: a
+// predictor reading the raw test rows through its term's column map
+// predicts for every row exactly what it predicts for the row's inputs
+// gathered into a row of their own and read through the identity map,
+// compared by their bits, and ScoreDataset's per-term contributions are
+// those predictions scored. It covers every term of the golden model and of
+// a TreeLearners model on mixed data with missing cells.
 func TestBatchMatchesPerSamplePrediction(t *testing.T) {
-	train, test := goldenTrainTest()
-	model, err := Train(train, FullTerms(train.NumFeatures()), Config{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := model.ScoreDataset(test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ti := range model.terms {
-		tm := &model.terms[ti]
-		in := make([]float64, len(tm.term.Inputs))
-		for s := 0; s < test.NumSamples(); s++ {
-			sample := test.Sample(s)
-			v := sample[tm.term.Target]
-			single := 0.0
-			if !dataset.IsMissing(v) {
-				for j, c := range tm.term.Inputs {
-					in[j] = sample[c]
-				}
-				if tm.isCat {
-					single = tm.scoreCat(v, tm.cat.PredictLabel(in))
-				} else {
-					single = tm.scoreReal(v, tm.real.Predict(in))
-				}
+	golden, goldenTest := goldenTrainTest()
+	mixed, mixedTest := randomCatTrainTest(60, 12, 5, 4, 0.5, rng.New(0x5c))
+	for _, c := range []struct {
+		name        string
+		train, test *dataset.Dataset
+		cfg         Config
+	}{
+		{"golden", golden, goldenTest, Config{Seed: 42}},
+		{"tree/mixed", mixed, mixedTest, Config{Seed: 3, Learners: TreeLearners(tree.Params{})}},
+	} {
+		model, err := Train(c.train, FullTerms(c.train.NumFeatures()), c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, err := model.ScoreDataset(c.test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := c.test.NumSamples()
+		preds, labels := make([]float64, n), make([]int, n)
+		for ti := range model.terms {
+			tm := &model.terms[ti]
+			if tm.isCat {
+				tm.cat.PredictLabelBatch(c.test.X, tm.term.Inputs, labels)
+			} else {
+				tm.real.PredictBatch(c.test.X, tm.term.Inputs, preds)
 			}
-			if batch := ss.PerTerm.At(ti, s); batch != single {
-				t.Errorf("term %d sample %d: batch %v != per-sample %v", ti, s, batch, single)
+			in := make([]float64, len(tm.term.Inputs))
+			for s := 0; s < n; s++ {
+				sample := c.test.Sample(s)
+				for j, col := range tm.term.Inputs {
+					in[j] = sample[col]
+				}
+				var raw, gathered float64
+				if tm.isCat {
+					raw, gathered = float64(labels[s]), float64(predictLabelRow(tm.cat, in))
+				} else {
+					raw, gathered = preds[s], predictRow(tm.real, in)
+				}
+				if math.Float64bits(raw) != math.Float64bits(gathered) {
+					t.Errorf("%s term %d sample %d: through cols %v, gathered %v", c.name, ti, s, raw, gathered)
+				}
+				want := 0.0
+				if v := sample[tm.term.Target]; !dataset.IsMissing(v) {
+					if tm.isCat {
+						want = tm.scoreCat(v, labels[s])
+					} else {
+						want = tm.scoreReal(v, preds[s])
+					}
+				}
+				if got := ss.PerTerm.At(ti, s); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s term %d sample %d: ScoreDataset %v, predictions scored %v", c.name, ti, s, got, want)
+				}
 			}
 		}
 	}
 }
 
-// TestImputeVecReusesBuffer guards the live dst reuse path: a buffer with
-// capacity must be reused, a short one must be replaced.
-func TestImputeVecReusesBuffer(t *testing.T) {
-	x := []float64{1, dataset.Missing, 3}
-	means := []float64{10, 20, 30}
-	buf := make([]float64, 3)
-	out := imputeVec(x, means, buf)
-	if &out[0] != &buf[0] {
-		t.Error("imputeVec did not reuse a sufficient dst")
+// rowScratch predicts one gathered row through the identity column map:
+// the row as a one-row matrix, the map and the output slots. Pooled, so
+// the gather reference's held-out predictions stay allocation-free.
+type rowScratch struct {
+	x     linalg.Matrix
+	cols  []int
+	pred  [1]float64
+	label [1]int
+}
+
+var rowPool = sync.Pool{New: func() any { return new(rowScratch) }}
+
+func getRow(row []float64) *rowScratch {
+	rs := rowPool.Get().(*rowScratch)
+	rs.x = linalg.Matrix{Rows: 1, Cols: len(row), Data: row}
+	for len(rs.cols) < len(row) {
+		rs.cols = append(rs.cols, len(rs.cols))
 	}
-	if out[0] != 1 || out[1] != 20 || out[2] != 3 {
-		t.Errorf("imputeVec = %v", out)
-	}
-	short := make([]float64, 1)
-	out = imputeVec(x, means, short)
-	if len(out) != 3 {
-		t.Errorf("imputeVec len = %d, want 3", len(out))
-	}
+	return rs
+}
+
+func putRow(rs *rowScratch) {
+	rs.x.Data = nil
+	rowPool.Put(rs)
+}
+
+// predictRow predicts one gathered row of a term's inputs.
+func predictRow(p RealPredictor, row []float64) float64 {
+	rs := getRow(row)
+	p.PredictBatch(&rs.x, rs.cols[:len(row)], rs.pred[:])
+	v := rs.pred[0]
+	putRow(rs)
+	return v
+}
+
+// predictLabelRow classifies one gathered row of a term's inputs.
+func predictLabelRow(p CatPredictor, row []float64) int {
+	rs := getRow(row)
+	p.PredictLabelBatch(&rs.x, rs.cols[:len(row)], rs.label[:])
+	v := rs.label[0]
+	putRow(rs)
+	return v
 }

@@ -94,10 +94,10 @@ func TestReadModelVersion1Stream(t *testing.T) {
 	bw := binio.NewWriter(&buf)
 	bw.String(modelMagic)
 	bw.Int(1)
-	encodeSchema(bw, m.schema)
+	dataset.EncodeSchema(bw, m.schema)
 	bw.Int(len(m.terms))
 	for i := range m.terms {
-		if err := encodeTerm(bw, &m.terms[i]); err != nil {
+		if err := encodeTerm(bw, m.schema, &m.terms[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,7 +161,7 @@ func TestScoreRowsObservedParity(t *testing.T) {
 	}
 	obs := &observerRecorder{}
 	observed := make([]float64, n)
-	if err := m.ScoreRowsObserved(rows, observed, NewScoreWorkspace(), obs); err != nil {
+	if err := m.ScoreRowsExplainedObserved(rows, observed, NewScoreWorkspace(), obs, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := range plain {

@@ -389,7 +389,7 @@ func trainTerm(train *dataset.Dataset, term Term, cfg Config, src *rng.Source, s
 			return tm, fmt.Errorf("core: feature %d (%q) trains as a tree, but the Train has no shared design", term.Target, feat.Name)
 		}
 		cfg.Obs.Add(obs.CounterTermsTree, 1)
-		trainTreeTerm(&tm, train, term, rows, cfg, sc)
+		trainTreeTerm(&tm, term, rows, cfg, sc)
 	case !tm.isCat && cfg.Learners.SVR != nil:
 		cfg.Obs.Add(obs.CounterTermsMasked, 1)
 		if sc.gram.takes(term, len(rows)) {
@@ -408,12 +408,12 @@ func trainTerm(train *dataset.Dataset, term Term, cfg Config, src *rng.Source, s
 // observed targets (sc.yI or sc.yF): the target's marginal distribution.
 func trainMarginalTerm(tm *termModel, cfg Config, sc *trainScratch) {
 	if tm.isCat {
-		tm.cat = marginalCatPredictor(sc.yI, tm.arity)
+		c := marginalCatPredictor(sc.yI, tm.arity)
 		conf := stats.NewConfusion(tm.arity)
 		for _, v := range sc.yI {
-			conf.Add(v, tm.cat.PredictLabel(nil))
+			conf.Add(v, c.label)
 		}
-		tm.catErr = conf
+		tm.cat, tm.catErr = c, conf
 		return
 	}
 	tm.real = marginalRealPredictor(sc.yF)
@@ -472,13 +472,13 @@ func (s *ScoreSet) Totals() []float64 {
 }
 
 // scoreWorkspace is the reusable per-worker state of ScoreDataset: the
-// sample-major input gather matrix and the batch prediction outputs, shared
-// by every term a worker scores.
+// batch prediction outputs, shared by every term a worker scores.
+// Predictors read each term's inputs from the scored rows through the
+// term's column map, so nothing is gathered.
 type scoreWorkspace struct {
 	// worker is the owning worker's index, for span attribution only.
 	worker int
 
-	in     *linalg.Matrix
 	preds  []float64
 	labels []int
 }
@@ -492,20 +492,12 @@ type scoreWorkspace struct {
 func (m *Model) scoreTermBatch(ti int, test *dataset.Dataset, row []float64, ws *scoreWorkspace, predCap []float64) {
 	tm := &m.terms[ti]
 	n := test.NumSamples()
-	ws.in = linalg.Resize(ws.in, n, len(tm.term.Inputs))
-	for s := 0; s < n; s++ {
-		src := test.Sample(s)
-		dst := ws.in.Row(s)
-		for j, c := range tm.term.Inputs {
-			dst[j] = src[c]
-		}
-	}
 	if tm.isCat {
 		if cap(ws.labels) < n {
 			ws.labels = make([]int, n)
 		}
 		labels := ws.labels[:n]
-		tm.cat.PredictLabelBatch(ws.in, labels)
+		tm.cat.PredictLabelBatch(test.X, tm.term.Inputs, labels)
 		for s := 0; s < n; s++ {
 			if v := test.X.At(s, tm.term.Target); !dataset.IsMissing(v) {
 				row[s] = tm.scoreCat(v, labels[s])
@@ -524,7 +516,7 @@ func (m *Model) scoreTermBatch(ti int, test *dataset.Dataset, row []float64, ws 
 		ws.preds = make([]float64, n)
 	}
 	preds := ws.preds[:n]
-	tm.real.PredictBatch(ws.in, preds)
+	tm.real.PredictBatch(test.X, tm.term.Inputs, preds)
 	for s := 0; s < n; s++ {
 		if v := test.X.At(s, tm.term.Target); !dataset.IsMissing(v) {
 			row[s] = tm.scoreReal(v, preds[s])
@@ -539,8 +531,8 @@ func (m *Model) scoreTermBatch(ti int, test *dataset.Dataset, row []float64, ws 
 
 // ScoreDataset scores every sample of test, in parallel over terms, and
 // reports the cost into the model's tracker. Each term runs sample-major
-// through the batch prediction path, with all gather and prediction buffers
-// reused per worker.
+// through the batch prediction path, reading its inputs from test's rows
+// through its column map, with the prediction buffers reused per worker.
 func (m *Model) ScoreDataset(test *dataset.Dataset) (*ScoreSet, error) {
 	return m.ScoreDatasetCtx(context.Background(), test)
 }

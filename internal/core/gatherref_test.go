@@ -44,7 +44,7 @@ func gatherTerm(tm termModel, train *dataset.Dataset, term Term, rows []int, cfg
 			gs.foldYI = subInto(gs.foldYI, y, trIdx)
 			p := cfg.Learners.Cat(xTr, inputSchema, gs.foldYI, tm.arity, src.Seed()^uint64(fi+1))
 			for _, h := range fold {
-				conf.Add(y[h], p.PredictLabel(x.Row(h)))
+				conf.Add(y[h], predictLabelRow(p, x.Row(h)))
 			}
 		}
 		tm.catErr = conf
@@ -62,7 +62,7 @@ func gatherTerm(tm termModel, train *dataset.Dataset, term Term, rows []int, cfg
 		gs.foldYF = subInto(gs.foldYF, y, trIdx)
 		p := cfg.Learners.Real(xTr, inputSchema, gs.foldYF, src.Seed()^uint64(fi+1))
 		for _, h := range fold {
-			residuals = append(residuals, y[h]-p.Predict(x.Row(h)))
+			residuals = append(residuals, y[h]-predictRow(p, x.Row(h)))
 		}
 	}
 	sc.residuals = residuals

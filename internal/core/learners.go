@@ -13,27 +13,23 @@ import (
 	"frac/internal/tree"
 )
 
-// RealPredictor predicts a continuous target from an input vector in the
-// term's input space. Implementations must tolerate missing (NaN) inputs.
-//
-// PredictBatch predicts every row of x into out[:x.Rows] without retaining
-// either argument; the rows are the batch analogue of Predict's x.
-// Implementations must be safe for concurrent Predict/PredictBatch calls and
-// must not allocate per sample in steady state (internal workspaces are
-// pooled, never fresh per call).
+// RealPredictor predicts a continuous target from a term's inputs.
+// PredictBatch predicts row i of x into out[i] for every row of x, reading
+// the term's input j as x.At(i, cols[j]), where cols is the term's column
+// map (Term.Inputs); it retains neither x nor out. Implementations must
+// tolerate missing (NaN) inputs, must be safe for concurrent PredictBatch
+// calls and must not allocate per sample in steady state (internal
+// workspaces are pooled, never fresh per call).
 type RealPredictor interface {
-	Predict(x []float64) float64
-	PredictBatch(x *linalg.Matrix, out []float64)
+	PredictBatch(x *linalg.Matrix, cols []int, out []float64)
 	Bytes() int64
 }
 
-// CatPredictor predicts a categorical target label from an input vector in
-// the term's input space. Implementations must tolerate missing inputs.
-// PredictLabelBatch follows the same ownership and allocation contract as
-// RealPredictor.PredictBatch.
+// CatPredictor predicts a categorical target label from a term's inputs.
+// PredictLabelBatch reads its inputs through cols and follows the same
+// ownership and allocation contract as RealPredictor.PredictBatch.
 type CatPredictor interface {
-	PredictLabel(x []float64) int
-	PredictLabelBatch(x *linalg.Matrix, out []int)
+	PredictLabelBatch(x *linalg.Matrix, cols []int, out []int)
 	Bytes() int64
 }
 
@@ -135,25 +131,8 @@ func TreeLearners(params tree.Params) Learners {
 	return Learners{Tree: &params}
 }
 
-// imputeVec fills missing entries of x with means, writing into dst (reused
-// when it has the capacity, allocated otherwise).
-func imputeVec(x, means, dst []float64) []float64 {
-	if cap(dst) < len(x) {
-		dst = make([]float64, len(x))
-	}
-	dst = dst[:len(x)]
-	for j, v := range x {
-		if math.IsNaN(v) {
-			dst[j] = means[j]
-		} else {
-			dst[j] = v
-		}
-	}
-	return dst
-}
-
-// vecPool hands out pooled impute/standardize buffers of a predictor's input
-// width, so per-sample prediction is allocation-free in steady state while
+// vecPool hands out pooled standardize buffers of a predictor's input
+// width, so batch prediction is allocation-free in steady state while
 // staying safe under concurrent use. The zero value is ready (decoded
 // predictors rely on that).
 type vecPool struct{ pool sync.Pool }
@@ -177,27 +156,23 @@ type imputedReal struct {
 	vecs   vecPool
 }
 
-// predictBuf predicts one sample using buf (len >= len(x)) as the
-// impute+standardize workspace.
-func (p *imputedReal) predictBuf(x, buf []float64) float64 {
-	buf = imputeVec(x, p.means, buf)
-	for j := range buf {
-		buf[j] = (buf[j] - p.means[j]) * p.scales[j]
-	}
-	return p.model.Predict(buf)*p.ySD + p.yMean
-}
-
-func (p *imputedReal) Predict(x []float64) float64 {
+// PredictBatch standardizes each row's inputs straight from x through cols
+// into one pooled buffer, a missing cell taking its column's mean, and
+// predicts from it.
+func (p *imputedReal) PredictBatch(x *linalg.Matrix, cols []int, out []float64) {
 	b := p.vecs.get(len(p.means))
-	v := p.predictBuf(x, *b)
-	p.vecs.put(b)
-	return v
-}
-
-func (p *imputedReal) PredictBatch(x *linalg.Matrix, out []float64) {
-	b := p.vecs.get(len(p.means))
+	buf := (*b)[:len(cols)]
+	means, scales := p.means[:len(cols)], p.scales[:len(cols)]
 	for i := 0; i < x.Rows; i++ {
-		out[i] = p.predictBuf(x.Row(i), *b)
+		row := x.Row(i)
+		for j, c := range cols {
+			v := row[c]
+			if math.IsNaN(v) {
+				v = means[j]
+			}
+			buf[j] = (v - means[j]) * scales[j]
+		}
+		out[i] = p.model.Predict(buf)*p.ySD + p.yMean
 	}
 	p.vecs.put(b)
 }
@@ -211,8 +186,7 @@ func (p *imputedReal) Bytes() int64 {
 // the term's error model the target's marginal distribution.
 type constantReal struct{ value float64 }
 
-func (p constantReal) Predict([]float64) float64 { return p.value }
-func (p constantReal) PredictBatch(x *linalg.Matrix, out []float64) {
+func (p constantReal) PredictBatch(x *linalg.Matrix, _ []int, out []float64) {
 	for i := 0; i < x.Rows; i++ {
 		out[i] = p.value
 	}
@@ -222,8 +196,7 @@ func (p constantReal) Bytes() int64 { return 8 }
 // constantCat predicts the training majority class.
 type constantCat struct{ label int }
 
-func (p constantCat) PredictLabel([]float64) int { return p.label }
-func (p constantCat) PredictLabelBatch(x *linalg.Matrix, out []int) {
+func (p constantCat) PredictLabelBatch(x *linalg.Matrix, _ []int, out []int) {
 	for i := 0; i < x.Rows; i++ {
 		out[i] = p.label
 	}
@@ -236,7 +209,7 @@ func marginalRealPredictor(y []float64) RealPredictor {
 }
 
 // marginalCatPredictor builds the fallback for a categorical target.
-func marginalCatPredictor(y []int, arity int) CatPredictor {
+func marginalCatPredictor(y []int, arity int) constantCat {
 	counts := make([]int, arity)
 	for _, v := range y {
 		counts[v]++

@@ -71,8 +71,8 @@ func TestSVRLearnerScaleInvariance(t *testing.T) {
 
 	probe := []float64{2, 1}
 	probeScaled := []float64{2000, 1}
-	if math.Abs(p1.Predict(probe)-p2.Predict(probeScaled)) > 1e-6 {
-		t.Errorf("scaling changed prediction: %v vs %v", p1.Predict(probe), p2.Predict(probeScaled))
+	if math.Abs(predictRow(p1, probe)-predictRow(p2, probeScaled)) > 1e-6 {
+		t.Errorf("scaling changed prediction: %v vs %v", predictRow(p1, probe), predictRow(p2, probeScaled))
 	}
 }
 
@@ -87,7 +87,7 @@ func TestSVRLearnerHandlesMissingAtPredictTime(t *testing.T) {
 		y[i] = float64(i)
 	}
 	p := learn(x, realInputs(2), y, 1)
-	got := p.Predict([]float64{math.NaN(), math.NaN()})
+	got := predictRow(p, []float64{math.NaN(), math.NaN()})
 	if math.IsNaN(got) || math.IsInf(got, 0) {
 		t.Errorf("prediction with missing inputs = %v", got)
 	}
@@ -110,18 +110,18 @@ func TestTreeLearnersAdapters(t *testing.T) {
 		}
 	}
 	r := tree.TrainRegressor(x, realInputs(1), y, tree.Params{})
-	if math.Abs(r.Predict([]float64{20})-10) > 0.5 {
-		t.Errorf("regression tree predicts %v", r.Predict([]float64{20}))
+	if math.Abs(predictRow(r, []float64{20})-10) > 0.5 {
+		t.Errorf("regression tree predicts %v", predictRow(r, []float64{20}))
 	}
 }
 
 func TestMarginalPredictors(t *testing.T) {
 	rp := marginalRealPredictor([]float64{1, 2, 3})
-	if rp.Predict([]float64{99}) != 2 {
+	if predictRow(rp, []float64{99}) != 2 {
 		t.Error("marginal real should predict the mean")
 	}
 	cp := marginalCatPredictor([]int{0, 1, 1, 2}, 3)
-	if cp.PredictLabel(nil) != 1 {
+	if predictLabelRow(cp, nil) != 1 {
 		t.Error("marginal cat should predict the majority")
 	}
 	if rp.Bytes() <= 0 || cp.Bytes() <= 0 {

@@ -51,10 +51,10 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 	bw := binio.NewWriter(buf)
 	bw.String(modelMagic)
 	bw.Int(modelVersion)
-	encodeSchema(bw, m.schema)
+	dataset.EncodeSchema(bw, m.schema)
 	bw.Int(len(m.terms))
 	for i := range m.terms {
-		if err := encodeTerm(bw, &m.terms[i]); err != nil {
+		if err := encodeTerm(bw, m.schema, &m.terms[i]); err != nil {
 			return 0, err
 		}
 	}
@@ -91,7 +91,7 @@ func ReadModel(r io.Reader) (*Model, error) {
 		}
 		return nil, fmt.Errorf("core: unsupported model version %d", version)
 	}
-	schema := decodeSchema(br)
+	schema := dataset.DecodeSchema(br)
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
@@ -122,35 +122,8 @@ func ReadModel(r io.Reader) (*Model, error) {
 	return m, br.Err()
 }
 
-func encodeSchema(w *binio.Writer, s dataset.Schema) {
-	w.Int(len(s))
-	for _, f := range s {
-		w.String(f.Name)
-		w.U64(uint64(f.Kind))
-		w.Int(f.Arity)
-	}
-}
-
-func decodeSchema(r *binio.Reader) dataset.Schema {
-	n := r.Int()
-	if r.Err() != nil || n < 0 || n > binio.MaxSliceLen {
-		return nil
-	}
-	s := make(dataset.Schema, 0, min(n, 4096))
-	for i := 0; i < n; i++ {
-		var f dataset.Feature
-		f.Name = r.String()
-		f.Kind = dataset.Kind(r.U64())
-		f.Arity = r.Int()
-		if r.Err() != nil {
-			return nil
-		}
-		s = append(s, f)
-	}
-	return s
-}
-
-func encodeTerm(w *binio.Writer, tm *termModel) error {
+// encodeTerm writes one term of a model over schema.
+func encodeTerm(w *binio.Writer, schema dataset.Schema, tm *termModel) error {
 	w.Int(tm.term.Target)
 	w.Int(tm.term.Orig)
 	w.Ints(tm.term.Inputs)
@@ -162,7 +135,7 @@ func encodeTerm(w *binio.Writer, tm *termModel) error {
 		w.Int(tm.catErr.K)
 		w.Ints(tm.catErr.Counts)
 		w.F64(tm.catErr.Smoothing)
-		return encodeCatPredictor(w, tm.cat)
+		return encodeCatPredictor(w, tm.cat, schema, tm.term.Inputs)
 	}
 	// Gaussian (+ optional KDE) error model.
 	w.F64(tm.realErr.gauss.Mu)
@@ -172,7 +145,7 @@ func encodeTerm(w *binio.Writer, tm *termModel) error {
 		w.F64(tm.realErr.kde.Bandwidth())
 		w.F64s(tm.realErr.kde.Points())
 	}
-	return encodeRealPredictor(w, tm.real)
+	return encodeRealPredictor(w, tm.real, schema, tm.term.Inputs)
 }
 
 func decodeTerm(r *binio.Reader, schema dataset.Schema) (termModel, error) {
@@ -210,11 +183,11 @@ func decodeTerm(r *binio.Reader, schema dataset.Schema) (termModel, error) {
 			return tm, fmt.Errorf("confusion matrix %d with %d counts for arity %d", k, len(counts), tm.arity)
 		}
 		tm.catErr = &stats.Confusion{K: k, Counts: counts, Smoothing: smoothing}
-		cat, err := decodeCatPredictor(r)
+		cat, err := decodeCatPredictor(r, schema, tm.term.Inputs)
 		if err != nil {
 			return tm, err
 		}
-		if err := validateCatPredictor(cat, len(tm.term.Inputs), tm.arity); err != nil {
+		if err := validateCatPredictor(cat, tm.arity); err != nil {
 			return tm, err
 		}
 		tm.cat = cat
@@ -232,7 +205,7 @@ func decodeTerm(r *binio.Reader, schema dataset.Schema) (termModel, error) {
 		}
 		tm.realErr.kde = stats.FitKDE(pts, bw)
 	}
-	real, err := decodeRealPredictor(r)
+	real, err := decodeRealPredictor(r, schema, tm.term.Inputs)
 	if err != nil {
 		return tm, err
 	}
@@ -243,36 +216,28 @@ func decodeTerm(r *binio.Reader, schema dataset.Schema) (termModel, error) {
 	return tm, nil
 }
 
-// validateRealPredictor rejects decoded predictors whose shape disagrees
-// with the term's input count; Predict would index out of range on them.
+// validateRealPredictor rejects decoded SVR predictors whose shape
+// disagrees with the term's input count; PredictBatch would index out of
+// range on them. A tree's decoder checks its inputs against the term's
+// itself.
 func validateRealPredictor(p RealPredictor, inputs int) error {
-	switch v := p.(type) {
-	case *imputedReal:
-		if len(v.model.W) != inputs || len(v.means) != inputs || len(v.scales) != inputs {
-			return fmt.Errorf("SVR shape (%d weights, %d means, %d scales) for %d inputs",
-				len(v.model.W), len(v.means), len(v.scales), inputs)
-		}
-	case *tree.Regressor:
-		if v.NumInputs() != inputs {
-			return fmt.Errorf("tree over %d inputs for a %d-input term", v.NumInputs(), inputs)
-		}
+	if v, ok := p.(*imputedReal); ok && (len(v.model.W) != inputs || len(v.means) != inputs || len(v.scales) != inputs) {
+		return fmt.Errorf("SVR shape (%d weights, %d means, %d scales) for %d inputs",
+			len(v.model.W), len(v.means), len(v.scales), inputs)
 	}
 	return nil
 }
 
-// validateCatPredictor mirrors validateRealPredictor and additionally pins
-// the label range: predictions index the confusion matrix, so every label a
+// validateCatPredictor pins the label range of a decoded categorical
+// predictor: predictions index the confusion matrix, so every label a
 // predictor can emit must lie in [0, arity).
-func validateCatPredictor(p CatPredictor, inputs, arity int) error {
+func validateCatPredictor(p CatPredictor, arity int) error {
 	switch v := p.(type) {
 	case constantCat:
 		if v.label < 0 || v.label >= arity {
 			return fmt.Errorf("constant label %d out of [0,%d)", v.label, arity)
 		}
 	case *tree.Classifier:
-		if v.NumInputs() != inputs {
-			return fmt.Errorf("tree over %d inputs for a %d-input term", v.NumInputs(), inputs)
-		}
 		if v.Arity != arity {
 			return fmt.Errorf("tree over %d classes for arity %d", v.Arity, arity)
 		}
@@ -280,7 +245,9 @@ func validateCatPredictor(p CatPredictor, inputs, arity int) error {
 	return nil
 }
 
-func encodeRealPredictor(w *binio.Writer, p RealPredictor) error {
+// encodeRealPredictor writes the predictor of a term whose input j is
+// column cols[j] of schema.
+func encodeRealPredictor(w *binio.Writer, p RealPredictor, schema dataset.Schema, cols []int) error {
 	switch v := p.(type) {
 	case constantReal:
 		w.Int(tagConstantReal)
@@ -294,14 +261,16 @@ func encodeRealPredictor(w *binio.Writer, p RealPredictor) error {
 		w.F64(v.ySD)
 	case *tree.Regressor:
 		w.Int(tagTreeRegressor)
-		v.Encode(w)
+		v.Encode(w, schema, cols)
 	default:
 		return fmt.Errorf("core: predictor type %T is not serializable", p)
 	}
 	return w.Err()
 }
 
-func decodeRealPredictor(r *binio.Reader) (RealPredictor, error) {
+// decodeRealPredictor reads the predictor of a term whose input j is
+// column cols[j] of schema.
+func decodeRealPredictor(r *binio.Reader, schema dataset.Schema, cols []int) (RealPredictor, error) {
 	switch tag := r.Int(); tag {
 	case tagConstantReal:
 		return constantReal{value: r.F64()}, r.Err()
@@ -313,7 +282,7 @@ func decodeRealPredictor(r *binio.Reader) (RealPredictor, error) {
 		p := &imputedReal{model: m, means: r.F64s(), scales: r.F64s(), yMean: r.F64(), ySD: r.F64()}
 		return p, r.Err()
 	case tagTreeRegressor:
-		return tree.DecodeRegressor(r)
+		return tree.DecodeRegressor(r, schema, cols)
 	default:
 		if err := r.Err(); err != nil {
 			return nil, err
@@ -322,26 +291,28 @@ func decodeRealPredictor(r *binio.Reader) (RealPredictor, error) {
 	}
 }
 
-func encodeCatPredictor(w *binio.Writer, p CatPredictor) error {
+// encodeCatPredictor is encodeRealPredictor for categorical predictors.
+func encodeCatPredictor(w *binio.Writer, p CatPredictor, schema dataset.Schema, cols []int) error {
 	switch v := p.(type) {
 	case constantCat:
 		w.Int(tagConstantCat)
 		w.Int(v.label)
 	case *tree.Classifier:
 		w.Int(tagTreeClassifier)
-		v.Encode(w)
+		v.Encode(w, schema, cols)
 	default:
 		return fmt.Errorf("core: predictor type %T is not serializable", p)
 	}
 	return w.Err()
 }
 
-func decodeCatPredictor(r *binio.Reader) (CatPredictor, error) {
+// decodeCatPredictor is decodeRealPredictor for categorical predictors.
+func decodeCatPredictor(r *binio.Reader, schema dataset.Schema, cols []int) (CatPredictor, error) {
 	switch tag := r.Int(); tag {
 	case tagConstantCat:
 		return constantCat{label: r.Int()}, r.Err()
 	case tagTreeClassifier:
-		return tree.DecodeClassifier(r)
+		return tree.DecodeClassifier(r, schema, cols)
 	default:
 		if err := r.Err(); err != nil {
 			return nil, err

@@ -137,7 +137,7 @@ func TestPredictorTagsPinned(t *testing.T) {
 		{tree.TrainRegressor(x, realInputs(1), []float64{0, 0, 1, 1}, tree.Params{MinLeaf: 1}), 2},
 	}
 	for _, c := range reals {
-		if got := tag(func(w *binio.Writer) error { return encodeRealPredictor(w, c.p) }); got != c.want {
+		if got := tag(func(w *binio.Writer) error { return encodeRealPredictor(w, c.p, realInputs(1), []int{0}) }); got != c.want {
 			t.Errorf("%T written with tag %d, want %d", c.p, got, c.want)
 		}
 	}
@@ -149,7 +149,7 @@ func TestPredictorTagsPinned(t *testing.T) {
 		{tree.TrainClassifier(x, realInputs(1), []int{0, 0, 1, 1}, 2, tree.Params{MinLeaf: 1}), 5},
 	}
 	for _, c := range cats {
-		if got := tag(func(w *binio.Writer) error { return encodeCatPredictor(w, c.p) }); got != c.want {
+		if got := tag(func(w *binio.Writer) error { return encodeCatPredictor(w, c.p, realInputs(1), []int{0}) }); got != c.want {
 			t.Errorf("%T written with tag %d, want %d", c.p, got, c.want)
 		}
 	}
@@ -179,6 +179,56 @@ func TestPredictorTagsPinned(t *testing.T) {
 	_, err = ReadModel(bytes.NewReader(blob))
 	if err == nil || !strings.Contains(err.Error(), "tag 4") {
 		t.Errorf("stream with categorical tag 4: err = %v, want one naming tag 4", err)
+	}
+}
+
+// TestReadModelChecksTreeInputs: a tree's input block must describe the
+// model's columns at its term's inputs. Flipping the kind, or the arity, of
+// one input in the first tree block of a TreeLearners artifact makes
+// ReadModel fail with an error that names the term, where a tree that
+// disagrees with the model's schema would otherwise load and score.
+func TestReadModelChecksTreeInputs(t *testing.T) {
+	train, _ := randomCatTrainTest(40, 1, 3, 2, 0, rng.New(0x7e))
+	m, err := Train(train, FullTerms(train.NumFeatures()), Config{Seed: 3, Learners: TreeLearners(tree.Params{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.terms[0].cat.(*tree.Classifier); !ok {
+		t.Fatalf("term 0 predicts with %T, want a tree", m.terms[0].cat)
+	}
+	var buf bytes.Buffer
+	if _, err := m.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	if _, err := ReadModel(bytes.NewReader(blob)); err != nil {
+		t.Fatal(err)
+	}
+	// Term 0's tree block follows the header (magic, version, schema) and
+	// holds the model's features at its inputs; its first input is column
+	// 1, a categorical feature, whose kind and arity words follow the
+	// block's count and the feature's name.
+	var head, block bytes.Buffer
+	hw, bw := binio.NewWriter(&head), binio.NewWriter(&block)
+	hw.String(modelMagic)
+	hw.Int(modelVersion)
+	dataset.EncodeSchema(hw, m.schema)
+	dataset.EncodeSelection(bw, m.schema, m.terms[0].term.Inputs)
+	at := bytes.Index(blob[head.Len():], block.Bytes())
+	if at < 0 || m.terms[0].term.Inputs[0] != 1 || m.schema[1].Kind != dataset.Categorical {
+		t.Fatalf("no tree block of term 0 over categorical column 1 in the artifact")
+	}
+	kind := head.Len() + at + 8 + 8 + len(m.schema[1].Name)
+	for _, c := range []struct {
+		name string
+		off  int
+		v    byte
+	}{{"kind", kind, byte(dataset.Real)}, {"arity", kind + 8, byte(m.schema[1].Arity + 1)}} {
+		bad := bytes.Clone(blob)
+		bad[c.off] = c.v
+		if _, err := ReadModel(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "term 0:") {
+			t.Errorf("tree block with a flipped %s: err = %v, want one naming term 0", c.name, err)
+		}
 	}
 }
 
@@ -225,6 +275,5 @@ func TestWriteToRejectsCustomPredictor(t *testing.T) {
 
 type customReal struct{}
 
-func (customReal) Predict([]float64) float64                    { return 0 }
-func (customReal) PredictBatch(x *linalg.Matrix, out []float64) {}
-func (customReal) Bytes() int64                                 { return 0 }
+func (customReal) PredictBatch(*linalg.Matrix, []int, []float64) {}
+func (customReal) Bytes() int64                                  { return 0 }

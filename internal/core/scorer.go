@@ -82,31 +82,25 @@ func (m *Model) Schema() dataset.Schema { return m.schema }
 // prediction path, and contributions accumulate in ascending term order
 // exactly as ScoreSet.Totals does.
 func (m *Model) ScoreRowsInto(rows *linalg.Matrix, out []float64, ws *ScoreWorkspace) error {
-	return m.ScoreRowsObserved(rows, out, ws, nil)
+	return m.scoreRows(rows, out, ws, nil, nil, 0)
 }
 
 // TermObserver receives each term's per-row NS contributions during
-// ScoreRowsObserved. ObserveTerm is called once per term, in ascending term
-// order, with the contribution of term ti to each row of the batch; the
-// slice is the scorer's scratch and must not be retained. The drift
-// monitor's collector satisfies this to localize which terms moved.
+// ScoreRowsExplainedObserved. ObserveTerm is called once per term, in
+// ascending term order, with the contribution of term ti to each row of the
+// batch; the slice is the scorer's scratch and must not be retained. The
+// observer sees exactly the contributions that are summed into the totals,
+// so observing changes no score bit. The drift monitor's collector
+// satisfies this to localize which terms moved.
 type TermObserver interface {
 	ObserveTerm(ti int, contribs []float64)
 }
 
-// ScoreRowsObserved is ScoreRowsInto with a per-term observation tap. The
-// observer sees exactly the contributions that are summed into out, so
-// observing changes nothing about the scores: totals stay bit-identical to
-// the unobserved path. A nil obs is the plain scoring path.
-func (m *Model) ScoreRowsObserved(rows *linalg.Matrix, out []float64, ws *ScoreWorkspace, obs TermObserver) error {
-	return m.scoreRows(rows, out, ws, obs, nil, 0)
-}
-
 // scoreRows is the one scoring loop behind Score, ScoreRowsInto,
-// ScoreRowsObserved, and ScoreRowsExplainedInto. When explanation is on
-// (ew non-nil, k > 0) each term's contributions are computed directly into
-// the capture matrix instead of the transient row buffer — same
-// computation, different destination — and its raw predictions are
+// ScoreRowsExplainedInto and ScoreRowsExplainedObserved. When explanation
+// is on (ew non-nil, k > 0) each term's contributions are computed
+// directly into the capture matrix instead of the transient row buffer —
+// same computation, different destination — and its raw predictions are
 // recorded alongside; totals accumulate in ascending term order either
 // way, which is what keeps explained scores bit-identical to plain ones.
 func (m *Model) scoreRows(rows *linalg.Matrix, out []float64, ws *ScoreWorkspace, obs TermObserver, ew *ExplainWorkspace, k int) error {

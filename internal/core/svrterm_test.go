@@ -343,7 +343,7 @@ func TestTrainTermWithoutSharedGram(t *testing.T) {
 			for _, c := range term.Inputs {
 				x = append(x, test.Sample(s)[c])
 			}
-			got, want := tm.real.Predict(x), model.terms[ti].real.Predict(x)
+			got, want := predictRow(tm.real, x), predictRow(model.terms[ti].real, x)
 			if math.Abs(got-want) > gramTolerance*math.Max(math.Abs(got), math.Abs(want)) {
 				t.Fatalf("term %d sample %d: direct %v, Train %v", ti, s, got, want)
 			}

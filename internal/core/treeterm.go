@@ -50,9 +50,8 @@ func needsDesign(train *dataset.Dataset, terms []Term, cfg Config) bool {
 // trainTreeTerm fits a learned term on the tree route. rows are the
 // target's observed training rows, and sc.yI (categorical target) or sc.yF
 // (real target) their targets.
-func trainTreeTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, cfg Config, sc *trainScratch) {
+func trainTreeTerm(tm *termModel, term Term, rows []int, cfg Config, sc *trainScratch) {
 	d, p, cols := sc.design, *cfg.Learners.Tree, term.Inputs
-	inputs := train.Schema.Select(cols)
 	var conf *stats.Confusion
 	if tm.isCat {
 		sc.labels = byDesignRow(sc.labels, d.Rows(), rows, sc.yI)
@@ -73,13 +72,13 @@ func trainTreeTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int,
 		sc.fitRows = fitRows
 		cfg.Obs.Add(obs.CounterTreeFits, 1)
 		if tm.isCat {
-			c := tree.FitClassifier(d, cols, inputs, fitRows, sc.labels, tm.arity, p, &sc.tree)
+			c := tree.FitClassifier(d, cols, fitRows, sc.labels, tm.arity, p, &sc.tree)
 			for _, h := range fold {
 				conf.Add(sc.yI[h], c.PredictDesignRow(d, cols, rows[h]))
 			}
 			continue
 		}
-		r := tree.FitRegressor(d, cols, inputs, fitRows, sc.targets, p, &sc.tree)
+		r := tree.FitRegressor(d, cols, fitRows, sc.targets, p, &sc.tree)
 		for _, h := range fold {
 			residuals = append(residuals, sc.yF[h]-r.PredictDesignRow(d, cols, rows[h]))
 		}
@@ -87,7 +86,7 @@ func trainTreeTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int,
 	cfg.Obs.Add(obs.CounterTreeFits, 1)
 	if tm.isCat {
 		tm.catErr = conf
-		tm.cat = tree.FitClassifier(d, cols, inputs, rows, sc.labels, tm.arity, p, &sc.tree)
+		tm.cat = tree.FitClassifier(d, cols, rows, sc.labels, tm.arity, p, &sc.tree)
 		return
 	}
 	sc.residuals = residuals
@@ -95,7 +94,7 @@ func trainTreeTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int,
 		residuals = []float64{0}
 	}
 	tm.realErr = fitRealError(residuals, cfg.KDEError)
-	tm.real = tree.FitRegressor(d, cols, inputs, rows, sc.targets, p, &sc.tree)
+	tm.real = tree.FitRegressor(d, cols, rows, sc.targets, p, &sc.tree)
 }
 
 // byDesignRow lays y, the targets of rows, out by design row in buf, which

@@ -12,6 +12,8 @@ package dataset
 import (
 	"fmt"
 	"math"
+
+	"frac/internal/binio"
 )
 
 // Kind distinguishes feature types.
@@ -105,6 +107,54 @@ func (s Schema) Select(indices []int) Schema {
 		out[i] = s[idx]
 	}
 	return out
+}
+
+// EncodeSchema writes s to w: its length, then each feature's name, kind
+// and arity. A model artifact writes its schema with it.
+func EncodeSchema(w *binio.Writer, s Schema) {
+	w.Int(len(s))
+	for _, f := range s {
+		f.encode(w)
+	}
+}
+
+// EncodeSelection writes s.Select(indices) to w as EncodeSchema does,
+// without building it. A model artifact writes each tree's input block
+// with it.
+func EncodeSelection(w *binio.Writer, s Schema, indices []int) {
+	w.Int(len(indices))
+	for _, idx := range indices {
+		s[idx].encode(w)
+	}
+}
+
+func (f Feature) encode(w *binio.Writer) {
+	w.String(f.Name)
+	w.U64(uint64(f.Kind))
+	w.Int(f.Arity)
+}
+
+// DecodeSchema reads a schema written by EncodeSchema, or returns nil when
+// the stream fails (r.Err says why) or claims an implausible length. The
+// schema grows as it decodes, so a corrupt count cannot allocate more
+// features than the stream carries. It does not validate the schema.
+func DecodeSchema(r *binio.Reader) Schema {
+	n := r.Int()
+	if r.Err() != nil || n < 0 || n > binio.MaxSliceLen {
+		return nil
+	}
+	s := make(Schema, 0, min(n, 4096))
+	for i := 0; i < n; i++ {
+		var f Feature
+		f.Name = r.String()
+		f.Kind = Kind(r.U64())
+		f.Arity = r.Int()
+		if r.Err() != nil {
+			return nil
+		}
+		s = append(s, f)
+	}
+	return s
 }
 
 // RealSchema returns a schema of n anonymous real features, used for

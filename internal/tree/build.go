@@ -20,7 +20,7 @@ import (
 // the identity column map.
 func TrainClassifier(x *linalg.Matrix, inputs dataset.Schema, y []int, arity int, params Params) *Classifier {
 	d, cols, rows := privateDesign(x, inputs)
-	return FitClassifier(d, cols, inputs, rows, y, arity, params, new(Scratch))
+	return FitClassifier(d, cols, rows, y, arity, params, new(Scratch))
 }
 
 // TrainRegressor fits a variance-minimizing regression tree. Every observed
@@ -28,7 +28,7 @@ func TrainClassifier(x *linalg.Matrix, inputs dataset.Schema, y []int, arity int
 // on a private design of x, over every row and the identity column map.
 func TrainRegressor(x *linalg.Matrix, inputs dataset.Schema, y []float64, params Params) *Regressor {
 	d, cols, rows := privateDesign(x, inputs)
-	return FitRegressor(d, cols, inputs, rows, y, params, new(Scratch))
+	return FitRegressor(d, cols, rows, y, params, new(Scratch))
 }
 
 // privateDesign returns the design of x, the identity column map and the
@@ -43,11 +43,11 @@ func privateDesign(x *linalg.Matrix, inputs dataset.Schema) (d *Design, cols, ro
 
 // fit says where one fit reads its inputs and targets; exactly one of
 // catY/realY is set. Rows are design rows, and catY and realY are indexed
-// by them.
+// by them. Input j is design column cols[j], whose kind and arity the
+// design records.
 type fit struct {
 	d      *Design
 	cols   []int // input j's design column
-	inputs dataset.Schema
 	params Params
 
 	catY  []int
@@ -95,9 +95,9 @@ type Scratch struct {
 // tree in s.nodes and returns the tree with a copy of them.
 func (s *Scratch) grow(rows []int) tree {
 	maxArity, hasCat := 0, false
-	for _, f := range s.inputs {
-		if f.Kind == dataset.Categorical {
-			maxArity, hasCat = max(maxArity, f.Arity), true
+	for _, c := range s.cols {
+		if a := s.d.cols[c].arity; a > 0 {
+			maxArity, hasCat = max(maxArity, a), true
 		}
 	}
 	s.rows = append(s.rows[:0], rows...)
@@ -119,7 +119,7 @@ func (s *Scratch) grow(rows []int) tree {
 	}
 	s.nodes = s.nodes[:0]
 	s.d.codes.grow(s)
-	return tree{nodes: append([]node(nil), s.nodes...), inputs: s.inputs}
+	return tree{nodes: append([]node(nil), s.nodes...)}
 }
 
 // resize returns buf with length n, reallocated only when it is too short.
@@ -405,10 +405,10 @@ func (b *builder[C]) partition(rows []int, s split) (nLeft int, missingLeft, ok 
 // missing-value correction), so features that are mostly missing cannot win
 // on a handful of rows.
 func (b *builder[C]) bestSplit(rows []int, parentImp float64) (best split, found bool) {
-	for j, f := range b.inputs {
+	for j, c := range b.cols {
 		var cand split
 		var ok bool
-		if f.Kind == dataset.Categorical {
+		if b.d.cols[c].arity > 0 {
 			cand, ok = b.bestCategoricalSplit(rows, j, parentImp)
 		} else {
 			cand, ok = b.bestThresholdSplit(rows, j, parentImp)
@@ -524,7 +524,7 @@ func childVar(s, ss float64, n int) float64 {
 }
 
 func (b *builder[C]) bestCategoricalSplit(rows []int, j int, parentImp float64) (split, bool) {
-	arityJ := b.inputs[j].Arity
+	arityJ := b.d.cols[b.cols[j]].arity
 	perCat := b.perCat[:arityJ]
 	nObs := 0
 

@@ -139,7 +139,7 @@ func (cc codeCols[C]) bytes() int64 {
 
 // walk descends t from its root to the leaf that design row r lands in,
 // reading input j from design column cols[j], as tree.walk descends for
-// the row's gathered cells.
+// the data set's row r through the same column map.
 func (cc codeCols[C]) walk(t *tree, d *Design, cols []int, r int) *node {
 	cur := &t.nodes[0]
 	for cur.feature >= 0 {
@@ -168,32 +168,32 @@ func (cc codeCols[C]) walk(t *tree, d *Design, cols []int, r int) *node {
 }
 
 // PredictDesignRow returns the label of the leaf design row r lands in when
-// input j is design column cols[j]: the label PredictLabel gives the row's
-// cells gathered through cols.
+// input j is design column cols[j]: the label PredictLabelBatch gives the
+// data set's row r through cols.
 func (c *Classifier) PredictDesignRow(d *Design, cols []int, r int) int {
 	return d.codes.walk(&c.tree, d, cols, r).label
 }
 
 // PredictDesignRow returns the mean target of the leaf design row r lands
-// in when input j is design column cols[j]: the value Predict gives the
-// row's cells gathered through cols.
+// in when input j is design column cols[j]: the value PredictBatch gives
+// the data set's row r through cols.
 func (p *Regressor) PredictDesignRow(d *Design, cols []int, r int) float64 {
 	return d.codes.walk(&p.tree, d, cols, r).value
 }
 
 // FitClassifier fits the classification tree that TrainClassifier fits on
 // the gathered rows, reading its inputs from a shared design instead: input
-// j is design column cols[j], of the kind and arity inputs gives it; rows
-// lists the fit's design rows, in order; and y holds a label in [0, arity)
-// for every design row, of which only the fit's rows are read. s is the
-// fit's working memory: after warm-up a fit allocates only the classifier
-// it returns.
-func FitClassifier(d *Design, cols []int, inputs dataset.Schema, rows, y []int, arity int, params Params, s *Scratch) *Classifier {
-	checkFit(d, cols, inputs, len(y))
+// j is design column cols[j], of the kind and arity the design records for
+// it; rows lists the fit's design rows, in order; and y holds a label in
+// [0, arity) for every design row, of which only the fit's rows are read.
+// s is the fit's working memory: after warm-up a fit allocates only the
+// classifier it returns.
+func FitClassifier(d *Design, cols, rows, y []int, arity int, params Params, s *Scratch) *Classifier {
+	checkFit(d, len(y))
 	if arity < 2 {
 		panic(fmt.Sprintf("tree: classifier arity %d", arity))
 	}
-	s.fit = fit{d: d, cols: cols, inputs: inputs, params: params.withDefaults(), catY: y, arity: arity}
+	s.fit = fit{d: d, cols: cols, params: params.withDefaults(), catY: y, arity: arity}
 	return &Classifier{tree: s.grow(rows), Arity: arity}
 }
 
@@ -201,26 +201,15 @@ func FitClassifier(d *Design, cols []int, inputs dataset.Schema, rows, y []int, 
 // gathered rows, reading its inputs from a shared design as FitClassifier
 // does; y holds a target for every design row, of which only the fit's
 // rows are read.
-func FitRegressor(d *Design, cols []int, inputs dataset.Schema, rows []int, y []float64, params Params, s *Scratch) *Regressor {
-	checkFit(d, cols, inputs, len(y))
-	s.fit = fit{d: d, cols: cols, inputs: inputs, params: params.withDefaults(), realY: y}
+func FitRegressor(d *Design, cols, rows []int, y []float64, params Params, s *Scratch) *Regressor {
+	checkFit(d, len(y))
+	s.fit = fit{d: d, cols: cols, params: params.withDefaults(), realY: y}
 	return &Regressor{tree: s.grow(rows)}
 }
 
-// checkFit panics unless input j of inputs is design column cols[j], of
-// the same kind and arity, and there is one target per design row.
-func checkFit(d *Design, cols []int, inputs dataset.Schema, targets int) {
-	if len(cols) != len(inputs) {
-		panic(fmt.Sprintf("tree: %d input columns but schema has %d", len(cols), len(inputs)))
-	}
+// checkFit panics unless there is one target per design row.
+func checkFit(d *Design, targets int) {
 	if targets != d.n {
 		panic(fmt.Sprintf("tree: design has %d rows but %d targets", d.n, targets))
-	}
-	for j, f := range inputs {
-		col := d.cols[cols[j]]
-		if f.Arity != col.arity || (f.Kind == dataset.Categorical) != (col.arity > 0) {
-			panic(fmt.Sprintf("tree: input %d (%s, arity %d) does not match design column %d (arity %d)",
-				j, f.Name, f.Arity, cols[j], col.arity))
-		}
 	}
 }

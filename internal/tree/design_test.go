@@ -171,10 +171,11 @@ func (p *designProblem) countSplits(nodes []node, small, large *int) (threshold 
 // the same tree, node for node and floats by their bits, as
 // TrainClassifier and the frozen reference (ref_test.go) grow on the
 // gathered matrix; and walking it over the design classifies every design
-// row, fitted or not, as PredictLabel classifies the gathered row. Target
-// arities run 2–5 and above 255; categorical splits fall on nodes on both
-// sides of bitsetRows; and both the all-categorical and the mixed problems
-// include inputs of arity above 255 (16-bit codes).
+// row, fitted or not, as the walk over the raw row through the column map
+// and the walk over the gathered row through the identity map classify it.
+// Target arities run 2–5 and above 255; categorical splits fall on nodes
+// on both sides of bitsetRows; and both the all-categorical and the mixed
+// problems include inputs of arity above 255 (16-bit codes).
 func TestFitClassifierMatchesTrainClassifier(t *testing.T) {
 	var s Scratch // shared by every fit, as a worker's is
 	var small, large, thresholds, wide [3]int
@@ -208,7 +209,7 @@ func TestFitClassifierMatchesTrainClassifier(t *testing.T) {
 				gy[i] = y[r]
 			}
 			design := NewDesign(p.x, p.schema)
-			got := FitClassifier(design, p.cols, p.inputs, p.rows, y, arity, p.params, &s)
+			got := FitClassifier(design, p.cols, p.rows, y, arity, p.params, &s)
 			want := TrainClassifier(p.gx, p.inputs, gy, arity, p.params)
 			compareNodes(t, seed, got.nodes, want.nodes)
 			compareNodes(t, seed, got.nodes, refTrainClassifier(p.gx, p.inputs, gy, arity, p.params).nodes)
@@ -216,10 +217,17 @@ func TestFitClassifierMatchesTrainClassifier(t *testing.T) {
 				t.Fatalf("seed %d: %s inputs", seed, inputKinds[kind])
 			}
 			row := make([]float64, len(p.cols))
+			raw := make([]int, n)
+			got.PredictLabelBatch(p.x, p.cols, raw)
 			for r := 0; r < n; r++ {
-				if g, w := got.PredictDesignRow(design, p.cols, r), want.PredictLabel(p.gathered(r, row)); g != w {
+				g := got.PredictDesignRow(design, p.cols, r)
+				if w := predictLabel(want, p.gathered(r, row)); g != w {
 					t.Fatalf("seed %d, %s inputs: design row %d walks to label %d, the gathered row to %d",
 						seed, inputKinds[kind], r, g, w)
+				}
+				if raw[r] != g {
+					t.Fatalf("seed %d, %s inputs: design row %d walks to label %d, the raw row through cols to %d",
+						seed, inputKinds[kind], r, g, raw[r])
 				}
 			}
 			thresholds[kind] += p.countSplits(got.nodes, &small[kind], &large[kind])
@@ -245,9 +253,11 @@ func TestFitClassifierMatchesTrainClassifier(t *testing.T) {
 // all-real and mixed inputs (newDesignProblem), a fit on a shared design
 // grows TrainRegressor's and the frozen reference's tree on the gathered
 // rows, node for node and floats by their bits, and PredictDesignRow gives
-// Predict's value on every design row, to the bit. A fifth of the targets
-// are 1e16-scaled grid values, so every target sum depends on its order
-// and a change of summation order moves the node values.
+// every design row the value PredictBatch gives its raw row through the
+// column map and its gathered row through the identity map, to the bit. A
+// fifth of the targets are 1e16-scaled grid values, so every target sum
+// depends on its order and a change of summation order moves the node
+// values.
 func TestFitRegressorMatchesTrainRegressor(t *testing.T) {
 	var s Scratch
 	var small, large, thresholds [3]int
@@ -273,7 +283,7 @@ func TestFitRegressorMatchesTrainRegressor(t *testing.T) {
 				gy[i] = y[r]
 			}
 			design := NewDesign(p.x, p.schema)
-			got := FitRegressor(design, p.cols, p.inputs, p.rows, y, p.params, &s)
+			got := FitRegressor(design, p.cols, p.rows, y, p.params, &s)
 			want := TrainRegressor(p.gx, p.inputs, gy, p.params)
 			compareNodes(t, seed, got.nodes, want.nodes)
 			compareNodes(t, seed, got.nodes, refTrainRegressor(p.gx, p.inputs, gy, p.params).nodes)
@@ -281,11 +291,17 @@ func TestFitRegressorMatchesTrainRegressor(t *testing.T) {
 				t.Fatalf("seed %d: %s inputs", seed, inputKinds[kind])
 			}
 			row := make([]float64, len(p.cols))
+			raw := make([]float64, n)
+			got.PredictBatch(p.x, p.cols, raw)
 			for r := 0; r < n; r++ {
-				g, w := got.PredictDesignRow(design, p.cols, r), want.Predict(p.gathered(r, row))
+				g, w := got.PredictDesignRow(design, p.cols, r), predict(want, p.gathered(r, row))
 				if math.Float64bits(g) != math.Float64bits(w) {
 					t.Fatalf("seed %d, %s inputs: design row %d walks to %v, the gathered row to %v",
 						seed, inputKinds[kind], r, g, w)
+				}
+				if math.Float64bits(raw[r]) != math.Float64bits(g) {
+					t.Fatalf("seed %d, %s inputs: design row %d walks to %v, the raw row through cols to %v",
+						seed, inputKinds[kind], r, g, raw[r])
 				}
 			}
 			thresholds[kind] += p.countSplits(got.nodes, &small[kind], &large[kind])
@@ -354,7 +370,7 @@ func TestFitClassifierAllocs(t *testing.T) {
 	}
 	for _, term := range allocTerms(t) {
 		allocs := fitAllocs(term.x, term.inputs, func(d *Design, cols, rows []int, s *Scratch) {
-			FitClassifier(d, cols, term.inputs, rows, term.y, 3, Params{}, s)
+			FitClassifier(d, cols, rows, term.y, 3, Params{}, s)
 		})
 		if allocs > 2 {
 			t.Errorf("%s inputs: FitClassifier allocates %.0f times per fit after warm-up, want <= 2", term.name, allocs)
@@ -370,7 +386,7 @@ func TestFitRegressorAllocs(t *testing.T) {
 	}
 	for _, term := range allocTerms(t) {
 		allocs := fitAllocs(term.x, term.inputs, func(d *Design, cols, rows []int, s *Scratch) {
-			FitRegressor(d, cols, term.inputs, rows, term.yF, Params{}, s)
+			FitRegressor(d, cols, rows, term.yF, Params{}, s)
 		})
 		if allocs > 2 {
 			t.Errorf("%s inputs: FitRegressor allocates %.0f times per fit after warm-up, want <= 2", term.name, allocs)

@@ -7,40 +7,14 @@ import (
 	"frac/internal/dataset"
 )
 
-// Serialization of trained trees (model persistence).
+// Serialization of trained trees (model persistence). A tree keeps no
+// schema: its node features index the term's inputs, input j being column
+// cols[j] of the model's schema. The stream still carries the inputs' block
+// of features, written from the model's schema and checked against it on
+// decode, so artifacts keep their layout.
 
-func encodeSchema(w *binio.Writer, s dataset.Schema) {
-	w.Int(len(s))
-	for _, f := range s {
-		w.String(f.Name)
-		w.U64(uint64(f.Kind))
-		w.Int(f.Arity)
-	}
-}
-
-func decodeSchema(r *binio.Reader) dataset.Schema {
-	n := r.Int()
-	if r.Err() != nil || n < 0 || n > binio.MaxSliceLen {
-		return nil
-	}
-	// Grown incrementally: a corrupt count cannot allocate more features
-	// than the stream actually carries.
-	s := make(dataset.Schema, 0, min(n, 4096))
-	for i := 0; i < n; i++ {
-		var f dataset.Feature
-		f.Name = r.String()
-		f.Kind = dataset.Kind(r.U64())
-		f.Arity = r.Int()
-		if r.Err() != nil {
-			return nil
-		}
-		s = append(s, f)
-	}
-	return s
-}
-
-func (t *tree) encode(w *binio.Writer) {
-	encodeSchema(w, t.inputs)
+func (t *tree) encode(w *binio.Writer, schema dataset.Schema, cols []int) {
+	dataset.EncodeSelection(w, schema, cols)
 	w.Int(len(t.nodes))
 	for i := range t.nodes {
 		n := &t.nodes[i]
@@ -55,12 +29,21 @@ func (t *tree) encode(w *binio.Writer) {
 	}
 }
 
-func decodeTree(r *binio.Reader) (tree, error) {
+func decodeTree(r *binio.Reader, schema dataset.Schema, cols []int) (tree, error) {
 	var t tree
-	t.inputs = decodeSchema(r)
+	inputs := dataset.DecodeSchema(r)
 	n := r.Int()
 	if err := r.Err(); err != nil {
 		return t, err
+	}
+	if len(inputs) != len(cols) {
+		return t, fmt.Errorf("tree: %d inputs for a %d-input term", len(inputs), len(cols))
+	}
+	for j, f := range inputs {
+		if want := schema[cols[j]]; f.Kind != want.Kind || f.Arity != want.Arity {
+			return t, fmt.Errorf("tree: input %d is %v of arity %d, but model column %d is %v of arity %d",
+				j, f.Kind, f.Arity, cols[j], want.Kind, want.Arity)
+		}
 	}
 	if n < 1 || n > binio.MaxSliceLen {
 		return t, fmt.Errorf("tree: implausible node count %d", n)
@@ -83,8 +66,8 @@ func decodeTree(r *binio.Reader) (tree, error) {
 	}
 	for i := range t.nodes {
 		nd := &t.nodes[i]
-		if nd.feature >= len(t.inputs) {
-			return t, fmt.Errorf("tree: node %d feature %d out of schema", i, nd.feature)
+		if nd.feature >= len(cols) {
+			return t, fmt.Errorf("tree: node %d feature %d out of %d inputs", i, nd.feature, len(cols))
 		}
 		// The builder appends children after their parent, so edges always
 		// point forward. Enforcing that here makes every decoded tree walk
@@ -96,19 +79,19 @@ func decodeTree(r *binio.Reader) (tree, error) {
 	return t, nil
 }
 
-// NumInputs reports the width of the input schema the tree splits on.
-func (t *tree) NumInputs() int { return len(t.inputs) }
-
-// Encode serializes the classifier.
-func (c *Classifier) Encode(w *binio.Writer) {
+// Encode serializes the classifier of a term whose input j is column
+// cols[j] of schema.
+func (c *Classifier) Encode(w *binio.Writer, schema dataset.Schema, cols []int) {
 	w.Int(c.Arity)
-	c.encode(w)
+	c.encode(w, schema, cols)
 }
 
-// DecodeClassifier reads a classifier serialized with Encode.
-func DecodeClassifier(r *binio.Reader) (*Classifier, error) {
+// DecodeClassifier reads a classifier that Encode wrote for a term whose
+// input j is column cols[j] of schema. A stream whose input block disagrees
+// with schema at cols in count, kind or arity is an error.
+func DecodeClassifier(r *binio.Reader, schema dataset.Schema, cols []int) (*Classifier, error) {
 	arity := r.Int()
-	t, err := decodeTree(r)
+	t, err := decodeTree(r, schema, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -123,14 +106,16 @@ func DecodeClassifier(r *binio.Reader) (*Classifier, error) {
 	return &Classifier{tree: t, Arity: arity}, nil
 }
 
-// Encode serializes the regressor.
-func (rg *Regressor) Encode(w *binio.Writer) {
-	rg.encode(w)
+// Encode serializes the regressor of a term whose input j is column cols[j]
+// of schema.
+func (rg *Regressor) Encode(w *binio.Writer, schema dataset.Schema, cols []int) {
+	rg.encode(w, schema, cols)
 }
 
-// DecodeRegressor reads a regressor serialized with Encode.
-func DecodeRegressor(r *binio.Reader) (*Regressor, error) {
-	t, err := decodeTree(r)
+// DecodeRegressor reads a regressor that Encode wrote, checked as
+// DecodeClassifier checks a classifier.
+func DecodeRegressor(r *binio.Reader, schema dataset.Schema, cols []int) (*Regressor, error) {
+	t, err := decodeTree(r, schema, cols)
 	if err != nil {
 		return nil, err
 	}

@@ -24,22 +24,22 @@ func TestClassifierPersistRoundTrip(t *testing.T) {
 	c := TrainClassifier(x, mixedInputSchema(), y, 2, Params{})
 	var buf bytes.Buffer
 	w := binio.NewWriter(&buf)
-	c.Encode(w)
+	c.Encode(w, mixedInputSchema(), identity(2))
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeClassifier(binio.NewReader(&buf))
+	got, err := DecodeClassifier(binio.NewReader(&buf), mixedInputSchema(), identity(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if c.PredictLabel(x.Row(i)) != got.PredictLabel(x.Row(i)) {
+		if predictLabel(c, x.Row(i)) != predictLabel(got, x.Row(i)) {
 			t.Fatal("decoded classifier predicts differently")
 		}
 	}
 	// Missing-value routing must survive the round trip.
 	probe := []float64{dataset.Missing, dataset.Missing}
-	if c.PredictLabel(probe) != got.PredictLabel(probe) {
+	if predictLabel(c, probe) != predictLabel(got, probe) {
 		t.Fatal("missing routing changed")
 	}
 }
@@ -55,16 +55,16 @@ func TestRegressorPersistRoundTrip(t *testing.T) {
 	r := TrainRegressor(x, mixedInputSchema(), y, Params{})
 	var buf bytes.Buffer
 	w := binio.NewWriter(&buf)
-	r.Encode(w)
+	r.Encode(w, mixedInputSchema(), identity(2))
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRegressor(binio.NewReader(&buf))
+	got, err := DecodeRegressor(binio.NewReader(&buf), mixedInputSchema(), identity(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if r.Predict(x.Row(i)) != got.Predict(x.Row(i)) {
+		if predict(r, x.Row(i)) != predict(got, x.Row(i)) {
 			t.Fatal("decoded regressor predicts differently")
 		}
 	}
@@ -74,7 +74,7 @@ func TestRegressorPersistRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
-	if _, err := DecodeClassifier(binio.NewReader(strings.NewReader("junk"))); err == nil {
+	if _, err := DecodeClassifier(binio.NewReader(strings.NewReader("junk")), mixedInputSchema(), identity(2)); err == nil {
 		t.Error("garbage accepted")
 	}
 	// A valid encoding, truncated.
@@ -89,10 +89,61 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	c := TrainClassifier(x, mixedInputSchema(), y, 2, Params{})
 	var buf bytes.Buffer
 	w := binio.NewWriter(&buf)
-	c.Encode(w)
+	c.Encode(w, mixedInputSchema(), identity(2))
 	full := buf.Bytes()
-	if _, err := DecodeClassifier(binio.NewReader(bytes.NewReader(full[:len(full)/2]))); err == nil {
+	if _, err := DecodeClassifier(binio.NewReader(bytes.NewReader(full[:len(full)/2])), mixedInputSchema(), identity(2)); err == nil {
 		t.Error("truncated tree accepted")
+	}
+}
+
+// TestDecodeChecksInputs: a tree decodes only against the model columns it
+// was written for. Its input block must match the model's schema at cols
+// in count, kind and arity, wherever in the schema those columns sit.
+func TestDecodeChecksInputs(t *testing.T) {
+	src := rng.New(4)
+	x := newMixedMatrix(60, src)
+	y := make([]int, 60)
+	for i := range y {
+		if x.At(i, 0) > 0 {
+			y[i] = 1
+		}
+	}
+	c := TrainClassifier(x, mixedInputSchema(), y, 2, Params{})
+	// The inputs sit at columns 3 and 1 of a wider model schema.
+	model := dataset.Schema{{Name: "t", Kind: dataset.Real}, mixedInputSchema()[1], {Name: "u", Kind: dataset.Real}, mixedInputSchema()[0]}
+	cols := []int{3, 1}
+	var buf bytes.Buffer
+	w := binio.NewWriter(&buf)
+	c.Encode(w, model, cols)
+	blob := buf.Bytes()
+	got, err := DecodeClassifier(binio.NewReader(bytes.NewReader(blob)), model, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := linalg.NewMatrix(x.Rows, len(model))
+	for i := 0; i < x.Rows; i++ {
+		raw.Set(i, 3, x.At(i, 0))
+		raw.Set(i, 1, x.At(i, 1))
+	}
+	out := make([]int, x.Rows)
+	got.PredictLabelBatch(raw, cols, out)
+	for i := range out {
+		if want := predictLabel(c, x.Row(i)); out[i] != want {
+			t.Fatalf("row %d: decoded tree through cols predicts %d, the gathered row %d", i, out[i], want)
+		}
+	}
+	for name, c := range map[string]struct {
+		schema dataset.Schema
+		cols   []int
+	}{
+		"arity":  {dataset.Schema{model[0], {Name: "c", Kind: dataset.Categorical, Arity: 4}, model[2], model[3]}, cols},
+		"kind":   {dataset.Schema{model[0], model[1], model[2], {Name: "r", Kind: dataset.Categorical, Arity: 2}}, cols},
+		"count":  {model, []int{3, 1, 0}},
+		"column": {model, []int{1, 3}},
+	} {
+		if _, err := DecodeClassifier(binio.NewReader(bytes.NewReader(blob)), c.schema, c.cols); err == nil {
+			t.Errorf("%s: a tree block that disagrees with the model decoded", name)
+		}
 	}
 }
 

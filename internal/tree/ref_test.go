@@ -39,7 +39,7 @@ func refTrainClassifier(x *linalg.Matrix, inputs dataset.Schema, y []int, arity 
 	rows := refAllRows(x.Rows)
 	root := b.build(rows, 0)
 	_ = root
-	return &Classifier{tree: tree{nodes: b.nodes, inputs: inputs}, Arity: arity}
+	return &Classifier{tree: tree{nodes: b.nodes}, Arity: arity}
 }
 
 // refTrainRegressor fits a variance-minimizing regression tree.
@@ -56,7 +56,7 @@ func refTrainRegressor(x *linalg.Matrix, inputs dataset.Schema, y []float64, par
 	}
 	rows := refAllRows(x.Rows)
 	b.build(rows, 0)
-	return &Regressor{tree: tree{nodes: b.nodes, inputs: inputs}}
+	return &Regressor{tree: tree{nodes: b.nodes}}
 }
 
 func refAllRows(n int) []int {

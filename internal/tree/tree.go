@@ -10,8 +10,6 @@
 package tree
 
 import (
-	"fmt"
-
 	"frac/internal/dataset"
 	"frac/internal/linalg"
 )
@@ -57,20 +55,19 @@ type node struct {
 	value float64 // regression mean
 }
 
-// tree is the shared walk structure.
+// tree is the shared walk structure. A node's feature is an input index:
+// the term's inputs are the caller's column map, so the tree keeps nothing
+// but its nodes.
 type tree struct {
-	nodes  []node
-	inputs dataset.Schema
+	nodes []node
 }
 
-// walk descends from the root to a leaf for sample x.
-func (t *tree) walk(x []float64) *node {
-	if len(x) != len(t.inputs) {
-		panic(fmt.Sprintf("tree: sample has %d features, schema has %d", len(x), len(t.inputs)))
-	}
+// walk descends from the root to the leaf that row lands in, reading input
+// j as row[cols[j]].
+func (t *tree) walk(row []float64, cols []int) *node {
 	cur := &t.nodes[0]
 	for cur.feature >= 0 {
-		v := x[cur.feature]
+		v := row[cols[cur.feature]]
 		var goLeft bool
 		switch {
 		case dataset.IsMissing(v):
@@ -119,15 +116,13 @@ type Classifier struct {
 	Arity int
 }
 
-// PredictLabel returns the majority class of the leaf x lands in.
-func (c *Classifier) PredictLabel(x []float64) int { return c.walk(x).label }
-
-// PredictLabelBatch classifies every row of x into out (len >= x.Rows).
+// PredictLabelBatch writes to out[i] the majority class of the leaf row i
+// of x lands in, reading input j as x.At(i, cols[j]), for every row of x.
 // The iterative walk needs no traversal stack, so the batch performs zero
 // allocations.
-func (c *Classifier) PredictLabelBatch(x *linalg.Matrix, out []int) {
+func (c *Classifier) PredictLabelBatch(x *linalg.Matrix, cols []int, out []int) {
 	for i := 0; i < x.Rows; i++ {
-		out[i] = c.walk(x.Row(i)).label
+		out[i] = c.walk(x.Row(i), cols).label
 	}
 }
 
@@ -136,13 +131,11 @@ type Regressor struct {
 	tree
 }
 
-// Predict returns the mean target of the leaf x lands in.
-func (r *Regressor) Predict(x []float64) float64 { return r.walk(x).value }
-
-// PredictBatch predicts every row of x into out (len >= x.Rows) with zero
-// allocations.
-func (r *Regressor) PredictBatch(x *linalg.Matrix, out []float64) {
+// PredictBatch writes to out[i] the mean target of the leaf row i of x
+// lands in, reading input j as x.At(i, cols[j]), for every row of x, with
+// zero allocations.
+func (r *Regressor) PredictBatch(x *linalg.Matrix, cols []int, out []float64) {
 	for i := 0; i < x.Rows; i++ {
-		out[i] = r.walk(x.Row(i)).value
+		out[i] = r.walk(x.Row(i), cols).value
 	}
 }

@@ -24,6 +24,29 @@ func catSchema(d, arity int) dataset.Schema {
 	return s
 }
 
+// identity returns the column map of a gathered row of n inputs.
+func identity(n int) []int {
+	cols := make([]int, n)
+	for j := range cols {
+		cols[j] = j
+	}
+	return cols
+}
+
+// predictLabel classifies one gathered row through the identity column map.
+func predictLabel(c *Classifier, row []float64) int {
+	var out [1]int
+	c.PredictLabelBatch(&linalg.Matrix{Rows: 1, Cols: len(row), Data: row}, identity(len(row)), out[:])
+	return out[0]
+}
+
+// predict is predictLabel for regression trees.
+func predict(r *Regressor, row []float64) float64 {
+	var out [1]float64
+	r.PredictBatch(&linalg.Matrix{Rows: 1, Cols: len(row), Data: row}, identity(len(row)), out[:])
+	return out[0]
+}
+
 func TestClassifierLearnsThresholdRule(t *testing.T) {
 	src := rng.New(1)
 	n := 200
@@ -40,7 +63,7 @@ func TestClassifierLearnsThresholdRule(t *testing.T) {
 	c := TrainClassifier(x, realSchema(3), y, 2, Params{})
 	errs := 0
 	for i := 0; i < n; i++ {
-		if c.PredictLabel(x.Row(i)) != y[i] {
+		if predictLabel(c, x.Row(i)) != y[i] {
 			errs++
 		}
 	}
@@ -66,7 +89,7 @@ func TestClassifierLearnsCategoricalRule(t *testing.T) {
 	c := TrainClassifier(x, catSchema(4, 3), y, 2, Params{})
 	errs := 0
 	for i := 0; i < n; i++ {
-		if c.PredictLabel(x.Row(i)) != y[i] {
+		if predictLabel(c, x.Row(i)) != y[i] {
 			errs++
 		}
 	}
@@ -92,7 +115,7 @@ func TestRegressorLearnsPiecewiseConstant(t *testing.T) {
 	r := TrainRegressor(x, realSchema(2), y, Params{})
 	var mse float64
 	for i := 0; i < n; i++ {
-		e := y[i] - r.Predict(x.Row(i))
+		e := y[i] - predict(r, x.Row(i))
 		mse += e * e
 	}
 	mse /= float64(n)
@@ -144,7 +167,7 @@ func TestPureNodeBecomesLeaf(t *testing.T) {
 	if c.NumNodes() != 1 {
 		t.Errorf("pure training set grew %d nodes", c.NumNodes())
 	}
-	if c.PredictLabel([]float64{99}) != 0 {
+	if predictLabel(c, []float64{99}) != 0 {
 		t.Error("pure-leaf prediction wrong")
 	}
 }
@@ -165,7 +188,7 @@ func TestMissingValuesRoutedMajority(t *testing.T) {
 		}
 	}
 	c := TrainClassifier(x, realSchema(1), y, 2, Params{})
-	if got := c.PredictLabel([]float64{dataset.Missing}); got != 0 {
+	if got := predictLabel(c, []float64{dataset.Missing}); got != 0 {
 		t.Errorf("missing routed to class %d, want majority class 0", got)
 	}
 }
@@ -188,7 +211,7 @@ func TestMissingValuesInTraining(t *testing.T) {
 	c := TrainClassifier(x, realSchema(2), y, 2, Params{})
 	errs := 0
 	for i := 0; i < n; i++ {
-		if !dataset.IsMissing(x.Row(i)[0]) && c.PredictLabel(x.Row(i)) != y[i] {
+		if !dataset.IsMissing(x.Row(i)[0]) && predictLabel(c, x.Row(i)) != y[i] {
 			errs++
 		}
 	}
