@@ -369,7 +369,9 @@ func SaveModel(w io.Writer, m *Model) error {
 	return err
 }
 
-// LoadModel reads a model written by SaveModel.
+// LoadModel reads a model written by SaveModel. Artifacts end with a
+// checksum of their bytes, and one that does not match is an error; older
+// artifacts, which carry none, still load.
 func LoadModel(r io.Reader) (*Model, error) {
 	return core.ReadModel(r)
 }

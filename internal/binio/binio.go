@@ -1,16 +1,23 @@
 // Package binio provides the little-endian binary primitives behind model
 // serialization: length-prefixed slices, strings, and scalar values with
 // explicit error propagation and allocation limits (a corrupted length
-// prefix must not allocate unbounded memory).
+// prefix must not allocate unbounded memory). Writer and Reader each keep a
+// running CRC-32C of the bytes they move, so a format can end with a
+// checksum of exactly what its decoder consumed.
 package binio
 
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"strings"
 )
+
+// castagnoli is the CRC-32C table; hash/crc32 computes it in hardware where
+// the CPU can.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // MaxSliceLen bounds decoded slice lengths as a corruption guard.
 const MaxSliceLen = 1 << 28
@@ -27,6 +34,7 @@ type Writer struct {
 	w   io.Writer
 	err error
 	buf [8]byte
+	crc uint32
 }
 
 // NewWriter wraps w.
@@ -35,10 +43,14 @@ func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 // Err reports the first write error.
 func (w *Writer) Err() error { return w.err }
 
+// Sum32 reports the CRC-32C (Castagnoli) of every byte written so far.
+func (w *Writer) Sum32() uint32 { return w.crc }
+
 func (w *Writer) write(p []byte) {
 	if w.err != nil {
 		return
 	}
+	w.crc = crc32.Update(w.crc, castagnoli, p)
 	_, w.err = w.w.Write(p)
 }
 
@@ -90,6 +102,7 @@ type Reader struct {
 	r   io.Reader
 	err error
 	buf [8]byte
+	crc uint32
 }
 
 // NewReader wraps r.
@@ -98,11 +111,17 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 // Err reports the first read error.
 func (r *Reader) Err() error { return r.err }
 
+// Sum32 reports the CRC-32C (Castagnoli) of every byte read so far: what
+// the decoder consumed, however far ahead a buffered source has read.
+func (r *Reader) Sum32() uint32 { return r.crc }
+
 func (r *Reader) read(p []byte) {
 	if r.err != nil {
 		return
 	}
-	_, r.err = io.ReadFull(r.r, p)
+	if _, r.err = io.ReadFull(r.r, p); r.err == nil {
+		r.crc = crc32.Update(r.crc, castagnoli, p)
+	}
 }
 
 // U64 reads a uint64.

@@ -1,7 +1,9 @@
 package binio
 
 import (
+	"bufio"
 	"bytes"
+	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
@@ -130,5 +132,34 @@ func TestWriterSticky(t *testing.T) {
 	w.F64s([]float64{1})
 	if w.Err() == nil {
 		t.Fatal("error not sticky")
+	}
+}
+
+// TestChecksum: Writer and Reader each keep the CRC-32C of exactly the
+// bytes they moved. A Reader over a buffered source that has read ahead
+// hashes what it decoded, not what the buffer holds.
+func TestChecksum(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Int(3)
+	w.F64s([]float64{1.5, math.Inf(-1)})
+	w.String("castagnoli")
+	table := crc32.MakeTable(crc32.Castagnoli)
+	blob := buf.Bytes()
+	if got, want := w.Sum32(), crc32.Checksum(blob, table); got != want {
+		t.Fatalf("Writer.Sum32 %08x, want %08x", got, want)
+	}
+	r := NewReader(bufio.NewReader(bytes.NewReader(blob)))
+	if r.Sum32() != 0 || r.Int() != 3 {
+		t.Fatal("bad first word")
+	}
+	if got, want := r.Sum32(), crc32.Checksum(blob[:8], table); got != want {
+		t.Errorf("Reader.Sum32 after one word %08x, want %08x", got, want)
+	}
+	if fs, s := r.F64s(), r.String(); len(fs) != 2 || s != "castagnoli" {
+		t.Fatalf("decoded %v, %q", fs, s)
+	}
+	if got, want := r.Sum32(), crc32.Checksum(blob, table); r.Err() != nil || got != want {
+		t.Errorf("Reader.Sum32 at the end %08x (err %v), want %08x", got, r.Err(), want)
 	}
 }

@@ -29,22 +29,62 @@ func skipUnderRace(t *testing.T) {
 
 // TestScoreZeroAllocs guards the zero-allocation contract of per-sample
 // scoring: after the pooled scratch warms up, Score must not allocate, over
-// a wiring of SVR terms and tree terms alike.
+// a wiring of SVR terms and tree terms alike, and over a wide model whose
+// Gram-routed terms score through its basis.
 func TestScoreZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
-	train, test := goldenTrainTest()
-	model, err := Train(train, FullTerms(train.NumFeatures()), Config{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
+	for _, fx := range scoreFixtures(t) {
+		sample := fx.test.Sample(0)
+		fx.model.Score(sample) // warm up the pool
+		allocs := testing.AllocsPerRun(100, func() {
+			fx.model.Score(sample)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Score allocates %.1f per call, want 0", fx.name, allocs)
+		}
 	}
-	sample := test.Sample(0)
-	model.Score(sample) // warm up the pool
-	allocs := testing.AllocsPerRun(100, func() {
-		model.Score(sample)
-	})
-	if allocs != 0 {
-		t.Errorf("Score allocates %.1f per call, want 0", allocs)
+}
+
+// scoreFixture is a trained model and rows to score with it.
+type scoreFixture struct {
+	name  string
+	model *Model
+	test  *dataset.Dataset
+}
+
+// scoreFixtures trains the scoring tests' models: the golden mixed model,
+// every term primal or a tree, and the wide model, which has a basis and
+// Gram-routed terms next to primal ones.
+func scoreFixtures(t *testing.T) []scoreFixture {
+	t.Helper()
+	golden, goldenTest := goldenTrainTest()
+	wide, wideTest := wideTrainTest()
+	var out []scoreFixture
+	for _, fx := range []struct {
+		name        string
+		train, test *dataset.Dataset
+	}{{"golden", golden, goldenTest}, {"wide", wide, wideTest}} {
+		model, err := Train(fx.train, FullTerms(fx.train.NumFeatures()), Config{Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gram := countDual(model); (gram > 0) != (fx.name == "wide") || (gram > 0) != (model.basis != nil) {
+			t.Fatalf("%s: %d Gram-routed terms, basis %v", fx.name, gram, model.basis != nil)
+		}
+		out = append(out, scoreFixture{fx.name, model, fx.test})
 	}
+	return out
+}
+
+// countDual counts a model's Gram-routed terms.
+func countDual(m *Model) int {
+	n := 0
+	for i := range m.terms {
+		if m.terms[i].dual != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TestPredictBatchZeroAllocs asserts the batch prediction paths of every

@@ -73,7 +73,10 @@ type termModel struct {
 	isCat bool
 	arity int
 
+	// real predicts a real target, except on a Gram-routed term, whose
+	// predictor is dual (and real nil): it reads the model's basis.
 	real    RealPredictor
+	dual    *dualReal
 	realErr realErrorModel
 
 	cat    CatPredictor
@@ -96,6 +99,9 @@ func (tm *termModel) bytes() int64 {
 		if tm.real != nil {
 			b += tm.real.Bytes()
 		}
+		if tm.dual != nil {
+			b += tm.dual.bytes()
+		}
 		b += tm.realErr.Bytes()
 	}
 	b += int64(len(tm.term.Inputs)) * 8
@@ -108,6 +114,9 @@ type Model struct {
 	cfg    Config
 	schema dataset.Schema
 	terms  []termModel
+	// basis is what the Gram-routed terms predict through; nil when the
+	// model has none.
+	basis *dualBasis
 
 	// driftRef is the healthy served-NS distribution captured at train time
 	// (nil when never captured), persisted with the model so serving can
@@ -173,22 +182,30 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 		err    error
 	)
 	if needsGram(train, terms, cfg) {
-		if gram, err = buildShared(ctx, cfg, func() (*gramShared, error) { return buildGram(ctx, train, cfg) }); err != nil {
+		if gram, err = buildShared(ctx, cfg, "train", func() (*gramShared, error) { return buildGram(ctx, train, cfg) }); err != nil {
 			return nil, err
 		}
+		m.basis = gram.basis
 		if cfg.Tracker != nil {
 			cfg.Tracker.Alloc(gram.bytes())
 			defer cfg.Tracker.Release(gram.bytes())
+			cfg.Tracker.Alloc(m.basis.bytes())
 		}
 	}
 	if needsDesign(train, terms, cfg) {
-		if design, err = buildShared(ctx, cfg, func() (*tree.Design, error) { return tree.NewDesign(train.X, train.Schema), nil }); err != nil {
+		if design, err = buildShared(ctx, cfg, "train", func() (*tree.Design, error) { return tree.NewDesign(train.X, train.Schema), nil }); err != nil {
+			m.release()
 			return nil, err
 		}
 		if cfg.Tracker != nil {
 			cfg.Tracker.Alloc(design.Bytes())
 			defer cfg.Tracker.Release(design.Bytes())
 		}
+	}
+	if cfg.Tracker != nil {
+		scratch := svrReservation(train, terms, cfg, gram)
+		cfg.Tracker.Alloc(scratch)
+		defer cfg.Tracker.Release(scratch)
 	}
 	cfg.Obs.AddPlanned(int64(len(terms)))
 	err = parallel.ForWorkersWithStateErr(parallel.WithPhaseLabel(ctx, "train"),
@@ -222,13 +239,13 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 	return m, nil
 }
 
-// buildShared runs the build of a Train's shared state as one unit of
-// work: it holds a token of the shared pool, its CPU time accrues to the
-// tracker, it does not start once ctx is done, and a panic comes back as an
-// error.
-func buildShared[T any](ctx context.Context, cfg Config, build func() (T, error)) (T, error) {
+// buildShared runs the build of a Train's or a scoring pass's shared state
+// as one unit of work of the phase named by phase: it holds a token of the
+// shared pool, its CPU time accrues to the tracker, it does not start once
+// ctx is done, and a panic comes back as an error.
+func buildShared[T any](ctx context.Context, cfg Config, phase string, build func() (T, error)) (T, error) {
 	var out T
-	err := parallel.ForWorkersWithStateErr(parallel.WithPhaseLabel(ctx, "train"), 1, 1, cfg.Limit,
+	err := parallel.ForWorkersWithStateErr(parallel.WithPhaseLabel(ctx, phase), 1, 1, cfg.Limit,
 		func(int) struct{} { return struct{}{} },
 		func(int, struct{}) error {
 			var err error
@@ -250,9 +267,12 @@ func (m *Model) release() {
 		return
 	}
 	for i := range m.terms {
-		if m.terms[i].real != nil || m.terms[i].cat != nil {
-			m.cfg.Tracker.Release(m.terms[i].bytes())
+		if tm := &m.terms[i]; tm.real != nil || tm.dual != nil || tm.cat != nil {
+			m.cfg.Tracker.Release(tm.bytes())
 		}
+	}
+	if m.basis != nil {
+		m.cfg.Tracker.Release(m.basis.bytes())
 	}
 	m.terms = nil
 }
@@ -262,6 +282,9 @@ func (m *Model) Bytes() int64 {
 	var b int64
 	for i := range m.terms {
 		b += m.terms[i].bytes()
+	}
+	if m.basis != nil {
+		b += m.basis.bytes()
 	}
 	if m.driftRef != nil {
 		b += m.driftRef.Bytes()
@@ -484,12 +507,13 @@ type scoreWorkspace struct {
 }
 
 // scoreTermBatch scores every test sample against term ti into row using the
-// batch prediction path. predCap, when non-nil, receives the term's raw
+// batch prediction path. k is the rows' basis projection
+// (dualBasis.project), nil when the model has no basis. predCap, when non-nil, receives the term's raw
 // prediction for every row (the tree label as a float64 for categorical
 // terms) — including rows whose target is missing, where the contribution is
 // pinned to 0 but the prediction is still well defined. Capturing never
 // changes the contributions.
-func (m *Model) scoreTermBatch(ti int, test *dataset.Dataset, row []float64, ws *scoreWorkspace, predCap []float64) {
+func (m *Model) scoreTermBatch(ti int, test *dataset.Dataset, k *linalg.Matrix, row []float64, ws *scoreWorkspace, predCap []float64) {
 	tm := &m.terms[ti]
 	n := test.NumSamples()
 	if tm.isCat {
@@ -516,7 +540,11 @@ func (m *Model) scoreTermBatch(ti int, test *dataset.Dataset, row []float64, ws 
 		ws.preds = make([]float64, n)
 	}
 	preds := ws.preds[:n]
-	tm.real.PredictBatch(test.X, tm.term.Inputs, preds)
+	if tm.dual != nil {
+		tm.dual.predictBatch(test.X, k, m.basis, tm.term.Target, preds)
+	} else {
+		tm.real.PredictBatch(test.X, tm.term.Inputs, preds)
+	}
 	for s := 0; s < n; s++ {
 		if v := test.X.At(s, tm.term.Target); !dataset.IsMissing(v) {
 			row[s] = tm.scoreReal(v, preds[s])
@@ -533,6 +561,8 @@ func (m *Model) scoreTermBatch(ti int, test *dataset.Dataset, row []float64, ws 
 // reports the cost into the model's tracker. Each term runs sample-major
 // through the batch prediction path, reading its inputs from test's rows
 // through its column map, with the prediction buffers reused per worker.
+// When the model has a basis, every row is projected onto it once first,
+// and the Gram-routed terms read the projection.
 func (m *Model) ScoreDataset(test *dataset.Dataset) (*ScoreSet, error) {
 	return m.ScoreDatasetCtx(context.Background(), test)
 }
@@ -550,13 +580,25 @@ func (m *Model) ScoreDatasetCtx(ctx context.Context, test *dataset.Dataset) (*Sc
 	}
 	phase := m.cfg.Obs.Start(obs.PhaseScore)
 	defer phase.End()
+	var k *linalg.Matrix
+	if m.basis != nil {
+		var err error
+		k, err = buildShared(ctx, m.cfg, "score", func() (*linalg.Matrix, error) {
+			k := linalg.NewMatrix(test.NumSamples(), m.basis.z.Rows)
+			m.basis.project(test.X, make([]float64, len(m.schema)), k)
+			return k, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
 	m.cfg.Obs.AddPlanned(int64(len(m.terms)))
 	err := parallel.ForWorkersWithStateErr(parallel.WithPhaseLabel(ctx, "score"),
 		len(m.terms), m.cfg.Workers, m.cfg.Limit,
 		func(w int) *scoreWorkspace { return &scoreWorkspace{worker: w} },
 		func(ti int, ws *scoreWorkspace) error {
 			span := m.cfg.Obs.StartSampledWorker(obs.PhaseTermScore, ws.worker)
-			task := func() { m.scoreTermBatch(ti, test, ss.PerTerm.Row(ti), ws, nil) }
+			task := func() { m.scoreTermBatch(ti, test, k, ss.PerTerm.Row(ti), ws, nil) }
 			if m.cfg.Tracker != nil {
 				m.cfg.Tracker.TimeTask(task)
 			} else {

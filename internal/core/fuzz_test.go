@@ -16,14 +16,20 @@ import (
 // panicking and that survives a re-encode/decode round trip with bit-
 // identical scores.
 func FuzzPersistLoad(f *testing.F) {
-	// Seed with genuine encodings of both learner families so the fuzzer
-	// starts from deep, structurally valid streams.
+	// Seed with genuine encodings of both learner families, and of a wide
+	// model with a basis and Gram-routed terms, so the fuzzer starts from
+	// deep, structurally valid streams.
 	train, _ := goldenTrainTest()
-	for _, cfg := range []Config{
-		{Seed: 1, Workers: 1},
-		{Seed: 2, Workers: 1, KDEError: true, Learners: TreeLearners(tree.Params{MinLeaf: 1})},
+	wide, _ := wideTrainTest()
+	for _, c := range []struct {
+		train *dataset.Dataset
+		cfg   Config
+	}{
+		{train, Config{Seed: 1, Workers: 1}},
+		{train, Config{Seed: 2, Workers: 1, KDEError: true, Learners: TreeLearners(tree.Params{MinLeaf: 1})}},
+		{wide, Config{Seed: 3, Workers: 1}},
 	} {
-		model, err := Train(train, FullTerms(train.NumFeatures()), cfg)
+		model, err := Train(c.train, FullTerms(c.train.NumFeatures()), c.cfg)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -181,6 +181,65 @@ func (p *imputedReal) Bytes() int64 {
 	return p.model.Bytes() + int64(len(p.means)+len(p.scales))*8 + 16
 }
 
+// dualBasis is what a model's Gram-routed terms share (DESIGN.md §10): the
+// final fit's standardized training rows Z (n x f, every feature) and the
+// per-feature statistics that standardized them. The model holds it once.
+type dualBasis struct {
+	z      *linalg.Matrix
+	means  []float64
+	scales []float64 // 1/sd per feature, 0 for a constant one
+}
+
+func (b *dualBasis) bytes() int64 {
+	return b.z.Bytes() + int64(len(b.means)+len(b.scales))*8
+}
+
+// standardize writes a scored row's cell c standardized with the basis
+// statistics: a missing cell takes its feature's mean, as in training.
+func (b *dualBasis) standardize(v float64, c int) float64 {
+	if math.IsNaN(v) {
+		v = b.means[c]
+	}
+	return (v - b.means[c]) * b.scales[c]
+}
+
+// project writes k_i = Z·z_i into row i of k for every row i of x, where z_i
+// is the row standardized into the scratch z (length f): one O(n·f) pass per
+// scored row that every Gram-routed term then reads in O(n).
+func (b *dualBasis) project(x *linalg.Matrix, z []float64, k *linalg.Matrix) {
+	for i := 0; i < x.Rows; i++ {
+		for c, v := range x.Row(i) {
+			z[c] = b.standardize(v, c)
+		}
+		dst := k.Row(i)
+		for r := range dst {
+			dst[r] = linalg.Dot(b.z.Row(r), z)
+		}
+	}
+}
+
+// dualReal is a Gram-routed term's predictor: its final fit in dual form
+// over the model's basis. With w = Zᵀβ, the fit's weight on input j is w_j
+// for every feature j but the target t, so a standardized row z predicts
+// Σ_{j≠t} w_j·z_j + b = β·(Z·z) − u·z_t + b, where u = w_t.
+type dualReal struct {
+	beta  []float64 // one dual value per basis row
+	b, u  float64
+	yMean float64
+	ySD   float64
+}
+
+// predictBatch predicts every row of x into out from the rows' basis
+// projection k (dualBasis.project); t is the term's target.
+func (p *dualReal) predictBatch(x, k *linalg.Matrix, basis *dualBasis, t int, out []float64) {
+	for i := range out {
+		zt := basis.standardize(x.At(i, t), t)
+		out[i] = (linalg.Dot(p.beta, k.Row(i))-p.u*zt+p.b)*p.ySD + p.yMean
+	}
+}
+
+func (p *dualReal) bytes() int64 { return int64(len(p.beta))*8 + 32 }
+
 // constantReal is the fallback predictor for unlearnable terms (no inputs
 // drawn, or too few observed samples): it predicts the training mean, making
 // the term's error model the target's marginal distribution.

@@ -8,6 +8,7 @@ import (
 	"frac/internal/binio"
 	"frac/internal/dataset"
 	"frac/internal/drift"
+	"frac/internal/linalg"
 	"frac/internal/stats"
 	"frac/internal/svm"
 	"frac/internal/tree"
@@ -23,10 +24,19 @@ import (
 //	1 — magic, version, schema, term count, terms.
 //	2 — appends a drift-reference trailer: Bool(present) + drift.Reference
 //	    blob (see internal/drift). Version-1 streams still load (no
-//	    reference); version-2 streams are written unconditionally.
+//	    reference).
+//	3 — the dual form and a checksum. After the schema comes the basis
+//	    block: Bool(present), then n, f (f = the schema's width), the basis
+//	    means and scales (F64s of f each) and its standardized training
+//	    rows (F64s of n·f, row-major). A Gram-routed term's predictor is
+//	    written under tagGramSVR as β (F64s of n), b, u, yMean and ySD. The
+//	    stream ends with one U64 word: the CRC-32C (Castagnoli) of every
+//	    byte before it. Version-1 and version-2 streams still load, their
+//	    SVR terms scoring through imputedReal as they always did;
+//	    version-3 streams are written unconditionally.
 const (
 	modelMagic   = "FRAC-MODEL"
-	modelVersion = 2
+	modelVersion = 3
 )
 
 // codecBufSize is the buffer the codec puts in front of the caller's
@@ -42,6 +52,7 @@ const (
 	tagConstantCat
 	_ // 4: the retired linear SVC classifier; streams carrying it fail to load
 	tagTreeClassifier
+	tagGramSVR // version 3 on
 )
 
 // WriteTo serializes the trained model. It buffers internally and flushes
@@ -52,6 +63,7 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 	bw.String(modelMagic)
 	bw.Int(modelVersion)
 	dataset.EncodeSchema(bw, m.schema)
+	encodeBasis(bw, m.basis)
 	bw.Int(len(m.terms))
 	for i := range m.terms {
 		if err := encodeTerm(bw, m.schema, &m.terms[i]); err != nil {
@@ -62,6 +74,7 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 	if m.driftRef != nil {
 		m.driftRef.Encode(bw)
 	}
+	bw.U64(uint64(bw.Sum32()))
 	// The io.WriterTo contract wants a byte count; the binio writer does
 	// not track one, so report 0 with the error status (callers here use
 	// the error only).
@@ -72,10 +85,11 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadModel deserializes a model written by WriteTo. The model scores
-// samples but is not registered with any resource tracker. ReadModel
-// buffers internally, so it may read past the end of the model: a caller
-// that reads on from r after it must not expect to resume at the model's
-// last byte.
+// samples but is not registered with any resource tracker. A version-3
+// stream must end with the checksum of what came before it, which ReadModel
+// checks once the body has decoded. ReadModel buffers internally, so it may
+// read past the end of the model: a caller that reads on from r after it
+// must not expect to resume at the model's last byte.
 func ReadModel(r io.Reader) (*Model, error) {
 	br := binio.NewReader(bufio.NewReaderSize(r, codecBufSize))
 	if magic := br.String(); magic != modelMagic {
@@ -95,6 +109,13 @@ func ReadModel(r io.Reader) (*Model, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
+	var basis *dualBasis
+	if version >= 3 {
+		var err error
+		if basis, err = decodeBasis(br, len(schema)); err != nil {
+			return nil, err
+		}
+	}
 	n := br.Int()
 	if err := br.Err(); err != nil {
 		return nil, err
@@ -104,9 +125,9 @@ func ReadModel(r io.Reader) (*Model, error) {
 	}
 	// Terms are appended as they decode, so a corrupt count allocates
 	// memory proportional to the stream, not the claimed length.
-	m := &Model{schema: schema, terms: make([]termModel, 0, min(n, 1024))}
+	m := &Model{schema: schema, terms: make([]termModel, 0, min(n, 1024)), basis: basis}
 	for i := 0; i < n; i++ {
-		tm, err := decodeTerm(br, schema)
+		tm, err := decodeTerm(br, schema, basis)
 		if err != nil {
 			return nil, fmt.Errorf("core: term %d: %w", i, err)
 		}
@@ -119,7 +140,52 @@ func ReadModel(r io.Reader) (*Model, error) {
 		}
 		m.driftRef = ref
 	}
+	if version >= 3 {
+		sum := br.Sum32()
+		if word := br.U64(); br.Err() == nil && word != uint64(sum) {
+			return nil, fmt.Errorf("core: model checksum %08x, but the stream says %016x", sum, word)
+		}
+	}
 	return m, br.Err()
+}
+
+// encodeBasis writes a model's basis block (version 3 on).
+func encodeBasis(w *binio.Writer, b *dualBasis) {
+	w.Bool(b != nil)
+	if b == nil {
+		return
+	}
+	w.Int(b.z.Rows)
+	w.Int(b.z.Cols)
+	w.F64s(b.means)
+	w.F64s(b.scales)
+	w.F64s(b.z.Data)
+}
+
+// decodeBasis reads a basis block over f features. Its rows decode as the
+// stream supplies them, so a corrupt row count allocates memory in
+// proportion to the stream, not to the count.
+func decodeBasis(r *binio.Reader, f int) (*dualBasis, error) {
+	if !r.Bool() {
+		return nil, r.Err()
+	}
+	n, cols := r.Int(), r.Int()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if cols != f || n < 1 || n > binio.MaxSliceLen/max(f, 1) {
+		return nil, fmt.Errorf("core: basis of %d x %d for %d features", n, cols, f)
+	}
+	b := &dualBasis{means: r.F64s(), scales: r.F64s()}
+	z := r.F64s()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if len(b.means) != f || len(b.scales) != f || len(z) != n*f {
+		return nil, fmt.Errorf("core: basis of %d x %d with %d means, %d scales and %d cells", n, f, len(b.means), len(b.scales), len(z))
+	}
+	b.z = &linalg.Matrix{Rows: n, Cols: f, Data: z}
+	return b, nil
 }
 
 // encodeTerm writes one term of a model over schema.
@@ -145,10 +211,21 @@ func encodeTerm(w *binio.Writer, schema dataset.Schema, tm *termModel) error {
 		w.F64(tm.realErr.kde.Bandwidth())
 		w.F64s(tm.realErr.kde.Points())
 	}
+	if p := tm.dual; p != nil {
+		w.Int(tagGramSVR)
+		w.F64s(p.beta)
+		w.F64(p.b)
+		w.F64(p.u)
+		w.F64(p.yMean)
+		w.F64(p.ySD)
+		return w.Err()
+	}
 	return encodeRealPredictor(w, tm.real, schema, tm.term.Inputs)
 }
 
-func decodeTerm(r *binio.Reader, schema dataset.Schema) (termModel, error) {
+// decodeTerm reads one term of a model over schema; basis is the model's,
+// nil when it has none.
+func decodeTerm(r *binio.Reader, schema dataset.Schema, basis *dualBasis) (termModel, error) {
 	var tm termModel
 	tm.term.Target = r.Int()
 	tm.term.Orig = r.Int()
@@ -205,7 +282,13 @@ func decodeTerm(r *binio.Reader, schema dataset.Schema) (termModel, error) {
 		}
 		tm.realErr.kde = stats.FitKDE(pts, bw)
 	}
-	real, err := decodeRealPredictor(r, schema, tm.term.Inputs)
+	tag := r.Int()
+	if tag == tagGramSVR {
+		dual, err := decodeDual(r, tm.term, basis)
+		tm.dual = dual
+		return tm, err
+	}
+	real, err := decodeRealPredictor(r, tag, schema, tm.term.Inputs)
 	if err != nil {
 		return tm, err
 	}
@@ -214,6 +297,24 @@ func decodeTerm(r *binio.Reader, schema dataset.Schema) (termModel, error) {
 	}
 	tm.real = real
 	return tm, nil
+}
+
+// decodeDual reads a Gram-routed term's predictor, after its tag. It needs
+// the model's basis: one dual value per basis row, and the all-but-one
+// wiring the dual form predicts for.
+func decodeDual(r *binio.Reader, term Term, basis *dualBasis) (*dualReal, error) {
+	p := &dualReal{beta: r.F64s(), b: r.F64(), u: r.F64(), yMean: r.F64(), ySD: r.F64()}
+	switch {
+	case r.Err() != nil:
+		return nil, r.Err()
+	case basis == nil:
+		return nil, fmt.Errorf("Gram-routed SVR in a model with no basis")
+	case len(p.beta) != basis.z.Rows:
+		return nil, fmt.Errorf("Gram-routed SVR with %d dual values over a basis of %d rows", len(p.beta), basis.z.Rows)
+	case !allButTarget(term, basis.z.Cols):
+		return nil, fmt.Errorf("Gram-routed SVR whose inputs are not every other feature")
+	}
+	return p, nil
 }
 
 // validateRealPredictor rejects decoded SVR predictors whose shape
@@ -268,10 +369,10 @@ func encodeRealPredictor(w *binio.Writer, p RealPredictor, schema dataset.Schema
 	return w.Err()
 }
 
-// decodeRealPredictor reads the predictor of a term whose input j is
-// column cols[j] of schema.
-func decodeRealPredictor(r *binio.Reader, schema dataset.Schema, cols []int) (RealPredictor, error) {
-	switch tag := r.Int(); tag {
+// decodeRealPredictor reads the predictor, after its tag, of a term whose
+// input j is column cols[j] of schema.
+func decodeRealPredictor(r *binio.Reader, tag int, schema dataset.Schema, cols []int) (RealPredictor, error) {
+	switch tag {
 	case tagConstantReal:
 		return constantReal{value: r.F64()}, r.Err()
 	case tagImputedSVR:

@@ -2,7 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"os"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -154,9 +159,15 @@ func TestPredictorTagsPinned(t *testing.T) {
 		}
 	}
 
+	// A Gram-routed term's predictor has no RealPredictor to encode on its
+	// own; its tag is pinned here.
+	if tagGramSVR != 6 {
+		t.Errorf("Gram-routed SVR tag is %d, want 6", tagGramSVR)
+	}
+
 	// A one-term categorical model whose term has no inputs ends with its
-	// constantCat predictor (tag, label) and the absent-drift-reference
-	// flag, one 8-byte word each; rewrite the tag to 4.
+	// constantCat predictor (tag, label), the absent-drift-reference flag
+	// and the checksum, one 8-byte word each; rewrite the tag to 4.
 	schema := dataset.Schema{{Name: "c", Kind: dataset.Categorical, Arity: 2}}
 	train := dataset.New("train", schema, 8)
 	for i := 0; i < 8; i++ {
@@ -171,7 +182,7 @@ func TestPredictorTagsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := buf.Bytes()
-	at := len(blob) - 24
+	at := len(blob) - 32
 	if got := binio.NewReader(bytes.NewReader(blob[at:])).Int(); got != 3 {
 		t.Fatalf("word at %d is %d, want the constant categorical tag 3", at, got)
 	}
@@ -277,3 +288,229 @@ type customReal struct{}
 
 func (customReal) PredictBatch(*linalg.Matrix, []int, []float64) {}
 func (customReal) Bytes() int64                                  { return 0 }
+
+// wideModel trains the wide fixture's full model: Gram-routed terms over a
+// basis next to primal ones.
+func wideModel(t *testing.T) (*Model, *dataset.Dataset) {
+	t.Helper()
+	train, test := wideTrainTest()
+	m, err := Train(train, FullTerms(train.NumFeatures()), Config{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.basis == nil || countDual(m) == 0 || countDual(m) == len(m.terms) {
+		t.Fatalf("wide model: %d of %d terms Gram-routed, basis %v", countDual(m), len(m.terms), m.basis != nil)
+	}
+	return m, test
+}
+
+// assertSameBits checks that two models give every sample the same
+// contribution from every term, bit for bit.
+func assertSameBits(t *testing.T, what string, a, b *Model, test *dataset.Dataset) {
+	t.Helper()
+	sa, err := a.ScoreDataset(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := b.ScoreDataset(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range sa.PerTerm.Data {
+		if math.Float64bits(v) != math.Float64bits(sb.PerTerm.Data[i]) {
+			t.Fatalf("%s: contribution %d is %v, want %v", what, i, sb.PerTerm.Data[i], v)
+		}
+	}
+}
+
+// TestPersistWideModel: a model with a basis and Gram-routed terms round
+// trips through the version-3 artifact to the same terms, the same Bytes
+// and bit-identical scores.
+func TestPersistWideModel(t *testing.T) {
+	m, test := wideModel(t)
+	got := roundTripModel(t, m)
+	if got.basis == nil || countDual(got) != countDual(m) {
+		t.Fatalf("loaded model: %d Gram-routed terms, basis %v; trained %d", countDual(got), got.basis != nil, countDual(m))
+	}
+	if got.Bytes() != m.Bytes() {
+		t.Errorf("loaded model Bytes %d, trained %d", got.Bytes(), m.Bytes())
+	}
+	assertSameBits(t, "round trip", m, got, test)
+}
+
+// TestReadModelChecksum: a version-3 stream ends with the CRC-32C of its
+// body, so flipping any one byte of an artifact, the checksum included,
+// fails ReadModel; a flip the body decoder cannot see, in the low bit of a
+// dual predictor's yMean, fails on the checksum.
+func TestReadModelChecksum(t *testing.T) {
+	train := randomRealDataset("crc", 8, 11, 0, 0, rng.New(0xc2c))
+	m, err := Train(train, FullTerms(train.NumFeatures()), Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.basis == nil || m.terms[0].dual == nil {
+		t.Fatal("the fixture must have a basis and a Gram-routed term 0")
+	}
+	var buf bytes.Buffer
+	if _, err := m.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	if _, err := ReadModel(bytes.NewReader(blob)); err != nil {
+		t.Fatal(err)
+	}
+	for at := range blob {
+		for _, mask := range []byte{0x01, 0x80} {
+			bad := bytes.Clone(blob)
+			bad[at] ^= mask
+			if _, err := ReadModel(bytes.NewReader(bad)); err == nil {
+				t.Fatalf("byte %d of %d flipped by %#02x: the artifact still loads", at, len(blob), mask)
+			}
+		}
+	}
+	var word bytes.Buffer
+	binio.NewWriter(&word).F64(m.terms[0].dual.yMean)
+	at := bytes.Index(blob, word.Bytes())
+	if at < 0 {
+		t.Fatal("term 0's yMean is not in the artifact")
+	}
+	bad := bytes.Clone(blob)
+	bad[at] ^= 0x01
+	if _, err := ReadModel(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Errorf("the low bit of term 0's yMean flipped: err = %v, want a checksum error", err)
+	}
+}
+
+// TestReadModelChecksBasis: the decoder holds a version-3 basis and its
+// Gram-routed terms to the shape the dual form needs, naming what is
+// wrong: a basis as wide as the schema, one dual value per basis row, a
+// basis for every Gram-routed term, and inputs that are every feature but
+// the target. A basis that claims more rows than the stream carries fails
+// without allocating for the claim.
+func TestReadModelChecksBasis(t *testing.T) {
+	trained, _ := wideModel(t)
+	g := 0
+	for trained.terms[g].dual == nil {
+		g++
+	}
+	f := len(trained.schema)
+	for _, c := range []struct {
+		name, want string
+		edit       func(m *Model)
+	}{
+		{"narrow basis", "basis of", func(m *Model) {
+			b := *m.basis
+			b.means, b.scales = b.means[:f-1], b.scales[:f-1]
+			b.z = &linalg.Matrix{Rows: b.z.Rows, Cols: f - 1, Data: b.z.Data[:b.z.Rows*(f-1)]}
+			m.basis = &b
+		}},
+		{"short beta", "dual values", func(m *Model) {
+			d := *m.terms[g].dual
+			d.beta = d.beta[1:]
+			m.terms[g].dual = &d
+		}},
+		{"no basis", "no basis", func(m *Model) { m.basis = nil }},
+		{"inputs", "every other feature", func(m *Model) {
+			m.terms[g].term.Inputs = m.terms[g].term.Inputs[1:]
+		}},
+	} {
+		m := *trained
+		m.terms = slices.Clone(trained.terms)
+		c.edit(&m)
+		var buf bytes.Buffer
+		if _, err := m.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadModel(&buf); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+
+	// Claim 2^24 basis rows: the n word follows the header and the basis
+	// flag, and the rows' length prefix follows n, f, the means and the
+	// scales.
+	var buf, head bytes.Buffer
+	if _, err := trained.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	hw := binio.NewWriter(&head)
+	hw.String(modelMagic)
+	hw.Int(modelVersion)
+	dataset.EncodeSchema(hw, trained.schema)
+	blob, nAt := buf.Bytes(), head.Len()+8
+	const rows = 1 << 24
+	binary.LittleEndian.PutUint64(blob[nAt:], rows)
+	binary.LittleEndian.PutUint64(blob[nAt+8*(4+2*f):], rows*uint64(f))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadModel(bytes.NewReader(blob))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a basis claiming 2^24 rows loaded")
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 8<<20 {
+		t.Errorf("a basis claiming %d MB allocated %d MB", rows*8*f>>20, grown>>20)
+	}
+}
+
+// TestReadModelV2WideFixture: testdata/wide_v2.frac is a wide model (10
+// rows, 18 features, 14 terms on the Gram route) saved as version 2 by the
+// code before the dual form, which stored every SVR term's weights;
+// testdata/wide_v2.scores holds, one sample a line, the bits of the total
+// that code scored and of the sample's cells. The artifact still loads,
+// with no basis, and scores every sample to exactly those bits, through
+// ScoreRowsInto and ScoreDataset alike, before and after a version-3 round
+// trip.
+func TestReadModelV2WideFixture(t *testing.T) {
+	blob, err := os.ReadFile("testdata/wide_v2.frac")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadModel(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.basis != nil || countDual(m) != 0 {
+		t.Fatalf("a version-2 artifact loaded with a basis or %d Gram-routed terms", countDual(m))
+	}
+	lines, err := os.ReadFile("testdata/wide_v2.scores")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []float64
+	test := &dataset.Dataset{Name: "wide-v2", Schema: m.schema, X: linalg.NewMatrix(0, len(m.schema))}
+	for _, line := range strings.Split(strings.TrimSpace(string(lines)), "\n") {
+		var bits []float64
+		for _, w := range strings.Fields(line) {
+			u, err := strconv.ParseUint(w, 16, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bits = append(bits, math.Float64frombits(u))
+		}
+		if len(bits) != 1+len(m.schema) {
+			t.Fatalf("a scores line of %d words for %d features", len(bits), len(m.schema))
+		}
+		want = append(want, bits[0])
+		test.X.Data = append(test.X.Data, bits[1:]...)
+		test.X.Rows++
+	}
+	for _, c := range []struct {
+		what  string
+		model *Model
+	}{{"version 2", m}, {"version 3 round trip", roundTripModel(t, m)}} {
+		got := make([]float64, len(want))
+		if err := c.model.ScoreRowsInto(test.X, got, NewScoreWorkspace()); err != nil {
+			t.Fatal(err)
+		}
+		ss, err := c.model.ScoreDataset(test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, total := range ss.Totals() {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(total) != math.Float64bits(want[i]) {
+				t.Errorf("%s sample %d: ScoreRowsInto %v, ScoreDataset %v, recorded %v", c.what, i, got[i], total, want[i])
+			}
+		}
+	}
+}

@@ -28,6 +28,10 @@ import (
 type ScoreWorkspace struct {
 	ws  scoreWorkspace
 	row []float64
+	// z and k hold a batch's projection onto the model's basis
+	// (dualBasis.project).
+	z []float64
+	k *linalg.Matrix
 }
 
 // NewScoreWorkspace returns an empty workspace; buffers are allocated on
@@ -97,12 +101,14 @@ type TermObserver interface {
 }
 
 // scoreRows is the one scoring loop behind Score, ScoreRowsInto,
-// ScoreRowsExplainedInto and ScoreRowsExplainedObserved. When explanation
-// is on (ew non-nil, k > 0) each term's contributions are computed
-// directly into the capture matrix instead of the transient row buffer —
-// same computation, different destination — and its raw predictions are
-// recorded alongside; totals accumulate in ascending term order either
-// way, which is what keeps explained scores bit-identical to plain ones.
+// ScoreRowsExplainedInto and ScoreRowsExplainedObserved. When the model has
+// a basis, each row is projected onto it once, as ScoreDataset does, for the
+// Gram-routed terms to read. When explanation is on (ew non-nil, k > 0)
+// each term's contributions are computed directly into the capture matrix
+// instead of the transient row buffer — same computation, different
+// destination — and its raw predictions are recorded alongside; totals
+// accumulate in ascending term order either way, which is what keeps
+// explained scores bit-identical to plain ones.
 func (m *Model) scoreRows(rows *linalg.Matrix, out []float64, ws *ScoreWorkspace, obs TermObserver, ew *ExplainWorkspace, k int) error {
 	if rows.Cols != len(m.schema) {
 		return fmt.Errorf("core: rows have %d features, model expects %d", rows.Cols, len(m.schema))
@@ -123,12 +129,21 @@ func (m *Model) scoreRows(rows *linalg.Matrix, out []float64, ws *ScoreWorkspace
 		ws.row = make([]float64, n)
 	}
 	row := ws.row[:n]
+	var proj *linalg.Matrix
+	if m.basis != nil {
+		if cap(ws.z) < len(m.schema) {
+			ws.z = make([]float64, len(m.schema))
+		}
+		ws.k = linalg.Resize(ws.k, n, m.basis.z.Rows)
+		m.basis.project(rows, ws.z[:len(m.schema)], ws.k)
+		proj = ws.k
+	}
 	for ti := range m.terms {
 		dst, predCap := row, []float64(nil)
 		if capture {
 			dst, predCap = ew.contrib.Row(ti), ew.preds.Row(ti)
 		}
-		m.scoreTermBatch(ti, &d, dst, &ws.ws, predCap)
+		m.scoreTermBatch(ti, &d, proj, dst, &ws.ws, predCap)
 		if obs != nil {
 			obs.ObserveTerm(ti, dst)
 		}

@@ -5,19 +5,22 @@ import (
 	"strings"
 	"testing"
 
+	"frac/internal/dataset"
 	"frac/internal/linalg"
 )
 
 // TestScoreRowsIntoBitIdentical pins the serving-path contract: pushing the
 // golden test rows through ScoreRowsInto — at any partitioning into batches —
 // must reproduce ScoreDataset().Totals() bit for bit, including rows with
-// missing values and out-of-schema categories.
+// missing values and out-of-schema categories. The wide model's rows are
+// projected onto its basis per batch, and must match too.
 func TestScoreRowsIntoBitIdentical(t *testing.T) {
-	train, test := goldenTrainTest()
-	model, err := Train(train, FullTerms(train.NumFeatures()), Config{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
+	for _, fx := range scoreFixtures(t) {
+		scoreRowsIntoMatches(t, fx.name, fx.model, fx.test)
 	}
+}
+
+func scoreRowsIntoMatches(t *testing.T, name string, model *Model, test *dataset.Dataset) {
 	ss, err := model.ScoreDataset(test)
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +46,8 @@ func TestScoreRowsIntoBitIdentical(t *testing.T) {
 		}
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Errorf("batch=%d sample %d: got %x (%v), want %x (%v)",
-					batch, i, math.Float64bits(got[i]), got[i],
+				t.Errorf("%s batch=%d sample %d: got %x (%v), want %x (%v)",
+					name, batch, i, math.Float64bits(got[i]), got[i],
 					math.Float64bits(want[i]), want[i])
 			}
 		}
@@ -92,29 +95,29 @@ func TestScorePanicsOnWrongWidth(t *testing.T) {
 }
 
 // TestScoreRowsIntoZeroAllocs guards the serving hot path: once the
-// workspace has grown to the batch shape, ScoreRowsInto must not allocate.
+// workspace has grown to the batch shape, ScoreRowsInto must not allocate,
+// on the golden model and on the wide model, whose batch projection lives
+// in the workspace.
 func TestScoreRowsIntoZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
-	train, test := goldenTrainTest()
-	model, err := Train(train, FullTerms(train.NumFeatures()), Config{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := linalg.NewMatrix(test.NumSamples(), test.NumFeatures())
-	for i := 0; i < test.NumSamples(); i++ {
-		copy(rows.Row(i), test.Sample(i))
-	}
-	out := make([]float64, rows.Rows)
-	ws := NewScoreWorkspace()
-	if err := model.ScoreRowsInto(rows, out, ws); err != nil { // warm up
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := model.ScoreRowsInto(rows, out, ws); err != nil {
+	for _, fx := range scoreFixtures(t) {
+		model, test := fx.model, fx.test
+		rows := linalg.NewMatrix(test.NumSamples(), test.NumFeatures())
+		for i := 0; i < test.NumSamples(); i++ {
+			copy(rows.Row(i), test.Sample(i))
+		}
+		out := make([]float64, rows.Rows)
+		ws := NewScoreWorkspace()
+		if err := model.ScoreRowsInto(rows, out, ws); err != nil { // warm up
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("ScoreRowsInto allocates %.1f per batch, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := model.ScoreRowsInto(rows, out, ws); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: ScoreRowsInto allocates %.1f per batch, want 0", fx.name, allocs)
+		}
 	}
 }

@@ -35,19 +35,26 @@ func settleGoroutines(t *testing.T, ceiling int) {
 
 // TestCancelReturnsPromptly pins the cancellation latency contract: a cancel
 // issued mid-run must surface context.Canceled well under a second later,
-// and the worker goroutines must drain.
+// and the worker goroutines must drain. The cancel goes out once the first
+// term has trained, so it lands mid-run however fast the run is.
 func TestCancelReturnsPromptly(t *testing.T) {
 	rep := expressionReplicate(t, 120, 47)
 	ceiling := runtime.NumGoroutine() + 2
 
 	ctx, cancel := context.WithCancel(context.Background())
+	rec := obs.New()
 	done := make(chan error, 1)
 	go func() {
 		_, err := core.RunFilterEnsembleCtx(ctx, rep.Train, rep.Test, core.RandomFilter, 0.8,
-			core.EnsembleSpec{Members: 8, Parallel: 4}, rng.New(7), core.Config{Seed: 11, Workers: 4})
+			core.EnsembleSpec{Members: 8, Parallel: 4}, rng.New(7), core.Config{Seed: 11, Workers: 4, Obs: rec})
 		done <- err
 	}()
-	time.Sleep(30 * time.Millisecond) // let training get airborne
+	for airborne := time.Now().Add(5 * time.Second); rec.Count(obs.CounterTermsTrained) == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(airborne) {
+			cancel()
+			t.Fatal("no term trained within 5s")
+		}
+	}
 	start := time.Now()
 	cancel()
 	select {

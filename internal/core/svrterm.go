@@ -31,8 +31,11 @@ import (
 // Those terms share their rows and, since a Train draws one set of CV folds
 // (cvFolds), every fit's standardized design but for one column. So TrainCtx
 // builds each fit's Gram once (gramShared), and a term trains on the rank-one
-// downdate K − z_t·z_tᵀ in O(n²) per epoch instead of O(n·f). Its scores
-// match the reference's to rounding (1e-9 relative, pinned by the same test).
+// downdate K − z_t·z_tᵀ in O(n²) per epoch instead of O(n·f). The term keeps
+// its final fit in dual form (dualReal) over the final fit's standardized
+// rows, which the model keeps once (dualBasis), so scoring a row costs one
+// O(n·f) projection for all of them. Its scores match the reference's to
+// rounding (1e-9 relative, pinned by the same test).
 
 // svrScratch is the per-worker state of the in-core trainer. Nothing in it
 // outlives a term: the final fit copies out what the model retains.
@@ -52,11 +55,9 @@ type svrScratch struct {
 	ws     svm.SVRWorkspace
 
 	// The Gram route's per-term state: the target column standardized with
-	// a fit's statistics, the fit's downdated Gram, and the recovered
-	// full-width weights.
+	// a fit's statistics and the fit's downdated Gram.
 	zt []float64
 	kt *linalg.Matrix
-	w  []float64
 }
 
 // resize sizes the scratch for a term with m observed rows and d inputs and
@@ -191,12 +192,8 @@ func trainSVRTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, 
 	ts := &sc.svr
 	m := len(rows)
 	// Every fit writes all m rows (training plus held-out), so one resize
-	// serves the whole term.
+	// serves the whole term; svrReservation charges it.
 	ts.resize(m, len(term.Inputs), cfg.Obs)
-	if cfg.Tracker != nil {
-		cfg.Tracker.Alloc(ts.design.Bytes())
-		defer cfg.Tracker.Release(ts.design.Bytes())
-	}
 	params := cfg.Learners.SVR.WithDefaults()
 	folds := cvFolds(cfg, m)
 	residuals := sc.residuals[:0]
@@ -241,14 +238,14 @@ func trainSVRTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, 
 // builds it once, before any term trains, and only if some term takes the
 // route. Workers read it and never write it, and it lives for one call: it
 // is never cached, since a caller may change the training set in place
-// between Trains.
+// between Trains. Only the basis outlives the call, in the model.
 type gramShared struct {
 	n, f  int
 	folds []gramFit // the CV fits whose two sides are non-empty, in fold order
 	full  gramFit   // the final fit over every row; it holds nothing out
-	// z holds the final fit's standardized rows (n x f); each term's
-	// weights are recovered from it.
-	z *linalg.Matrix
+	// basis holds the final fit's standardized rows (n x f) and its
+	// statistics, which are full's.
+	basis *dualBasis
 }
 
 // gramFit is one fit's share of gramShared.
@@ -267,9 +264,10 @@ func (gf *gramFit) bytes() int64 {
 	return int64(len(gf.order))*8 + int64(len(gf.means)+len(gf.scales))*8 + gf.k.Bytes() + gf.c.Bytes()
 }
 
-// bytes reports the shared state's analytic footprint.
+// bytes reports the analytic footprint of the state the Train drops when it
+// returns: the basis is the model's, and Model.Bytes counts it.
 func (g *gramShared) bytes() int64 {
-	b := g.z.Bytes() + g.full.bytes()
+	b := int64(len(g.full.order))*8 + g.full.k.Bytes() + g.full.c.Bytes()
 	for i := range g.folds {
 		b += g.folds[i].bytes()
 	}
@@ -303,14 +301,7 @@ func needsGram(train *dataset.Dataset, terms []Term, cfg Config) bool {
 		return false
 	}
 	for _, t := range terms {
-		if train.Schema[t.Target].Kind == dataset.Categorical || !allButTarget(t, f) {
-			continue
-		}
-		observed := true
-		for i := 0; i < n && observed; i++ {
-			observed = !dataset.IsMissing(train.X.At(i, t.Target))
-		}
-		if observed {
+		if train.Schema[t.Target].Kind != dataset.Categorical && allButTarget(t, f) && observedRows(train, t.Target) == n {
 			return true
 		}
 	}
@@ -327,7 +318,7 @@ func (g *gramShared) takes(term Term, m int) bool {
 // by svrScratch.standardize over all f columns into one n x f buffer, so
 // each feature's statistics and cells are bit-identical to those the primal
 // route computes for it; the buffer ends up holding the final fit's rows,
-// which gramShared keeps. ctx is checked between fits.
+// which become the basis. ctx is checked between fits.
 func buildGram(ctx context.Context, train *dataset.Dataset, cfg Config) (*gramShared, error) {
 	n, f := train.NumSamples(), train.NumFeatures()
 	g := &gramShared{n: n, f: f}
@@ -353,7 +344,7 @@ func buildGram(ctx context.Context, train *dataset.Dataset, cfg Config) (*gramSh
 		return nil, err
 	}
 	g.full = ts.shareFit(train.X, -1, all[:n], n, all[:f])
-	g.z = ts.design
+	g.basis = &dualBasis{z: ts.design, means: g.full.means, scales: g.full.scales}
 	return g, nil
 }
 
@@ -383,9 +374,9 @@ func (ts *svrScratch) shareFit(x *linalg.Matrix, fold int, order []int, nFit int
 	return gf
 }
 
-// resizeGram sizes the Gram route's scratch for n rows and f features and
-// reports any growth to rec.
-func (ts *svrScratch) resizeGram(n, f int, rec *obs.Recorder) {
+// resizeGram sizes the Gram route's scratch for n rows and reports any
+// growth to rec.
+func (ts *svrScratch) resizeGram(n int, rec *obs.Recorder) {
 	old := 0
 	if ts.kt != nil {
 		old = cap(ts.kt.Data)
@@ -396,9 +387,6 @@ func (ts *svrScratch) resizeGram(n, f int, rec *obs.Recorder) {
 	}
 	if cap(ts.zt) < n {
 		ts.zt = make([]float64, n)
-	}
-	if cap(ts.w) < f {
-		ts.w = make([]float64, f)
 	}
 }
 
@@ -428,17 +416,13 @@ func (ts *svrScratch) downdate(x *linalg.Matrix, gf *gramFit, t int) {
 // trainGramTerm fits one term on the Gram route: the primal route's folds,
 // seeds, target handling and solver steps, with each fit's design replaced
 // by its downdated Gram. A held-out row h predicts (C·β)_h − z_{h,t}·(z_tᵀβ)
-// + b, which is wᵀz_h + b over the term's inputs; the final fit's weights
-// are W = Zᵀβ without column t. The trained imputedReal has the primal
-// route's shape, so scoring and the artifact format do not change. y holds
-// the target on every training row.
+// + b, which is wᵀz_h + b over the term's inputs. The final fit stays in
+// dual form: the term keeps β, b and u = (Zᵀβ)_t, an O(n) product, and
+// scores through the model's basis (dualReal). y holds the target on every
+// training row.
 func trainGramTerm(tm *termModel, train *dataset.Dataset, term Term, y []float64, cfg Config, src *rng.Source, sc *trainScratch) {
 	g, ts, t := sc.gram, &sc.svr, term.Target
-	ts.resizeGram(g.n, g.f, cfg.Obs)
-	if cfg.Tracker != nil {
-		cfg.Tracker.Alloc(ts.kt.Bytes())
-		defer cfg.Tracker.Release(ts.kt.Bytes())
-	}
+	ts.resizeGram(g.n, cfg.Obs) // svrReservation charges it
 	params := cfg.Learners.SVR.WithDefaults()
 	params.Bias = true
 	fit := func(gf *gramFit, y []float64, seed uint64) (dual svm.SVRDual, yMean, ySD float64) {
@@ -470,24 +454,51 @@ func trainGramTerm(tm *termModel, train *dataset.Dataset, term Term, y []float64
 	}
 	tm.realErr = fitRealError(residuals, cfg.KDEError)
 	dual, yMean, ySD := fit(&g.full, y, src.Seed())
-	w := ts.w[:g.f]
-	for j := range w {
-		w[j] = 0
-	}
+	var u float64
 	for i, b := range dual.Beta {
-		linalg.Axpy(b, g.z.Row(i), w)
+		u += b * g.basis.z.At(i, t)
 	}
-	tm.real = &imputedReal{
-		model:  &svm.SVR{W: withoutColumn(w, t), B: dual.B, Iters: dual.Iters},
-		means:  withoutColumn(g.full.means, t),
-		scales: withoutColumn(g.full.scales, t),
-		yMean:  yMean,
-		ySD:    ySD,
-	}
+	tm.dual = &dualReal{beta: linalg.Clone(dual.Beta), b: dual.B, u: u, yMean: yMean, ySD: ySD}
 }
 
-// withoutColumn returns a fresh copy of v without element t.
-func withoutColumn(v []float64, t int) []float64 {
-	out := make([]float64, 0, len(v)-1)
-	return append(append(out, v[:t]...), v[t+1:]...)
+// svrReservation is the analytic scratch a Train's SVR terms hold, charged
+// once before the term fan-out: one buffer per worker that can train an SVR
+// term, at the widest such term's size (a primal term's m x |inputs|
+// design, a Gram term's n x n downdated Gram). A worker's buffers grow to
+// the widest term it meets and stay, so the reservation bounds what the
+// pool retains, and the accounted peak depends on the worker count only,
+// never on which terms overlap in time.
+func svrReservation(train *dataset.Dataset, terms []Term, cfg Config, g *gramShared) int64 {
+	if cfg.Learners.SVR == nil {
+		return 0
+	}
+	var widest int64
+	count := 0
+	for _, t := range terms {
+		if len(t.Inputs) == 0 || train.Schema[t.Target].Kind == dataset.Categorical {
+			continue
+		}
+		m := observedRows(train, t.Target)
+		if m < minObserved {
+			continue
+		}
+		count++
+		b := int64(m) * int64(len(t.Inputs)) * 8
+		if g.takes(t, m) {
+			b = int64(m) * int64(m) * 8
+		}
+		widest = max(widest, b)
+	}
+	return int64(min(cfg.Workers, count)) * widest
+}
+
+// observedRows counts the training rows whose cell in column c is present.
+func observedRows(train *dataset.Dataset, c int) int {
+	m := 0
+	for i := 0; i < train.NumSamples(); i++ {
+		if !dataset.IsMissing(train.X.At(i, c)) {
+			m++
+		}
+	}
+	return m
 }

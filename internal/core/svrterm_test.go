@@ -8,6 +8,7 @@ import (
 
 	"frac/internal/dataset"
 	"frac/internal/obs"
+	"frac/internal/resource"
 	"frac/internal/rng"
 	"frac/internal/svm"
 	"frac/internal/tree"
@@ -49,6 +50,14 @@ func randomRealDataset(name string, n, f int, colMissP, cellMissP float64, src *
 		}
 	}
 	return d
+}
+
+// wideTrainTest is a wide all-real fixture (12 rows, 30 features, n < f−1)
+// whose full model has Gram-routed terms next to primal ones (targets with
+// holes), and test rows with missing cells.
+func wideTrainTest() (*dataset.Dataset, *dataset.Dataset) {
+	src := rng.New(0x31de)
+	return randomRealDataset("wide-train", 12, 30, 0.3, 0.2, src), randomRealDataset("wide-test", 9, 30, 0.3, 0.2, src)
 }
 
 // inCoreWirings runs one variant's wiring over train/test, drawing its
@@ -314,8 +323,8 @@ func TestSolverCountersBothRoutes(t *testing.T) {
 
 // TestTrainTermWithoutSharedGram: trainTerm called directly, without
 // TrainCtx and so without the shared Gram state, trains a Gram-shaped term
-// on the primal route, and its model predicts what Train's Gram-routed
-// model predicts, to rounding.
+// on the primal route, and a model of those terms scores every term as
+// Train's Gram-routed model does, to rounding.
 func TestTrainTermWithoutSharedGram(t *testing.T) {
 	src := rng.New(0x71)
 	train := randomRealDataset("direct", 10, 24, 0, 0, src)
@@ -330,27 +339,105 @@ func TestTrainTermWithoutSharedGram(t *testing.T) {
 	if got := rec.Count(obs.CounterTermsGram); got != int64(len(terms)) {
 		t.Fatalf("%d of %d terms on the Gram route in Train", got, len(terms))
 	}
+	if model.basis == nil {
+		t.Fatal("a Gram-routed Train left the model no basis")
+	}
 	streams := termStreams(rng.New(cfg.Seed), terms)
 	direct := obs.New()
 	cfg.Obs = direct
+	primal := &Model{cfg: cfg, schema: train.Schema, terms: make([]termModel, len(terms))}
 	for ti, term := range terms {
-		tm, err := trainTerm(train, term, cfg, streams[ti], new(trainScratch))
-		if err != nil {
+		if primal.terms[ti], err = trainTerm(train, term, cfg, streams[ti], new(trainScratch)); err != nil {
 			t.Fatal(err)
 		}
+		if primal.terms[ti].dual != nil || model.terms[ti].real != nil {
+			t.Fatalf("term %d: the direct term is dual or Train's is not", ti)
+		}
+	}
+	got, err := primal.ScoreDataset(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := model.ScoreDataset(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti := range terms {
 		for s := 0; s < test.NumSamples(); s++ {
-			x := make([]float64, 0, len(term.Inputs))
-			for _, c := range term.Inputs {
-				x = append(x, test.Sample(s)[c])
-			}
-			got, want := predictRow(tm.real, x), predictRow(model.terms[ti].real, x)
-			if math.Abs(got-want) > gramTolerance*math.Max(math.Abs(got), math.Abs(want)) {
-				t.Fatalf("term %d sample %d: direct %v, Train %v", ti, s, got, want)
+			g, w := got.PerTerm.At(ti, s), want.PerTerm.At(ti, s)
+			if math.Abs(g-w) > gramTolerance*math.Max(math.Abs(g), math.Abs(w)) {
+				t.Fatalf("term %d sample %d: direct %v, Train %v", ti, s, g, w)
 			}
 		}
 	}
 	if direct.Count(obs.CounterTermsGram) != 0 || direct.Count(obs.CounterTermsMasked) != int64(len(terms)) {
 		t.Errorf("direct trainTerm: %d Gram and %d in-core terms, want 0 and %d",
 			direct.Count(obs.CounterTermsGram), direct.Count(obs.CounterTermsMasked), len(terms))
+	}
+}
+
+// TestSVRAccountedPeak: SVR terms charge their scratch as one reservation
+// per worker at the widest SVR term's size (a primal term's m x |inputs|
+// design, a Gram term's n x n Gram), held across the term fan-out, so the
+// accounted peak of a Train with SVR terms is exact: the shared state, the
+// reservation and the model, at 1, 2 and 4 workers and in every run, never
+// depending on which terms overlap. The golden fixture mixes primal SVR
+// and tree terms; the wide one mixes primal and Gram-routed SVR terms.
+func TestSVRAccountedPeak(t *testing.T) {
+	golden, _ := goldenTrainTest()
+	wide, _ := wideTrainTest()
+	for _, c := range []struct {
+		name  string
+		train *dataset.Dataset
+	}{{"golden", golden}, {"wide", wide}} {
+		train, n, f := c.train, c.train.NumSamples(), c.train.NumFeatures()
+		terms := FullTerms(f)
+		// The widest SVR term, restated: real targets with enough observed
+		// rows, a Gram when the target is fully observed and n < f−1.
+		var widest int64
+		svrTerms := 0
+		for _, term := range terms {
+			m := 0
+			for i := 0; i < n; i++ {
+				if !dataset.IsMissing(train.X.At(i, term.Target)) {
+					m++
+				}
+			}
+			if train.Schema[term.Target].Kind == dataset.Categorical || m < minObserved {
+				continue
+			}
+			svrTerms++
+			b := int64(m) * int64(f-1) * 8
+			if m == n && n < f-1 {
+				b = int64(n) * int64(n) * 8
+			}
+			widest = max(widest, b)
+		}
+		for _, w := range []int{1, 2, 4} {
+			cfg := Config{Seed: 3, Workers: w}.withDefaults()
+			var shared int64
+			if needsGram(train, terms, cfg) {
+				g, err := buildGram(context.Background(), train, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shared += g.bytes()
+			}
+			if needsDesign(train, terms, cfg) {
+				shared += tree.NewDesign(train.X, train.Schema).Bytes()
+			}
+			reserve := int64(min(w, svrTerms)) * widest
+			for run := 0; run < 3; run++ {
+				cfg.Tracker = resource.NewTracker()
+				m, err := Train(train, terms, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := cfg.Tracker.PeakBytes(), shared+reserve+m.Bytes(); got != want {
+					t.Errorf("%s workers=%d run %d: accounted peak %d bytes, want shared %d + SVR scratch %d + model %d = %d",
+						c.name, w, run, got, shared, reserve, m.Bytes(), want)
+				}
+			}
+		}
 	}
 }

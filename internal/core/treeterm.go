@@ -31,16 +31,7 @@ func needsDesign(train *dataset.Dataset, terms []Term, cfg Config) bool {
 		return false
 	}
 	for _, t := range terms {
-		if len(t.Inputs) == 0 || !takesTree(train.Schema, t, cfg.Learners) {
-			continue
-		}
-		observed := 0
-		for i := 0; i < train.NumSamples(); i++ {
-			if !dataset.IsMissing(train.X.At(i, t.Target)) {
-				observed++
-			}
-		}
-		if observed >= minObserved {
+		if len(t.Inputs) > 0 && takesTree(train.Schema, t, cfg.Learners) && observedRows(train, t.Target) >= minObserved {
 			return true
 		}
 	}

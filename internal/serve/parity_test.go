@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"frac/internal/core"
 	"frac/internal/dataset"
 	"frac/internal/linalg"
+	"frac/internal/obs"
 )
 
 // rowsJSON builds a /v1/score body for rows [lo, hi), encoding missing
@@ -208,6 +210,89 @@ func TestRuntimeHashIsFileHash(t *testing.T) {
 		}
 		if want := fileHash(); rt.Hash() != want {
 			t.Errorf("%d trailing bytes: runtime hash %s, file hash %s", trailing, rt.Hash(), want)
+		}
+	}
+}
+
+// wideFixture builds a wide all-real training set (10 rows, 16 features,
+// so n < f−1) and 11 probe rows over it. Feature 3 has holes in training,
+// so its term trains on the primal route while the other terms take the
+// Gram route and score through the model's basis; the probe rows miss a
+// cell now and then.
+func wideFixture() (*dataset.Dataset, *linalg.Matrix) {
+	const f = 16
+	schema := make(dataset.Schema, f)
+	for j := range schema {
+		schema[j] = dataset.Feature{Name: fmt.Sprintf("g%d", j), Kind: dataset.Real}
+	}
+	g := lcg(0x5d1e)
+	fill := func(s []float64) {
+		base := g.next()*4 - 2
+		for j := range s {
+			s[j] = g.next() - 0.5
+			if j%2 == 0 {
+				s[j] += base * (1 + 0.1*float64(j))
+			}
+		}
+	}
+	train := dataset.New("wide", schema, 10)
+	for i := 0; i < 10; i++ {
+		fill(train.Sample(i))
+		if i%4 == 0 {
+			train.Sample(i)[3] = dataset.Missing
+		}
+	}
+	probe := linalg.NewMatrix(11, f)
+	for i := 0; i < probe.Rows; i++ {
+		fill(probe.Row(i))
+		if i%3 == 1 {
+			probe.Row(i)[(5*i)%f] = dataset.Missing
+		}
+	}
+	return train, probe
+}
+
+// TestRuntimeWideModelMatchesTrained: a saved wide model, whose
+// Gram-routed terms keep their fits in dual form over the model's basis,
+// loads into a runtime that scores bit-identically to the trained model's
+// ScoreRowsInto at batch sizes 1, 3 and all rows.
+func TestRuntimeWideModelMatchesTrained(t *testing.T) {
+	train, probe := wideFixture()
+	rec := obs.New()
+	model, err := core.Train(train, core.FullTerms(train.NumFeatures()), core.Config{Seed: 7, Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gram := rec.Count(obs.CounterTermsGram); gram == 0 || gram == int64(model.NumTerms()) {
+		t.Fatalf("%d of %d terms on the Gram route; the fixture needs both routes", gram, model.NumTerms())
+	}
+	want := make([]float64, probe.Rows)
+	if err := model.ScoreRowsInto(probe, want, core.NewScoreWorkspace()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "wide.frac")
+	writeModelFile(t, model, path)
+	rt, err := LoadRuntime(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt.Bytes() != model.Bytes() {
+		t.Errorf("runtime Bytes %d, trained model %d", rt.Bytes(), model.Bytes())
+	}
+	for _, batch := range []int{1, 3, probe.Rows} {
+		ws := core.NewScoreWorkspace()
+		got := make([]float64, probe.Rows)
+		for lo := 0; lo < probe.Rows; lo += batch {
+			hi := min(lo+batch, probe.Rows)
+			rows := &linalg.Matrix{Rows: hi - lo, Cols: probe.Cols, Data: probe.Data[lo*probe.Cols : hi*probe.Cols]}
+			if err := rt.ScoreInto(rows, got[lo:hi], ws); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("batch %d sample %d: loaded %v, trained %v", batch, i, got[i], want[i])
+			}
 		}
 	}
 }
