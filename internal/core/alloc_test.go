@@ -89,7 +89,7 @@ func countDual(m *Model) int {
 
 // TestPredictBatchZeroAllocs asserts the batch prediction paths of every
 // trained predictor kind allocate nothing after warm-up, reading each
-// term's inputs from the raw test rows through its column map.
+// term's inputs from the raw test rows.
 func TestPredictBatchZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
 	train, test := goldenTrainTest()
@@ -102,17 +102,16 @@ func TestPredictBatchZeroAllocs(t *testing.T) {
 	labels := make([]int, n)
 	for ti := range model.terms {
 		tm := &model.terms[ti]
-		cols := tm.term.Inputs
 		var allocs float64
 		if tm.isCat {
-			tm.cat.PredictLabelBatch(test.X, cols, labels)
+			tm.cat.PredictLabelBatch(test.X, labels)
 			allocs = testing.AllocsPerRun(50, func() {
-				tm.cat.PredictLabelBatch(test.X, cols, labels)
+				tm.cat.PredictLabelBatch(test.X, labels)
 			})
 		} else {
-			tm.real.PredictBatch(test.X, cols, preds)
+			tm.real.PredictBatch(test.X, preds)
 			allocs = testing.AllocsPerRun(50, func() {
-				tm.real.PredictBatch(test.X, cols, preds)
+				tm.real.PredictBatch(test.X, preds)
 			})
 		}
 		if allocs != 0 {
@@ -269,6 +268,47 @@ func TestRetainedHeapMatchesBytes(t *testing.T) {
 	}
 }
 
+// TestReadModelTreeAllocs: loading a tree model costs objects in
+// proportion to its terms and nodes, not to its terms' inputs. ReadModel of
+// the artifact of a TreeLearners Train on autism 1:128 (56 features, every
+// term a classification tree over the other 55) allocates fewer than 16
+// objects per term.
+func TestReadModelTreeAllocs(t *testing.T) {
+	skipUnderRace(t)
+	p, err := synth.ProfileByName("autism")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := p.Generate(128, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, err := dataset.MakeReplicates(pool, 1, 2.0/3, rng.New(1).StreamAt("split", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	train := reps[0].Train
+	m, err := Train(train, FullTerms(train.NumFeatures()), Config{Seed: 1, Learners: TreeLearners(tree.Params{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := m.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ReadModel(bytes.NewReader(blob)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perTerm := allocs / float64(len(m.terms))
+	t.Logf("ReadModel of %d tree terms over %d features: %.0f allocations, %.1f per term", len(m.terms), train.NumFeatures(), allocs, perTerm)
+	if perTerm >= 16 {
+		t.Errorf("ReadModel allocates %.1f objects per tree term, want fewer than 16", perTerm)
+	}
+}
+
 func predictorOf(tm *termModel) any {
 	if tm.isCat {
 		return tm.cat
@@ -276,13 +316,12 @@ func predictorOf(tm *termModel) any {
 	return tm.real
 }
 
-// TestBatchMatchesPerSamplePrediction pins the column-map contract: a
-// predictor reading the raw test rows through its term's column map
-// predicts for every row exactly what it predicts for the row's inputs
-// gathered into a row of their own and read through the identity map,
-// compared by their bits, and ScoreDataset's per-term contributions are
-// those predictions scored. It covers every term of the golden model and of
-// a TreeLearners model on mixed data with missing cells.
+// TestBatchMatchesPerSamplePrediction pins the batch contract: a predictor
+// predicts for every raw test row within the batch exactly what it
+// predicts for that row alone, compared by their bits, and ScoreDataset's
+// per-term contributions are those predictions scored. It covers every
+// term of the golden model and of a TreeLearners model on mixed data with
+// missing cells.
 func TestBatchMatchesPerSamplePrediction(t *testing.T) {
 	golden, goldenTest := goldenTrainTest()
 	mixed, mixedTest := randomCatTrainTest(60, 12, 5, 4, 0.5, rng.New(0x5c))
@@ -307,24 +346,20 @@ func TestBatchMatchesPerSamplePrediction(t *testing.T) {
 		for ti := range model.terms {
 			tm := &model.terms[ti]
 			if tm.isCat {
-				tm.cat.PredictLabelBatch(c.test.X, tm.term.Inputs, labels)
+				tm.cat.PredictLabelBatch(c.test.X, labels)
 			} else {
-				tm.real.PredictBatch(c.test.X, tm.term.Inputs, preds)
+				tm.real.PredictBatch(c.test.X, preds)
 			}
-			in := make([]float64, len(tm.term.Inputs))
 			for s := 0; s < n; s++ {
 				sample := c.test.Sample(s)
-				for j, col := range tm.term.Inputs {
-					in[j] = sample[col]
-				}
-				var raw, gathered float64
+				var batch, alone float64
 				if tm.isCat {
-					raw, gathered = float64(labels[s]), float64(predictLabelRow(tm.cat, in))
+					batch, alone = float64(labels[s]), float64(predictLabelRow(tm.cat, sample))
 				} else {
-					raw, gathered = preds[s], predictRow(tm.real, in)
+					batch, alone = preds[s], predictRow(tm.real, sample)
 				}
-				if math.Float64bits(raw) != math.Float64bits(gathered) {
-					t.Errorf("%s term %d sample %d: through cols %v, gathered %v", c.name, ti, s, raw, gathered)
+				if math.Float64bits(batch) != math.Float64bits(alone) {
+					t.Errorf("%s term %d sample %d: in the batch %v, alone %v", c.name, ti, s, batch, alone)
 				}
 				want := 0.0
 				if v := sample[tm.term.Target]; !dataset.IsMissing(v) {
@@ -342,12 +377,11 @@ func TestBatchMatchesPerSamplePrediction(t *testing.T) {
 	}
 }
 
-// rowScratch predicts one gathered row through the identity column map:
-// the row as a one-row matrix, the map and the output slots. Pooled, so
-// the gather reference's held-out predictions stay allocation-free.
+// rowScratch predicts one row: the row as a one-row matrix and the output
+// slots. Pooled, so the gather reference's held-out predictions stay
+// allocation-free.
 type rowScratch struct {
 	x     linalg.Matrix
-	cols  []int
 	pred  [1]float64
 	label [1]int
 }
@@ -357,9 +391,6 @@ var rowPool = sync.Pool{New: func() any { return new(rowScratch) }}
 func getRow(row []float64) *rowScratch {
 	rs := rowPool.Get().(*rowScratch)
 	rs.x = linalg.Matrix{Rows: 1, Cols: len(row), Data: row}
-	for len(rs.cols) < len(row) {
-		rs.cols = append(rs.cols, len(rs.cols))
-	}
 	return rs
 }
 
@@ -368,19 +399,19 @@ func putRow(rs *rowScratch) {
 	rowPool.Put(rs)
 }
 
-// predictRow predicts one gathered row of a term's inputs.
+// predictRow predicts one row.
 func predictRow(p RealPredictor, row []float64) float64 {
 	rs := getRow(row)
-	p.PredictBatch(&rs.x, rs.cols[:len(row)], rs.pred[:])
+	p.PredictBatch(&rs.x, rs.pred[:])
 	v := rs.pred[0]
 	putRow(rs)
 	return v
 }
 
-// predictLabelRow classifies one gathered row of a term's inputs.
+// predictLabelRow classifies one row.
 func predictLabelRow(p CatPredictor, row []float64) int {
 	rs := getRow(row)
-	p.PredictLabelBatch(&rs.x, rs.cols[:len(row)], rs.label[:])
+	p.PredictLabelBatch(&rs.x, rs.label[:])
 	v := rs.label[0]
 	putRow(rs)
 	return v

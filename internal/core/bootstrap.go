@@ -36,10 +36,8 @@ func RunBootstrapEnsembleCtx(ctx context.Context, train, test *dataset.Dataset, 
 			rows[i] = stream.IntN(n)
 		}
 		resample := train.SelectSamples(rows)
-		if cfg.Tracker != nil {
-			cfg.Tracker.Alloc(resample.Bytes())
-			defer cfg.Tracker.Release(resample.Bytes())
-		}
+		cfg.Tracker.Alloc(resample.Bytes())
+		defer cfg.Tracker.Release(resample.Bytes())
 		res, err := RunCtx(ctx, resample, test, terms, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bootstrap: %w", err)

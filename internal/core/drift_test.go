@@ -97,7 +97,7 @@ func TestReadModelVersion1Stream(t *testing.T) {
 	dataset.EncodeSchema(bw, m.schema)
 	bw.Int(len(m.terms))
 	for i := range m.terms {
-		if err := encodeTerm(bw, m.schema, &m.terms[i]); err != nil {
+		if err := encodeTerm(bw, &m.terms[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

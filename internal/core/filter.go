@@ -103,11 +103,9 @@ func RunFullFilteredCtx(ctx context.Context, train, test *dataset.Dataset, metho
 	span.End()
 	cfg.Obs.Add(obs.CounterFeaturesKept, int64(len(kept)))
 	cfg.Obs.Add(obs.CounterFeaturesDropped, int64(train.NumFeatures()-len(kept)))
-	if cfg.Tracker != nil {
-		b := trainF.Bytes() + testF.Bytes()
-		cfg.Tracker.Alloc(b)
-		defer cfg.Tracker.Release(b)
-	}
+	b := trainF.Bytes() + testF.Bytes()
+	cfg.Tracker.Alloc(b)
+	defer cfg.Tracker.Release(b)
 	res, err := RunCtx(ctx, trainF, testF, FilteredTerms(kept), cfg)
 	if err != nil {
 		return nil, nil, err

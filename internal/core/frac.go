@@ -186,21 +186,17 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 			return nil, err
 		}
 		m.basis = gram.basis
-		if cfg.Tracker != nil {
-			cfg.Tracker.Alloc(gram.bytes())
-			defer cfg.Tracker.Release(gram.bytes())
-			cfg.Tracker.Alloc(m.basis.bytes())
-		}
+		cfg.Tracker.Alloc(gram.bytes())
+		defer cfg.Tracker.Release(gram.bytes())
+		cfg.Tracker.Alloc(m.basis.bytes())
 	}
 	if needsDesign(train, terms, cfg) {
 		if design, err = buildShared(ctx, cfg, "train", func() (*tree.Design, error) { return tree.NewDesign(train.X, train.Schema), nil }); err != nil {
 			m.release()
 			return nil, err
 		}
-		if cfg.Tracker != nil {
-			cfg.Tracker.Alloc(design.Bytes())
-			defer cfg.Tracker.Release(design.Bytes())
-		}
+		cfg.Tracker.Alloc(design.Bytes())
+		defer cfg.Tracker.Release(design.Bytes())
 	}
 	if cfg.Tracker != nil {
 		scratch := svrReservation(train, terms, cfg, gram)
@@ -215,20 +211,13 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 			var tm termModel
 			var err error
 			span := cfg.Obs.StartSampledWorker(obs.PhaseTermTrain, sc.worker)
-			task := func() { tm, err = trainTerm(train, terms[ti], cfg, streams[ti], sc) }
-			if cfg.Tracker != nil {
-				cfg.Tracker.TimeTask(task)
-			} else {
-				task()
-			}
+			cfg.Tracker.TimeTask(func() { tm, err = trainTerm(train, terms[ti], cfg, streams[ti], sc) })
 			span.End()
 			if err != nil {
 				return fmt.Errorf("term %d: %w", ti, err)
 			}
 			m.terms[ti] = tm
-			if cfg.Tracker != nil {
-				cfg.Tracker.Alloc(tm.bytes())
-			}
+			cfg.Tracker.Alloc(tm.bytes())
 			cfg.Obs.Add(obs.CounterTermsTrained, 1)
 			return nil
 		})
@@ -249,12 +238,7 @@ func buildShared[T any](ctx context.Context, cfg Config, phase string, build fun
 		func(int) struct{} { return struct{}{} },
 		func(int, struct{}) error {
 			var err error
-			task := func() { out, err = build() }
-			if cfg.Tracker != nil {
-				cfg.Tracker.TimeTask(task)
-			} else {
-				task()
-			}
+			cfg.Tracker.TimeTask(func() { out, err = build() })
 			return err
 		})
 	return out, err
@@ -496,8 +480,8 @@ func (s *ScoreSet) Totals() []float64 {
 
 // scoreWorkspace is the reusable per-worker state of ScoreDataset: the
 // batch prediction outputs, shared by every term a worker scores.
-// Predictors read each term's inputs from the scored rows through the
-// term's column map, so nothing is gathered.
+// Predictors read each term's inputs from the scored rows themselves, so
+// nothing is gathered.
 type scoreWorkspace struct {
 	// worker is the owning worker's index, for span attribution only.
 	worker int
@@ -521,7 +505,7 @@ func (m *Model) scoreTermBatch(ti int, test *dataset.Dataset, k *linalg.Matrix, 
 			ws.labels = make([]int, n)
 		}
 		labels := ws.labels[:n]
-		tm.cat.PredictLabelBatch(test.X, tm.term.Inputs, labels)
+		tm.cat.PredictLabelBatch(test.X, labels)
 		for s := 0; s < n; s++ {
 			if v := test.X.At(s, tm.term.Target); !dataset.IsMissing(v) {
 				row[s] = tm.scoreCat(v, labels[s])
@@ -543,7 +527,7 @@ func (m *Model) scoreTermBatch(ti int, test *dataset.Dataset, k *linalg.Matrix, 
 	if tm.dual != nil {
 		tm.dual.predictBatch(test.X, k, m.basis, tm.term.Target, preds)
 	} else {
-		tm.real.PredictBatch(test.X, tm.term.Inputs, preds)
+		tm.real.PredictBatch(test.X, preds)
 	}
 	for s := 0; s < n; s++ {
 		if v := test.X.At(s, tm.term.Target); !dataset.IsMissing(v) {
@@ -559,8 +543,8 @@ func (m *Model) scoreTermBatch(ti int, test *dataset.Dataset, k *linalg.Matrix, 
 
 // ScoreDataset scores every sample of test, in parallel over terms, and
 // reports the cost into the model's tracker. Each term runs sample-major
-// through the batch prediction path, reading its inputs from test's rows
-// through its column map, with the prediction buffers reused per worker.
+// through the batch prediction path, reading its inputs from test's rows,
+// with the prediction buffers reused per worker.
 // When the model has a basis, every row is projected onto it once first,
 // and the Gram-routed terms read the projection.
 func (m *Model) ScoreDataset(test *dataset.Dataset) (*ScoreSet, error) {
@@ -598,12 +582,7 @@ func (m *Model) ScoreDatasetCtx(ctx context.Context, test *dataset.Dataset) (*Sc
 		func(w int) *scoreWorkspace { return &scoreWorkspace{worker: w} },
 		func(ti int, ws *scoreWorkspace) error {
 			span := m.cfg.Obs.StartSampledWorker(obs.PhaseTermScore, ws.worker)
-			task := func() { m.scoreTermBatch(ti, test, k, ss.PerTerm.Row(ti), ws, nil) }
-			if m.cfg.Tracker != nil {
-				m.cfg.Tracker.TimeTask(task)
-			} else {
-				task()
-			}
+			m.cfg.Tracker.TimeTask(func() { m.scoreTermBatch(ti, test, k, ss.PerTerm.Row(ti), ws, nil) })
 			span.End()
 			m.cfg.Obs.Add(obs.CounterTermsScored, 1)
 			return nil

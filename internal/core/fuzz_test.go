@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"math"
+	"os"
 	"testing"
 
 	"frac/internal/dataset"
+	"frac/internal/rng"
 	"frac/internal/tree"
 )
 
@@ -16,10 +18,13 @@ import (
 // panicking and that survives a re-encode/decode round trip with bit-
 // identical scores.
 func FuzzPersistLoad(f *testing.F) {
-	// Seed with genuine encodings of both learner families, and of a wide
-	// model with a basis and Gram-routed terms, so the fuzzer starts from
-	// deep, structurally valid streams.
+	// Seed with genuine encodings of both learner families, of a tree
+	// model on mixed data with missing cells, and of a wide model with a
+	// basis and Gram-routed terms, so the fuzzer starts from deep,
+	// structurally valid streams; and with the version-3 tree fixture,
+	// whose trees carry input blocks.
 	train, _ := goldenTrainTest()
+	mixed, _ := randomCatTrainTest(30, 1, 3, 3, 0.5, rng.New(0xf2))
 	wide, _ := wideTrainTest()
 	for _, c := range []struct {
 		train *dataset.Dataset
@@ -27,6 +32,7 @@ func FuzzPersistLoad(f *testing.F) {
 	}{
 		{train, Config{Seed: 1, Workers: 1}},
 		{train, Config{Seed: 2, Workers: 1, KDEError: true, Learners: TreeLearners(tree.Params{MinLeaf: 1})}},
+		{mixed, Config{Seed: 4, Workers: 1, Learners: TreeLearners(tree.Params{MaxDepth: 4})}},
 		{wide, Config{Seed: 3, Workers: 1}},
 	} {
 		model, err := Train(c.train, FullTerms(c.train.NumFeatures()), c.cfg)
@@ -39,6 +45,11 @@ func FuzzPersistLoad(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	v3, err := os.ReadFile("testdata/trees_v3.frac")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v3)
 	f.Add([]byte{})
 	f.Add([]byte("FRAC-MODEL"))
 

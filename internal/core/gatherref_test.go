@@ -14,7 +14,9 @@ import (
 // regression-tree and mixed-input tree terms with before every tree term
 // moved to the shared design. It copies a term's observed rows into a
 // matrix, copies a fold view of that matrix per CV fold, and hands both to
-// Learners.Real or Learners.Cat. The references set it as Learners.gather
+// Learners.Real or Learners.Cat; the final predictor, fit on the gathered
+// rows, is then re-expressed over the model's columns (overModelColumns),
+// which a model's predictors read. The references set it as Learners.gather
 // (referenceLearners, treeReference), and TestInCoreTrainingBitIdentical and
 // TestTreeRouteBitIdentical pin the product's routes to it bit for bit, so
 // do not change it.
@@ -48,7 +50,7 @@ func gatherTerm(tm termModel, train *dataset.Dataset, term Term, rows []int, cfg
 			}
 		}
 		tm.catErr = conf
-		tm.cat = cfg.Learners.Cat(x, inputSchema, y, tm.arity, src.Seed())
+		tm.cat = overModelColumns(cfg.Learners.Cat(x, inputSchema, y, tm.arity, src.Seed()), term.Inputs)
 		return tm
 	}
 	y := sc.yF
@@ -70,8 +72,22 @@ func gatherTerm(tm termModel, train *dataset.Dataset, term Term, rows []int, cfg
 		residuals = []float64{0}
 	}
 	tm.realErr = fitRealError(residuals, cfg.KDEError)
-	tm.real = cfg.Learners.Real(x, inputSchema, y, src.Seed())
+	tm.real = overModelColumns(cfg.Learners.Real(x, inputSchema, y, src.Seed()), term.Inputs)
 	return tm
+}
+
+// overModelColumns re-expresses p, fit on rows gathered through inputs,
+// over the model's columns: an SVR reads its input j from column inputs[j],
+// and a tree's nodes are renamed through inputs, as the decoder renames a
+// legacy tree's.
+func overModelColumns[P any](p P, inputs []int) P {
+	switch v := any(p).(type) {
+	case *imputedReal:
+		v.inputs = inputs
+	case interface{ Rename(cols []int) }:
+		v.Rename(inputs)
+	}
+	return p
 }
 
 // gatherScratch holds the gather loop's copies: the gathered term matrix,

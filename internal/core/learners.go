@@ -14,22 +14,22 @@ import (
 )
 
 // RealPredictor predicts a continuous target from a term's inputs.
-// PredictBatch predicts row i of x into out[i] for every row of x, reading
-// the term's input j as x.At(i, cols[j]), where cols is the term's column
-// map (Term.Inputs); it retains neither x nor out. Implementations must
-// tolerate missing (NaN) inputs, must be safe for concurrent PredictBatch
-// calls and must not allocate per sample in steady state (internal
-// workspaces are pooled, never fresh per call).
+// PredictBatch predicts row i of x into out[i] for every row of x, where x
+// holds model rows, one cell per schema feature; it reads only its term's
+// inputs and retains neither x nor out. Implementations must tolerate
+// missing (NaN) inputs, must be safe for concurrent PredictBatch calls and
+// must not allocate per sample in steady state (internal workspaces are
+// pooled, never fresh per call).
 type RealPredictor interface {
-	PredictBatch(x *linalg.Matrix, cols []int, out []float64)
+	PredictBatch(x *linalg.Matrix, out []float64)
 	Bytes() int64
 }
 
 // CatPredictor predicts a categorical target label from a term's inputs.
-// PredictLabelBatch reads its inputs through cols and follows the same
-// ownership and allocation contract as RealPredictor.PredictBatch.
+// PredictLabelBatch reads model rows and follows the same ownership and
+// allocation contract as RealPredictor.PredictBatch.
 type CatPredictor interface {
-	PredictLabelBatch(x *linalg.Matrix, cols []int, out []int)
+	PredictLabelBatch(x *linalg.Matrix, out []int)
 	Bytes() int64
 }
 
@@ -147,8 +147,12 @@ func (vp *vecPool) get(n int) *[]float64 {
 
 func (vp *vecPool) put(b *[]float64) { vp.pool.Put(b) }
 
+// imputedReal is a primal SVR term's predictor. Its input j is column
+// inputs[j] of the model's rows: inputs is its term's Inputs, shared, not
+// copied (termModel.bytes counts it).
 type imputedReal struct {
 	model  *svm.SVR
+	inputs []int
 	means  []float64
 	scales []float64 // 1/sd per input column
 	yMean  float64
@@ -156,10 +160,11 @@ type imputedReal struct {
 	vecs   vecPool
 }
 
-// PredictBatch standardizes each row's inputs straight from x through cols
-// into one pooled buffer, a missing cell taking its column's mean, and
-// predicts from it.
-func (p *imputedReal) PredictBatch(x *linalg.Matrix, cols []int, out []float64) {
+// PredictBatch standardizes each row's inputs straight from x into one
+// pooled buffer, a missing cell taking its column's mean, and predicts from
+// it.
+func (p *imputedReal) PredictBatch(x *linalg.Matrix, out []float64) {
+	cols := p.inputs
 	b := p.vecs.get(len(p.means))
 	buf := (*b)[:len(cols)]
 	means, scales := p.means[:len(cols)], p.scales[:len(cols)]
@@ -245,7 +250,7 @@ func (p *dualReal) bytes() int64 { return int64(len(p.beta))*8 + 32 }
 // the term's error model the target's marginal distribution.
 type constantReal struct{ value float64 }
 
-func (p constantReal) PredictBatch(x *linalg.Matrix, _ []int, out []float64) {
+func (p constantReal) PredictBatch(x *linalg.Matrix, out []float64) {
 	for i := 0; i < x.Rows; i++ {
 		out[i] = p.value
 	}
@@ -255,7 +260,7 @@ func (p constantReal) Bytes() int64 { return 8 }
 // constantCat predicts the training majority class.
 type constantCat struct{ label int }
 
-func (p constantCat) PredictLabelBatch(x *linalg.Matrix, _ []int, out []int) {
+func (p constantCat) PredictLabelBatch(x *linalg.Matrix, out []int) {
 	for i := 0; i < x.Rows; i++ {
 		out[i] = p.label
 	}

@@ -32,11 +32,18 @@ import (
 //	    written under tagGramSVR as β (F64s of n), b, u, yMean and ySD. The
 //	    stream ends with one U64 word: the CRC-32C (Castagnoli) of every
 //	    byte before it. Version-1 and version-2 streams still load, their
-//	    SVR terms scoring through imputedReal as they always did;
-//	    version-3 streams are written unconditionally.
+//	    SVR terms scoring through imputedReal as they always did.
+//	4 — trees index model columns. A tree's stream is its arity
+//	    (classifiers only) and its nodes, and a node's feature is a column
+//	    of the schema; before, each tree also carried an input block, one
+//	    schema entry per input of its term, and its node features indexed
+//	    those inputs. Older streams still load: a tree's input block must
+//	    match the schema at its term's inputs, and its nodes are renamed to
+//	    model columns through them. Version-4 streams are written
+//	    unconditionally.
 const (
 	modelMagic   = "FRAC-MODEL"
-	modelVersion = 3
+	modelVersion = 4
 )
 
 // codecBufSize is the buffer the codec puts in front of the caller's
@@ -66,7 +73,7 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 	encodeBasis(bw, m.basis)
 	bw.Int(len(m.terms))
 	for i := range m.terms {
-		if err := encodeTerm(bw, m.schema, &m.terms[i]); err != nil {
+		if err := encodeTerm(bw, &m.terms[i]); err != nil {
 			return 0, err
 		}
 	}
@@ -127,7 +134,7 @@ func ReadModel(r io.Reader) (*Model, error) {
 	// memory proportional to the stream, not the claimed length.
 	m := &Model{schema: schema, terms: make([]termModel, 0, min(n, 1024)), basis: basis}
 	for i := 0; i < n; i++ {
-		tm, err := decodeTerm(br, schema, basis)
+		tm, err := decodeTerm(br, schema, basis, version < 4)
 		if err != nil {
 			return nil, fmt.Errorf("core: term %d: %w", i, err)
 		}
@@ -188,8 +195,8 @@ func decodeBasis(r *binio.Reader, f int) (*dualBasis, error) {
 	return b, nil
 }
 
-// encodeTerm writes one term of a model over schema.
-func encodeTerm(w *binio.Writer, schema dataset.Schema, tm *termModel) error {
+// encodeTerm writes one term of a model.
+func encodeTerm(w *binio.Writer, tm *termModel) error {
 	w.Int(tm.term.Target)
 	w.Int(tm.term.Orig)
 	w.Ints(tm.term.Inputs)
@@ -201,7 +208,7 @@ func encodeTerm(w *binio.Writer, schema dataset.Schema, tm *termModel) error {
 		w.Int(tm.catErr.K)
 		w.Ints(tm.catErr.Counts)
 		w.F64(tm.catErr.Smoothing)
-		return encodeCatPredictor(w, tm.cat, schema, tm.term.Inputs)
+		return encodeCatPredictor(w, tm.cat)
 	}
 	// Gaussian (+ optional KDE) error model.
 	w.F64(tm.realErr.gauss.Mu)
@@ -220,12 +227,13 @@ func encodeTerm(w *binio.Writer, schema dataset.Schema, tm *termModel) error {
 		w.F64(p.ySD)
 		return w.Err()
 	}
-	return encodeRealPredictor(w, tm.real, schema, tm.term.Inputs)
+	return encodeRealPredictor(w, tm.real)
 }
 
 // decodeTerm reads one term of a model over schema; basis is the model's,
-// nil when it has none.
-func decodeTerm(r *binio.Reader, schema dataset.Schema, basis *dualBasis) (termModel, error) {
+// nil when it has none, and legacy says the stream's version is below 4, so
+// that its trees index their term's inputs.
+func decodeTerm(r *binio.Reader, schema dataset.Schema, basis *dualBasis, legacy bool) (termModel, error) {
 	var tm termModel
 	tm.term.Target = r.Int()
 	tm.term.Orig = r.Int()
@@ -249,6 +257,13 @@ func decodeTerm(r *binio.Reader, schema dataset.Schema, basis *dualBasis) (termM
 	if tm.isCat && tm.arity != feat.Arity {
 		return tm, fmt.Errorf("term arity %d disagrees with schema arity %d", tm.arity, feat.Arity)
 	}
+	// A legacy tree indexes its term's inputs: the tree decoders rename its
+	// nodes to model columns through them.
+	var legacyMap []int
+	if legacy {
+		legacyMap = tm.term.Inputs
+	}
+	var err error
 	if tm.isCat {
 		k := r.Int()
 		counts := r.Ints()
@@ -260,15 +275,8 @@ func decodeTerm(r *binio.Reader, schema dataset.Schema, basis *dualBasis) (termM
 			return tm, fmt.Errorf("confusion matrix %d with %d counts for arity %d", k, len(counts), tm.arity)
 		}
 		tm.catErr = &stats.Confusion{K: k, Counts: counts, Smoothing: smoothing}
-		cat, err := decodeCatPredictor(r, schema, tm.term.Inputs)
-		if err != nil {
-			return tm, err
-		}
-		if err := validateCatPredictor(cat, tm.arity); err != nil {
-			return tm, err
-		}
-		tm.cat = cat
-		return tm, nil
+		tm.cat, err = decodeCatPredictor(r, schema, tm.arity, legacyMap)
+		return tm, err
 	}
 	tm.realErr.gauss = stats.Gaussian{Mu: r.F64(), Sigma: r.F64()}
 	if r.Bool() {
@@ -284,19 +292,11 @@ func decodeTerm(r *binio.Reader, schema dataset.Schema, basis *dualBasis) (termM
 	}
 	tag := r.Int()
 	if tag == tagGramSVR {
-		dual, err := decodeDual(r, tm.term, basis)
-		tm.dual = dual
+		tm.dual, err = decodeDual(r, tm.term, basis)
 		return tm, err
 	}
-	real, err := decodeRealPredictor(r, tag, schema, tm.term.Inputs)
-	if err != nil {
-		return tm, err
-	}
-	if err := validateRealPredictor(real, len(tm.term.Inputs)); err != nil {
-		return tm, err
-	}
-	tm.real = real
-	return tm, nil
+	tm.real, err = decodeRealPredictor(r, tag, schema, tm.term.Inputs, legacyMap)
+	return tm, err
 }
 
 // decodeDual reads a Gram-routed term's predictor, after its tag. It needs
@@ -317,38 +317,8 @@ func decodeDual(r *binio.Reader, term Term, basis *dualBasis) (*dualReal, error)
 	return p, nil
 }
 
-// validateRealPredictor rejects decoded SVR predictors whose shape
-// disagrees with the term's input count; PredictBatch would index out of
-// range on them. A tree's decoder checks its inputs against the term's
-// itself.
-func validateRealPredictor(p RealPredictor, inputs int) error {
-	if v, ok := p.(*imputedReal); ok && (len(v.model.W) != inputs || len(v.means) != inputs || len(v.scales) != inputs) {
-		return fmt.Errorf("SVR shape (%d weights, %d means, %d scales) for %d inputs",
-			len(v.model.W), len(v.means), len(v.scales), inputs)
-	}
-	return nil
-}
-
-// validateCatPredictor pins the label range of a decoded categorical
-// predictor: predictions index the confusion matrix, so every label a
-// predictor can emit must lie in [0, arity).
-func validateCatPredictor(p CatPredictor, arity int) error {
-	switch v := p.(type) {
-	case constantCat:
-		if v.label < 0 || v.label >= arity {
-			return fmt.Errorf("constant label %d out of [0,%d)", v.label, arity)
-		}
-	case *tree.Classifier:
-		if v.Arity != arity {
-			return fmt.Errorf("tree over %d classes for arity %d", v.Arity, arity)
-		}
-	}
-	return nil
-}
-
-// encodeRealPredictor writes the predictor of a term whose input j is
-// column cols[j] of schema.
-func encodeRealPredictor(w *binio.Writer, p RealPredictor, schema dataset.Schema, cols []int) error {
+// encodeRealPredictor writes the predictor of a real term.
+func encodeRealPredictor(w *binio.Writer, p RealPredictor) error {
 	switch v := p.(type) {
 	case constantReal:
 		w.Int(tagConstantReal)
@@ -362,16 +332,18 @@ func encodeRealPredictor(w *binio.Writer, p RealPredictor, schema dataset.Schema
 		w.F64(v.ySD)
 	case *tree.Regressor:
 		w.Int(tagTreeRegressor)
-		v.Encode(w, schema, cols)
+		v.Encode(w)
 	default:
 		return fmt.Errorf("core: predictor type %T is not serializable", p)
 	}
 	return w.Err()
 }
 
-// decodeRealPredictor reads the predictor, after its tag, of a term whose
-// input j is column cols[j] of schema.
-func decodeRealPredictor(r *binio.Reader, tag int, schema dataset.Schema, cols []int) (RealPredictor, error) {
+// decodeRealPredictor reads the predictor, after its tag, of a term over
+// schema whose inputs are inputs; legacyMap is decodeTerm's. An SVR whose
+// shape disagrees with the input count is an error: PredictBatch would
+// index out of range on it.
+func decodeRealPredictor(r *binio.Reader, tag int, schema dataset.Schema, inputs, legacyMap []int) (RealPredictor, error) {
 	switch tag {
 	case tagConstantReal:
 		return constantReal{value: r.F64()}, r.Err()
@@ -380,10 +352,17 @@ func decodeRealPredictor(r *binio.Reader, tag int, schema dataset.Schema, cols [
 		if err != nil {
 			return nil, err
 		}
-		p := &imputedReal{model: m, means: r.F64s(), scales: r.F64s(), yMean: r.F64(), ySD: r.F64()}
-		return p, r.Err()
+		p := &imputedReal{model: m, inputs: inputs, means: r.F64s(), scales: r.F64s(), yMean: r.F64(), ySD: r.F64()}
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if n := len(inputs); len(m.W) != n || len(p.means) != n || len(p.scales) != n {
+			return nil, fmt.Errorf("SVR shape (%d weights, %d means, %d scales) for %d inputs",
+				len(m.W), len(p.means), len(p.scales), n)
+		}
+		return p, nil
 	case tagTreeRegressor:
-		return tree.DecodeRegressor(r, schema, cols)
+		return tree.DecodeRegressor(r, schema, legacyMap)
 	default:
 		if err := r.Err(); err != nil {
 			return nil, err
@@ -393,27 +372,43 @@ func decodeRealPredictor(r *binio.Reader, tag int, schema dataset.Schema, cols [
 }
 
 // encodeCatPredictor is encodeRealPredictor for categorical predictors.
-func encodeCatPredictor(w *binio.Writer, p CatPredictor, schema dataset.Schema, cols []int) error {
+func encodeCatPredictor(w *binio.Writer, p CatPredictor) error {
 	switch v := p.(type) {
 	case constantCat:
 		w.Int(tagConstantCat)
 		w.Int(v.label)
 	case *tree.Classifier:
 		w.Int(tagTreeClassifier)
-		v.Encode(w, schema, cols)
+		v.Encode(w)
 	default:
 		return fmt.Errorf("core: predictor type %T is not serializable", p)
 	}
 	return w.Err()
 }
 
-// decodeCatPredictor is decodeRealPredictor for categorical predictors.
-func decodeCatPredictor(r *binio.Reader, schema dataset.Schema, cols []int) (CatPredictor, error) {
+// decodeCatPredictor is decodeRealPredictor for the categorical predictors
+// of a target of the given arity. Predictions index the confusion matrix,
+// so a predictor that can emit a label outside [0, arity) is an error.
+func decodeCatPredictor(r *binio.Reader, schema dataset.Schema, arity int, legacyMap []int) (CatPredictor, error) {
 	switch tag := r.Int(); tag {
 	case tagConstantCat:
-		return constantCat{label: r.Int()}, r.Err()
+		p := constantCat{label: r.Int()}
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if p.label < 0 || p.label >= arity {
+			return nil, fmt.Errorf("constant label %d out of [0,%d)", p.label, arity)
+		}
+		return p, nil
 	case tagTreeClassifier:
-		return tree.DecodeClassifier(r, schema, cols)
+		c, err := tree.DecodeClassifier(r, schema, legacyMap)
+		if err != nil {
+			return nil, err
+		}
+		if c.Arity != arity {
+			return nil, fmt.Errorf("tree over %d classes for arity %d", c.Arity, arity)
+		}
+		return c, nil
 	default:
 		if err := r.Err(); err != nil {
 			return nil, err

@@ -142,7 +142,7 @@ func TestPredictorTagsPinned(t *testing.T) {
 		{tree.TrainRegressor(x, realInputs(1), []float64{0, 0, 1, 1}, tree.Params{MinLeaf: 1}), 2},
 	}
 	for _, c := range reals {
-		if got := tag(func(w *binio.Writer) error { return encodeRealPredictor(w, c.p, realInputs(1), []int{0}) }); got != c.want {
+		if got := tag(func(w *binio.Writer) error { return encodeRealPredictor(w, c.p) }); got != c.want {
 			t.Errorf("%T written with tag %d, want %d", c.p, got, c.want)
 		}
 	}
@@ -154,7 +154,7 @@ func TestPredictorTagsPinned(t *testing.T) {
 		{tree.TrainClassifier(x, realInputs(1), []int{0, 0, 1, 1}, 2, tree.Params{MinLeaf: 1}), 5},
 	}
 	for _, c := range cats {
-		if got := tag(func(w *binio.Writer) error { return encodeCatPredictor(w, c.p, realInputs(1), []int{0}) }); got != c.want {
+		if got := tag(func(w *binio.Writer) error { return encodeCatPredictor(w, c.p) }); got != c.want {
 			t.Errorf("%T written with tag %d, want %d", c.p, got, c.want)
 		}
 	}
@@ -193,27 +193,23 @@ func TestPredictorTagsPinned(t *testing.T) {
 	}
 }
 
-// TestReadModelChecksTreeInputs: a tree's input block must describe the
-// model's columns at its term's inputs. Flipping the kind, or the arity, of
-// one input in the first tree block of a TreeLearners artifact makes
-// ReadModel fail with an error that names the term, where a tree that
-// disagrees with the model's schema would otherwise load and score.
+// TestReadModelChecksTreeInputs: a legacy tree's input block must describe
+// the model's columns at its term's inputs. Flipping the kind, or the
+// arity, of one input in the first tree block of the version-3 fixture
+// (TestReadModelV3TreeFixture) makes ReadModel fail with an error that
+// names the term, where a tree that disagrees with the model's schema
+// would otherwise load and score.
 func TestReadModelChecksTreeInputs(t *testing.T) {
-	train, _ := randomCatTrainTest(40, 1, 3, 2, 0, rng.New(0x7e))
-	m, err := Train(train, FullTerms(train.NumFeatures()), Config{Seed: 3, Learners: TreeLearners(tree.Params{})})
+	blob, err := os.ReadFile("testdata/trees_v3.frac")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadModel(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := m.terms[0].cat.(*tree.Classifier); !ok {
 		t.Fatalf("term 0 predicts with %T, want a tree", m.terms[0].cat)
-	}
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
-	if _, err := ReadModel(bytes.NewReader(blob)); err != nil {
-		t.Fatal(err)
 	}
 	// Term 0's tree block follows the header (magic, version, schema) and
 	// holds the model's features at its inputs; its first input is column
@@ -222,9 +218,9 @@ func TestReadModelChecksTreeInputs(t *testing.T) {
 	var head, block bytes.Buffer
 	hw, bw := binio.NewWriter(&head), binio.NewWriter(&block)
 	hw.String(modelMagic)
-	hw.Int(modelVersion)
+	hw.Int(3)
 	dataset.EncodeSchema(hw, m.schema)
-	dataset.EncodeSelection(bw, m.schema, m.terms[0].term.Inputs)
+	dataset.EncodeSchema(bw, m.schema.Select(m.terms[0].term.Inputs))
 	at := bytes.Index(blob[head.Len():], block.Bytes())
 	if at < 0 || m.terms[0].term.Inputs[0] != 1 || m.schema[1].Kind != dataset.Categorical {
 		t.Fatalf("no tree block of term 0 over categorical column 1 in the artifact")
@@ -286,8 +282,8 @@ func TestWriteToRejectsCustomPredictor(t *testing.T) {
 
 type customReal struct{}
 
-func (customReal) PredictBatch(*linalg.Matrix, []int, []float64) {}
-func (customReal) Bytes() int64                                  { return 0 }
+func (customReal) PredictBatch(*linalg.Matrix, []float64) {}
+func (customReal) Bytes() int64                           { return 0 }
 
 // wideModel trains the wide fixture's full model: Gram-routed terms over a
 // basis next to primal ones.
@@ -499,6 +495,101 @@ func TestReadModelV2WideFixture(t *testing.T) {
 		what  string
 		model *Model
 	}{{"version 2", m}, {"version 3 round trip", roundTripModel(t, m)}} {
+		got := make([]float64, len(want))
+		if err := c.model.ScoreRowsInto(test.X, got, NewScoreWorkspace()); err != nil {
+			t.Fatal(err)
+		}
+		ss, err := c.model.ScoreDataset(test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, total := range ss.Totals() {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(total) != math.Float64bits(want[i]) {
+				t.Errorf("%s sample %d: ScoreRowsInto %v, ScoreDataset %v, recorded %v", c.what, i, got[i], total, want[i])
+			}
+		}
+	}
+}
+
+// readFixture reads the artifact testdata/name.frac and, from
+// testdata/name.scores, the samples it was scored on and their score bits:
+// one sample a line, the bits of the total and then of the sample's cells,
+// in hex.
+func readFixture(t *testing.T, name string) (blob []byte, m *Model, test *dataset.Dataset, want []float64) {
+	t.Helper()
+	blob, err := os.ReadFile("testdata/" + name + ".frac")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err = ReadModel(bytes.NewReader(blob)); err != nil {
+		t.Fatal(err)
+	}
+	lines, err := os.ReadFile("testdata/" + name + ".scores")
+	if err != nil {
+		t.Fatal(err)
+	}
+	test = &dataset.Dataset{Name: name, Schema: m.schema, X: linalg.NewMatrix(0, len(m.schema))}
+	for _, line := range strings.Split(strings.TrimSpace(string(lines)), "\n") {
+		var bits []float64
+		for _, w := range strings.Fields(line) {
+			u, err := strconv.ParseUint(w, 16, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bits = append(bits, math.Float64frombits(u))
+		}
+		if len(bits) != 1+len(m.schema) {
+			t.Fatalf("a scores line of %d words for %d features", len(bits), len(m.schema))
+		}
+		want = append(want, bits[0])
+		test.X.Data = append(test.X.Data, bits[1:]...)
+		test.X.Rows++
+	}
+	return blob, m, test, want
+}
+
+// TestReadModelV3TreeFixture: testdata/trees_v3.frac is a TreeLearners
+// model on mixed data (5 categorical and 4 real features with missing
+// cells, 60 rows; full and diverse wirings, 18 terms, classification and
+// regression trees splitting on real and categorical inputs) saved as
+// version 3 by the code before trees indexed model columns: each tree
+// carries an input block, and its node features index its term's inputs.
+// testdata/trees_v3.scores holds the samples that code scored and their
+// score bits, as wide_v2.scores does. The artifact loads and scores every
+// sample to exactly those bits, through ScoreRowsInto and ScoreDataset
+// alike, and so does its version-4 round trip, whose stream is the
+// fixture's without the input blocks: shorter by exactly their bytes.
+func TestReadModelV3TreeFixture(t *testing.T) {
+	blob, m, test, want := readFixture(t, "trees_v3")
+	blocks := 0
+	for i := range m.terms {
+		tm := &m.terms[i]
+		_, cat := tm.cat.(*tree.Classifier)
+		_, real := tm.real.(*tree.Regressor)
+		if !cat && !real {
+			t.Fatalf("term %d predicts with %T, want a tree", i, predictorOf(tm))
+		}
+		// The block's count word, then each input's name, kind and arity.
+		blocks += 8
+		for _, c := range tm.term.Inputs {
+			blocks += 8 + len(m.schema[c].Name) + 16
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := m.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.Len(); got != len(blob)-blocks {
+		t.Errorf("the version-4 stream is %d bytes, want the fixture's %d less its %d bytes of input blocks", got, len(blob), blocks)
+	}
+	v4, err := ReadModel(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what  string
+		model *Model
+	}{{"version 3", m}, {"version 4 round trip", v4}} {
 		got := make([]float64, len(want))
 		if err := c.model.ScoreRowsInto(test.X, got, NewScoreWorkspace()); err != nil {
 			t.Fatal(err)

@@ -58,11 +58,9 @@ func RunJLCtx(ctx context.Context, train, test *dataset.Dataset, spec JLSpec, sr
 		return nil, err
 	}
 	span.End()
-	if cfg.Tracker != nil {
-		b := transform.Bytes() + projTrain.Bytes() + projTest.Bytes()
-		cfg.Tracker.Alloc(b)
-		defer cfg.Tracker.Release(b)
-	}
+	b := transform.Bytes() + projTrain.Bytes() + projTest.Bytes()
+	cfg.Tracker.Alloc(b)
+	defer cfg.Tracker.Release(b)
 	return RunCtx(ctx, projTrain, projTest, FullTerms(spec.Dim), cfg)
 }
 

@@ -55,8 +55,27 @@ func SVRLearner(params svm.SVRParams) RealLearnerFunc {
 		p.Bias = true
 		model := svm.TrainSVR(clean, yStd, p, nil)
 		learnerScratchPool.Put(ls)
-		return &imputedReal{model: model, means: means, scales: scales, yMean: yMean, ySD: ySD}
+		return &imputedReal{model: model, inputs: gatheredInputs(x.Cols), means: means, scales: scales, yMean: yMean, ySD: ySD}
 	}
+}
+
+// identityCols backs gatheredInputs: it only grows, so the prefixes handed
+// out are never written again.
+var identityCols struct {
+	sync.Mutex
+	cols []int
+}
+
+// gatheredInputs returns [0, n), the inputs of a predictor that reads
+// gathered rows of n cells: a prefix of one shared slice, so that a fit
+// allocates nothing for them.
+func gatheredInputs(n int) []int {
+	identityCols.Lock()
+	defer identityCols.Unlock()
+	for len(identityCols.cols) < n {
+		identityCols.cols = append(identityCols.cols, len(identityCols.cols))
+	}
+	return identityCols.cols[:n:n]
 }
 
 // standardizeMatrix scales each column of the (already imputed, mean-known)

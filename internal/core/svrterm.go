@@ -225,6 +225,7 @@ func trainSVRTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, 
 	model, yMean, ySD := ts.train(train.X, rows, term.Inputs, y, params, src.Seed(), cfg.Obs)
 	tm.real = &imputedReal{
 		model:  &svm.SVR{W: linalg.Clone(model.W), B: model.B, Iters: model.Iters},
+		inputs: term.Inputs,
 		means:  linalg.Clone(ts.means),
 		scales: linalg.Clone(ts.scales),
 		yMean:  yMean,

@@ -12,9 +12,9 @@ import (
 // trains on the Train's shared design, a tree.Design of the training set's
 // columns that TrainCtx builds once and every worker reads. Each CV fold
 // fit and the final fit take the term's observed design rows as their row
-// list and term.Inputs as their column map, and the held-out rows are
-// predicted by walking the fold's tree over the design, so a tree term
-// gathers and copies nothing. TestTreeRouteBitIdentical pins the route to
+// list and term.Inputs as their candidate columns, so their nodes name
+// model columns, and the held-out rows are predicted by walking the fold's
+// tree over the design: a tree term gathers and copies nothing. TestTreeRouteBitIdentical pins the route to
 // the frozen gather-and-copy reference (gatherref_test.go) bit for bit.
 
 // takesTree is the tree route's rule: a learned term (one with inputs and
@@ -65,13 +65,13 @@ func trainTreeTerm(tm *termModel, term Term, rows []int, cfg Config, sc *trainSc
 		if tm.isCat {
 			c := tree.FitClassifier(d, cols, fitRows, sc.labels, tm.arity, p, &sc.tree)
 			for _, h := range fold {
-				conf.Add(sc.yI[h], c.PredictDesignRow(d, cols, rows[h]))
+				conf.Add(sc.yI[h], c.PredictDesignRow(d, rows[h]))
 			}
 			continue
 		}
 		r := tree.FitRegressor(d, cols, fitRows, sc.targets, p, &sc.tree)
 		for _, h := range fold {
-			residuals = append(residuals, sc.yF[h]-r.PredictDesignRow(d, cols, rows[h]))
+			residuals = append(residuals, sc.yF[h]-r.PredictDesignRow(d, rows[h]))
 		}
 	}
 	cfg.Obs.Add(obs.CounterTreeFits, 1)

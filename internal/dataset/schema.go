@@ -114,24 +114,10 @@ func (s Schema) Select(indices []int) Schema {
 func EncodeSchema(w *binio.Writer, s Schema) {
 	w.Int(len(s))
 	for _, f := range s {
-		f.encode(w)
+		w.String(f.Name)
+		w.U64(uint64(f.Kind))
+		w.Int(f.Arity)
 	}
-}
-
-// EncodeSelection writes s.Select(indices) to w as EncodeSchema does,
-// without building it. A model artifact writes each tree's input block
-// with it.
-func EncodeSelection(w *binio.Writer, s Schema, indices []int) {
-	w.Int(len(indices))
-	for _, idx := range indices {
-		s[idx].encode(w)
-	}
-}
-
-func (f Feature) encode(w *binio.Writer) {
-	w.String(f.Name)
-	w.U64(uint64(f.Kind))
-	w.Int(f.Arity)
 }
 
 // DecodeSchema reads a schema written by EncodeSchema, or returns nil when

@@ -76,7 +76,9 @@ func FormatBytes(b int64) string {
 }
 
 // Tracker accumulates the cost of a run. All methods are safe for concurrent
-// use by worker goroutines.
+// use by worker goroutines. A nil *Tracker tracks nothing: Alloc, Release
+// and TimeTask are no-ops on it, except that TimeTask still runs its task,
+// so callers need not check for one.
 type Tracker struct {
 	start   time.Time
 	cpuNs   atomic.Int64
@@ -94,6 +96,10 @@ func (t *Tracker) AddCPU(d time.Duration) { t.cpuNs.Add(int64(d)) }
 
 // TimeTask runs fn and records its duration as CPU time.
 func (t *Tracker) TimeTask(fn func()) {
+	if t == nil {
+		fn()
+		return
+	}
 	begin := time.Now()
 	fn()
 	t.AddCPU(time.Since(begin))
@@ -102,12 +108,19 @@ func (t *Tracker) TimeTask(fn func()) {
 // Alloc records n live analytic bytes coming into existence and updates the
 // peak. Pair with Release when the state is discarded.
 func (t *Tracker) Alloc(n int64) {
+	if t == nil {
+		return
+	}
 	cur := t.current.Add(n)
 	updateMax(&t.peak, cur)
 }
 
 // Release records n analytic bytes being discarded.
-func (t *Tracker) Release(n int64) { t.current.Add(-n) }
+func (t *Tracker) Release(n int64) {
+	if t != nil {
+		t.current.Add(-n)
+	}
+}
 
 // CurrentBytes reports live analytic bytes.
 func (t *Tracker) CurrentBytes() int64 { return t.current.Load() }

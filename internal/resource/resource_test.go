@@ -56,6 +56,19 @@ func TestTimeTaskAccumulatesCPU(t *testing.T) {
 	}
 }
 
+// TestNilTracker: a nil tracker's Alloc, Release and TimeTask do nothing,
+// without panicking, and TimeTask still runs its task.
+func TestNilTracker(t *testing.T) {
+	var tr *Tracker
+	tr.Alloc(100)
+	tr.Release(40)
+	ran := false
+	tr.TimeTask(func() { ran = true })
+	if !ran {
+		t.Error("TimeTask on a nil tracker did not run its task")
+	}
+}
+
 func TestCostFrac(t *testing.T) {
 	base := Cost{CPU: 100 * time.Second, PeakBytes: 1000}
 	c := Cost{CPU: 5 * time.Second, PeakBytes: 50}

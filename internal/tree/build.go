@@ -16,8 +16,8 @@ import (
 // and every observed categorical input value must be a label in [0, Arity).
 // Rows whose value for a candidate split feature is missing do not
 // participate in that split's scoring and are routed down the majority
-// branch. It is FitClassifier on a private design of x, over every row and
-// the identity column map.
+// branch. It is FitClassifier on a private design of x, over every row with
+// every column a candidate, so a node's feature is a column of x.
 func TrainClassifier(x *linalg.Matrix, inputs dataset.Schema, y []int, arity int, params Params) *Classifier {
 	d, cols, rows := privateDesign(x, inputs)
 	return FitClassifier(d, cols, rows, y, arity, params, new(Scratch))
@@ -25,14 +25,14 @@ func TrainClassifier(x *linalg.Matrix, inputs dataset.Schema, y []int, arity int
 
 // TrainRegressor fits a variance-minimizing regression tree. Every observed
 // categorical input value must be a label in [0, Arity). It is FitRegressor
-// on a private design of x, over every row and the identity column map.
+// on a private design of x, over every row with every column a candidate.
 func TrainRegressor(x *linalg.Matrix, inputs dataset.Schema, y []float64, params Params) *Regressor {
 	d, cols, rows := privateDesign(x, inputs)
 	return FitRegressor(d, cols, rows, y, params, new(Scratch))
 }
 
-// privateDesign returns the design of x, the identity column map and the
-// list of every row.
+// privateDesign returns the design of x, the list of its columns and the
+// list of its rows.
 func privateDesign(x *linalg.Matrix, inputs dataset.Schema) (d *Design, cols, rows []int) {
 	all := make([]int, max(x.Rows, x.Cols))
 	for i := range all {
@@ -43,11 +43,11 @@ func privateDesign(x *linalg.Matrix, inputs dataset.Schema) (d *Design, cols, ro
 
 // fit says where one fit reads its inputs and targets; exactly one of
 // catY/realY is set. Rows are design rows, and catY and realY are indexed
-// by them. Input j is design column cols[j], whose kind and arity the
-// design records.
+// by them. cols lists the design columns the fit may split on, whose kinds
+// and arities the design records.
 type fit struct {
 	d      *Design
-	cols   []int // input j's design column
+	cols   []int // the candidate split columns
 	params Params
 
 	catY  []int
@@ -141,9 +141,9 @@ func (cc codeCols[C]) grow(s *Scratch) {
 	b.build(0, len(s.rows), 0)
 }
 
-// column returns the codes of categorical input j, indexed by row.
-func (b *builder[C]) column(j int) codeCols[C] {
-	off := b.d.cols[b.cols[j]].off
+// column returns the codes of categorical design column c, indexed by row.
+func (b *builder[C]) column(c int) codeCols[C] {
+	off := b.d.cols[c].off
 	return b.codes[off : off+b.d.n]
 }
 
@@ -350,7 +350,7 @@ func (b *builder[C]) partition(rows []int, s split) (nLeft int, missingLeft, ok 
 	if s.category >= 0 {
 		codes = b.column(s.feature)
 	} else {
-		vals = b.d.realCol(b.cols[s.feature])
+		vals = b.d.realCol(s.feature)
 	}
 	branch := func(r int) int {
 		if s.category >= 0 {
@@ -399,19 +399,19 @@ func (b *builder[C]) partition(rows []int, s split) (nLeft int, missingLeft, ok 
 	return nLeft, missingLeft, true
 }
 
-// bestSplit scans every input feature for the impurity-minimizing split of
-// rows, whose impurity is parentImp. Gains are computed over the rows with
-// observed values and scaled by the observed fraction (the C4.5
-// missing-value correction), so features that are mostly missing cannot win
-// on a handful of rows.
+// bestSplit scans every candidate column for the impurity-minimizing split
+// of rows, whose impurity is parentImp; a tie goes to the column listed
+// first. Gains are computed over the rows with observed values and scaled
+// by the observed fraction (the C4.5 missing-value correction), so features
+// that are mostly missing cannot win on a handful of rows.
 func (b *builder[C]) bestSplit(rows []int, parentImp float64) (best split, found bool) {
-	for j, c := range b.cols {
+	for _, c := range b.cols {
 		var cand split
 		var ok bool
 		if b.d.cols[c].arity > 0 {
-			cand, ok = b.bestCategoricalSplit(rows, j, parentImp)
+			cand, ok = b.bestCategoricalSplit(rows, c, parentImp)
 		} else {
-			cand, ok = b.bestThresholdSplit(rows, j, parentImp)
+			cand, ok = b.bestThresholdSplit(rows, c, parentImp)
 		}
 		if ok && (!found || cand.gain > best.gain) {
 			best, found = cand, true
@@ -432,8 +432,8 @@ func (s *byValue) Len() int           { return len(s.idx) }
 func (s *byValue) Less(a, c int) bool { return s.col[s.idx[a]] < s.col[s.idx[c]] }
 func (s *byValue) Swap(a, c int)      { s.idx[a], s.idx[c] = s.idx[c], s.idx[a] }
 
-func (s *Scratch) bestThresholdSplit(rows []int, j int, parentImp float64) (split, bool) {
-	col := s.d.realCol(s.cols[j])
+func (s *Scratch) bestThresholdSplit(rows []int, feature int, parentImp float64) (split, bool) {
+	col := s.d.realCol(feature)
 	obs := s.sorter.idx[:0]
 	for _, r := range rows {
 		if !dataset.IsMissing(col[r]) {
@@ -510,7 +510,7 @@ func (s *Scratch) bestThresholdSplit(rows []int, j int, parentImp float64) (spli
 			}
 		}
 	}
-	return split{feature: j, threshold: bestThr, category: -1, gain: bestGain}, found
+	return split{feature: feature, threshold: bestThr, category: -1, gain: bestGain}, found
 }
 
 func childVar(s, ss float64, n int) float64 {
@@ -523,8 +523,8 @@ func childVar(s, ss float64, n int) float64 {
 	return v
 }
 
-func (b *builder[C]) bestCategoricalSplit(rows []int, j int, parentImp float64) (split, bool) {
-	arityJ := b.d.cols[b.cols[j]].arity
+func (b *builder[C]) bestCategoricalSplit(rows []int, feature int, parentImp float64) (split, bool) {
+	arityJ := b.d.cols[feature].arity
 	perCat := b.perCat[:arityJ]
 	nObs := 0
 
@@ -540,9 +540,9 @@ func (b *builder[C]) bestCategoricalSplit(rows []int, j int, parentImp float64) 
 		joint := b.joint[:arityJ*arity]
 		total, rightC := b.total, b.right
 		if len(rows) >= bitsetRows {
-			nObs = b.countBits(joint, perCat, total, &b.d.cols[b.cols[j]])
+			nObs = b.countBits(joint, perCat, total, &b.d.cols[feature])
 		} else {
-			codes := b.column(j)
+			codes := b.column(feature)
 			clear(joint)
 			for _, r := range rows {
 				if c := codes[r]; c != ^C(0) {
@@ -588,7 +588,7 @@ func (b *builder[C]) bestCategoricalSplit(rows []int, j int, parentImp float64) 
 		clear(sqs)
 		clear(perCat)
 		var totalS, totalSS float64
-		codes := b.column(j)
+		codes := b.column(feature)
 		for _, r := range rows {
 			code := codes[r]
 			if code == ^C(0) {
@@ -620,5 +620,5 @@ func (b *builder[C]) bestCategoricalSplit(rows []int, j int, parentImp float64) 
 			}
 		}
 	}
-	return split{feature: j, category: bestCat, gain: bestGain}, bestCat >= 0
+	return split{feature: feature, category: bestCat, gain: bestGain}, bestCat >= 0
 }

@@ -52,7 +52,7 @@ type codeCols[C codeWord] []C
 // dispatches on it once and then runs code of that width.
 type codeTable interface {
 	grow(s *Scratch)
-	walk(t *tree, d *Design, cols []int, r int) *node
+	walk(t *tree, d *Design, r int) *node
 	bytes() int64
 }
 
@@ -137,13 +137,12 @@ func (cc codeCols[C]) bytes() int64 {
 	return int64(len(cc)) * int64(unsafe.Sizeof(c))
 }
 
-// walk descends t from its root to the leaf that design row r lands in,
-// reading input j from design column cols[j], as tree.walk descends for
-// the data set's row r through the same column map.
-func (cc codeCols[C]) walk(t *tree, d *Design, cols []int, r int) *node {
+// walk descends t from its root to the leaf that design row r lands in, as
+// tree.walk descends for the data set's row r.
+func (cc codeCols[C]) walk(t *tree, d *Design, r int) *node {
 	cur := &t.nodes[0]
 	for cur.feature >= 0 {
-		col := &d.cols[cols[cur.feature]]
+		col := &d.cols[cur.feature]
 		var goLeft bool
 		if cur.category >= 0 {
 			code := cc[col.off+r]
@@ -167,27 +166,26 @@ func (cc codeCols[C]) walk(t *tree, d *Design, cols []int, r int) *node {
 	return cur
 }
 
-// PredictDesignRow returns the label of the leaf design row r lands in when
-// input j is design column cols[j]: the label PredictLabelBatch gives the
-// data set's row r through cols.
-func (c *Classifier) PredictDesignRow(d *Design, cols []int, r int) int {
-	return d.codes.walk(&c.tree, d, cols, r).label
+// PredictDesignRow returns the label of the leaf design row r lands in: the
+// label PredictLabelBatch gives the data set's row r.
+func (c *Classifier) PredictDesignRow(d *Design, r int) int {
+	return d.codes.walk(&c.tree, d, r).label
 }
 
 // PredictDesignRow returns the mean target of the leaf design row r lands
-// in when input j is design column cols[j]: the value PredictBatch gives
-// the data set's row r through cols.
-func (p *Regressor) PredictDesignRow(d *Design, cols []int, r int) float64 {
-	return d.codes.walk(&p.tree, d, cols, r).value
+// in: the value PredictBatch gives the data set's row r.
+func (p *Regressor) PredictDesignRow(d *Design, r int) float64 {
+	return d.codes.walk(&p.tree, d, r).value
 }
 
-// FitClassifier fits the classification tree that TrainClassifier fits on
-// the gathered rows, reading its inputs from a shared design instead: input
-// j is design column cols[j], of the kind and arity the design records for
-// it; rows lists the fit's design rows, in order; and y holds a label in
-// [0, arity) for every design row, of which only the fit's rows are read.
-// s is the fit's working memory: after warm-up a fit allocates only the
-// classifier it returns.
+// FitClassifier fits a classification tree on a shared design: cols lists
+// the design columns it may split on, of the kinds and arities the design
+// records for them; rows lists the fit's design rows, in order; and y holds
+// a label in [0, arity) for every design row, of which only the fit's rows
+// are read. Its nodes name design columns, and it grows the tree
+// TrainClassifier grows on the rows gathered through cols, with each node
+// renamed from gathered column j to cols[j]. s is the fit's working memory:
+// after warm-up a fit allocates only the classifier it returns.
 func FitClassifier(d *Design, cols, rows, y []int, arity int, params Params, s *Scratch) *Classifier {
 	checkFit(d, len(y))
 	if arity < 2 {
@@ -197,10 +195,10 @@ func FitClassifier(d *Design, cols, rows, y []int, arity int, params Params, s *
 	return &Classifier{tree: s.grow(rows), Arity: arity}
 }
 
-// FitRegressor fits the regression tree that TrainRegressor fits on the
-// gathered rows, reading its inputs from a shared design as FitClassifier
-// does; y holds a target for every design row, of which only the fit's
-// rows are read.
+// FitRegressor fits a regression tree on a shared design as FitClassifier
+// fits a classification tree, growing TrainRegressor's tree on the gathered
+// rows with its nodes renamed the same way; y holds a target for every
+// design row, of which only the fit's rows are read.
 func FitRegressor(d *Design, cols, rows []int, y []float64, params Params, s *Scratch) *Regressor {
 	checkFit(d, len(y))
 	s.fit = fit{d: d, cols: cols, params: params.withDefaults(), realY: y}

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"frac/internal/dataset"
@@ -125,16 +126,25 @@ func (p *designProblem) gathered(r int, buf []float64) []float64 {
 	return buf
 }
 
-// countSplits adds each split of nodes to small or large by how many of
-// the fit's rows reach it, against bitsetRows, and returns how many of
-// them are threshold splits.
+// renamed returns a copy of nodes grown on p's gathered rows with their
+// features renamed through p.cols (Rename), so that they name design
+// columns as the nodes of a fit on the design do.
+func (p *designProblem) renamed(nodes []node) []node {
+	t := tree{nodes: slices.Clone(nodes)}
+	t.Rename(p.cols)
+	return t.nodes
+}
+
+// countSplits adds each split of nodes, whose features are design columns,
+// to small or large by how many of the fit's design rows reach it, against
+// bitsetRows, and returns how many of them are threshold splits.
 func (p *designProblem) countSplits(nodes []node, small, large *int) (threshold int) {
 	visits := make([]int, len(nodes))
-	for i := range p.rows {
+	for _, r := range p.rows {
 		for k := 0; nodes[k].feature >= 0; {
 			nd := &nodes[k]
 			visits[k]++
-			v := p.gx.At(i, nd.feature)
+			v := p.x.At(r, nd.feature)
 			left := nd.missingLeft
 			switch {
 			case dataset.IsMissing(v):
@@ -167,12 +177,13 @@ func (p *designProblem) countSplits(nodes []node, small, large *int) (threshold 
 // TestFitClassifierMatchesTrainClassifier pins a fit on a shared design to
 // TrainClassifier on the gathered rows: over 1,200 seeds, each drawn with
 // all-categorical, all-real and mixed inputs (newDesignProblem), a fit
-// that reads a subset of a wider design's rows through a column map grows
-// the same tree, node for node and floats by their bits, as
-// TrainClassifier and the frozen reference (ref_test.go) grow on the
-// gathered matrix; and walking it over the design classifies every design
-// row, fitted or not, as the walk over the raw row through the column map
-// and the walk over the gathered row through the identity map classify it.
+// over a subset of a wider design's rows and columns grows the same tree,
+// node for node and floats by their bits, as TrainClassifier and the
+// frozen reference (ref_test.go) grow on the gathered matrix, once their
+// nodes are renamed from gathered to design columns; and walking it over
+// the design classifies every design row, fitted or not, as its walk over
+// the raw row and the gathered tree's walk over the gathered row classify
+// it.
 // Target arities run 2–5 and above 255; categorical splits fall on nodes
 // on both sides of bitsetRows; and both the all-categorical and the mixed
 // problems include inputs of arity above 255 (16-bit codes).
@@ -211,22 +222,22 @@ func TestFitClassifierMatchesTrainClassifier(t *testing.T) {
 			design := NewDesign(p.x, p.schema)
 			got := FitClassifier(design, p.cols, p.rows, y, arity, p.params, &s)
 			want := TrainClassifier(p.gx, p.inputs, gy, arity, p.params)
-			compareNodes(t, seed, got.nodes, want.nodes)
-			compareNodes(t, seed, got.nodes, refTrainClassifier(p.gx, p.inputs, gy, arity, p.params).nodes)
+			compareNodes(t, seed, got.nodes, p.renamed(want.nodes))
+			compareNodes(t, seed, got.nodes, p.renamed(refTrainClassifier(p.gx, p.inputs, gy, arity, p.params).nodes))
 			if t.Failed() {
 				t.Fatalf("seed %d: %s inputs", seed, inputKinds[kind])
 			}
 			row := make([]float64, len(p.cols))
 			raw := make([]int, n)
-			got.PredictLabelBatch(p.x, p.cols, raw)
+			got.PredictLabelBatch(p.x, raw)
 			for r := 0; r < n; r++ {
-				g := got.PredictDesignRow(design, p.cols, r)
+				g := got.PredictDesignRow(design, r)
 				if w := predictLabel(want, p.gathered(r, row)); g != w {
 					t.Fatalf("seed %d, %s inputs: design row %d walks to label %d, the gathered row to %d",
 						seed, inputKinds[kind], r, g, w)
 				}
 				if raw[r] != g {
-					t.Fatalf("seed %d, %s inputs: design row %d walks to label %d, the raw row through cols to %d",
+					t.Fatalf("seed %d, %s inputs: design row %d walks to label %d, the raw row to %d",
 						seed, inputKinds[kind], r, g, raw[r])
 				}
 			}
@@ -252,9 +263,9 @@ func TestFitClassifierMatchesTrainClassifier(t *testing.T) {
 // regression trees: over 1,200 seeds, each drawn with all-categorical,
 // all-real and mixed inputs (newDesignProblem), a fit on a shared design
 // grows TrainRegressor's and the frozen reference's tree on the gathered
-// rows, node for node and floats by their bits, and PredictDesignRow gives
-// every design row the value PredictBatch gives its raw row through the
-// column map and its gathered row through the identity map, to the bit. A
+// rows, renamed to design columns, node for node and floats by their bits,
+// and PredictDesignRow gives every design row the value PredictBatch gives
+// its raw row and the gathered tree gives its gathered row, to the bit. A
 // fifth of the targets are 1e16-scaled grid values, so every target sum
 // depends on its order and a change of summation order moves the node
 // values.
@@ -285,22 +296,22 @@ func TestFitRegressorMatchesTrainRegressor(t *testing.T) {
 			design := NewDesign(p.x, p.schema)
 			got := FitRegressor(design, p.cols, p.rows, y, p.params, &s)
 			want := TrainRegressor(p.gx, p.inputs, gy, p.params)
-			compareNodes(t, seed, got.nodes, want.nodes)
-			compareNodes(t, seed, got.nodes, refTrainRegressor(p.gx, p.inputs, gy, p.params).nodes)
+			compareNodes(t, seed, got.nodes, p.renamed(want.nodes))
+			compareNodes(t, seed, got.nodes, p.renamed(refTrainRegressor(p.gx, p.inputs, gy, p.params).nodes))
 			if t.Failed() {
 				t.Fatalf("seed %d: %s inputs", seed, inputKinds[kind])
 			}
 			row := make([]float64, len(p.cols))
 			raw := make([]float64, n)
-			got.PredictBatch(p.x, p.cols, raw)
+			got.PredictBatch(p.x, raw)
 			for r := 0; r < n; r++ {
-				g, w := got.PredictDesignRow(design, p.cols, r), predict(want, p.gathered(r, row))
+				g, w := got.PredictDesignRow(design, r), predict(want, p.gathered(r, row))
 				if math.Float64bits(g) != math.Float64bits(w) {
 					t.Fatalf("seed %d, %s inputs: design row %d walks to %v, the gathered row to %v",
 						seed, inputKinds[kind], r, g, w)
 				}
 				if math.Float64bits(raw[r]) != math.Float64bits(g) {
-					t.Fatalf("seed %d, %s inputs: design row %d walks to %v, the raw row through cols to %v",
+					t.Fatalf("seed %d, %s inputs: design row %d walks to %v, the raw row to %v",
 						seed, inputKinds[kind], r, g, raw[r])
 				}
 			}
@@ -353,7 +364,7 @@ func allocTerms(tb testing.TB) []allocTerm {
 }
 
 // fitAllocs measures the allocations of one fit on a shared design of x
-// after warm-up, over every row and the identity column map.
+// after warm-up, over every row and column.
 func fitAllocs(x *linalg.Matrix, inputs dataset.Schema, fit func(d *Design, cols, rows []int, s *Scratch)) float64 {
 	d, cols, rows := privateDesign(x, inputs)
 	var s Scratch

@@ -7,14 +7,14 @@ import (
 	"frac/internal/dataset"
 )
 
-// Serialization of trained trees (model persistence). A tree keeps no
-// schema: its node features index the term's inputs, input j being column
-// cols[j] of the model's schema. The stream still carries the inputs' block
-// of features, written from the model's schema and checked against it on
-// decode, so artifacts keep their layout.
+// Serialization of trained trees (model persistence). A tree's stream is
+// its node count and its nodes, whose features are columns of the model's
+// schema. Streams of model schema version 3 and earlier put a block of
+// features before the node count, one per input of the tree's term, and
+// their node features index those inputs; the decoders read them given the
+// term's inputs as the legacy column map (nil for a current stream).
 
-func (t *tree) encode(w *binio.Writer, schema dataset.Schema, cols []int) {
-	dataset.EncodeSelection(w, schema, cols)
+func (t *tree) encode(w *binio.Writer) {
 	w.Int(len(t.nodes))
 	for i := range t.nodes {
 		n := &t.nodes[i]
@@ -29,21 +29,32 @@ func (t *tree) encode(w *binio.Writer, schema dataset.Schema, cols []int) {
 	}
 }
 
-func decodeTree(r *binio.Reader, schema dataset.Schema, cols []int) (tree, error) {
+// decodeTree reads a tree over the columns of schema. A non-nil legacy
+// says the stream predates model schema version 4: its input block must
+// match schema at legacy in count, kind and arity, and its node features,
+// which index the inputs, are renamed through legacy.
+func decodeTree(r *binio.Reader, schema dataset.Schema, legacy []int) (tree, error) {
 	var t tree
-	inputs := dataset.DecodeSchema(r)
+	width := len(schema)
+	if legacy != nil {
+		inputs := dataset.DecodeSchema(r)
+		if err := r.Err(); err != nil {
+			return t, err
+		}
+		if len(inputs) != len(legacy) {
+			return t, fmt.Errorf("tree: %d inputs for a %d-input term", len(inputs), len(legacy))
+		}
+		for j, f := range inputs {
+			if want := schema[legacy[j]]; f.Kind != want.Kind || f.Arity != want.Arity {
+				return t, fmt.Errorf("tree: input %d is %v of arity %d, but model column %d is %v of arity %d",
+					j, f.Kind, f.Arity, legacy[j], want.Kind, want.Arity)
+			}
+		}
+		width = len(legacy)
+	}
 	n := r.Int()
 	if err := r.Err(); err != nil {
 		return t, err
-	}
-	if len(inputs) != len(cols) {
-		return t, fmt.Errorf("tree: %d inputs for a %d-input term", len(inputs), len(cols))
-	}
-	for j, f := range inputs {
-		if want := schema[cols[j]]; f.Kind != want.Kind || f.Arity != want.Arity {
-			return t, fmt.Errorf("tree: input %d is %v of arity %d, but model column %d is %v of arity %d",
-				j, f.Kind, f.Arity, cols[j], want.Kind, want.Arity)
-		}
 	}
 	if n < 1 || n > binio.MaxSliceLen {
 		return t, fmt.Errorf("tree: implausible node count %d", n)
@@ -66,8 +77,8 @@ func decodeTree(r *binio.Reader, schema dataset.Schema, cols []int) (tree, error
 	}
 	for i := range t.nodes {
 		nd := &t.nodes[i]
-		if nd.feature >= len(cols) {
-			return t, fmt.Errorf("tree: node %d feature %d out of %d inputs", i, nd.feature, len(cols))
+		if nd.feature >= width {
+			return t, fmt.Errorf("tree: node %d feature %d out of %d columns", i, nd.feature, width)
 		}
 		// The builder appends children after their parent, so edges always
 		// point forward. Enforcing that here makes every decoded tree walk
@@ -76,22 +87,38 @@ func decodeTree(r *binio.Reader, schema dataset.Schema, cols []int) (tree, error
 			return t, fmt.Errorf("tree: node %d child out of range", i)
 		}
 	}
+	if legacy != nil {
+		t.Rename(legacy)
+	}
 	return t, nil
 }
 
-// Encode serializes the classifier of a term whose input j is column
-// cols[j] of schema.
-func (c *Classifier) Encode(w *binio.Writer, schema dataset.Schema, cols []int) {
-	w.Int(c.Arity)
-	c.encode(w, schema, cols)
+// Rename makes a tree grown on gathered rows read the rows they were
+// gathered from: a node that split on column j splits on column cols[j]
+// after it. Every split feature must be below len(cols). The legacy
+// decoders rename with it.
+func (t *tree) Rename(cols []int) {
+	for i := range t.nodes {
+		if nd := &t.nodes[i]; nd.feature >= 0 {
+			nd.feature = cols[nd.feature]
+		}
+	}
 }
 
-// DecodeClassifier reads a classifier that Encode wrote for a term whose
-// input j is column cols[j] of schema. A stream whose input block disagrees
-// with schema at cols in count, kind or arity is an error.
-func DecodeClassifier(r *binio.Reader, schema dataset.Schema, cols []int) (*Classifier, error) {
+// Encode serializes the classifier: its arity and its nodes.
+func (c *Classifier) Encode(w *binio.Writer) {
+	w.Int(c.Arity)
+	c.encode(w)
+}
+
+// DecodeClassifier reads a classifier that Encode wrote for a model over
+// schema, whose every split feature must be a column of schema. legacy is
+// nil, or for a stream of model schema version 3 or earlier the term's
+// inputs (see decodeTree): a stream whose input block disagrees with schema
+// at legacy in count, kind or arity is an error.
+func DecodeClassifier(r *binio.Reader, schema dataset.Schema, legacy []int) (*Classifier, error) {
 	arity := r.Int()
-	t, err := decodeTree(r, schema, cols)
+	t, err := decodeTree(r, schema, legacy)
 	if err != nil {
 		return nil, err
 	}
@@ -106,16 +133,15 @@ func DecodeClassifier(r *binio.Reader, schema dataset.Schema, cols []int) (*Clas
 	return &Classifier{tree: t, Arity: arity}, nil
 }
 
-// Encode serializes the regressor of a term whose input j is column cols[j]
-// of schema.
-func (rg *Regressor) Encode(w *binio.Writer, schema dataset.Schema, cols []int) {
-	rg.encode(w, schema, cols)
+// Encode serializes the regressor: its nodes.
+func (rg *Regressor) Encode(w *binio.Writer) {
+	rg.encode(w)
 }
 
 // DecodeRegressor reads a regressor that Encode wrote, checked as
 // DecodeClassifier checks a classifier.
-func DecodeRegressor(r *binio.Reader, schema dataset.Schema, cols []int) (*Regressor, error) {
-	t, err := decodeTree(r, schema, cols)
+func DecodeRegressor(r *binio.Reader, schema dataset.Schema, legacy []int) (*Regressor, error) {
+	t, err := decodeTree(r, schema, legacy)
 	if err != nil {
 		return nil, err
 	}

@@ -24,11 +24,11 @@ func TestClassifierPersistRoundTrip(t *testing.T) {
 	c := TrainClassifier(x, mixedInputSchema(), y, 2, Params{})
 	var buf bytes.Buffer
 	w := binio.NewWriter(&buf)
-	c.Encode(w, mixedInputSchema(), identity(2))
+	c.Encode(w)
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeClassifier(binio.NewReader(&buf), mixedInputSchema(), identity(2))
+	got, err := DecodeClassifier(binio.NewReader(&buf), mixedInputSchema(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestRegressorPersistRoundTrip(t *testing.T) {
 	r := TrainRegressor(x, mixedInputSchema(), y, Params{})
 	var buf bytes.Buffer
 	w := binio.NewWriter(&buf)
-	r.Encode(w, mixedInputSchema(), identity(2))
+	r.Encode(w)
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRegressor(binio.NewReader(&buf), mixedInputSchema(), identity(2))
+	got, err := DecodeRegressor(binio.NewReader(&buf), mixedInputSchema(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRegressorPersistRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
-	if _, err := DecodeClassifier(binio.NewReader(strings.NewReader("junk")), mixedInputSchema(), identity(2)); err == nil {
+	if _, err := DecodeClassifier(binio.NewReader(strings.NewReader("junk")), mixedInputSchema(), nil); err == nil {
 		t.Error("garbage accepted")
 	}
 	// A valid encoding, truncated.
@@ -89,16 +89,32 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	c := TrainClassifier(x, mixedInputSchema(), y, 2, Params{})
 	var buf bytes.Buffer
 	w := binio.NewWriter(&buf)
-	c.Encode(w, mixedInputSchema(), identity(2))
+	c.Encode(w)
 	full := buf.Bytes()
-	if _, err := DecodeClassifier(binio.NewReader(bytes.NewReader(full[:len(full)/2])), mixedInputSchema(), identity(2)); err == nil {
+	if _, err := DecodeClassifier(binio.NewReader(bytes.NewReader(full[:len(full)/2])), mixedInputSchema(), nil); err == nil {
 		t.Error("truncated tree accepted")
 	}
 }
 
-// TestDecodeChecksInputs: a tree decodes only against the model columns it
-// was written for. Its input block must match the model's schema at cols
-// in count, kind and arity, wherever in the schema those columns sit.
+// legacyClassifier writes c, grown on rows gathered from the columns cols
+// of a model over schema, as model schema version 3 and earlier wrote a
+// classifier: its arity, the block of its inputs' schema entries, and its
+// nodes, whose features index the inputs.
+func legacyClassifier(c *Classifier, schema dataset.Schema, cols []int) []byte {
+	var buf bytes.Buffer
+	w := binio.NewWriter(&buf)
+	w.Int(c.Arity)
+	dataset.EncodeSchema(w, schema.Select(cols))
+	c.encode(w)
+	return buf.Bytes()
+}
+
+// TestDecodeChecksInputs: a legacy tree stream decodes only against the
+// model columns it was written for. Its input block must match the model's
+// schema at cols in count, kind and arity, wherever in the schema those
+// columns sit, and its nodes are renamed to those columns, so the decoded
+// tree classifies the model's rows as the written one classified the
+// gathered rows.
 func TestDecodeChecksInputs(t *testing.T) {
 	src := rng.New(4)
 	x := newMixedMatrix(60, src)
@@ -112,10 +128,7 @@ func TestDecodeChecksInputs(t *testing.T) {
 	// The inputs sit at columns 3 and 1 of a wider model schema.
 	model := dataset.Schema{{Name: "t", Kind: dataset.Real}, mixedInputSchema()[1], {Name: "u", Kind: dataset.Real}, mixedInputSchema()[0]}
 	cols := []int{3, 1}
-	var buf bytes.Buffer
-	w := binio.NewWriter(&buf)
-	c.Encode(w, model, cols)
-	blob := buf.Bytes()
+	blob := legacyClassifier(c, model, cols)
 	got, err := DecodeClassifier(binio.NewReader(bytes.NewReader(blob)), model, cols)
 	if err != nil {
 		t.Fatal(err)
@@ -126,10 +139,10 @@ func TestDecodeChecksInputs(t *testing.T) {
 		raw.Set(i, 1, x.At(i, 1))
 	}
 	out := make([]int, x.Rows)
-	got.PredictLabelBatch(raw, cols, out)
+	got.PredictLabelBatch(raw, out)
 	for i := range out {
 		if want := predictLabel(c, x.Row(i)); out[i] != want {
-			t.Fatalf("row %d: decoded tree through cols predicts %d, the gathered row %d", i, out[i], want)
+			t.Fatalf("row %d: decoded tree predicts %d for the model row, the written one %d for the gathered row", i, out[i], want)
 		}
 	}
 	for name, c := range map[string]struct {
@@ -161,4 +174,26 @@ func newMixedMatrix(n int, src *rng.Source) *linalg.Matrix {
 		x.Row(i)[1] = float64(src.IntN(3))
 	}
 	return x
+}
+
+// TestDecodeChecksFeatureWidth: a current stream's node features are model
+// columns, so a classifier or regressor that splits on a column at or
+// above the schema's width fails to decode.
+func TestDecodeChecksFeatureWidth(t *testing.T) {
+	schema := mixedInputSchema()
+	for feature := 0; feature <= len(schema)+1; feature++ {
+		nodes := []node{
+			{feature: feature, threshold: 0.5, category: -1, left: 1, right: 2},
+			{feature: -1, category: -1, label: 0, value: -1},
+			{feature: -1, category: -1, label: 1, value: 1},
+		}
+		var cb, rb bytes.Buffer
+		(&Classifier{tree: tree{nodes: nodes}, Arity: 2}).Encode(binio.NewWriter(&cb))
+		(&Regressor{tree: tree{nodes: nodes}}).Encode(binio.NewWriter(&rb))
+		_, cErr := DecodeClassifier(binio.NewReader(&cb), schema, nil)
+		_, rErr := DecodeRegressor(binio.NewReader(&rb), schema, nil)
+		if bad := feature >= len(schema); (cErr != nil) != bad || (rErr != nil) != bad {
+			t.Errorf("split on column %d of %d: classifier err %v, regressor err %v", feature, len(schema), cErr, rErr)
+		}
+	}
 }

@@ -40,7 +40,8 @@ func (p Params) withDefaults() Params {
 
 // node is one tree node in the flattened node array.
 type node struct {
-	// feature is the split feature; -1 marks a leaf.
+	// feature is the split feature, a column of the rows the tree reads;
+	// -1 marks a leaf.
 	feature int
 	// threshold applies to real splits: x < threshold goes left.
 	threshold float64
@@ -55,19 +56,18 @@ type node struct {
 	value float64 // regression mean
 }
 
-// tree is the shared walk structure. A node's feature is an input index:
-// the term's inputs are the caller's column map, so the tree keeps nothing
-// but its nodes.
+// tree is the shared walk structure. A node's feature is a column of the
+// rows the tree reads: for a FRaC term, a column of the model's rows, so the
+// tree keeps nothing but its nodes.
 type tree struct {
 	nodes []node
 }
 
-// walk descends from the root to the leaf that row lands in, reading input
-// j as row[cols[j]].
-func (t *tree) walk(row []float64, cols []int) *node {
+// walk descends from the root to the leaf that row lands in.
+func (t *tree) walk(row []float64) *node {
 	cur := &t.nodes[0]
 	for cur.feature >= 0 {
-		v := row[cols[cur.feature]]
+		v := row[cur.feature]
 		var goLeft bool
 		switch {
 		case dataset.IsMissing(v):
@@ -117,12 +117,11 @@ type Classifier struct {
 }
 
 // PredictLabelBatch writes to out[i] the majority class of the leaf row i
-// of x lands in, reading input j as x.At(i, cols[j]), for every row of x.
-// The iterative walk needs no traversal stack, so the batch performs zero
-// allocations.
-func (c *Classifier) PredictLabelBatch(x *linalg.Matrix, cols []int, out []int) {
+// of x lands in, for every row of x. The iterative walk needs no traversal
+// stack, so the batch performs zero allocations.
+func (c *Classifier) PredictLabelBatch(x *linalg.Matrix, out []int) {
 	for i := 0; i < x.Rows; i++ {
-		out[i] = c.walk(x.Row(i), cols).label
+		out[i] = c.walk(x.Row(i)).label
 	}
 }
 
@@ -132,10 +131,9 @@ type Regressor struct {
 }
 
 // PredictBatch writes to out[i] the mean target of the leaf row i of x
-// lands in, reading input j as x.At(i, cols[j]), for every row of x, with
-// zero allocations.
-func (r *Regressor) PredictBatch(x *linalg.Matrix, cols []int, out []float64) {
+// lands in, for every row of x, with zero allocations.
+func (r *Regressor) PredictBatch(x *linalg.Matrix, out []float64) {
 	for i := 0; i < x.Rows; i++ {
-		out[i] = r.walk(x.Row(i), cols).value
+		out[i] = r.walk(x.Row(i)).value
 	}
 }

@@ -24,26 +24,17 @@ func catSchema(d, arity int) dataset.Schema {
 	return s
 }
 
-// identity returns the column map of a gathered row of n inputs.
-func identity(n int) []int {
-	cols := make([]int, n)
-	for j := range cols {
-		cols[j] = j
-	}
-	return cols
-}
-
-// predictLabel classifies one gathered row through the identity column map.
+// predictLabel classifies one row.
 func predictLabel(c *Classifier, row []float64) int {
 	var out [1]int
-	c.PredictLabelBatch(&linalg.Matrix{Rows: 1, Cols: len(row), Data: row}, identity(len(row)), out[:])
+	c.PredictLabelBatch(&linalg.Matrix{Rows: 1, Cols: len(row), Data: row}, out[:])
 	return out[0]
 }
 
 // predict is predictLabel for regression trees.
 func predict(r *Regressor, row []float64) float64 {
 	var out [1]float64
-	r.PredictBatch(&linalg.Matrix{Rows: 1, Cols: len(row), Data: row}, identity(len(row)), out[:])
+	r.PredictBatch(&linalg.Matrix{Rows: 1, Cols: len(row), Data: row}, out[:])
 	return out[0]
 }
 
