@@ -206,6 +206,10 @@ func run() error {
 	update := flag.Bool("update", false, "record the parsed timings as the new baselines and exit")
 	input := flag.String("input", "", "read benchmark output from this file instead of stdin")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "benchguard: unexpected argument %q: benchguard takes no arguments, and flags after one would be ignored\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	in := io.Reader(os.Stdin)
 	if *input != "" {

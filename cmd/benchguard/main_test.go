@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -170,5 +172,34 @@ func TestGateFailsOnBaselineWithoutLiveResult(t *testing.T) {
 	out.Reset()
 	if err := gate(&out, live, base, 0.15, true); err != nil {
 		t.Errorf("gate failed with every baseline live: %v\n%s", err, out.String())
+	}
+}
+
+// TestMain runs benchguard's main instead of the tests when the test binary's
+// first argument is "benchguard", so a test can run the command as a child
+// process.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "benchguard" {
+		os.Args = os.Args[1:]
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRejectsPositionalArguments: flag parsing stops at the first argument
+// that is not a flag, so a flag after one would be dropped without a word.
+// benchguard takes no arguments, so it exits 2 naming the first one, before
+// it reads any input or baseline.
+func TestRejectsPositionalArguments(t *testing.T) {
+	for _, args := range [][]string{
+		{"-input", "missing.txt", "extra", "-update"},
+		{"extra"},
+	} {
+		out, err := exec.Command(os.Args[0], append([]string{"benchguard"}, args...)...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), `unexpected argument "extra"`) {
+			t.Errorf("benchguard %s: %v, output %q; want exit status 2 naming \"extra\"", strings.Join(args, " "), err, out)
+		}
 	}
 }

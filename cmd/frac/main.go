@@ -93,6 +93,10 @@ func main() {
 	noDriftRef := flag.Bool("no-drift-ref", false, "save the model without a drift reference")
 	tele.Register(flag.CommandLine)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "frac: unexpected argument %q: frac takes no arguments, and flags after one would be ignored\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	sess, err := tele.Start("frac", os.Stderr)
 	if err != nil {

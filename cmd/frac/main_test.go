@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -163,6 +164,35 @@ func TestRejectsBadFlagValues(t *testing.T) {
 	for _, learners := range []string{"paper", "tree"} {
 		if err := run(ctx, poolPath, "", "", 1, options{variant: "full", seed: 1, learners: learners}); err != nil {
 			t.Errorf("-learners %s: %v", learners, err)
+		}
+	}
+}
+
+// TestMain runs frac's main instead of the tests when the test binary's
+// first argument is "frac", so a test can run the command as a child
+// process.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "frac" {
+		os.Args = os.Args[1:]
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRejectsPositionalArguments: flag parsing stops at the first argument
+// that is not a flag, so a flag after one would be dropped without a word.
+// frac takes no arguments, so it exits 2 naming the first one, before it
+// reads or trains anything.
+func TestRejectsPositionalArguments(t *testing.T) {
+	for _, args := range [][]string{
+		{"-data", "missing.tsv", "extra", "-replicates", "1"},
+		{"-train", "missing.tsv", "-save-model", "m.frac", "extra"},
+	} {
+		out, err := exec.Command(os.Args[0], append([]string{"frac"}, args...)...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), `unexpected argument "extra"`) {
+			t.Errorf("frac %s: %v, output %q; want exit status 2 naming \"extra\"", strings.Join(args, " "), err, out)
 		}
 	}
 }

@@ -210,6 +210,10 @@ func main() {
 	var tele obs.CLIFlags
 	tele.Register(flag.CommandLine)
 	flag.Parse()
+	if flag.NArg() > 1 {
+		fmt.Fprintf(os.Stderr, "fracbench: unexpected argument %q after the exhibit %q: fracbench takes one exhibit, after its flags\n", flag.Arg(1), flag.Arg(0))
+		os.Exit(2)
+	}
 	b.opts.Seed = *seed
 
 	sess, err := tele.Start("fracbench", os.Stderr)

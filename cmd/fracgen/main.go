@@ -39,6 +39,10 @@ func main() {
 	var tele obs.CLIFlags
 	tele.Register(flag.CommandLine)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "fracgen: unexpected argument %q: fracgen takes no arguments, and flags after one would be ignored\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	sess, err := tele.Start("fracgen", os.Stderr)
 	if err != nil {

@@ -73,6 +73,10 @@ func main() {
 	flag.Float64Var(&opt.shift, "shift", 0, "add this constant to every real feature (covariate-shift injection)")
 	flag.IntVar(&opt.explain, "explain", 0, "after the plain pass, run a second measured pass requesting top-K attributions and validating their schema (0 = off)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "fracload: unexpected argument %q: fracload takes no arguments, and flags after one would be ignored\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if err := run(opt); err != nil {
 		fmt.Fprintf(os.Stderr, "fracload: %v\n", err)

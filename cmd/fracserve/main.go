@@ -90,6 +90,10 @@ func main() {
 	flag.Var(&models, "model", "model to serve, as name=path or path (repeatable)")
 	tele.Register(flag.CommandLine)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "fracserve: unexpected argument %q: fracserve takes no arguments, and flags after one would be ignored\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if err := run(*addr, models, serve.ServerConfig{
 		MaxRows:      *maxRows,

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -80,5 +82,34 @@ func TestServerRejectsHugeHeaders(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
 		t.Errorf("128 KiB header: status %d, want %d", resp.StatusCode, http.StatusRequestHeaderFieldsTooLarge)
+	}
+}
+
+// TestMain runs fracserve's main instead of the tests when the test binary's
+// first argument is "fracserve", so a test can run the command as a child
+// process.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "fracserve" {
+		os.Args = os.Args[1:]
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRejectsPositionalArguments: flag parsing stops at the first argument
+// that is not a flag, so a flag after one would be dropped without a word.
+// fracserve takes no arguments, so it exits 2 naming the first one, before
+// it loads a model or listens.
+func TestRejectsPositionalArguments(t *testing.T) {
+	for _, args := range [][]string{
+		{"-model", "m=missing.frac", "extra", "-addr", "127.0.0.1:0"},
+		{"extra"},
+	} {
+		out, err := exec.Command(os.Args[0], append([]string{"fracserve"}, args...)...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), `unexpected argument "extra"`) {
+			t.Errorf("fracserve %s: %v, output %q; want exit status 2 naming \"extra\"", strings.Join(args, " "), err, out)
+		}
 	}
 }

@@ -142,12 +142,16 @@ func TestTrainTermSteadyStateAllocs(t *testing.T) {
 	src := rng.New(1)
 	measure := func(label string, term Term, cfg Config) float64 {
 		t.Helper()
-		sc := new(trainScratch)
-		if _, err := trainTerm(train, term, cfg, src, sc); err != nil {
+		plan, err := planTerms(train, []Term{term}, cfg.Learners)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, sc := plan[0].route, new(trainScratch)
+		if _, err := trainTerm(train, term, r, cfg, src, sc); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := trainTerm(train, term, cfg, src, sc); err != nil {
+			if _, err := trainTerm(train, term, r, cfg, src, sc); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -181,11 +185,11 @@ func TestTrainMarginalTermSteadyStateAllocs(t *testing.T) {
 	term := Term{Target: 0, Orig: 0, Inputs: nil} // no inputs → marginal
 	src := rng.New(1)
 	sc := new(trainScratch)
-	if _, err := trainTerm(train, term, cfg, src, sc); err != nil {
+	if _, err := trainTerm(train, term, routeMarginal, cfg, src, sc); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := trainTerm(train, term, cfg, src, sc); err != nil {
+		if _, err := trainTerm(train, term, routeMarginal, cfg, src, sc); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -164,12 +164,8 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 	if err := train.Validate(); err != nil {
 		return nil, fmt.Errorf("core: training set: %w", err)
 	}
-	for i, t := range terms {
-		if err := t.Validate(train.NumFeatures()); err != nil {
-			return nil, fmt.Errorf("term %d: %w", i, err)
-		}
-	}
-	if err := cfg.Learners.check(train.Schema, terms); err != nil {
+	plan, err := planTerms(train, terms, cfg.Learners)
+	if err != nil {
 		return nil, err
 	}
 	m := &Model{cfg: cfg, schema: train.Schema, terms: make([]termModel, len(terms))}
@@ -179,9 +175,8 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 	var (
 		gram   *gramShared
 		design *tree.Design
-		err    error
 	)
-	if needsGram(train, terms, cfg) {
+	if takes(plan, routeGram) {
 		if gram, err = buildShared(ctx, cfg, "train", func() (*gramShared, error) { return buildGram(ctx, train, cfg) }); err != nil {
 			return nil, err
 		}
@@ -190,7 +185,7 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 		defer cfg.Tracker.Release(gram.bytes())
 		cfg.Tracker.Alloc(m.basis.bytes())
 	}
-	if needsDesign(train, terms, cfg) {
+	if takes(plan, routeTree) && cfg.Learners.gather == nil {
 		if design, err = buildShared(ctx, cfg, "train", func() (*tree.Design, error) { return tree.NewDesign(train.X, train.Schema), nil }); err != nil {
 			m.release()
 			return nil, err
@@ -199,7 +194,7 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 		defer cfg.Tracker.Release(design.Bytes())
 	}
 	if cfg.Tracker != nil {
-		scratch := svrReservation(train, terms, cfg, gram)
+		scratch := svrReservation(terms, plan, cfg.Workers)
 		cfg.Tracker.Alloc(scratch)
 		defer cfg.Tracker.Release(scratch)
 	}
@@ -211,7 +206,7 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 			var tm termModel
 			var err error
 			span := cfg.Obs.StartSampledWorker(obs.PhaseTermTrain, sc.worker)
-			cfg.Tracker.TimeTask(func() { tm, err = trainTerm(train, terms[ti], cfg, streams[ti], sc) })
+			cfg.Tracker.TimeTask(func() { tm, err = trainTerm(train, terms[ti], plan[ti].route, cfg, streams[ti], sc) })
 			span.End()
 			if err != nil {
 				return fmt.Errorf("term %d: %w", ti, err)
@@ -357,9 +352,85 @@ func cvFolds(cfg Config, m int) [][]int {
 	return dataset.KFold(m, cfg.CVFolds, rng.New(cfg.Seed).StreamAt("folds", uint64(m)))
 }
 
-// trainTerm fits one NS summand using the worker's scratch buffers. A term
-// on the tree route (takesTree) needs sc.design, which TrainCtx provides.
-func trainTerm(train *dataset.Dataset, term Term, cfg Config, src *rng.Source, sc *trainScratch) (termModel, error) {
+// route is how a term trains (DESIGN.md §10): as its target's marginal
+// distribution, as trees on the Train's shared design (treeterm.go), or as
+// an SVR over its own inputs (primal) or on the Train's shared Grams
+// (svrterm.go).
+type route uint8
+
+const (
+	routeMarginal route = iota
+	routeTree
+	routePrimal
+	routeGram
+)
+
+// termPlan is one term's route and its target's count of observed
+// training rows.
+type termPlan struct {
+	route route
+	m     int
+}
+
+// takes reports whether some term of plan trains on route r.
+func takes(plan []termPlan, r route) bool {
+	return slices.ContainsFunc(plan, func(p termPlan) bool { return p.route == r })
+}
+
+// planTerms checks every term against train and learners l and picks its
+// route, in one pass before any worker starts. A term whose target has
+// fewer than minObserved observed rows, or that has no inputs, is
+// marginal. Otherwise l.Tree trains a categorical target, and a real one
+// too when l.SVR is nil, and l.SVR trains the rest: on the Gram route when
+// the training set has fewer rows than the term has inputs (n < f−1), the
+// target is observed on every row and the inputs are all the other
+// features, and on the primal route otherwise. The rule reads only the
+// input's shape; there is no knob. A term with inputs but no learner for
+// its target's kind is an error, whatever its observed rows.
+func planTerms(train *dataset.Dataset, terms []Term, l Learners) ([]termPlan, error) {
+	n, f := train.NumSamples(), train.NumFeatures()
+	observed := make([]int, f)
+	for i := 0; i < n; i++ {
+		for c, v := range train.X.Row(i) {
+			if !dataset.IsMissing(v) {
+				observed[c]++
+			}
+		}
+	}
+	plan := make([]termPlan, len(terms))
+	for i, t := range terms {
+		if err := t.Validate(f); err != nil {
+			return nil, fmt.Errorf("term %d: %w", i, err)
+		}
+		feat := train.Schema[t.Target]
+		cat, svrOnly := feat.Kind == dataset.Categorical, len(t.Inputs) > 0 && l.Tree == nil
+		p := termPlan{m: observed[t.Target]}
+		switch {
+		case svrOnly && cat:
+			return nil, fmt.Errorf("core: categorical feature %d (%q) has no learner: Learners.Tree is nil", t.Target, feat.Name)
+		case svrOnly && l.SVR == nil:
+			return nil, fmt.Errorf("core: real feature %d (%q) has no learner: Learners.SVR and Learners.Tree are nil", t.Target, feat.Name)
+		case len(t.Inputs) == 0 || p.m < minObserved:
+			p.route = routeMarginal
+		case l.Tree != nil && (cat || l.SVR == nil):
+			p.route = routeTree
+		case p.m == n && n < f-1 && allButTarget(t, f):
+			p.route = routeGram
+		default:
+			p.route = routePrimal
+		}
+		plan[i] = p
+	}
+	return plan, nil
+}
+
+// trainTerm fits one NS summand on route r, planTerms's choice for it, using
+// the worker's scratch buffers. The tree and Gram routes read the Train's
+// shared state (sc.design, sc.gram), which TrainCtx provides; without it
+// the term is an error. A real target's error model is fit here, once, from
+// the held-out residuals its route leaves in sc.residuals; the test-only
+// gather hook returns its term whole.
+func trainTerm(train *dataset.Dataset, term Term, r route, cfg Config, src *rng.Source, sc *trainScratch) (termModel, error) {
 	feat := train.Schema[term.Target]
 	tm := termModel{term: term, isCat: feat.Kind == dataset.Categorical, arity: feat.Arity}
 
@@ -384,36 +455,39 @@ func trainTerm(train *dataset.Dataset, term Term, cfg Config, src *rng.Source, s
 		}
 		tm.entropy = continuousEntropy(sc.yF, cfg.Entropy)
 	}
-	switch {
-	case len(rows) < minObserved || len(term.Inputs) == 0:
-		trainMarginalTerm(&tm, cfg, sc)
-	case takesTree(train.Schema, term, cfg.Learners):
+	switch r {
+	case routeMarginal:
+		trainMarginalTerm(&tm, sc)
+	case routeTree:
 		if cfg.Learners.gather != nil {
-			tm = cfg.Learners.gather(tm, train, term, rows, cfg, src, sc)
-			break
+			return cfg.Learners.gather(tm, train, term, rows, cfg, src, sc), nil
 		}
 		if sc.design == nil {
 			return tm, fmt.Errorf("core: feature %d (%q) trains as a tree, but the Train has no shared design", term.Target, feat.Name)
 		}
 		cfg.Obs.Add(obs.CounterTermsTree, 1)
-		trainTreeTerm(&tm, term, rows, cfg, sc)
-	case !tm.isCat && cfg.Learners.SVR != nil:
+		trainTreeTerm(&tm, train, term, rows, cfg, sc)
+	case routePrimal:
 		cfg.Obs.Add(obs.CounterTermsMasked, 1)
-		if sc.gram.takes(term, len(rows)) {
-			cfg.Obs.Add(obs.CounterTermsGram, 1)
-			trainGramTerm(&tm, train, term, sc.yF, cfg, src, sc)
-		} else {
-			trainSVRTerm(&tm, train, term, rows, sc.yF, cfg, src, sc)
+		trainSVRTerm(&tm, train, term, rows, sc.yF, cfg, src, sc)
+	case routeGram:
+		if sc.gram == nil {
+			return tm, fmt.Errorf("core: feature %d (%q) takes the Gram route, but the Train has no shared Gram", term.Target, feat.Name)
 		}
-	default:
-		return tm, fmt.Errorf("core: feature %d (%q) has no learner", term.Target, feat.Name)
+		cfg.Obs.Add(obs.CounterTermsMasked, 1)
+		cfg.Obs.Add(obs.CounterTermsGram, 1)
+		trainGramTerm(&tm, train, term, sc.yF, cfg, src, sc)
+	}
+	if !tm.isCat {
+		tm.realErr = fitRealError(sc.residuals, cfg.KDEError)
 	}
 	return tm, nil
 }
 
 // trainMarginalTerm fits the fallback of a term with no inputs or too few
-// observed targets (sc.yI or sc.yF): the target's marginal distribution.
-func trainMarginalTerm(tm *termModel, cfg Config, sc *trainScratch) {
+// observed targets (sc.yI or sc.yF): the target's marginal distribution,
+// with a real target's deviations from its mean left in sc.residuals.
+func trainMarginalTerm(tm *termModel, sc *trainScratch) {
 	if tm.isCat {
 		c := marginalCatPredictor(sc.yI, tm.arity)
 		conf := stats.NewConfusion(tm.arity)
@@ -424,14 +498,12 @@ func trainMarginalTerm(tm *termModel, cfg Config, sc *trainScratch) {
 		return
 	}
 	tm.real = marginalRealPredictor(sc.yF)
-	// Scratch-backed: fitRealError's models copy what they retain.
 	resid := sc.residuals[:0]
 	mean := stats.Mean(sc.yF)
 	for _, v := range sc.yF {
 		resid = append(resid, v-mean)
 	}
 	sc.residuals = resid
-	tm.realErr = fitRealError(resid, cfg.KDEError)
 }
 
 // scoreCat converts an observed categorical value and its prediction into

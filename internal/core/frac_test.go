@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"frac/internal/dataset"
+	"frac/internal/obs"
 	"frac/internal/resource"
 	"frac/internal/rng"
 	"frac/internal/stats"
+	"frac/internal/svm"
 	"frac/internal/tree"
 )
 
@@ -368,6 +370,79 @@ func TestScoreOutOfSchemaCategory(t *testing.T) {
 	for s, total := range ss.Totals() {
 		if model.Score(test.Sample(s)) != total {
 			t.Errorf("batch and per-sample disagree on sample %d", s)
+		}
+	}
+}
+
+// TestPlanTerms pins planTerms's route for every term of the fixtures, one
+// letter per term: m marginal, t tree, p primal SVR, g Gram SVR. The
+// golden set mixes primal and tree terms; the wide one (n < f−1) Gram terms
+// and primal terms on targets with holes; TreeLearners routes mixed data
+// to trees; the diverse wiring draws some terms no inputs; and a term with
+// no inputs or with a target observed on fewer than minObserved rows is
+// marginal. A Train follows the plan: its route counters equal the plan's
+// route counts. A term with inputs but no learner is an error, with the
+// messages planTerms has always returned.
+func TestPlanTerms(t *testing.T) {
+	golden, _ := goldenTrainTest()
+	wide, _ := wideTrainTest()
+	mixed, _ := randomCatTrainTest(40, 1, 6, 3, 0.3, rng.New(0x3f))
+	all := make([]int, golden.NumSamples())
+	for i := range all {
+		all[i] = i
+	}
+	sparse := golden.SelectSamples(all)
+	for i := minObserved - 1; i < sparse.NumSamples(); i++ {
+		sparse.X.Row(i)[1] = dataset.Missing
+	}
+	noInputs := FullTerms(golden.NumFeatures())
+	noInputs[2].Inputs = nil
+	for _, c := range []struct {
+		name     string
+		train    *dataset.Dataset
+		terms    []Term
+		learners Learners
+		want     string
+	}{
+		{"golden", golden, FullTerms(golden.NumFeatures()), PaperLearners(), "ppptt"},
+		{"wide", wide, FullTerms(wide.NumFeatures()), PaperLearners(), "ggpgppppppgpgpgggpggggpgggggpg"},
+		{"tree/mixed", mixed, FullTerms(mixed.NumFeatures()), TreeLearners(tree.Params{}), "ttttttttt"},
+		{"diverse", golden, DiverseTerms(golden.NumFeatures(), 0.5, 2, rng.New(7)), PaperLearners(), "ppppppmttt"},
+		{"no-inputs", golden, noInputs, PaperLearners(), "ppmtt"},
+		{"too-few-observed", sparse, FullTerms(sparse.NumFeatures()), PaperLearners(), "pmptt"},
+	} {
+		plan, err := planTerms(c.train, c.terms, c.learners)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var got strings.Builder
+		counts := map[route]int64{}
+		for _, p := range plan {
+			got.WriteByte("mtpg"[p.route])
+			counts[p.route]++
+		}
+		if got.String() != c.want {
+			t.Errorf("%s: routes %s, want %s", c.name, got.String(), c.want)
+		}
+		rec := obs.New()
+		if _, err := Train(c.train, c.terms, Config{Seed: 5, Learners: c.learners, Obs: rec}); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		gram, masked, trees := rec.Count(obs.CounterTermsGram), rec.Count(obs.CounterTermsMasked), rec.Count(obs.CounterTermsTree)
+		if gram != counts[routeGram] || masked-gram != counts[routePrimal] || trees != counts[routeTree] {
+			t.Errorf("%s: Train counted %d Gram, %d primal and %d tree terms, the plan %d, %d and %d",
+				c.name, gram, masked-gram, trees, counts[routeGram], counts[routePrimal], counts[routeTree])
+		}
+	}
+	for _, c := range []struct {
+		learners Learners
+		want     string
+	}{
+		{Learners{SVR: &svm.SVRParams{}}, `core: categorical feature 3 ("c0") has no learner: Learners.Tree is nil`},
+		{Learners{Cat: TreeCatLearner(tree.Params{})}, `core: real feature 0 ("r0") has no learner: Learners.SVR and Learners.Tree are nil`},
+	} {
+		if _, err := Train(golden, FullTerms(golden.NumFeatures()), Config{Seed: 5, Learners: c.learners}); err == nil || err.Error() != c.want {
+			t.Errorf("err = %v, want %q", err, c.want)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -77,39 +76,17 @@ type Learners struct {
 	// Deprecated: custom learners are gone.
 	Cat CatLearnerFunc
 
-	// gather, when non-nil, trains the terms the tree route would
-	// (takesTree) through a gather-and-copy loop over Real and Cat instead,
-	// and returns tm trained. Only this package's test files set it, to the
-	// frozen reference the tree and SVR routes are pinned to
-	// (gatherref_test.go). tm passes by value so that it does not escape to
-	// the heap.
+	// gather, when non-nil, trains the terms planTerms routes to the tree
+	// through a gather-and-copy loop over Real and Cat instead, and returns
+	// tm trained. Only this package's test files set it, to the frozen
+	// reference the tree and SVR routes are pinned to (gatherref_test.go).
+	// tm passes by value so that it does not escape to the heap.
 	gather func(tm termModel, train *dataset.Dataset, term Term, rows []int, cfg Config, src *rng.Source, sc *trainScratch) termModel
 }
 
 // isZero reports whether no learner is set.
 func (l Learners) isZero() bool {
 	return l.SVR == nil && l.Real == nil && l.Tree == nil && l.Cat == nil
-}
-
-// check reports the first term that has inputs but no learner for its
-// target's kind, before any worker would call the missing one.
-func (l Learners) check(schema dataset.Schema, terms []Term) error {
-	if l.Tree != nil {
-		return nil
-	}
-	for _, t := range terms {
-		if len(t.Inputs) == 0 {
-			continue
-		}
-		feat := schema[t.Target]
-		switch {
-		case feat.Kind == dataset.Categorical:
-			return fmt.Errorf("core: categorical feature %d (%q) has no learner: Learners.Tree is nil", t.Target, feat.Name)
-		case l.SVR == nil:
-			return fmt.Errorf("core: real feature %d (%q) has no learner: Learners.SVR and Learners.Tree are nil", t.Target, feat.Name)
-		}
-	}
-	return nil
 }
 
 // PaperLearners returns the paper's §III.B configuration: linear SVMs for

@@ -15,7 +15,7 @@ import (
 
 // The in-core SVR term trainer (DESIGN.md §10) fits every non-marginal real
 // term when Learners.SVR is set, whatever the wiring and however many target
-// cells are missing, on one of two routes chosen by the term's shape alone.
+// cells are missing, on one of two routes planTerms picks by shape alone.
 //
 // The primal route reads each term's cells straight from the training
 // matrix into one per-worker buffer: no gathered copy, no imputed second
@@ -184,10 +184,10 @@ func countFit(rec *obs.Recorder, iters, maxIter int) {
 	}
 }
 
-// trainSVRTerm fits one non-marginal real term in core: cross-validated
-// residuals for the error model over the same folds the reference route
-// draws, then the final fit over every observed row. rows are the observed
-// training rows of the target and y their target values.
+// trainSVRTerm fits one term on the primal route: cross-validated residuals
+// for the error model, left in sc.residuals, over the same folds the
+// reference route draws, then the final fit over every observed row. rows
+// are the observed training rows of the target and y their target values.
 func trainSVRTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, y []float64, cfg Config, src *rng.Source, sc *trainScratch) {
 	ts := &sc.svr
 	m := len(rows)
@@ -218,10 +218,6 @@ func trainSVRTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, 
 		}
 	}
 	sc.residuals = residuals
-	if len(residuals) == 0 {
-		residuals = []float64{0}
-	}
-	tm.realErr = fitRealError(residuals, cfg.KDEError)
 	model, yMean, ySD := ts.train(train.X, rows, term.Inputs, y, params, src.Seed(), cfg.Obs)
 	tm.real = &imputedReal{
 		model:  &svm.SVR{W: linalg.Clone(model.W), B: model.B, Iters: model.Iters},
@@ -236,12 +232,12 @@ func trainSVRTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, 
 // gramShared is what the Gram route's terms share within one Train: for
 // each CV fold and for the final fit, the statistics of every feature over
 // the fit's training rows and the Grams of the standardized rows. TrainCtx
-// builds it once, before any term trains, and only if some term takes the
-// route. Workers read it and never write it, and it lives for one call: it
-// is never cached, since a caller may change the training set in place
-// between Trains. Only the basis outlives the call, in the model.
+// builds it once, before any term trains, and only if planTerms routes some
+// term to it. Workers read it and never write it, and it lives for one
+// call: it is never cached, since a caller may change the training set in
+// place between Trains. Only the basis outlives the call, in the model.
 type gramShared struct {
-	n, f  int
+	n     int
 	folds []gramFit // the CV fits whose two sides are non-empty, in fold order
 	full  gramFit   // the final fit over every row; it holds nothing out
 	// basis holds the final fit's standardized rows (n x f) and its
@@ -292,29 +288,6 @@ func allButTarget(term Term, f int) bool {
 	return true
 }
 
-// needsGram reports whether some term of a Train over train takes the Gram
-// route: SVR learners, fewer rows than a term has inputs (n < f−1), and a
-// real target observed on every row whose inputs are all the other
-// features. The rule reads only the input's shape; there is no knob.
-func needsGram(train *dataset.Dataset, terms []Term, cfg Config) bool {
-	n, f := train.NumSamples(), train.NumFeatures()
-	if cfg.Learners.SVR == nil || n < minObserved || n >= f-1 {
-		return false
-	}
-	for _, t := range terms {
-		if train.Schema[t.Target].Kind != dataset.Categorical && allButTarget(t, f) && observedRows(train, t.Target) == n {
-			return true
-		}
-	}
-	return false
-}
-
-// takes reports whether a real term with m observed target rows trains on
-// the Gram route; g is nil when no term of the Train does.
-func (g *gramShared) takes(term Term, m int) bool {
-	return g != nil && m == g.n && allButTarget(term, g.f)
-}
-
 // buildGram builds a Train's shared Gram state. Every fit is standardized
 // by svrScratch.standardize over all f columns into one n x f buffer, so
 // each feature's statistics and cells are bit-identical to those the primal
@@ -322,7 +295,7 @@ func (g *gramShared) takes(term Term, m int) bool {
 // which become the basis. ctx is checked between fits.
 func buildGram(ctx context.Context, train *dataset.Dataset, cfg Config) (*gramShared, error) {
 	n, f := train.NumSamples(), train.NumFeatures()
-	g := &gramShared{n: n, f: f}
+	g := &gramShared{n: n}
 	all := make([]int, max(n, f))
 	for i := range all {
 		all[i] = i
@@ -415,12 +388,12 @@ func (ts *svrScratch) downdate(x *linalg.Matrix, gf *gramFit, t int) {
 }
 
 // trainGramTerm fits one term on the Gram route: the primal route's folds,
-// seeds, target handling and solver steps, with each fit's design replaced
-// by its downdated Gram. A held-out row h predicts (C·β)_h − z_{h,t}·(z_tᵀβ)
-// + b, which is wᵀz_h + b over the term's inputs. The final fit stays in
-// dual form: the term keeps β, b and u = (Zᵀβ)_t, an O(n) product, and
-// scores through the model's basis (dualReal). y holds the target on every
-// training row.
+// seeds, target handling, solver steps and residuals left in sc.residuals,
+// with each fit's design replaced by its downdated Gram. A held-out row h
+// predicts (C·β)_h − z_{h,t}·(z_tᵀβ) + b, which is wᵀz_h + b over the
+// term's inputs. The final fit stays in dual form: the term keeps β, b and
+// u = (Zᵀβ)_t, an O(n) product, and scores through the model's basis
+// (dualReal). y holds the target on every training row.
 func trainGramTerm(tm *termModel, train *dataset.Dataset, term Term, y []float64, cfg Config, src *rng.Source, sc *trainScratch) {
 	g, ts, t := sc.gram, &sc.svr, term.Target
 	ts.resizeGram(g.n, cfg.Obs) // svrReservation charges it
@@ -450,10 +423,6 @@ func trainGramTerm(tm *termModel, train *dataset.Dataset, term Term, y []float64
 		}
 	}
 	sc.residuals = residuals
-	if len(residuals) == 0 {
-		residuals = []float64{0}
-	}
-	tm.realErr = fitRealError(residuals, cfg.KDEError)
 	dual, yMean, ySD := fit(&g.full, y, src.Seed())
 	var u float64
 	for i, b := range dual.Beta {
@@ -465,41 +434,26 @@ func trainGramTerm(tm *termModel, train *dataset.Dataset, term Term, y []float64
 // svrReservation is the analytic scratch a Train's SVR terms hold, charged
 // once before the term fan-out: one buffer per worker that can train an SVR
 // term, at the widest such term's size (a primal term's m x |inputs|
-// design, a Gram term's n x n downdated Gram). A worker's buffers grow to
-// the widest term it meets and stay, so the reservation bounds what the
-// pool retains, and the accounted peak depends on the worker count only,
-// never on which terms overlap in time.
-func svrReservation(train *dataset.Dataset, terms []Term, cfg Config, g *gramShared) int64 {
-	if cfg.Learners.SVR == nil {
-		return 0
-	}
+// design, a Gram term's m x m downdated Gram, where m counts its target's
+// observed rows). A worker's buffers grow to the widest term it meets and
+// stay, so the reservation bounds what the pool retains, and the accounted
+// peak depends on the worker count only, never on which terms overlap in
+// time.
+func svrReservation(terms []Term, plan []termPlan, workers int) int64 {
 	var widest int64
 	count := 0
-	for _, t := range terms {
-		if len(t.Inputs) == 0 || train.Schema[t.Target].Kind == dataset.Categorical {
-			continue
-		}
-		m := observedRows(train, t.Target)
-		if m < minObserved {
+	for i, p := range plan {
+		b := int64(p.m) * 8
+		switch p.route {
+		case routePrimal:
+			b *= int64(len(terms[i].Inputs))
+		case routeGram:
+			b *= int64(p.m)
+		default:
 			continue
 		}
 		count++
-		b := int64(m) * int64(len(t.Inputs)) * 8
-		if g.takes(t, m) {
-			b = int64(m) * int64(m) * 8
-		}
 		widest = max(widest, b)
 	}
-	return int64(min(cfg.Workers, count)) * widest
-}
-
-// observedRows counts the training rows whose cell in column c is present.
-func observedRows(train *dataset.Dataset, c int) int {
-	m := 0
-	for i := 0; i < train.NumSamples(); i++ {
-		if !dataset.IsMissing(train.X.At(i, c)) {
-			m++
-		}
-	}
-	return m
+	return int64(min(workers, count)) * widest
 }

@@ -322,9 +322,10 @@ func TestSolverCountersBothRoutes(t *testing.T) {
 }
 
 // TestTrainTermWithoutSharedGram: trainTerm called directly, without
-// TrainCtx and so without the shared Gram state, trains a Gram-shaped term
-// on the primal route, and a model of those terms scores every term as
-// Train's Gram-routed model does, to rounding.
+// TrainCtx and so without the shared Gram state, is an error on the Gram
+// route, not a worker panic; on the primal route it trains the Gram-shaped
+// terms, and a model of those terms scores every term as Train's
+// Gram-routed model does, to rounding.
 func TestTrainTermWithoutSharedGram(t *testing.T) {
 	src := rng.New(0x71)
 	train := randomRealDataset("direct", 10, 24, 0, 0, src)
@@ -347,7 +348,10 @@ func TestTrainTermWithoutSharedGram(t *testing.T) {
 	cfg.Obs = direct
 	primal := &Model{cfg: cfg, schema: train.Schema, terms: make([]termModel, len(terms))}
 	for ti, term := range terms {
-		if primal.terms[ti], err = trainTerm(train, term, cfg, streams[ti], new(trainScratch)); err != nil {
+		if _, err := trainTerm(train, term, routeGram, cfg, streams[ti], new(trainScratch)); err == nil {
+			t.Fatalf("term %d: trained on the Gram route without the shared Gram", ti)
+		}
+		if primal.terms[ti], err = trainTerm(train, term, routePrimal, cfg, streams[ti], new(trainScratch)); err != nil {
 			t.Fatal(err)
 		}
 		if primal.terms[ti].dual != nil || model.terms[ti].real != nil {
@@ -415,15 +419,19 @@ func TestSVRAccountedPeak(t *testing.T) {
 		}
 		for _, w := range []int{1, 2, 4} {
 			cfg := Config{Seed: 3, Workers: w}.withDefaults()
+			plan, err := planTerms(train, terms, cfg.Learners)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var shared int64
-			if needsGram(train, terms, cfg) {
+			if takes(plan, routeGram) {
 				g, err := buildGram(context.Background(), train, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				shared += g.bytes()
 			}
-			if needsDesign(train, terms, cfg) {
+			if takes(plan, routeTree) {
 				shared += tree.NewDesign(train.X, train.Schema).Bytes()
 			}
 			reserve := int64(min(w, svrTerms)) * widest

@@ -73,21 +73,16 @@ var treeWirings = []struct {
 	}},
 }
 
-// treeTerms counts the terms of a Train over train that train as trees
-// under l (takesTree) with at least minObserved observed targets. withReal
-// counts those with a real input.
-func treeTerms(train *dataset.Dataset, terms []Term, l Learners) (all, withReal int) {
-	for _, term := range terms {
-		if len(term.Inputs) == 0 || !takesTree(train.Schema, term, l) {
-			continue
-		}
-		observed := 0
-		for i := 0; i < train.NumSamples(); i++ {
-			if !dataset.IsMissing(train.X.At(i, term.Target)) {
-				observed++
-			}
-		}
-		if observed < minObserved {
+// treeTerms counts the terms of a Train over train that planTerms routes to
+// the tree under l. withReal counts those with a real input.
+func treeTerms(t *testing.T, train *dataset.Dataset, terms []Term, l Learners) (all, withReal int) {
+	t.Helper()
+	plan, err := planTerms(train, terms, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, term := range terms {
+		if plan[i].route != routeTree {
 			continue
 		}
 		all++
@@ -169,7 +164,7 @@ func TestTreeRouteBitIdentical(t *testing.T) {
 		}
 
 		onDesign := routeRec.Count(obs.CounterTermsTree)
-		all, withReal := treeTerms(train, got.Terms, route.Learners)
+		all, withReal := treeTerms(t, train, got.Terms, route.Learners)
 		if onDesign != int64(all) || refRec.Count(obs.CounterTermsGathered) != onDesign {
 			t.Fatalf("trial %d %s: %d design-route terms, %d tree terms, reference gathered %d",
 				trial, wiring.name, onDesign, all, refRec.Count(obs.CounterTermsGathered))
@@ -234,7 +229,7 @@ func TestTreeFitCountersOneRoute(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		onDesign := rec.Count(obs.CounterTermsTree)
-		if all, _ := treeTerms(train, res.Terms, c.learners); all == 0 || onDesign != int64(all) {
+		if all, _ := treeTerms(t, train, res.Terms, c.learners); all == 0 || onDesign != int64(all) {
 			t.Fatalf("%s: %d of %d tree terms on the design route", c.name, onDesign, all)
 		}
 		if got, want := rec.Count(obs.CounterTreeFits), (4+1)*onDesign; got != want {
@@ -247,17 +242,21 @@ func TestTreeFitCountersOneRoute(t *testing.T) {
 }
 
 // TestTrainTermWithoutSharedDesign: trainTerm called outside TrainCtx has
-// no shared design, so a term takesTree gives the tree route is an error
+// no shared design, so a term planTerms routes to the tree is an error
 // naming the feature, not a worker panic.
 func TestTrainTermWithoutSharedDesign(t *testing.T) {
 	train, _ := randomCatTrainTest(30, 1, 2, 2, 0, rng.New(0x5d))
 	terms := FullTerms(train.NumFeatures())
 	cfg := Config{Seed: 2, Learners: TreeLearners(tree.Params{})}.withDefaults()
-	for _, term := range terms {
-		if !takesTree(train.Schema, term, cfg.Learners) {
+	plan, err := planTerms(train, terms, cfg.Learners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, term := range terms {
+		if plan[i].route != routeTree {
 			t.Fatalf("term %d does not take the tree route under TreeLearners", term.Target)
 		}
-		if _, err := trainTerm(train, term, cfg, rng.New(1), new(trainScratch)); err == nil {
+		if _, err := trainTerm(train, term, plan[i].route, cfg, rng.New(1), new(trainScratch)); err == nil {
 			t.Errorf("term %d: trained as a tree without the shared design", term.Target)
 		}
 	}

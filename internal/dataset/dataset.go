@@ -33,10 +33,6 @@ func (d *Dataset) NumFeatures() int { return len(d.Schema) }
 // Sample returns row i as a mutable view.
 func (d *Dataset) Sample(i int) []float64 { return d.X.Row(i) }
 
-// Column copies feature j's values into a fresh slice, skipping nothing
-// (missing values appear as NaN).
-func (d *Dataset) Column(j int) []float64 { return d.X.Col(j, nil) }
-
 // ObservedColumn returns feature j's non-missing values.
 func (d *Dataset) ObservedColumn(j int) []float64 {
 	out := make([]float64, 0, d.NumSamples())

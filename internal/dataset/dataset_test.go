@@ -27,15 +27,9 @@ func TestSchemaValidate(t *testing.T) {
 	}
 }
 
-func TestSchemaOneHotWidth(t *testing.T) {
-	if w := mixedSchema().OneHotWidth(); w != 5 {
-		t.Errorf("OneHotWidth = %d, want 5", w)
-	}
+func TestSchemaNumReal(t *testing.T) {
 	if n := mixedSchema().NumReal(); n != 2 {
 		t.Errorf("NumReal = %d", n)
-	}
-	if n := mixedSchema().NumCategorical(); n != 1 {
-		t.Errorf("NumCategorical = %d", n)
 	}
 }
 

@@ -82,24 +82,6 @@ func (s Schema) NumReal() int {
 	return n
 }
 
-// NumCategorical counts discrete features.
-func (s Schema) NumCategorical() int { return len(s) - s.NumReal() }
-
-// OneHotWidth returns the dimensionality of the 1-hot + concatenation
-// encoding of this schema (paper Fig. 2): one slot per real feature, Arity
-// slots per categorical feature.
-func (s Schema) OneHotWidth() int {
-	w := 0
-	for _, f := range s {
-		if f.Kind == Categorical {
-			w += f.Arity
-		} else {
-			w++
-		}
-	}
-	return w
-}
-
 // Select returns the sub-schema at the given feature indices.
 func (s Schema) Select(indices []int) Schema {
 	out := make(Schema, len(indices))

@@ -54,7 +54,8 @@ func Fit(train *dataset.Dataset) *OneHot {
 	return enc
 }
 
-// Width reports the encoded dimensionality (schema.OneHotWidth()).
+// Width reports the encoded dimensionality: one slot per real feature and
+// Arity slots per categorical feature.
 func (e *OneHot) Width() int { return e.width }
 
 // Encode writes the encoding of sample into dst (allocated when nil or too

@@ -165,19 +165,6 @@ func (s *Source) Uint64() uint64 { return s.rand.Uint64() }
 // Bernoulli returns true with probability p.
 func (s *Source) Bernoulli(p float64) bool { return s.rand.Float64() < p }
 
-// Binomial returns a draw from Binomial(n, p) by direct simulation. The n
-// used in this codebase is tiny (2, for diploid genotypes), so the naive
-// method is appropriate.
-func (s *Source) Binomial(n int, p float64) int {
-	k := 0
-	for i := 0; i < n; i++ {
-		if s.rand.Float64() < p {
-			k++
-		}
-	}
-	return k
-}
-
 // Rademacher returns +1 or -1 with equal probability.
 func (s *Source) Rademacher() float64 {
 	if s.rand.Uint64()&1 == 0 {
@@ -224,18 +211,6 @@ func (s *Source) SampleK(n, k int) []int {
 		idx[i], idx[j] = idx[j], idx[i]
 	}
 	return idx[:k]
-}
-
-// Mask returns the indices in [0, n) that survive independent Bernoulli(p)
-// selection, in increasing order.
-func (s *Source) Mask(n int, p float64) []int {
-	kept := make([]int, 0, int(p*float64(n))+1)
-	for i := 0; i < n; i++ {
-		if s.rand.Float64() < p {
-			kept = append(kept, i)
-		}
-	}
-	return kept
 }
 
 // Categorical draws an index in [0, len(weights)) with probability

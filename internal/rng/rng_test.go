@@ -127,34 +127,6 @@ func TestSampleKPanics(t *testing.T) {
 	New(1).SampleK(2, 3)
 }
 
-func TestMaskFraction(t *testing.T) {
-	src := New(5)
-	n, p := 20000, 0.3
-	kept := src.Mask(n, p)
-	frac := float64(len(kept)) / float64(n)
-	if math.Abs(frac-p) > 0.02 {
-		t.Errorf("Mask kept %.3f, want ~%.1f", frac, p)
-	}
-	for i := 1; i < len(kept); i++ {
-		if kept[i] <= kept[i-1] {
-			t.Fatal("Mask output must be increasing")
-		}
-	}
-}
-
-func TestBinomialMoments(t *testing.T) {
-	src := New(9)
-	const trials = 20000
-	sum := 0
-	for i := 0; i < trials; i++ {
-		sum += src.Binomial(2, 0.3)
-	}
-	mean := float64(sum) / trials
-	if math.Abs(mean-0.6) > 0.02 {
-		t.Errorf("Binomial(2,.3) mean = %v, want 0.6", mean)
-	}
-}
-
 func TestAchlioptasDistribution(t *testing.T) {
 	src := New(11)
 	const trials = 30000

@@ -48,11 +48,10 @@ type codeWord interface {
 // codeCols holds a Design's codes, one column after another.
 type codeCols[C codeWord] []C
 
-// codeTable is a Design's codes behind their width: a fit or a walk
-// dispatches on it once and then runs code of that width.
+// codeTable is a Design's codes behind their width: a fit dispatches on it
+// once and then runs code of that width.
 type codeTable interface {
 	grow(s *Scratch)
-	walk(t *tree, d *Design, r int) *node
 	bytes() int64
 }
 
@@ -135,47 +134,6 @@ func (d *Design) realCol(c int) []float64 {
 func (cc codeCols[C]) bytes() int64 {
 	var c C
 	return int64(len(cc)) * int64(unsafe.Sizeof(c))
-}
-
-// walk descends t from its root to the leaf that design row r lands in, as
-// tree.walk descends for the data set's row r.
-func (cc codeCols[C]) walk(t *tree, d *Design, r int) *node {
-	cur := &t.nodes[0]
-	for cur.feature >= 0 {
-		col := &d.cols[cur.feature]
-		var goLeft bool
-		if cur.category >= 0 {
-			code := cc[col.off+r]
-			goLeft = int(code) == cur.category
-			if code == ^C(0) {
-				goLeft = cur.missingLeft
-			}
-		} else {
-			v := d.reals[col.off+r]
-			goLeft = v < cur.threshold
-			if dataset.IsMissing(v) {
-				goLeft = cur.missingLeft
-			}
-		}
-		if goLeft {
-			cur = &t.nodes[cur.left]
-		} else {
-			cur = &t.nodes[cur.right]
-		}
-	}
-	return cur
-}
-
-// PredictDesignRow returns the label of the leaf design row r lands in: the
-// label PredictLabelBatch gives the data set's row r.
-func (c *Classifier) PredictDesignRow(d *Design, r int) int {
-	return d.codes.walk(&c.tree, d, r).label
-}
-
-// PredictDesignRow returns the mean target of the leaf design row r lands
-// in: the value PredictBatch gives the data set's row r.
-func (p *Regressor) PredictDesignRow(d *Design, r int) float64 {
-	return d.codes.walk(&p.tree, d, r).value
 }
 
 // FitClassifier fits a classification tree on a shared design: cols lists

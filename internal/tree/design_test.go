@@ -180,10 +180,9 @@ func (p *designProblem) countSplits(nodes []node, small, large *int) (threshold 
 // over a subset of a wider design's rows and columns grows the same tree,
 // node for node and floats by their bits, as TrainClassifier and the
 // frozen reference (ref_test.go) grow on the gathered matrix, once their
-// nodes are renamed from gathered to design columns; and walking it over
-// the design classifies every design row, fitted or not, as its walk over
-// the raw row and the gathered tree's walk over the gathered row classify
-// it.
+// nodes are renamed from gathered to design columns; and PredictRow
+// classifies every row, fitted or not, as PredictLabelBatch does and as the
+// gathered tree classifies the gathered row.
 // Target arities run 2–5 and above 255; categorical splits fall on nodes
 // on both sides of bitsetRows; and both the all-categorical and the mixed
 // problems include inputs of arity above 255 (16-bit codes).
@@ -231,13 +230,13 @@ func TestFitClassifierMatchesTrainClassifier(t *testing.T) {
 			raw := make([]int, n)
 			got.PredictLabelBatch(p.x, raw)
 			for r := 0; r < n; r++ {
-				g := got.PredictDesignRow(design, r)
+				g := got.PredictRow(p.x.Row(r))
 				if w := predictLabel(want, p.gathered(r, row)); g != w {
-					t.Fatalf("seed %d, %s inputs: design row %d walks to label %d, the gathered row to %d",
+					t.Fatalf("seed %d, %s inputs: row %d walks to label %d, the gathered row to %d",
 						seed, inputKinds[kind], r, g, w)
 				}
 				if raw[r] != g {
-					t.Fatalf("seed %d, %s inputs: design row %d walks to label %d, the raw row to %d",
+					t.Fatalf("seed %d, %s inputs: row %d walks to label %d, its batch prediction is %d",
 						seed, inputKinds[kind], r, g, raw[r])
 				}
 			}
@@ -264,8 +263,8 @@ func TestFitClassifierMatchesTrainClassifier(t *testing.T) {
 // all-real and mixed inputs (newDesignProblem), a fit on a shared design
 // grows TrainRegressor's and the frozen reference's tree on the gathered
 // rows, renamed to design columns, node for node and floats by their bits,
-// and PredictDesignRow gives every design row the value PredictBatch gives
-// its raw row and the gathered tree gives its gathered row, to the bit. A
+// and PredictRow gives every row the value PredictBatch gives it and the
+// gathered tree gives its gathered row, to the bit. A
 // fifth of the targets are 1e16-scaled grid values, so every target sum
 // depends on its order and a change of summation order moves the node
 // values.
@@ -305,13 +304,13 @@ func TestFitRegressorMatchesTrainRegressor(t *testing.T) {
 			raw := make([]float64, n)
 			got.PredictBatch(p.x, raw)
 			for r := 0; r < n; r++ {
-				g, w := got.PredictDesignRow(design, r), predict(want, p.gathered(r, row))
+				g, w := got.PredictRow(p.x.Row(r)), predict(want, p.gathered(r, row))
 				if math.Float64bits(g) != math.Float64bits(w) {
-					t.Fatalf("seed %d, %s inputs: design row %d walks to %v, the gathered row to %v",
+					t.Fatalf("seed %d, %s inputs: row %d walks to %v, the gathered row to %v",
 						seed, inputKinds[kind], r, g, w)
 				}
 				if math.Float64bits(raw[r]) != math.Float64bits(g) {
-					t.Fatalf("seed %d, %s inputs: design row %d walks to %v, the raw row to %v",
+					t.Fatalf("seed %d, %s inputs: row %d walks to %v, its batch prediction is %v",
 						seed, inputKinds[kind], r, g, raw[r])
 				}
 			}

@@ -116,6 +116,9 @@ type Classifier struct {
 	Arity int
 }
 
+// PredictRow returns the majority class of the leaf row lands in.
+func (c *Classifier) PredictRow(row []float64) int { return c.walk(row).label }
+
 // PredictLabelBatch writes to out[i] the majority class of the leaf row i
 // of x lands in, for every row of x. The iterative walk needs no traversal
 // stack, so the batch performs zero allocations.
@@ -129,6 +132,9 @@ func (c *Classifier) PredictLabelBatch(x *linalg.Matrix, out []int) {
 type Regressor struct {
 	tree
 }
+
+// PredictRow returns the mean target of the leaf row lands in.
+func (r *Regressor) PredictRow(row []float64) float64 { return r.walk(row).value }
 
 // PredictBatch writes to out[i] the mean target of the leaf row i of x
 // lands in, for every row of x, with zero allocations.
