@@ -371,6 +371,9 @@ func (opt options) describeDataset(name string, features, samples, trainRows, te
 }
 
 func run(ctx context.Context, dataPath, trainPath, testPath string, replicates int, opt options) error {
+	if err := checkVariant(opt); err != nil {
+		return err
+	}
 	learners, err := learnersFor(opt.learners)
 	if err != nil {
 		return err
@@ -468,6 +471,32 @@ func loadReplicates(dataPath, trainPath, testPath string, n int, seed uint64, re
 	default:
 		return nil, fmt.Errorf("pass either -data, or both -train and -test")
 	}
+}
+
+// checkVariant rejects a -variant that runVariant does not know, and a flag
+// of the variant out of its range: -p must be in (0, 1] for the filter and
+// diverse variants and their ensembles, -members at least 1 for the
+// ensembles, and -dim at least 1 for jl.
+func checkVariant(opt options) error {
+	switch opt.variant {
+	case "full":
+	case "jl":
+		if opt.dim < 1 {
+			return fmt.Errorf("-dim %d: want at least 1", opt.dim)
+		}
+	case "random-ensemble", "diverse-ensemble":
+		if opt.members < 1 {
+			return fmt.Errorf("-members %d: want at least 1", opt.members)
+		}
+		fallthrough
+	case "random-filter", "entropy-filter", "partial-filter", "diverse":
+		if !(opt.p > 0 && opt.p <= 1) {
+			return fmt.Errorf("-p %v: want a fraction in (0, 1]", opt.p)
+		}
+	default:
+		return fmt.Errorf("unknown -variant %q: want full, random-filter, random-ensemble, entropy-filter, partial-filter, diverse, diverse-ensemble or jl", opt.variant)
+	}
+	return nil
 }
 
 // runVariant runs the selected variant and returns its scores, plus the

@@ -118,7 +118,10 @@ func TestWriteFileAtomicKeepsOldArtifactOnError(t *testing.T) {
 // TestRejectsBadFlagValues: a -learners value other than paper or tree, in
 // replicate mode and with -save-model, and -replicates below 1 with -data
 // are errors naming the allowed values, returned before anything trains or
-// is saved; paper and tree run.
+// is saved; paper and tree run. So are an unknown -variant, a -p outside
+// (0, 1] for a filter or diverse variant, -members below 1 for an ensemble
+// and -dim below 1 for jl, returned before the data set is read (its path
+// does not exist); the range's bounds run.
 func TestRejectsBadFlagValues(t *testing.T) {
 	dir := t.TempDir()
 	const n, f = 30, 4
@@ -164,6 +167,41 @@ func TestRejectsBadFlagValues(t *testing.T) {
 	for _, learners := range []string{"paper", "tree"} {
 		if err := run(ctx, poolPath, "", "", 1, options{variant: "full", seed: 1, learners: learners}); err != nil {
 			t.Errorf("-learners %s: %v", learners, err)
+		}
+	}
+	missing := filepath.Join(dir, "missing.tsv")
+	for _, c := range []struct {
+		name string
+		opt  options
+		want []string
+	}{
+		{"variant unknown", options{variant: "filter", p: 0.5}, []string{`"filter"`, "random-filter", "jl"}},
+		{"p 0", options{variant: "random-filter", p: 0}, []string{"-p 0", "(0, 1]"}},
+		{"p 1.5", options{variant: "diverse", p: 1.5}, []string{"-p 1.5", "(0, 1]"}},
+		{"p -0.5 ensemble", options{variant: "diverse-ensemble", p: -0.5, members: 10}, []string{"-p -0.5", "(0, 1]"}},
+		{"members 0", options{variant: "random-ensemble", p: 0.5, members: 0}, []string{"-members 0", "at least 1"}},
+		{"dim 0", options{variant: "jl", dim: 0}, []string{"-dim 0", "at least 1"}},
+	} {
+		c.opt.seed, c.opt.learners = 1, "paper"
+		err := run(ctx, missing, "", "", 1, c.opt)
+		if err == nil {
+			t.Errorf("%s: run succeeded, want an error", c.name)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: err = %v, want it to name %s", c.name, err, w)
+			}
+		}
+	}
+	for _, opt := range []options{
+		{variant: "partial-filter", p: 1},
+		{variant: "random-ensemble", p: 0.5, members: 1},
+		{variant: "jl", dim: 1},
+	} {
+		opt.seed, opt.learners = 1, "paper"
+		if err := run(ctx, poolPath, "", "", 1, opt); err != nil {
+			t.Errorf("-variant %s -p %v -members %d -dim %d: %v", opt.variant, opt.p, opt.members, opt.dim, err)
 		}
 	}
 }

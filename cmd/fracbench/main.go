@@ -287,6 +287,9 @@ func main() {
 }
 
 func run(cmd string, b *bench) error {
+	if b.opts.Scale < 1 {
+		return fmt.Errorf("-scale %d: want at least 1", b.opts.Scale)
+	}
 	needTable2 := func() (full []eval.Table2Row, err error) {
 		err = b.measured("table2", func(o eval.Options) error {
 			full, err = eval.Table2(o)

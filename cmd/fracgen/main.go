@@ -91,7 +91,18 @@ func main() {
 	}
 }
 
+// run writes every profile, or only the one named only, at 1:scale to the
+// directory out. A scale below 1 or an unknown profile is an error, before
+// anything is written.
 func run(ctx context.Context, out string, scale int, only string, seed uint64, rec *obs.Recorder) error {
+	if scale < 1 {
+		return fmt.Errorf("-scale %d: want at least 1", scale)
+	}
+	if only != "" {
+		if _, err := synth.ProfileByName(only); err != nil {
+			return err
+		}
+	}
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
@@ -104,11 +115,6 @@ func run(ctx context.Context, out string, scale int, only string, seed uint64, r
 		}
 		if err := writeProfile(out, p, scale, seed, rec); err != nil {
 			return fmt.Errorf("%s: %w", p.Name, err)
-		}
-	}
-	if only != "" {
-		if _, err := synth.ProfileByName(only); err != nil {
-			return err
 		}
 	}
 	return nil

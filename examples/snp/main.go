@@ -86,7 +86,7 @@ func confoundStory() {
 	fmt.Println("  JL dimension sweep (paper Fig. 3 — AUC rises with d):")
 	for _, dim := range []int{16, 32, 64} {
 		res, err := frac.RunJL(rep.Train, rep.Test,
-			frac.JLSpec{Dim: dim, Learners: frac.TreeLearnersDefault()},
+			frac.JLSpec{Dim: dim},
 			src.StreamN("jl", dim), cfg)
 		if err != nil {
 			log.Fatal(err)

@@ -121,12 +121,15 @@ func TestPredictBatchZeroAllocs(t *testing.T) {
 }
 
 // TestTrainTermSteadyStateAllocs guards the training hot path: with a warm
-// per-worker scratch, training one real term allocates only what the trained
-// model retains (weights, statistics, error model) plus the fold partition —
-// never per-fold matrix copies or residual buffers. Full, diverse-shaped and
-// missing-target terms each stay within the ceiling on the in-core route and
-// allocate no more than the reference route; the ceilings are generous so
-// only a structural regression (a new per-fold allocation) trips them.
+// per-worker scratch and the term's plan in hand, training one real term
+// allocates only what the trained model retains (weights, statistics,
+// error model) — never fold draws, per-fold matrix copies or residual
+// buffers. Full, diverse-shaped and missing-target terms each stay within
+// the ceiling on the in-core route and allocate no more than the reference
+// route, and a categorical term on the tree route stays within its own.
+// The ceilings sit a few allocations above today's counts (21 in core, 11
+// on the tree route), far below the 41 and 40 that per-term fold draws
+// cost.
 func TestTrainTermSteadyStateAllocs(t *testing.T) {
 	skipUnderRace(t)
 	train, _ := goldenTrainTest()
@@ -140,18 +143,17 @@ func TestTrainTermSteadyStateAllocs(t *testing.T) {
 		{"missing-target", full[2]}, // r2 is missing in every 7th row
 	}
 	src := rng.New(1)
-	measure := func(label string, term Term, cfg Config) float64 {
+	measure := func(label string, train *dataset.Dataset, term Term, cfg Config, sc *trainScratch) float64 {
 		t.Helper()
-		plan, err := planTerms(train, []Term{term}, cfg.Learners)
+		plan, err := planTerms(train, []Term{term}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, sc := plan[0].route, new(trainScratch)
-		if _, err := trainTerm(train, term, r, cfg, src, sc); err != nil {
+		if _, err := trainTerm(train, term, plan[0], cfg, src, sc); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := trainTerm(train, term, r, cfg, src, sc); err != nil {
+			if _, err := trainTerm(train, term, plan[0], cfg, src, sc); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -161,17 +163,22 @@ func TestTrainTermSteadyStateAllocs(t *testing.T) {
 	inCoreCfg := Config{Seed: 42}.withDefaults()
 	refCfg := Config{Seed: 42, Learners: referenceLearners()}.withDefaults()
 	for _, tc := range cases {
-		inCore := measure(tc.name+"/in-core", tc.term, inCoreCfg)
-		ref := measure(tc.name+"/reference", tc.term, refCfg)
+		inCore := measure(tc.name+"/in-core", train, tc.term, inCoreCfg, new(trainScratch))
+		ref := measure(tc.name+"/reference", train, tc.term, refCfg, new(trainScratch))
 		if inCore > ref {
 			t.Errorf("%s: in-core route allocates %.1f/term, reference %.1f — in-core must not allocate more", tc.name, inCore, ref)
 		}
-		if inCore > 48 {
-			t.Errorf("%s: in-core route allocates %.1f/term, want <= 48 (model retention, entropy estimate, fold partition)", tc.name, inCore)
+		if inCore > 24 {
+			t.Errorf("%s: in-core route allocates %.1f/term, want <= 24 (model retention, entropy estimate)", tc.name, inCore)
 		}
 		if ref > 96 {
 			t.Errorf("%s: reference route allocates %.1f/term, want <= 96", tc.name, ref)
 		}
+	}
+	cat, _ := randomCatTrainTest(120, 1, 12, 0, 0, rng.New(0x7a))
+	sc := &trainScratch{design: tree.NewDesign(cat.X, cat.Schema)}
+	if got := measure("tree", cat, FullTerms(cat.NumFeatures())[0], inCoreCfg, sc); got > 16 {
+		t.Errorf("tree route allocates %.1f/term, want <= 16 (the trees' nodes, confusion matrix, entropy estimate)", got)
 	}
 }
 
@@ -185,11 +192,11 @@ func TestTrainMarginalTermSteadyStateAllocs(t *testing.T) {
 	term := Term{Target: 0, Orig: 0, Inputs: nil} // no inputs → marginal
 	src := rng.New(1)
 	sc := new(trainScratch)
-	if _, err := trainTerm(train, term, routeMarginal, cfg, src, sc); err != nil {
+	if _, err := trainTerm(train, term, termPlan{route: routeMarginal}, cfg, src, sc); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := trainTerm(train, term, routeMarginal, cfg, src, sc); err != nil {
+		if _, err := trainTerm(train, term, termPlan{route: routeMarginal}, cfg, src, sc); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -164,7 +164,7 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 	if err := train.Validate(); err != nil {
 		return nil, fmt.Errorf("core: training set: %w", err)
 	}
-	plan, err := planTerms(train, terms, cfg.Learners)
+	plan, err := planTerms(train, terms, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -176,8 +176,8 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 		gram   *gramShared
 		design *tree.Design
 	)
-	if takes(plan, routeGram) {
-		if gram, err = buildShared(ctx, cfg, "train", func() (*gramShared, error) { return buildGram(ctx, train, cfg) }); err != nil {
+	if g := firstOn(plan, routeGram); g >= 0 {
+		if gram, err = buildShared(ctx, cfg, "train", func() (*gramShared, error) { return buildGram(ctx, train, plan[g].fits) }); err != nil {
 			return nil, err
 		}
 		m.basis = gram.basis
@@ -185,7 +185,7 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 		defer cfg.Tracker.Release(gram.bytes())
 		cfg.Tracker.Alloc(m.basis.bytes())
 	}
-	if takes(plan, routeTree) && cfg.Learners.gather == nil {
+	if firstOn(plan, routeTree) >= 0 && cfg.Learners.gather == nil {
 		if design, err = buildShared(ctx, cfg, "train", func() (*tree.Design, error) { return tree.NewDesign(train.X, train.Schema), nil }); err != nil {
 			m.release()
 			return nil, err
@@ -206,7 +206,7 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 			var tm termModel
 			var err error
 			span := cfg.Obs.StartSampledWorker(obs.PhaseTermTrain, sc.worker)
-			cfg.Tracker.TimeTask(func() { tm, err = trainTerm(train, terms[ti], plan[ti].route, cfg, streams[ti], sc) })
+			cfg.Tracker.TimeTask(func() { tm, err = trainTerm(train, terms[ti], plan[ti], cfg, streams[ti], sc) })
 			span.End()
 			if err != nil {
 				return fmt.Errorf("term %d: %w", ti, err)
@@ -275,10 +275,10 @@ func (m *Model) Bytes() int64 {
 func (m *Model) NumTerms() int { return len(m.terms) }
 
 // trainScratch is the reusable per-worker state of Train: one worker
-// processes many terms and reuses these buffers for every term's targets,
-// fold complements and fits, so training one term allocates only what the
-// trained model retains. Nothing stored here may outlive a term (see
-// DESIGN.md "Performance notes").
+// processes many terms and reuses these buffers for every term's targets
+// and fits, so training one term allocates only what the trained model
+// retains. Nothing stored here may outlive a term (see DESIGN.md
+// "Performance notes").
 type trainScratch struct {
 	// worker is the owning worker's index, carried only for span attribution
 	// (exported trace tracks show which worker trained each sampled term).
@@ -287,9 +287,6 @@ type trainScratch struct {
 	rows []int // observed row indices for the current target
 	yF   []float64
 	yI   []int
-
-	idx  []int  // complement (training-row) indices of the current fold
-	mark []bool // fold membership marks
 
 	// residuals accumulates the cross-validated residuals of one real term;
 	// fitRealError's models copy what they retain (the KDE clones its
@@ -308,7 +305,7 @@ type trainScratch struct {
 	// design is the Train's shared tree design, read-only and the same for
 	// every worker; nil when no term takes the tree route, and outside
 	// TrainCtx. tree is the tree route's fit scratch, labels and
-	// targets the current target by design row, and fitRows a fold fit's
+	// targets the current target by design row, and fitRows a fit's
 	// design rows.
 	design  *tree.Design
 	tree    tree.Scratch
@@ -317,39 +314,50 @@ type trainScratch struct {
 	fitRows []int
 }
 
-// complement returns the indices of [0, n) not in exclude, reusing the
-// scratch mark and index buffers.
-func (sc *trainScratch) complement(n int, exclude []int) []int {
-	if cap(sc.mark) < n {
-		sc.mark = make([]bool, n)
-	}
-	mark := sc.mark[:n]
-	for i := range mark {
-		mark[i] = false
-	}
-	for _, e := range exclude {
-		mark[e] = true
-	}
-	if cap(sc.idx) < n {
-		sc.idx = make([]int, 0, n)
-	}
-	idx := sc.idx[:0]
-	for i := 0; i < n; i++ {
-		if !mark[i] {
-			idx = append(idx, i)
-		}
-	}
-	sc.idx = idx
-	return idx
+// cvFit is one fit of a fit schedule, over positions into a target's
+// observed rows: order lists the nFit training positions in ascending
+// order, then the held-out positions. fold is the CV fold held out, or −1
+// for the final fit, which trains on every position and holds none out;
+// the fit's seed is the term's src.Seed()^(fold+1).
+type cvFit struct {
+	fold  int
+	order []int
+	nFit  int
 }
 
-// cvFolds is a Train's one CV fold policy (DESIGN.md §10): the partition of
-// a target's m observed rows depends only on the Train seed and m, never on
-// the term, so every SVR and tree term with m observed rows cross-validates
-// over the same folds, and the Gram route can build each fold's Gram once
-// for all of them.
-func cvFolds(cfg Config, m int) [][]int {
-	return dataset.KFold(m, cfg.CVFolds, rng.New(cfg.Seed).StreamAt("folds", uint64(m)))
+// fitSchedule is a Train's one draw of CV folds (DESIGN.md §10): the fits
+// of every learned term with m observed rows, one per fold of
+// KFold(m, CVFolds) on the Train seed's "folds" stream keyed by m, then
+// the final fit. It depends only on the seed and m, so every SVR and tree
+// term with m observed rows trains on the same fits, and the Gram route
+// builds each fit's Gram once for all of them. A learned term has at
+// least minObserved rows and KFold draws 2 to m folds, so no fit's
+// training or held-out side is empty.
+func fitSchedule(cfg Config, m int) []cvFit {
+	folds := dataset.KFold(m, cfg.CVFolds, rng.New(cfg.Seed).StreamAt("folds", uint64(m)))
+	foldOf := make([]int, m)
+	for fi, fold := range folds {
+		for _, p := range fold {
+			foldOf[p] = fi
+		}
+	}
+	pos := make([]int, (len(folds)+1)*m)
+	fits := make([]cvFit, len(folds)+1)
+	for fi, fold := range folds {
+		order := pos[fi*m : fi*m : (fi+1)*m]
+		for p := range foldOf {
+			if foldOf[p] != fi {
+				order = append(order, p)
+			}
+		}
+		fits[fi] = cvFit{fold: fi, order: append(order, fold...), nFit: m - len(fold)}
+	}
+	final := pos[len(folds)*m:]
+	for p := range final {
+		final[p] = p
+	}
+	fits[len(folds)] = cvFit{fold: -1, order: final, nFit: m}
+	return fits
 }
 
 // route is how a term trains (DESIGN.md §10): as its target's marginal
@@ -365,30 +373,32 @@ const (
 	routeGram
 )
 
-// termPlan is one term's route and its target's count of observed
-// training rows.
+// termPlan is one term's route, its target's count m of observed training
+// rows and, unless the term is marginal, m's fit schedule.
 type termPlan struct {
 	route route
 	m     int
+	fits  []cvFit
 }
 
-// takes reports whether some term of plan trains on route r.
-func takes(plan []termPlan, r route) bool {
-	return slices.ContainsFunc(plan, func(p termPlan) bool { return p.route == r })
+// firstOn returns the index of plan's first term on route r, or −1.
+func firstOn(plan []termPlan, r route) int {
+	return slices.IndexFunc(plan, func(p termPlan) bool { return p.route == r })
 }
 
-// planTerms checks every term against train and learners l and picks its
-// route, in one pass before any worker starts. A term whose target has
-// fewer than minObserved observed rows, or that has no inputs, is
-// marginal. Otherwise l.Tree trains a categorical target, and a real one
-// too when l.SVR is nil, and l.SVR trains the rest: on the Gram route when
-// the training set has fewer rows than the term has inputs (n < f−1), the
-// target is observed on every row and the inputs are all the other
-// features, and on the primal route otherwise. The rule reads only the
-// input's shape; there is no knob. A term with inputs but no learner for
-// its target's kind is an error, whatever its observed rows.
-func planTerms(train *dataset.Dataset, terms []Term, l Learners) ([]termPlan, error) {
-	n, f := train.NumSamples(), train.NumFeatures()
+// planTerms checks every term against train and learners l (cfg.Learners)
+// and picks its route, in one pass before any worker starts, and gives each
+// learned term the fit schedule of its observed-row count, drawn once per
+// count. A term whose target has fewer than minObserved observed rows, or
+// that has no inputs, is marginal. Otherwise l.Tree trains a categorical
+// target, and a real one too when l.SVR is nil, and l.SVR trains the rest:
+// on the Gram route when the training set has fewer rows than the term has
+// inputs (n < f−1), the target is observed on every row and the inputs are
+// all the other features, and on the primal route otherwise. The rule
+// reads only the input's shape; there is no knob. A term with inputs but
+// no learner for its target's kind is an error, whatever its observed rows.
+func planTerms(train *dataset.Dataset, terms []Term, cfg Config) ([]termPlan, error) {
+	l, n, f := cfg.Learners, train.NumSamples(), train.NumFeatures()
 	observed := make([]int, f)
 	for i := 0; i < n; i++ {
 		for c, v := range train.X.Row(i) {
@@ -398,6 +408,7 @@ func planTerms(train *dataset.Dataset, terms []Term, l Learners) ([]termPlan, er
 		}
 	}
 	plan := make([]termPlan, len(terms))
+	schedules := map[int][]cvFit{}
 	for i, t := range terms {
 		if err := t.Validate(f); err != nil {
 			return nil, fmt.Errorf("term %d: %w", i, err)
@@ -419,18 +430,24 @@ func planTerms(train *dataset.Dataset, terms []Term, l Learners) ([]termPlan, er
 		default:
 			p.route = routePrimal
 		}
+		if p.route != routeMarginal {
+			if p.fits = schedules[p.m]; p.fits == nil {
+				p.fits = fitSchedule(cfg, p.m)
+				schedules[p.m] = p.fits
+			}
+		}
 		plan[i] = p
 	}
 	return plan, nil
 }
 
-// trainTerm fits one NS summand on route r, planTerms's choice for it, using
-// the worker's scratch buffers. The tree and Gram routes read the Train's
-// shared state (sc.design, sc.gram), which TrainCtx provides; without it
-// the term is an error. A real target's error model is fit here, once, from
-// the held-out residuals its route leaves in sc.residuals; the test-only
-// gather hook returns its term whole.
-func trainTerm(train *dataset.Dataset, term Term, r route, cfg Config, src *rng.Source, sc *trainScratch) (termModel, error) {
+// trainTerm fits one NS summand on p, planTerms's route and fit schedule for
+// it, using the worker's scratch buffers. The tree and Gram routes read the
+// Train's shared state (sc.design, sc.gram), which TrainCtx provides;
+// without it the term is an error. A real target's error model is fit here,
+// once, from the held-out residuals its route leaves in sc.residuals; the
+// test-only gather hook returns its term whole.
+func trainTerm(train *dataset.Dataset, term Term, p termPlan, cfg Config, src *rng.Source, sc *trainScratch) (termModel, error) {
 	feat := train.Schema[term.Target]
 	tm := termModel{term: term, isCat: feat.Kind == dataset.Categorical, arity: feat.Arity}
 
@@ -455,21 +472,21 @@ func trainTerm(train *dataset.Dataset, term Term, r route, cfg Config, src *rng.
 		}
 		tm.entropy = continuousEntropy(sc.yF, cfg.Entropy)
 	}
-	switch r {
+	switch p.route {
 	case routeMarginal:
 		trainMarginalTerm(&tm, sc)
 	case routeTree:
 		if cfg.Learners.gather != nil {
-			return cfg.Learners.gather(tm, train, term, rows, cfg, src, sc), nil
+			return cfg.Learners.gather(tm, train, term, rows, p.fits, cfg, src, sc), nil
 		}
 		if sc.design == nil {
 			return tm, fmt.Errorf("core: feature %d (%q) trains as a tree, but the Train has no shared design", term.Target, feat.Name)
 		}
 		cfg.Obs.Add(obs.CounterTermsTree, 1)
-		trainTreeTerm(&tm, train, term, rows, cfg, sc)
+		trainTreeTerm(&tm, train, term, rows, p.fits, cfg, sc)
 	case routePrimal:
 		cfg.Obs.Add(obs.CounterTermsMasked, 1)
-		trainSVRTerm(&tm, train, term, rows, sc.yF, cfg, src, sc)
+		trainSVRTerm(&tm, train, term, rows, sc.yF, p.fits, cfg, src, sc)
 	case routeGram:
 		if sc.gram == nil {
 			return tm, fmt.Errorf("core: feature %d (%q) takes the Gram route, but the Train has no shared Gram", term.Target, feat.Name)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -380,9 +381,11 @@ func TestScoreOutOfSchemaCategory(t *testing.T) {
 // and primal terms on targets with holes; TreeLearners routes mixed data
 // to trees; the diverse wiring draws some terms no inputs; and a term with
 // no inputs or with a target observed on fewer than minObserved rows is
-// marginal. A Train follows the plan: its route counters equal the plan's
-// route counts. A term with inputs but no learner is an error, with the
-// messages planTerms has always returned.
+// marginal. It pins the fit schedules too (checkSchedules), and how many
+// distinct observed-row counts, and so schedules, each plan holds. A Train
+// follows the plan: its route counters equal the plan's route counts. A
+// term with inputs but no learner is an error, with the messages
+// planTerms has always returned.
 func TestPlanTerms(t *testing.T) {
 	golden, _ := goldenTrainTest()
 	wide, _ := wideTrainTest()
@@ -398,22 +401,27 @@ func TestPlanTerms(t *testing.T) {
 	noInputs := FullTerms(golden.NumFeatures())
 	noInputs[2].Inputs = nil
 	for _, c := range []struct {
-		name     string
-		train    *dataset.Dataset
-		terms    []Term
-		learners Learners
-		want     string
+		name      string
+		train     *dataset.Dataset
+		terms     []Term
+		learners  Learners
+		want      string
+		schedules int
 	}{
-		{"golden", golden, FullTerms(golden.NumFeatures()), PaperLearners(), "ppptt"},
-		{"wide", wide, FullTerms(wide.NumFeatures()), PaperLearners(), "ggpgppppppgpgpgggpggggpgggggpg"},
-		{"tree/mixed", mixed, FullTerms(mixed.NumFeatures()), TreeLearners(tree.Params{}), "ttttttttt"},
-		{"diverse", golden, DiverseTerms(golden.NumFeatures(), 0.5, 2, rng.New(7)), PaperLearners(), "ppppppmttt"},
-		{"no-inputs", golden, noInputs, PaperLearners(), "ppmtt"},
-		{"too-few-observed", sparse, FullTerms(sparse.NumFeatures()), PaperLearners(), "pmptt"},
+		{"golden", golden, FullTerms(golden.NumFeatures()), PaperLearners(), "ppptt", 3},
+		{"wide", wide, FullTerms(wide.NumFeatures()), PaperLearners(), "ggpgppppppgpgpgggpggggpgggggpg", 6},
+		{"tree/mixed", mixed, FullTerms(mixed.NumFeatures()), TreeLearners(tree.Params{}), "ttttttttt", 4},
+		{"diverse", golden, DiverseTerms(golden.NumFeatures(), 0.5, 2, rng.New(7)), PaperLearners(), "ppppppmttt", 3},
+		{"no-inputs", golden, noInputs, PaperLearners(), "ppmtt", 2},
+		{"too-few-observed", sparse, FullTerms(sparse.NumFeatures()), PaperLearners(), "pmptt", 3},
 	} {
-		plan, err := planTerms(c.train, c.terms, c.learners)
+		cfg := Config{Seed: 5, Learners: c.learners}.withDefaults()
+		plan, err := planTerms(c.train, c.terms, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := checkSchedules(t, c.name, plan, cfg); got != c.schedules {
+			t.Errorf("%s: %d fit schedules, want %d", c.name, got, c.schedules)
 		}
 		var got strings.Builder
 		counts := map[route]int64{}
@@ -445,4 +453,60 @@ func TestPlanTerms(t *testing.T) {
 			t.Errorf("err = %v, want %q", err, c.want)
 		}
 	}
+}
+
+// checkSchedules pins plan's fit schedules and returns how many distinct
+// ones it holds. A marginal term has none. A learned term has the schedule
+// of its own observed-row count m, the very one (the same backing array)
+// every other term with m observed rows has. It holds CVFolds CV fits then
+// the final fit: CV fit i lists its training positions in ascending order
+// and then fold i of KFold(m, CVFolds) on the seed's "folds" stream keyed
+// by m, so across the CV fits every position in [0, m) is held out once;
+// the final fit has fold −1, order 0…m−1 and nFit m.
+func checkSchedules(t *testing.T, name string, plan []termPlan, cfg Config) int {
+	t.Helper()
+	first := map[int]*cvFit{}
+	for ti, p := range plan {
+		if p.route == routeMarginal {
+			if p.fits != nil {
+				t.Errorf("%s term %d: a marginal term has a fit schedule", name, ti)
+			}
+			continue
+		}
+		if len(p.fits) != cfg.CVFolds+1 {
+			t.Errorf("%s term %d: %d fits, want %d CV fits and the final fit", name, ti, len(p.fits), cfg.CVFolds)
+			continue
+		}
+		if f, ok := first[p.m]; !ok {
+			first[p.m] = &p.fits[0]
+		} else if f != &p.fits[0] {
+			t.Errorf("%s term %d: its m = %d schedule is not the one the first term with m has", name, ti, p.m)
+		}
+		folds := dataset.KFold(p.m, cfg.CVFolds, rng.New(cfg.Seed).StreamAt("folds", uint64(p.m)))
+		heldOut := make([]int, p.m)
+		for fi, fit := range p.fits[:cfg.CVFolds] {
+			train, held := fit.order[:fit.nFit], fit.order[fit.nFit:]
+			seen := make([]bool, p.m)
+			for _, i := range fit.order {
+				seen[i] = true
+			}
+			if fit.fold != fi || len(fit.order) != p.m || slices.Contains(seen, false) ||
+				!slices.IsSorted(train) || !slices.Equal(held, folds[fi]) {
+				t.Errorf("%s term %d fit %d: fold %d, order %v (nFit %d), want its other positions ascending, then fold %v",
+					name, ti, fi, fit.fold, fit.order, fit.nFit, folds[fi])
+			}
+			for _, h := range held {
+				heldOut[h]++
+			}
+		}
+		if slices.ContainsFunc(heldOut, func(n int) bool { return n != 1 }) {
+			t.Errorf("%s term %d: positions held out %v times, want once each", name, ti, heldOut)
+		}
+		final := p.fits[cfg.CVFolds]
+		if final.fold != -1 || final.nFit != p.m || len(final.order) != p.m ||
+			slices.ContainsFunc(final.order, func(i int) bool { return final.order[i] != i }) {
+			t.Errorf("%s term %d: final fit fold %d, nFit %d, order %v; want -1, %d and 0…%d", name, ti, final.fold, final.nFit, final.order, p.m, p.m-1)
+		}
+	}
+	return len(first)
 }

@@ -22,8 +22,9 @@ import (
 // do not change it.
 
 // gatherTerm trains a learned term through the gather loop: rows are the
-// target's observed training rows, and sc.yI or sc.yF their targets.
-func gatherTerm(tm termModel, train *dataset.Dataset, term Term, rows []int, cfg Config, src *rng.Source, sc *trainScratch) termModel {
+// target's observed training rows, sc.yI or sc.yF their targets, and the
+// CV fits of fits (all but the last, the final fit) its folds.
+func gatherTerm(tm termModel, train *dataset.Dataset, term Term, rows []int, fits []cvFit, cfg Config, src *rng.Source, sc *trainScratch) termModel {
 	cfg.Obs.Add(obs.CounterTermsGathered, 1)
 	gs := gatherPool.Get().(*gatherScratch)
 	defer gatherPool.Put(gs)
@@ -33,18 +34,15 @@ func gatherTerm(tm termModel, train *dataset.Dataset, term Term, rows []int, cfg
 		cfg.Tracker.Alloc(x.Bytes())
 		defer cfg.Tracker.Release(x.Bytes())
 	}
-	folds := cvFolds(cfg, len(rows))
+	folds := fits[:len(fits)-1]
 	if tm.isCat {
 		y := sc.yI
 		conf := stats.NewConfusion(tm.arity)
-		for fi, fold := range folds {
-			trIdx := sc.complement(len(rows), fold)
-			if len(trIdx) == 0 || len(fold) == 0 {
-				continue
-			}
+		for _, f := range folds {
+			trIdx, fold := f.order[:f.nFit], f.order[f.nFit:]
 			xTr := gs.foldView(x, trIdx)
 			gs.foldYI = subInto(gs.foldYI, y, trIdx)
-			p := cfg.Learners.Cat(xTr, inputSchema, gs.foldYI, tm.arity, src.Seed()^uint64(fi+1))
+			p := cfg.Learners.Cat(xTr, inputSchema, gs.foldYI, tm.arity, src.Seed()^uint64(f.fold+1))
 			for _, h := range fold {
 				conf.Add(y[h], predictLabelRow(p, x.Row(h)))
 			}
@@ -55,14 +53,11 @@ func gatherTerm(tm termModel, train *dataset.Dataset, term Term, rows []int, cfg
 	}
 	y := sc.yF
 	residuals := sc.residuals[:0]
-	for fi, fold := range folds {
-		trIdx := sc.complement(len(rows), fold)
-		if len(trIdx) == 0 || len(fold) == 0 {
-			continue
-		}
+	for _, f := range folds {
+		trIdx, fold := f.order[:f.nFit], f.order[f.nFit:]
 		xTr := gs.foldView(x, trIdx)
 		gs.foldYF = subInto(gs.foldYF, y, trIdx)
-		p := cfg.Learners.Real(xTr, inputSchema, gs.foldYF, src.Seed()^uint64(fi+1))
+		p := cfg.Learners.Real(xTr, inputSchema, gs.foldYF, src.Seed()^uint64(f.fold+1))
 		for _, h := range fold {
 			residuals = append(residuals, y[h]-predictRow(p, x.Row(h)))
 		}

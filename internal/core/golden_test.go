@@ -71,9 +71,9 @@ func goldenTrainTest() (*dataset.Dataset, *dataset.Dataset) {
 // products by a few ulps, so only the paper-learners case (design width
 // ≥ 4) shifted; the tree case and the narrow ensemble fixture were
 // unaffected; and once when a Train began drawing one set of CV folds for
-// all its terms (cvFolds: the partition depends on the Train seed and the
-// number of observed target rows, no longer on the term's stream), which
-// moves every case's error models. The Gram route, which that fold policy
+// all its terms (now fitSchedule: the partition depends on the Train seed
+// and the number of observed target rows, no longer on the term's
+// stream), which moves every case's error models. The Gram route, which that fold policy
 // enables, cannot touch these fixtures: they have 24 training rows and 5
 // features, so n ≥ f−1 and every SVR term takes the primal route; the
 // re-pinned values are exactly those of a build with only the fold policy.

@@ -44,9 +44,9 @@ type CatLearnerFunc func(x *linalg.Matrix, inputs dataset.Schema, y []int, arity
 
 // Learners bundles the supervised models FRaC builds per feature kind: SVR
 // for real targets and Tree for categorical ones, and Tree for real targets
-// too when SVR is nil. With no field set it is unset: Config then uses
-// PaperLearners, and JLSpec keeps the config's learners. Train returns an
-// error when a term with inputs has no learner for its target's kind.
+// too when SVR is nil. With no field set it is unset, and Config then uses
+// PaperLearners. Train returns an error when a term with inputs has no
+// learner for its target's kind.
 type Learners struct {
 	// SVR, when non-nil, is the learner for real targets: a linear SVR with
 	// these hyperparameters, trained by core's in-core pipeline (DESIGN.md
@@ -77,11 +77,12 @@ type Learners struct {
 	Cat CatLearnerFunc
 
 	// gather, when non-nil, trains the terms planTerms routes to the tree
-	// through a gather-and-copy loop over Real and Cat instead, and returns
-	// tm trained. Only this package's test files set it, to the frozen
-	// reference the tree and SVR routes are pinned to (gatherref_test.go).
-	// tm passes by value so that it does not escape to the heap.
-	gather func(tm termModel, train *dataset.Dataset, term Term, rows []int, cfg Config, src *rng.Source, sc *trainScratch) termModel
+	// through a gather-and-copy loop over Real and Cat instead, on the CV
+	// fits of the term's fit schedule, and returns tm trained. Only this
+	// package's test files set it, to the frozen reference the tree and SVR
+	// routes are pinned to (gatherref_test.go). tm passes by value so that
+	// it does not escape to the heap.
+	gather func(tm termModel, train *dataset.Dataset, term Term, rows []int, fits []cvFit, cfg Config, src *rng.Source, sc *trainScratch) termModel
 }
 
 // isZero reports whether no learner is set.

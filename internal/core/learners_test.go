@@ -145,7 +145,7 @@ func TestPaperLearnersRouting(t *testing.T) {
 // TestSVROnlyLearnersKeepTheirParams: a Learners that sets only SVR is a
 // complete configuration for all-real data, not an unset one replaced by
 // PaperLearners. It must score exactly like MixedLearners with the same SVR
-// hyperparameters, through Config and through JLSpec alike.
+// hyperparameters.
 func TestSVROnlyLearnersKeepTheirParams(t *testing.T) {
 	src := rng.New(17)
 	train := randomRealDataset("svr-only-train", 30, 6, 0.3, 0.2, src)
@@ -157,9 +157,6 @@ func TestSVROnlyLearnersKeepTheirParams(t *testing.T) {
 	}{
 		{"config", func(l Learners) (*Result, error) {
 			return Run(train, test, FullTerms(6), Config{Seed: 3, Learners: l})
-		}},
-		{"jl-spec", func(l Learners) (*Result, error) {
-			return RunJL(train, test, JLSpec{Dim: 4, Learners: l}, rng.New(5), Config{Seed: 3})
 		}},
 	}
 	for _, r := range runs {

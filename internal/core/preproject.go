@@ -18,19 +18,15 @@ type JLSpec struct {
 	Dim int
 	// Family selects the projection entry distribution; default Gaussian.
 	Family jl.Family
-	// Learners optionally overrides the model used in the projected space;
-	// the zero value keeps the config's learners (linear SVR by default) —
-	// the paper observes that entropy-minimizing trees are NOT invariant
-	// under linear maps and perform worse there; TreeLearners exercises
-	// that ablation.
-	Learners Learners
 }
 
 // RunJL applies the full pre-projection pipeline of Fig. 2: 1-hot encode
 // categoricals, concatenate with reals, apply a k x d JL transform drawn
 // from src, and run ordinary FRaC (full wiring) in the projected all-real
-// space. The encoder and projection are fitted/drawn once and shared by the
-// train and test splits.
+// space with the config's learners (linear SVR by default; the paper
+// observes that entropy-minimizing trees are not invariant under linear
+// maps and perform worse there). The encoder and projection are
+// fitted/drawn once and shared by the train and test splits.
 func RunJL(train, test *dataset.Dataset, spec JLSpec, src *rng.Source, cfg Config) (*Result, error) {
 	return RunJLCtx(context.Background(), train, test, spec, src, cfg)
 }
@@ -41,10 +37,6 @@ func RunJLCtx(ctx context.Context, train, test *dataset.Dataset, spec JLSpec, sr
 		return nil, fmt.Errorf("core: JL dimension %d", spec.Dim)
 	}
 	cfg = cfg.withDefaults()
-	if !spec.Learners.isZero() {
-		cfg.Learners = spec.Learners
-	}
-
 	span := cfg.Obs.Start(obs.PhaseProject)
 	enc := encode.Fit(train)
 	transform := jl.New(spec.Dim, enc.Width(), spec.Family, src.Stream("jl-matrix"))

@@ -28,14 +28,15 @@ import (
 // The Gram route takes the terms whose target is observed on every training
 // row and whose inputs are all the other features, when the training set
 // has fewer rows than such a term has inputs (n < f−1, the paper's regime).
-// Those terms share their rows and, since a Train draws one set of CV folds
-// (cvFolds), every fit's standardized design but for one column. So TrainCtx
-// builds each fit's Gram once (gramShared), and a term trains on the rank-one
-// downdate K − z_t·z_tᵀ in O(n²) per epoch instead of O(n·f). The term keeps
-// its final fit in dual form (dualReal) over the final fit's standardized
-// rows, which the model keeps once (dualBasis), so scoring a row costs one
-// O(n·f) projection for all of them. Its scores match the reference's to
-// rounding (1e-9 relative, pinned by the same test).
+// Those terms share their rows and, since a Train draws one fit schedule per
+// observed-row count (fitSchedule), every fit's standardized design but for
+// one column. So TrainCtx builds each fit's Gram once (gramShared), and a
+// term trains on the rank-one downdate K − z_t·z_tᵀ in O(n²) per epoch
+// instead of O(n·f). The term keeps its final fit in dual form (dualReal)
+// over the final fit's standardized rows, which the model keeps once
+// (dualBasis), so scoring a row costs one O(n·f) projection for all of
+// them. Its scores match the reference's to rounding (1e-9 relative,
+// pinned by the same test).
 
 // svrScratch is the per-worker state of the in-core trainer. Nothing in it
 // outlives a term: the final fit copies out what the model retains.
@@ -184,41 +185,37 @@ func countFit(rec *obs.Recorder, iters, maxIter int) {
 	}
 }
 
-// trainSVRTerm fits one term on the primal route: cross-validated residuals
-// for the error model, left in sc.residuals, over the same folds the
-// reference route draws, then the final fit over every observed row. rows
-// are the observed training rows of the target and y their target values.
-func trainSVRTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, y []float64, cfg Config, src *rng.Source, sc *trainScratch) {
+// trainSVRTerm fits one term on the primal route, one fit per entry of its
+// fit schedule: the CV fits leave their held-out residuals in
+// sc.residuals, and the term keeps the final fit. rows are the observed
+// training rows of the target and y their target values.
+func trainSVRTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, y []float64, fits []cvFit, cfg Config, src *rng.Source, sc *trainScratch) {
 	ts := &sc.svr
-	m := len(rows)
 	// Every fit writes all m rows (training plus held-out), so one resize
 	// serves the whole term; svrReservation charges it.
-	ts.resize(m, len(term.Inputs), cfg.Obs)
+	ts.resize(len(rows), len(term.Inputs), cfg.Obs)
 	params := cfg.Learners.SVR.WithDefaults()
-	folds := cvFolds(cfg, m)
 	residuals := sc.residuals[:0]
-	for fi, fold := range folds {
-		trIdx := sc.complement(m, fold)
-		if len(trIdx) == 0 || len(fold) == 0 {
-			continue
-		}
-		order, yFit := ts.order[:0], slices.Grow(ts.yFit[:0], len(trIdx))
-		for _, i := range trIdx {
+	var (
+		model      *svm.SVR
+		yMean, ySD float64
+	)
+	for _, fit := range fits {
+		order, yFit := ts.order[:0], slices.Grow(ts.yFit[:0], fit.nFit)
+		for _, i := range fit.order {
 			order = append(order, rows[i])
+		}
+		for _, i := range fit.order[:fit.nFit] {
 			yFit = append(yFit, y[i])
 		}
-		for _, h := range fold {
-			order = append(order, rows[h])
-		}
 		ts.order, ts.yFit = order, yFit
-		model, yMean, ySD := ts.train(train.X, order, term.Inputs, yFit, params, src.Seed()^uint64(fi+1), cfg.Obs)
-		for k, h := range fold {
-			pred := model.Predict(ts.design.Row(len(trIdx)+k))*ySD + yMean
+		model, yMean, ySD = ts.train(train.X, order, term.Inputs, yFit, params, src.Seed()^uint64(fit.fold+1), cfg.Obs)
+		for k, h := range fit.order[fit.nFit:] {
+			pred := model.Predict(ts.design.Row(fit.nFit+k))*ySD + yMean
 			residuals = append(residuals, y[h]-pred)
 		}
 	}
 	sc.residuals = residuals
-	model, yMean, ySD := ts.train(train.X, rows, term.Inputs, y, params, src.Seed(), cfg.Obs)
 	tm.real = &imputedReal{
 		model:  &svm.SVR{W: linalg.Clone(model.W), B: model.B, Iters: model.Iters},
 		inputs: term.Inputs,
@@ -230,45 +227,39 @@ func trainSVRTerm(tm *termModel, train *dataset.Dataset, term Term, rows []int, 
 }
 
 // gramShared is what the Gram route's terms share within one Train: for
-// each CV fold and for the final fit, the statistics of every feature over
-// the fit's training rows and the Grams of the standardized rows. TrainCtx
-// builds it once, before any term trains, and only if planTerms routes some
-// term to it. Workers read it and never write it, and it lives for one
-// call: it is never cached, since a caller may change the training set in
-// place between Trains. Only the basis outlives the call, in the model.
+// each fit of the schedule, the statistics of every feature over the fit's
+// training rows and the Grams of the standardized rows. TrainCtx builds it
+// once, before any term trains, and only if planTerms routes some term to
+// it. Workers read it and never write it, and it lives for one call: it is
+// never cached, since a caller may change the training set in place
+// between Trains. Only the basis outlives the call, in the model.
 type gramShared struct {
-	n     int
-	folds []gramFit // the CV fits whose two sides are non-empty, in fold order
-	full  gramFit   // the final fit over every row; it holds nothing out
+	fits []gramFit // one per scheduled fit, the final fit last
 	// basis holds the final fit's standardized rows (n x f) and its
-	// statistics, which are full's.
+	// statistics.
 	basis *dualBasis
 }
 
-// gramFit is one fit's share of gramShared.
+// gramFit is one scheduled fit's share of gramShared. On the Gram route
+// every row is observed, so the fit's positions are training-set rows.
 type gramFit struct {
-	fold   int   // the fold's index in cvFolds, which seeds the fit
-	order  []int // training rows first, then held-out rows
-	nFit   int   // how many of order are training rows
+	cvFit
 	means  []float64
 	scales []float64
 	k      *linalg.Matrix // nFit x nFit Gram of the standardized training rows
 	c      *linalg.Matrix // held-out x training cross-Gram
 }
 
-// bytes reports the fit's analytic footprint.
-func (gf *gramFit) bytes() int64 {
-	return int64(len(gf.order))*8 + int64(len(gf.means)+len(gf.scales))*8 + gf.k.Bytes() + gf.c.Bytes()
-}
-
 // bytes reports the analytic footprint of the state the Train drops when it
-// returns: the basis is the model's, and Model.Bytes counts it.
+// returns: the basis, which holds the final fit's statistics, is the
+// model's, and Model.Bytes counts it.
 func (g *gramShared) bytes() int64 {
-	b := int64(len(g.full.order))*8 + g.full.k.Bytes() + g.full.c.Bytes()
-	for i := range g.folds {
-		b += g.folds[i].bytes()
+	var b int64
+	for i := range g.fits {
+		gf := &g.fits[i]
+		b += int64(len(gf.order)+len(gf.means)+len(gf.scales))*8 + gf.k.Bytes() + gf.c.Bytes()
 	}
-	return b
+	return b - int64(len(g.basis.means)+len(g.basis.scales))*8
 }
 
 // allButTarget reports whether term's inputs are every other of f features,
@@ -288,49 +279,43 @@ func allButTarget(term Term, f int) bool {
 	return true
 }
 
-// buildGram builds a Train's shared Gram state. Every fit is standardized
-// by svrScratch.standardize over all f columns into one n x f buffer, so
-// each feature's statistics and cells are bit-identical to those the primal
-// route computes for it; the buffer ends up holding the final fit's rows,
-// which become the basis. ctx is checked between fits.
-func buildGram(ctx context.Context, train *dataset.Dataset, cfg Config) (*gramShared, error) {
+// buildGram builds a Train's shared Gram state over the schedule fits.
+// Every fit is standardized by svrScratch.standardize over all f columns
+// into one n x f buffer, so each feature's statistics and cells are
+// bit-identical to those the primal route computes for it; the buffer ends
+// up holding the final fit's rows, which become the basis. ctx is checked
+// between fits.
+func buildGram(ctx context.Context, train *dataset.Dataset, fits []cvFit) (*gramShared, error) {
 	n, f := train.NumSamples(), train.NumFeatures()
-	g := &gramShared{n: n}
-	all := make([]int, max(n, f))
+	all := make([]int, f)
 	for i := range all {
 		all[i] = i
 	}
 	var ts svrScratch
 	ts.resize(n, f, nil)
-	var sc trainScratch
-	for fi, fold := range cvFolds(cfg, n) {
+	g := &gramShared{fits: make([]gramFit, len(fits))}
+	for i, fit := range fits {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		trIdx := sc.complement(n, fold)
-		if len(trIdx) == 0 || len(fold) == 0 {
-			continue
-		}
-		order := append(append(make([]int, 0, n), trIdx...), fold...)
-		g.folds = append(g.folds, ts.shareFit(train.X, fi, order, len(trIdx), all[:f]))
+		g.fits[i] = ts.shareFit(train.X, fit, all)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	g.full = ts.shareFit(train.X, -1, all[:n], n, all[:f])
-	g.basis = &dualBasis{z: ts.design, means: g.full.means, scales: g.full.scales}
+	final := &g.fits[len(fits)-1]
+	g.basis = &dualBasis{z: ts.design, means: final.means, scales: final.scales}
 	return g, nil
 }
 
-// shareFit standardizes the rows of order with statistics over the first
-// nFit and returns the fit's statistics and Grams (exact-tier Dot, DESIGN.md
-// §12). The Gram is symmetric bit for bit: each pair is computed once.
-func (ts *svrScratch) shareFit(x *linalg.Matrix, fold int, order []int, nFit int, all []int) gramFit {
-	ts.standardize(x, order, nFit, all)
+// shareFit standardizes the rows of fit.order with statistics over its
+// training rows and returns the fit's statistics and Grams (exact-tier Dot,
+// DESIGN.md §12). The Gram is symmetric bit for bit: each pair is computed
+// once.
+func (ts *svrScratch) shareFit(x *linalg.Matrix, fit cvFit, all []int) gramFit {
+	nFit := fit.nFit
+	ts.standardize(x, fit.order, nFit, all)
 	gf := gramFit{
-		fold: fold, order: order, nFit: nFit,
+		cvFit: fit,
 		means: linalg.Clone(ts.means), scales: linalg.Clone(ts.scales),
-		k: linalg.NewMatrix(nFit, nFit), c: linalg.NewMatrix(len(order)-nFit, nFit),
+		k: linalg.NewMatrix(nFit, nFit), c: linalg.NewMatrix(len(fit.order)-nFit, nFit),
 	}
 	for i := 0; i < nFit; i++ {
 		zi := ts.design.Row(i)
@@ -387,7 +372,7 @@ func (ts *svrScratch) downdate(x *linalg.Matrix, gf *gramFit, t int) {
 	}
 }
 
-// trainGramTerm fits one term on the Gram route: the primal route's folds,
+// trainGramTerm fits one term on the Gram route: the primal route's fits,
 // seeds, target handling, solver steps and residuals left in sc.residuals,
 // with each fit's design replaced by its downdated Gram. A held-out row h
 // predicts (C·β)_h − z_{h,t}·(z_tᵀβ) + b, which is wᵀz_h + b over the
@@ -396,26 +381,27 @@ func (ts *svrScratch) downdate(x *linalg.Matrix, gf *gramFit, t int) {
 // (dualReal). y holds the target on every training row.
 func trainGramTerm(tm *termModel, train *dataset.Dataset, term Term, y []float64, cfg Config, src *rng.Source, sc *trainScratch) {
 	g, ts, t := sc.gram, &sc.svr, term.Target
-	ts.resizeGram(g.n, cfg.Obs) // svrReservation charges it
+	ts.resizeGram(g.basis.z.Rows, cfg.Obs) // svrReservation charges it
 	params := cfg.Learners.SVR.WithDefaults()
 	params.Bias = true
-	fit := func(gf *gramFit, y []float64, seed uint64) (dual svm.SVRDual, yMean, ySD float64) {
-		ts.downdate(train.X, gf, t)
-		yStd, yMean, ySD := ts.standardizeTarget(y)
-		params.Seed = seed
-		dual = svm.TrainSVRGram(ts.kt, yStd, params, &ts.ws)
-		countFit(cfg.Obs, dual.Iters, params.MaxIter)
-		return dual, yMean, ySD
-	}
 	residuals := sc.residuals[:0]
-	for i := range g.folds {
-		gf := &g.folds[i]
+	var (
+		dual       svm.SVRDual
+		yMean, ySD float64
+	)
+	for i := range g.fits {
+		gf := &g.fits[i]
 		yFit := slices.Grow(ts.yFit[:0], gf.nFit)
 		for _, r := range gf.order[:gf.nFit] {
 			yFit = append(yFit, y[r])
 		}
 		ts.yFit = yFit
-		dual, yMean, ySD := fit(gf, yFit, src.Seed()^uint64(gf.fold+1))
+		ts.downdate(train.X, gf, t)
+		var yStd []float64
+		yStd, yMean, ySD = ts.standardizeTarget(yFit)
+		params.Seed = src.Seed() ^ uint64(gf.fold+1)
+		dual = svm.TrainSVRGram(ts.kt, yStd, params, &ts.ws)
+		countFit(cfg.Obs, dual.Iters, params.MaxIter)
 		s := linalg.Dot(ts.zt[:gf.nFit], dual.Beta)
 		for h, r := range gf.order[gf.nFit:] {
 			pred := linalg.Dot(gf.c.Row(h), dual.Beta) - ts.zt[gf.nFit+h]*s + dual.B
@@ -423,7 +409,6 @@ func trainGramTerm(tm *termModel, train *dataset.Dataset, term Term, y []float64
 		}
 	}
 	sc.residuals = residuals
-	dual, yMean, ySD := fit(&g.full, y, src.Seed())
 	var u float64
 	for i, b := range dual.Beta {
 		u += b * g.basis.z.At(i, t)

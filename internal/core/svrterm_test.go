@@ -344,14 +344,20 @@ func TestTrainTermWithoutSharedGram(t *testing.T) {
 		t.Fatal("a Gram-routed Train left the model no basis")
 	}
 	streams := termStreams(rng.New(cfg.Seed), terms)
+	plan, err := planTerms(train, terms, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	direct := obs.New()
 	cfg.Obs = direct
 	primal := &Model{cfg: cfg, schema: train.Schema, terms: make([]termModel, len(terms))}
 	for ti, term := range terms {
-		if _, err := trainTerm(train, term, routeGram, cfg, streams[ti], new(trainScratch)); err == nil {
+		if _, err := trainTerm(train, term, plan[ti], cfg, streams[ti], new(trainScratch)); err == nil {
 			t.Fatalf("term %d: trained on the Gram route without the shared Gram", ti)
 		}
-		if primal.terms[ti], err = trainTerm(train, term, routePrimal, cfg, streams[ti], new(trainScratch)); err != nil {
+		p := plan[ti]
+		p.route = routePrimal
+		if primal.terms[ti], err = trainTerm(train, term, p, cfg, streams[ti], new(trainScratch)); err != nil {
 			t.Fatal(err)
 		}
 		if primal.terms[ti].dual != nil || model.terms[ti].real != nil {
@@ -419,19 +425,19 @@ func TestSVRAccountedPeak(t *testing.T) {
 		}
 		for _, w := range []int{1, 2, 4} {
 			cfg := Config{Seed: 3, Workers: w}.withDefaults()
-			plan, err := planTerms(train, terms, cfg.Learners)
+			plan, err := planTerms(train, terms, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var shared int64
-			if takes(plan, routeGram) {
-				g, err := buildGram(context.Background(), train, cfg)
+			if g := firstOn(plan, routeGram); g >= 0 {
+				g, err := buildGram(context.Background(), train, plan[g].fits)
 				if err != nil {
 					t.Fatal(err)
 				}
 				shared += g.bytes()
 			}
-			if takes(plan, routeTree) {
+			if firstOn(plan, routeTree) >= 0 {
 				shared += tree.NewDesign(train.X, train.Schema).Bytes()
 			}
 			reserve := int64(min(w, svrTerms)) * widest

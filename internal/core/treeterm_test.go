@@ -77,7 +77,7 @@ var treeWirings = []struct {
 // the tree under l. withReal counts those with a real input.
 func treeTerms(t *testing.T, train *dataset.Dataset, terms []Term, l Learners) (all, withReal int) {
 	t.Helper()
-	plan, err := planTerms(train, terms, l)
+	plan, err := planTerms(train, terms, Config{Learners: l}.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestTrainTermWithoutSharedDesign(t *testing.T) {
 	train, _ := randomCatTrainTest(30, 1, 2, 2, 0, rng.New(0x5d))
 	terms := FullTerms(train.NumFeatures())
 	cfg := Config{Seed: 2, Learners: TreeLearners(tree.Params{})}.withDefaults()
-	plan, err := planTerms(train, terms, cfg.Learners)
+	plan, err := planTerms(train, terms, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestTrainTermWithoutSharedDesign(t *testing.T) {
 		if plan[i].route != routeTree {
 			t.Fatalf("term %d does not take the tree route under TreeLearners", term.Target)
 		}
-		if _, err := trainTerm(train, term, plan[i].route, cfg, rng.New(1), new(trainScratch)); err == nil {
+		if _, err := trainTerm(train, term, plan[i], cfg, rng.New(1), new(trainScratch)); err == nil {
 			t.Errorf("term %d: trained as a tree without the shared design", term.Target)
 		}
 	}

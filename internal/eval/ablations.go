@@ -123,8 +123,9 @@ func Ablations(full []Table2Row, o Options) ([]AblationRow, error) {
 		return VariantSpec{
 			Name: "jl-learner-" + name,
 			Run: func(ctx context.Context, rep dataset.Replicate, src *rng.Source, cfg core.Config, o Options) ([]float64, error) {
+				cfg.Learners = learners
 				res, err := core.RunJLCtx(ctx, rep.Train, rep.Test,
-					core.JLSpec{Dim: o.ScaledJLDim(o.JLDim), Learners: learners}, src, cfg)
+					core.JLSpec{Dim: o.ScaledJLDim(o.JLDim)}, src, cfg)
 				if err != nil {
 					return nil, err
 				}

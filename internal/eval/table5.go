@@ -106,19 +106,15 @@ func Table5(full []Table2Row, o Options) ([]Table5Row, error) {
 
 // jlPoint runs `repeats` independent JL projections at one dimension and
 // aggregates AUC and cost — the primitive behind both Table V's JL rows and
-// Fig. 3's data points. SNP-profile JL runs keep decision trees in the
-// projected space, matching the paper's setup (and its observation that
-// trees are not invariant under linear maps).
+// Fig. 3's data points. SNP-profile JL runs keep the profile's decision
+// trees (configFor) in the projected space, matching the paper's setup (and
+// its observation that trees are not invariant under linear maps).
 func jlPoint(p synth.Profile, o Options, rep dataset.Replicate, dim, repeats int) (mean, sd float64, cost resource.Cost, err error) {
 	var agg stats.Welford
 	var costs []resource.Cost
 	for i := 0; i < repeats; i++ {
 		auc, c, err := runScored(o.ctx(), p, o, rep, func(ctx context.Context, cfg core.Config) ([]float64, error) {
-			spec := core.JLSpec{Dim: dim}
-			if p.SNP {
-				spec.Learners = cfg.Learners // trees in projected space
-			}
-			res, err := core.RunJLCtx(ctx, rep.Train, rep.Test, spec,
+			res, err := core.RunJLCtx(ctx, rep.Train, rep.Test, core.JLSpec{Dim: dim},
 				rng.New(o.Seed).StreamN(fmt.Sprintf("jl-%s-%d", p.Name, dim), i), cfg)
 			if err != nil {
 				return nil, err

@@ -65,9 +65,8 @@ func TestMatrixRowColSet(t *testing.T) {
 	if m.At(1, 0) != 5 {
 		t.Error("Row must be a mutable view")
 	}
-	col := m.Col(0, nil)
-	if len(col) != 2 || col[1] != 5 {
-		t.Errorf("Col = %v", col)
+	if m.Bytes() != 48 {
+		t.Errorf("Bytes = %d, want 2x3x8", m.Bytes())
 	}
 }
 

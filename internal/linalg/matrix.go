@@ -75,19 +75,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Col copies column j into dst (allocating when dst is nil or short) and
-// returns it.
-func (m *Matrix) Col(j int, dst []float64) []float64 {
-	if cap(dst) < m.Rows {
-		dst = make([]float64, m.Rows)
-	}
-	dst = dst[:m.Rows]
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = m.Data[i*m.Cols+j]
-	}
-	return dst
-}
-
 // MulVec computes dst = m * x for a column vector x of length m.Cols,
 // returning dst (allocated when nil or short).
 func (m *Matrix) MulVec(x, dst []float64) []float64 {

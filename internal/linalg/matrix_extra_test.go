@@ -40,18 +40,3 @@ func TestVectorHelpers(t *testing.T) {
 		t.Error("Clone shares storage")
 	}
 }
-
-func TestColBufferReuse(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
-	buf := make([]float64, 2)
-	col := m.Col(1, buf)
-	if &col[0] != &buf[0] {
-		t.Error("Col did not reuse the buffer")
-	}
-	if col[0] != 2 || col[1] != 4 {
-		t.Errorf("Col = %v", col)
-	}
-	if m.Bytes() != 32 {
-		t.Errorf("Bytes = %d", m.Bytes())
-	}
-}

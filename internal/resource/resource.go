@@ -122,9 +122,6 @@ func (t *Tracker) Release(n int64) {
 	}
 }
 
-// CurrentBytes reports live analytic bytes.
-func (t *Tracker) CurrentBytes() int64 { return t.current.Load() }
-
 // PeakBytes reports the peak of live analytic bytes so far.
 func (t *Tracker) PeakBytes() int64 { return t.peak.Load() }
 

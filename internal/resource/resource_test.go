@@ -15,7 +15,7 @@ func TestTrackerPeakAccounting(t *testing.T) {
 	if got := tr.PeakBytes(); got != 150 {
 		t.Errorf("peak = %d, want 150", got)
 	}
-	if got := tr.CurrentBytes(); got != 70 {
+	if got := tr.current.Load(); got != 70 {
 		t.Errorf("current = %d, want 70", got)
 	}
 	cost := tr.Stop()
@@ -38,8 +38,8 @@ func TestTrackerConcurrentAlloc(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if tr.CurrentBytes() != 0 {
-		t.Errorf("current = %d after balanced alloc/release", tr.CurrentBytes())
+	if got := tr.current.Load(); got != 0 {
+		t.Errorf("current = %d after balanced alloc/release", got)
 	}
 	if tr.PeakBytes() < 3 {
 		t.Errorf("peak = %d, want >= 3", tr.PeakBytes())

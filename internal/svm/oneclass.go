@@ -164,6 +164,3 @@ func (m *OneClassSVM) Decision(x []float64) float64 {
 // AnomalyScore returns -Decision(x): higher is more anomalous, matching the
 // score orientation of the FRaC evaluation harness.
 func (m *OneClassSVM) AnomalyScore(x []float64) float64 { return -m.Decision(x) }
-
-// NumSupport reports the number of support vectors.
-func (m *OneClassSVM) NumSupport() int { return len(m.alphas) }

@@ -46,8 +46,8 @@ func TestOneClassNuBoundsSupportFraction(t *testing.T) {
 	// With nu=0.5 at least ~nu*n alphas are needed to sum to 1 under the
 	// cap 1/(nu*n), so support vectors >= nu*n.
 	m := TrainOneClass(train, OneClassParams{Nu: 0.5})
-	if m.NumSupport() < 50 {
-		t.Errorf("support vectors = %d, want >= nu*n = 50", m.NumSupport())
+	if len(m.alphas) < 50 {
+		t.Errorf("support vectors = %d, want >= nu*n = 50", len(m.alphas))
 	}
 }
 

@@ -68,7 +68,7 @@ func TestRegressorPersistRoundTrip(t *testing.T) {
 			t.Fatal("decoded regressor predicts differently")
 		}
 	}
-	if r.NumNodes() != got.NumNodes() || r.Depth() != got.Depth() {
+	if len(r.nodes) != len(got.nodes) || depth(&r.tree) != depth(&got.tree) {
 		t.Fatal("structure changed in round trip")
 	}
 }

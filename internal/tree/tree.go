@@ -86,27 +86,6 @@ func (t *tree) walk(row []float64) *node {
 	return cur
 }
 
-// NumNodes reports the node count (leaves included).
-func (t *tree) NumNodes() int { return len(t.nodes) }
-
-// Depth reports the maximum root-to-leaf depth (0 for a lone leaf).
-func (t *tree) Depth() int {
-	var rec func(i int32, d int) int
-	rec = func(i int32, d int) int {
-		n := &t.nodes[i]
-		if n.feature < 0 {
-			return d
-		}
-		l := rec(n.left, d+1)
-		r := rec(n.right, d+1)
-		if l > r {
-			return l
-		}
-		return r
-	}
-	return rec(0, 0)
-}
-
 // Bytes reports the analytic footprint of the node array.
 func (t *tree) Bytes() int64 { return int64(len(t.nodes)) * 64 }
 

@@ -31,6 +31,19 @@ func predictLabel(c *Classifier, row []float64) int {
 	return out[0]
 }
 
+// depth reports t's maximum root-to-leaf depth (0 for a lone leaf).
+func depth(t *tree) int {
+	var rec func(i int32, d int) int
+	rec = func(i int32, d int) int {
+		n := &t.nodes[i]
+		if n.feature < 0 {
+			return d
+		}
+		return max(rec(n.left, d+1), rec(n.right, d+1))
+	}
+	return rec(0, 0)
+}
+
 // predict is predictLabel for regression trees.
 func predict(r *Regressor, row []float64) float64 {
 	var out [1]float64
@@ -127,7 +140,7 @@ func TestTreeRespectsMaxDepth(t *testing.T) {
 		y[i] = src.IntN(2) // pure noise: tree would grow deep unchecked
 	}
 	c := TrainClassifier(x, realSchema(5), y, 2, Params{MaxDepth: 3, MinGain: 1e-12})
-	if d := c.Depth(); d > 3 {
+	if d := depth(&c.tree); d > 3 {
 		t.Errorf("depth = %d, want <= 3", d)
 	}
 }
@@ -143,8 +156,8 @@ func TestTreeMinLeaf(t *testing.T) {
 	}
 	c := TrainClassifier(x, realSchema(2), y, 2, Params{MinLeaf: 40})
 	// With MinLeaf 40 over 100 samples the tree can split at most once.
-	if c.NumNodes() > 3 {
-		t.Errorf("%d nodes with MinLeaf 40", c.NumNodes())
+	if len(c.nodes) > 3 {
+		t.Errorf("%d nodes with MinLeaf 40", len(c.nodes))
 	}
 }
 
@@ -155,8 +168,8 @@ func TestPureNodeBecomesLeaf(t *testing.T) {
 		x.Row(i)[0] = float64(i)
 	}
 	c := TrainClassifier(x, realSchema(1), y, 2, Params{})
-	if c.NumNodes() != 1 {
-		t.Errorf("pure training set grew %d nodes", c.NumNodes())
+	if len(c.nodes) != 1 {
+		t.Errorf("pure training set grew %d nodes", len(c.nodes))
 	}
 	if predictLabel(c, []float64{99}) != 0 {
 		t.Error("pure-leaf prediction wrong")
@@ -239,7 +252,7 @@ func TestBytesAndDepthReporting(t *testing.T) {
 	if r.Bytes() <= 0 {
 		t.Error("Bytes must be positive")
 	}
-	if r.Depth() < 1 {
-		t.Errorf("depth = %d, want >= 1 after a real split", r.Depth())
+	if d := depth(&r.tree); d < 1 {
+		t.Errorf("depth = %d, want >= 1 after a real split", d)
 	}
 }
