@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"frac"
+	"frac/internal/serve"
 )
 
 // Per-sample explanation output: -explain-top K turns a scoring run into a
@@ -25,25 +26,13 @@ type explainOptions struct {
 	quantile float64 // NS quantile at or above which a sample is flagged
 }
 
-// attributionDoc is one feature's JSONL attribution entry, mirroring the
-// serve wire schema (AttributionInfo): null observed means the value was
-// missing, absent predicted means the model had nothing finite to offer.
-type attributionDoc struct {
-	Feature      string   `json:"feature"`
-	Orig         int      `json:"orig"`
-	Contribution float64  `json:"contribution"`
-	Observed     *float64 `json:"observed"`
-	Predicted    *float64 `json:"predicted,omitempty"`
-	Terms        int      `json:"terms,omitempty"`
-}
-
 // explainDoc is one flagged sample's JSONL line.
 type explainDoc struct {
-	Sample       int              `json:"sample"`
-	Replicate    int              `json:"replicate,omitempty"`
-	NS           float64          `json:"ns"`
-	Flag         string           `json:"flag"` // "quantile", "label", or "quantile+label"
-	Attributions []attributionDoc `json:"attributions"`
+	Sample       int                     `json:"sample"`
+	Replicate    int                     `json:"replicate,omitempty"`
+	NS           float64                 `json:"ns"`
+	Flag         string                  `json:"flag"` // "quantile", "label", or "quantile+label"
+	Attributions []serve.AttributionInfo `json:"attributions"`
 }
 
 // explainWriter serializes explanation documents to the -explain-out sink.
@@ -106,34 +95,6 @@ func flagOf(score, thr float64, anomalous []bool, i int) string {
 	return ""
 }
 
-// attributionDocs renders attributions with schema feature names and
-// null/omitted markers for missing observed and non-finite predicted values.
-// Features are named by Orig — the original-data-set index — which stays
-// correct for filtered wirings where Target indexes a reduced schema.
-func attributionDocs(attrs []frac.Attribution, schema frac.Schema) []attributionDoc {
-	out := make([]attributionDoc, len(attrs))
-	for i, a := range attrs {
-		doc := attributionDoc{
-			Feature:      schema[a.Orig].Name,
-			Orig:         a.Orig,
-			Contribution: a.Contribution,
-		}
-		if !a.MissingObserved() {
-			v := a.Observed
-			doc.Observed = &v
-		}
-		if !math.IsNaN(a.Predicted) && !math.IsInf(a.Predicted, 0) {
-			v := a.Predicted
-			doc.Predicted = &v
-		}
-		if a.Terms > 1 {
-			doc.Terms = a.Terms
-		}
-		out[i] = doc
-	}
-	return out
-}
-
 // explainScoredModel is the -load-model explanation path: rescore the test
 // set through the explained pipeline (totals are bit-identical to plain
 // scoring) and emit every flagged sample's top-k attribution.
@@ -156,7 +117,7 @@ func explainScoredModel(model *frac.Model, test *frac.Dataset, scores []float64,
 			Sample:       i,
 			NS:           ns,
 			Flag:         flag,
-			Attributions: attributionDocs(ew.Attributions(i), test.Schema),
+			Attributions: serve.Attributions(ew.Attributions(i), test.Schema),
 		}); err != nil {
 			w.Close()
 			return err
@@ -193,7 +154,7 @@ func explainResult(res *frac.Result, test *frac.Dataset, scores []float64, repli
 			Replicate:    replicate,
 			NS:           ns,
 			Flag:         flag,
-			Attributions: attributionDocs(attrs, test.Schema),
+			Attributions: serve.Attributions(attrs, test.Schema),
 		}); err != nil {
 			return err
 		}

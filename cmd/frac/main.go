@@ -31,15 +31,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strconv"
-	"syscall"
 	"time"
 
 	"frac"
@@ -74,7 +71,6 @@ func main() {
 		testPath   = flag.String("test", "", "test TSV (fixed-split mode)")
 		replicates = flag.Int("replicates", 5, "replicates in pool mode")
 		opt        options
-		tele       obs.CLIFlags
 	)
 	flag.StringVar(&opt.variant, "variant", "full", "full | random-filter | random-ensemble | entropy-filter | partial-filter | diverse | diverse-ensemble | jl")
 	flag.Float64Var(&opt.p, "p", 0.05, "filter keep-fraction / diverse inclusion probability")
@@ -91,89 +87,25 @@ func main() {
 	loadModel := flag.String("load-model", "", "load a saved model and score -test")
 	driftRef := flag.String("drift-ref", "", "held-out normals TSV to capture the drift reference from (default: the training set)")
 	noDriftRef := flag.Bool("no-drift-ref", false, "save the model without a drift reference")
-	tele.Register(flag.CommandLine)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "frac: unexpected argument %q: frac takes no arguments, and flags after one would be ignored\n", flag.Arg(0))
-		os.Exit(2)
-	}
-
-	sess, err := tele.Start("frac", os.Stderr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "frac: %v\n", err)
-		os.Exit(1)
-	}
-	if sess == nil { // -version
-		return
-	}
-	opt.obs = sess.Rec
-	opt.manifest = sess.Manifest
-	opt.manifest.Variant = opt.variant
-	opt.manifest.Seed = opt.seed
-	opt.manifest.ConfigHash = obs.FlagConfigHash(
-		"variant", opt.variant,
-		"p", strconv.FormatFloat(opt.p, 'g', -1, 64),
-		"members", strconv.Itoa(opt.members),
-		"dim", strconv.Itoa(opt.dim),
-		"seed", strconv.FormatUint(opt.seed, 10),
-		"workers", strconv.Itoa(opt.workers),
-		"learners", opt.learners,
-		"replicates", strconv.Itoa(*replicates),
-		"drift-ref", *driftRef,
-		"no-drift-ref", strconv.FormatBool(*noDriftRef),
-		"explain-top", strconv.Itoa(opt.explain.top),
-		"explain-out", opt.explain.out,
-		"explain-quantile", strconv.FormatFloat(opt.explain.quantile, 'g', -1, 64),
-	)
-	// When telemetry is on, run all term-level work through one instrumented
-	// compute pool so occupancy and queue-wait metrics cover every variant
-	// (the pool is sized exactly like the worker bound, so scheduling — and
-	// therefore scores — is unchanged).
-	if opt.obs != nil {
-		opt.limit = frac.NewLimit(opt.workers).Instrument(opt.obs)
-	}
-
-	srv, err := httpserve.Start(tele.DebugAddr, httpserve.Options{
-		Recorder:  sess.Rec,
-		Manifest:  sess.Manifest,
-		PoolStats: opt.limit.Stats,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "frac: %v\n", err)
-		os.Exit(1)
-	}
-
-	// Interrupt (^C) or SIGTERM cancels the run cooperatively: in-flight
-	// model trainings finish, no new ones start, and the process exits with
-	// a "canceled" diagnostic instead of being killed mid-write.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	switch {
-	case *saveModel != "":
-		err = trainAndSave(ctx, *trainPath, *saveModel, *driftRef, *noDriftRef, opt)
-	case *loadModel != "":
-		err = loadAndScore(*loadModel, *testPath, opt)
-	default:
-		err = run(ctx, *dataPath, *trainPath, *testPath, *replicates, opt)
-	}
-	// Telemetry closes before exit so profiles flush and the metrics file,
-	// journal, and trace export are complete even on a failed or cancelled
-	// run (a cancelled run's documents carry "cancelled": true).
-	if cerr := srv.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if cerr := sess.Close(err); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "frac: canceled")
-			os.Exit(130)
+	front := httpserve.Command{Tool: "frac", Unhashed: []string{"data", "train", "test", "scores", "save-model", "load-model"}}
+	front.Parse()
+	front.Run(opt.variant, opt.seed, func(ctx context.Context, sess *obs.Session) error {
+		opt.obs, opt.manifest = sess.Rec, sess.Manifest
+		// When telemetry is on, run all term-level work through one
+		// instrumented compute pool so occupancy and queue-wait metrics cover
+		// every variant (the pool is sized exactly like the worker bound, so
+		// scheduling — and therefore scores — is unchanged).
+		if opt.obs != nil {
+			opt.limit = frac.NewLimit(opt.workers).Instrument(opt.obs)
 		}
-		fmt.Fprintf(os.Stderr, "frac: %v\n", err)
-		os.Exit(1)
-	}
+		switch {
+		case *saveModel != "":
+			return trainAndSave(ctx, *trainPath, *saveModel, *driftRef, *noDriftRef, opt)
+		case *loadModel != "":
+			return loadAndScore(*loadModel, *testPath, opt)
+		}
+		return run(ctx, *dataPath, *trainPath, *testPath, *replicates, opt)
+	})
 }
 
 // readDataset loads a TSV data set under the telemetry load phase, counting

@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -208,14 +211,95 @@ func TestRejectsBadFlagValues(t *testing.T) {
 
 // TestMain runs frac's main instead of the tests when the test binary's
 // first argument is "frac", so a test can run the command as a child
-// process.
+// process. The child drops the testing package's flags first: the config
+// hash covers every flag on the command line.
 func TestMain(m *testing.M) {
 	if len(os.Args) > 1 && os.Args[1] == "frac" {
 		os.Args = os.Args[1:]
+		flag.CommandLine = flag.NewFlagSet("frac", flag.ExitOnError)
 		main()
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// runFrac runs frac as a child process and returns its exit status and
+// output.
+func runFrac(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"frac"}, args...)...)
+	out, err := cmd.CombinedOutput()
+	if cmd.ProcessState == nil {
+		t.Fatalf("frac %s: %v", strings.Join(args, " "), err)
+	}
+	return cmd.ProcessState.ExitCode(), string(out)
+}
+
+// TestVersion: -version prints the build and exits 0 without running.
+func TestVersion(t *testing.T) {
+	if code, out := runFrac(t, "-version"); code != 0 || !strings.HasPrefix(out, "frac version ") {
+		t.Errorf("frac -version: exit status %d, output %q; want 0 and \"frac version …\"", code, out)
+	}
+}
+
+// configHash returns the config hash frac's manifest records for args. The
+// child's -debug-addr names a port this test holds, so it exits 1 at the
+// debug server's bind, before any work, with its manifest written to
+// -metrics-out.
+func configHash(t *testing.T, args ...string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	metrics := filepath.Join(t.TempDir(), "m.json")
+	code, out := runFrac(t, append([]string{"-debug-addr", ln.Addr().String(), "-metrics-out", metrics}, args...)...)
+	if code != 1 || !strings.Contains(out, "-debug-addr") {
+		t.Fatalf("frac %s: exit status %d, output %q; want 1 at the debug server's bind", strings.Join(args, " "), code, out)
+	}
+	var doc struct {
+		Manifest struct {
+			ConfigHash string `json:"config_hash"`
+		} `json:"manifest"`
+	}
+	blob, err := os.ReadFile(metrics)
+	if err == nil {
+		err = json.Unmarshal(blob, &doc)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc.Manifest.ConfigHash
+}
+
+// TestConfigHashPinned: frac's config hash covers every flag except the
+// telemetry flags and -data, -train, -test, -scores, -save-model and
+// -load-model. Each want is the config_hash that `frac <args> -metrics-out
+// m.json` wrote when frac listed its hashed flags by hand (a run that fails
+// on a missing data file writes its manifest too), so result files written
+// before and after the shared front end stay comparable.
+func TestConfigHashPinned(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-data", "missing.tsv"}, "81de25ec6cb080aa"},
+		{[]string{"-data", "other.tsv", "-scores", "-progress", "-obs-term-sample", "1"}, "81de25ec6cb080aa"},
+		{[]string{"-data", "data/biomarkers.tsv", "-replicates", "2", "-seed", "9"}, "736c39571e6e4c5d"},
+		{[]string{"-data", "data/biomarkers.tsv", "-replicates", "2", "-variant", "random-ensemble",
+			"-members", "4", "-p", "0.3", "-workers", "4", "-no-drift-ref"}, "23673803254c3d1d"},
+		{[]string{"-data", "data/autism.tsv", "-variant", "jl", "-dim", "128", "-learners", "tree",
+			"-replicates", "2", "-scores"}, "9357dea81ec4305c"},
+		{[]string{"-train", "data/breast.basal.tsv", "-drift-ref", "data/breast.basal.tsv",
+			"-save-model", "model.frac", "-seed", "1"}, "9b43b2685ee121f6"},
+		{[]string{"-load-model", "m.frac", "-test", "data/schizophrenia-test.tsv", "-scores",
+			"-explain-top", "5", "-explain-out", "e.jsonl", "-explain-quantile", "0.9"}, "f8d535c6b108c453"},
+	} {
+		if got := configHash(t, c.args...); got != c.want {
+			t.Errorf("frac %s: config hash %s, want %s", strings.Join(c.args, " "), got, c.want)
+		}
+	}
 }
 
 // TestRejectsPositionalArguments: flag parsing stops at the first argument
@@ -227,10 +311,8 @@ func TestRejectsPositionalArguments(t *testing.T) {
 		{"-data", "missing.tsv", "extra", "-replicates", "1"},
 		{"-train", "missing.tsv", "-save-model", "m.frac", "extra"},
 	} {
-		out, err := exec.Command(os.Args[0], append([]string{"frac"}, args...)...).CombinedOutput()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), `unexpected argument "extra"`) {
-			t.Errorf("frac %s: %v, output %q; want exit status 2 naming \"extra\"", strings.Join(args, " "), err, out)
+		if code, out := runFrac(t, args...); code != 2 || !strings.Contains(out, `unexpected argument "extra"`) {
+			t.Errorf("frac %s: exit status %d, output %q; want 2 naming \"extra\"", strings.Join(args, " "), code, out)
 		}
 	}
 }

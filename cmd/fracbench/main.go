@@ -18,16 +18,12 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"runtime"
 	"sort"
-	"strconv"
-	"syscall"
 	"time"
 
 	"frac/internal/eval"
@@ -193,7 +189,7 @@ func main() {
 	b.opts = eval.Options{Out: os.Stdout}
 	flag.IntVar(&b.opts.Scale, "scale", 16, "divide the paper's feature counts by this factor")
 	flag.IntVar(&b.opts.Replicates, "replicates", 5, "train/test replicates per data set")
-	seed := flag.Uint64("seed", 1, "root random seed")
+	flag.Uint64Var(&b.opts.Seed, "seed", 1, "root random seed")
 	flag.IntVar(&b.opts.Workers, "workers", 0, "parallel model trainings (0 = GOMAXPROCS)")
 	flag.Float64Var(&b.opts.FilterP, "filter-p", 0.05, "full-filtering keep fraction")
 	flag.IntVar(&b.opts.EnsembleMembers, "members", 10, "ensemble size")
@@ -207,82 +203,19 @@ func main() {
 	flag.IntVar(&b.iters, "iters", 3, "measured passes per exhibit (min/median/mean reported)")
 	benchJSON := flag.String("bench-json", "BENCH_results.json",
 		"write per-exhibit timing stats, variant cost fractions, and the run manifest to this file (empty disables)")
-	var tele obs.CLIFlags
-	tele.Register(flag.CommandLine)
-	flag.Parse()
-	if flag.NArg() > 1 {
-		fmt.Fprintf(os.Stderr, "fracbench: unexpected argument %q after the exhibit %q: fracbench takes one exhibit, after its flags\n", flag.Arg(1), flag.Arg(0))
-		os.Exit(2)
-	}
-	b.opts.Seed = *seed
-
-	sess, err := tele.Start("fracbench", os.Stderr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fracbench: %v\n", err)
-		os.Exit(1)
-	}
-	if sess == nil { // -version
-		return
-	}
-	b.opts.Obs = sess.Rec
-
-	cmd := "all"
-	if flag.NArg() > 0 {
-		cmd = flag.Arg(0)
-	}
-	sess.Manifest.Variant = cmd
-	sess.Manifest.Seed = *seed
-	sess.Manifest.ConfigHash = obs.FlagConfigHash(
-		"cmd", cmd,
-		"scale", strconv.Itoa(b.opts.Scale),
-		"replicates", strconv.Itoa(b.opts.Replicates),
-		"seed", strconv.FormatUint(*seed, 10),
-		"workers", strconv.Itoa(b.opts.Workers),
-		"filter-p", strconv.FormatFloat(b.opts.FilterP, 'g', -1, 64),
-		"members", strconv.Itoa(b.opts.EnsembleMembers),
-		"diverse-p", strconv.FormatFloat(b.opts.DiverseP, 'g', -1, 64),
-		"diverse-ensemble-p", strconv.FormatFloat(b.opts.DiverseEnsembleP, 'g', -1, 64),
-		"jl-dim", strconv.Itoa(b.opts.JLDim),
-		"jl-repeats", strconv.Itoa(b.opts.JLRepeats),
-		"sweep-parallel", strconv.Itoa(b.opts.SweepParallel),
-		"warmup", strconv.Itoa(b.warmup),
-		"iters", strconv.Itoa(b.iters),
-	)
-	b.doc.Manifest = sess.Manifest
-
-	srv, err := httpserve.Start(tele.DebugAddr, httpserve.Options{
-		Recorder: sess.Rec, Manifest: sess.Manifest,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fracbench: %v\n", err)
-		os.Exit(1)
-	}
-
+	front := httpserve.Command{Tool: "fracbench", Arg: "exhibit", ArgDefault: "all", Unhashed: []string{"bench-json"}}
+	cmd := front.Parse()
+	start := time.Now()
 	// Interrupt (^C) or SIGTERM cancels the regeneration cooperatively:
 	// in-flight cells finish, later exhibits are skipped.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	b.opts.Ctx = ctx
-
-	start := time.Now()
-	err = run(cmd, b)
-	if werr := b.writeResults(*benchJSON); werr != nil && err == nil {
-		err = fmt.Errorf("writing %s: %w", *benchJSON, werr)
-	}
-	if cerr := srv.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if cerr := sess.Close(err); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "fracbench: canceled")
-			os.Exit(130)
+	front.Run(cmd, b.opts.Seed, func(ctx context.Context, sess *obs.Session) error {
+		b.opts.Ctx, b.opts.Obs, b.doc.Manifest = ctx, sess.Rec, sess.Manifest
+		err := run(cmd, b)
+		if werr := b.writeResults(*benchJSON); werr != nil && err == nil {
+			err = fmt.Errorf("writing %s: %w", *benchJSON, werr)
 		}
-		fmt.Fprintf(os.Stderr, "fracbench: %v\n", err)
-		os.Exit(1)
-	}
+		return err
+	})
 	fmt.Fprintf(os.Stderr, "fracbench: %s completed in %v\n", cmd, time.Since(start).Round(time.Millisecond))
 }
 

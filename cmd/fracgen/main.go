@@ -16,14 +16,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"strconv"
-	"syscall"
 
 	"frac/internal/dataset"
 	"frac/internal/obs"
@@ -36,59 +32,13 @@ func main() {
 	scale := flag.Int("scale", 16, "divide the paper's feature counts by this factor")
 	profile := flag.String("profile", "", "generate only this profile (default: all)")
 	seed := flag.Uint64("seed", 1, "root random seed")
-	var tele obs.CLIFlags
-	tele.Register(flag.CommandLine)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "fracgen: unexpected argument %q: fracgen takes no arguments, and flags after one would be ignored\n", flag.Arg(0))
-		os.Exit(2)
-	}
-
-	sess, err := tele.Start("fracgen", os.Stderr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fracgen: %v\n", err)
-		os.Exit(1)
-	}
-	if sess == nil { // -version
-		return
-	}
-	sess.Manifest.Variant = *profile
-	sess.Manifest.Seed = *seed
-	sess.Manifest.ConfigHash = obs.FlagConfigHash(
-		"out", *out,
-		"scale", strconv.Itoa(*scale),
-		"profile", *profile,
-		"seed", strconv.FormatUint(*seed, 10),
-	)
-
-	srv, err := httpserve.Start(tele.DebugAddr, httpserve.Options{
-		Recorder: sess.Rec, Manifest: sess.Manifest,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fracgen: %v\n", err)
-		os.Exit(1)
-	}
-
+	front := httpserve.Command{Tool: "fracgen"}
+	front.Parse()
 	// Interrupt (^C) or SIGTERM stops between profiles, so no TSV file is
 	// left half-written by a mid-stream kill of the generation loop.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	err = run(ctx, *out, *scale, *profile, *seed, sess.Rec)
-	if cerr := srv.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if cerr := sess.Close(err); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "fracgen: canceled")
-			os.Exit(130)
-		}
-		fmt.Fprintf(os.Stderr, "fracgen: %v\n", err)
-		os.Exit(1)
-	}
+	front.Run(*profile, *seed, func(ctx context.Context, sess *obs.Session) error {
+		return run(ctx, *out, *scale, *profile, *seed, sess.Rec)
+	})
 }
 
 // run writes every profile, or only the one named only, at 1:scale to the

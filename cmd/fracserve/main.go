@@ -36,7 +36,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -73,45 +72,37 @@ func (m *modelList) Set(v string) error {
 	return nil
 }
 
-func main() {
-	var (
-		addr       = flag.String("addr", "127.0.0.1:8316", "HTTP listen address for the scoring API")
-		maxBatch   = flag.Int("max-batch", 64, "rows at which a micro-batch flushes immediately")
-		workers    = flag.Int("serve-workers", 0, "concurrent scoring workers (0 = GOMAXPROCS)")
-		queueDepth = flag.Int("queue-depth", 1024, "pending requests beyond which /v1/score returns 503")
-		maxRows    = flag.Int("max-rows", 4096, "rows per score request limit")
-		maxBody    = flag.Int64("max-body-bytes", 8<<20, "request body size limit")
-		maxExplain = flag.Int("max-explain", 0, "per-request attribution depth limit for the \"explain\" field (0 = default 64)")
-		driftWin   = flag.Int("drift-window", 512, "served scores per drift comparison window")
-		noDrift    = flag.Bool("no-drift", false, "disable model-health drift monitoring")
-		models     modelList
-		tele       obs.CLIFlags
-	)
-	flag.Var(&models, "model", "model to serve, as name=path or path (repeatable)")
-	tele.Register(flag.CommandLine)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "fracserve: unexpected argument %q: fracserve takes no arguments, and flags after one would be ignored\n", flag.Arg(0))
-		os.Exit(2)
-	}
+// config is what fracserve's flags set: the API's listen address, the
+// models to serve and the server's limits.
+type config struct {
+	addr   string
+	models modelList
+	server serve.ServerConfig
+}
 
-	if err := run(*addr, models, serve.ServerConfig{
-		MaxRows:      *maxRows,
-		MaxBodyBytes: *maxBody,
-		MaxExplain:   *maxExplain,
-		Batcher: serve.BatcherConfig{
-			MaxBatch:   *maxBatch,
-			Workers:    *workers,
-			QueueDepth: *queueDepth,
-		},
-		Drift: serve.DriftConfig{
-			Disabled: *noDrift,
-			Window:   *driftWin,
-		},
-	}, tele); err != nil {
-		fmt.Fprintf(os.Stderr, "fracserve: %v\n", err)
-		os.Exit(1)
-	}
+// register binds fracserve's flags on fs to c.
+func (c *config) register(fs *flag.FlagSet) {
+	fs.StringVar(&c.addr, "addr", "127.0.0.1:8316", "HTTP listen address for the scoring API")
+	fs.Var(&c.models, "model", "model to serve, as name=path or path (repeatable)")
+	fs.IntVar(&c.server.Batcher.MaxBatch, "max-batch", 64, "rows at which a micro-batch flushes immediately")
+	fs.IntVar(&c.server.Batcher.Workers, "serve-workers", 0, "concurrent scoring workers (0 = GOMAXPROCS)")
+	fs.IntVar(&c.server.Batcher.QueueDepth, "queue-depth", 1024, "pending requests beyond which /v1/score returns 503")
+	fs.IntVar(&c.server.MaxRows, "max-rows", 4096, "rows per score request limit")
+	fs.Int64Var(&c.server.MaxBodyBytes, "max-body-bytes", 8<<20, "request body size limit")
+	fs.IntVar(&c.server.MaxExplain, "max-explain", 0, "per-request attribution depth limit for the \"explain\" field (0 = default 64)")
+	fs.IntVar(&c.server.Drift.Window, "drift-window", 512, "served scores per drift comparison window")
+	fs.BoolVar(&c.server.Drift.Disabled, "no-drift", false, "disable model-health drift monitoring")
+}
+
+func main() {
+	var c config
+	c.register(flag.CommandLine)
+	c.server.Metrics = &serve.Metrics{}
+	front := httpserve.Command{Tool: "fracserve", Metrics: c.server.Metrics.Families}
+	front.Parse()
+	front.Run("serve", 0, func(ctx context.Context, sess *obs.Session) error {
+		return run(ctx, c, sess.Rec)
+	})
 }
 
 // Connection limits of the scoring API. A client has readHeaderTimeout to
@@ -138,75 +129,44 @@ func newHTTPServer(h http.Handler) *http.Server {
 	}
 }
 
-func run(addr string, models modelList, cfg serve.ServerConfig, tele obs.CLIFlags) error {
-	if len(models) == 0 {
+// run loads every model, builds the API server and serves it until ctx is
+// canceled, then drains. The front end installs its SIGINT/SIGTERM context
+// before run, and run its SIGHUP handler before listening: once the
+// listening line is out, a supervisor may signal at any moment, and an
+// unhandled SIGTERM (or SIGHUP, whose default action also terminates) would
+// kill the daemon without a drain.
+func run(ctx context.Context, c config, rec *obs.Recorder) error {
+	if len(c.models) == 0 {
 		return errors.New("no -model given")
 	}
-	sess, err := tele.Start("fracserve", os.Stderr)
-	if err != nil {
-		return err
-	}
-	if sess == nil { // -version
-		return nil
-	}
-	if sess.Manifest != nil {
-		sess.Manifest.Variant = "serve"
-		sess.Manifest.ConfigHash = obs.FlagConfigHash(
-			"addr", addr,
-			"models", models.String(),
-			"max-batch", strconv.Itoa(cfg.Batcher.MaxBatch),
-			"serve-workers", strconv.Itoa(cfg.Batcher.Workers),
-			"queue-depth", strconv.Itoa(cfg.Batcher.QueueDepth),
-			"max-rows", strconv.Itoa(cfg.MaxRows),
-			"max-explain", strconv.Itoa(cfg.MaxExplain),
-			"drift-window", strconv.Itoa(cfg.Drift.Window),
-			"no-drift", strconv.FormatBool(cfg.Drift.Disabled),
-		)
-	}
-
 	// Load every model up front; a daemon that cannot serve its models
 	// should fail at startup, not at first request.
-	handles := make([]*serve.Handle, 0, len(models))
-	for _, m := range models {
-		span := sess.Rec.Start(obs.PhaseLoad)
+	handles := make([]*serve.Handle, 0, len(c.models))
+	for _, m := range c.models {
+		span := rec.Start(obs.PhaseLoad)
 		h, err := serve.NewHandle(m.name, m.path)
 		span.End()
 		if err != nil {
-			return fmt.Errorf("closing telemetry after load failure: %w", errors.Join(err, sess.Close(err)))
+			return err
 		}
-		sess.Rec.Add(obs.CounterBytesDecoded, h.Runtime().Bytes())
+		rec.Add(obs.CounterBytesDecoded, h.Runtime().Bytes())
 		handles = append(handles, h)
 	}
 
-	cfg.Metrics = &serve.Metrics{}
-	cfg.Recorder = sess.Rec
+	cfg := c.server
+	cfg.Recorder = rec
 	api, err := serve.NewServer(handles, cfg)
 	if err != nil {
-		return errors.Join(err, sess.Close(err))
+		return err
 	}
 
-	dbg, err := httpserve.Start(tele.DebugAddr, httpserve.Options{
-		Recorder: sess.Rec,
-		Manifest: sess.Manifest,
-		Extra:    cfg.Metrics.Families,
-	})
-	if err != nil {
-		return errors.Join(err, sess.Close(err))
-	}
-
-	// Register every signal before listening: once the listening line is
-	// out, a supervisor may signal at any moment, and an unhandled SIGTERM
-	// (or SIGHUP, whose default action also terminates) would kill the
-	// daemon without a drain.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)
 
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
-		return errors.Join(err, sess.Close(err))
+		return err
 	}
 	for _, h := range handles {
 		rt := h.Runtime()
@@ -251,20 +211,14 @@ func run(addr string, models modelList, cfg serve.ServerConfig, tele obs.CLIFlag
 	}
 
 	// Shutdown order matters: stop intake first (Shutdown waits for in-flight
-	// handlers, whose queued submissions the batchers then drain), close the
-	// batchers, then flush telemetry so the journal's close event reflects
-	// the whole run.
+	// handlers, whose queued submissions the batchers then drain) and close
+	// the batchers; the front end then flushes telemetry, so the journal's
+	// close event reflects the whole run.
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if serr := httpSrv.Shutdown(shutCtx); serr != nil && err == nil {
 		err = serr
 	}
 	api.Close()
-	if serr := dbg.Close(); serr != nil && err == nil {
-		err = serr
-	}
-	if serr := sess.Close(err); serr != nil && err == nil {
-		err = serr
-	}
 	return err
 }

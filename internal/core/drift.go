@@ -15,10 +15,6 @@ import (
 // read-only.
 func (m *Model) DriftReference() *drift.Reference { return m.driftRef }
 
-// SetDriftReference attaches (or clears) the model's drift reference, e.g.
-// after decoding an artifact that carried one.
-func (m *Model) SetDriftReference(r *drift.Reference) { m.driftRef = r }
-
 // TermTarget returns the original feature index term ti predicts — the
 // stable identity used to name a drifted term across serving and tooling.
 func (m *Model) TermTarget(ti int) int {

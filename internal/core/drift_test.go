@@ -53,11 +53,11 @@ func TestCaptureDriftReferenceAndPersist(t *testing.T) {
 		t.Errorf("%d term summaries for %d terms", ref.NumTerms(), m.NumTerms())
 	}
 	withRef := m.Bytes()
-	m.SetDriftReference(nil)
+	m.driftRef = nil
 	if m.Bytes() >= withRef {
 		t.Errorf("Bytes() does not account for the reference")
 	}
-	m.SetDriftReference(ref)
+	m.driftRef = ref
 
 	got := roundTripModel(t, m)
 	if !reflect.DeepEqual(got.DriftReference(), ref) {

@@ -57,7 +57,7 @@ func TestExpositionFormat(t *testing.T) {
 	r := New()
 	r.SetSampleEvery(1)
 	r.Start(PhaseTrain).End()
-	r.StartSampled(PhaseTermTrain).End()
+	r.StartSampledWorker(PhaseTermTrain, -1).End()
 	r.Add(CounterTermsTrained, 11)
 	r.AddPlanned(20)
 	r.PoolCapacity(4)

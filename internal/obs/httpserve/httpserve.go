@@ -1,16 +1,18 @@
 // Package httpserve is the live debug HTTP surface of a running FRaC
-// command, enabled with -debug-addr on all three CLIs:
+// command, enabled with -debug-addr on all four CLIs (frac, fracbench,
+// fracgen, fracserve):
 //
 //	/metrics      Prometheus/OpenMetrics text exposition of every recorder
 //	              counter, gauge, phase-span statistic, and the pool
 //	              queue-wait histogram (scrapeable while the run is in flight)
 //	/healthz      liveness probe ("ok")
-//	/progress     live progress JSON: done/planned terms, rate, ETA, pool
-//	              occupancy, heap
+//	/progress     live progress JSON: done/planned terms, rate, ETA, the
+//	              recorder's pool occupancy gauges, heap
 //	/debug/pprof  the stdlib profiling mux (heap, goroutine, profile, trace…)
 //
 // The server only reads the recorder's atomics through Snapshot, so scraping
-// is race-free against a live run and cannot change scores.
+// is race-free against a live run and cannot change scores. Command, the
+// front end those four CLIs share, starts and closes it.
 package httpserve
 
 import (
@@ -38,10 +40,6 @@ type Options struct {
 	// Manifest, when non-nil, is exposed as frac_build_info and echoed by
 	// /progress.
 	Manifest *obs.Manifest
-	// PoolStats, when non-nil, is an extra live gauge hook (parallel.Limit
-	// Stats) included in /progress as pool_live — useful when the pool exists
-	// but no recorder instrumentation is attached.
-	PoolStats func() (capacity, busy int)
 	// Extra, when non-nil, supplies additional metric families appended to
 	// the /metrics exposition after the recorder's (e.g. the serving daemon's
 	// frac_serve_* registry). Called once per scrape.
@@ -146,17 +144,8 @@ type Progress struct {
 	PoolBusy     int64 `json:"pool_busy,omitempty"`
 	PoolWaiting  int64 `json:"pool_waiting,omitempty"`
 
-	// PoolLive is the uninstrumented gauge hook's view (see Options.PoolStats).
-	PoolLive *PoolLive `json:"pool_live,omitempty"`
-
 	HeapBytes         int64 `json:"heap_bytes"`
 	AnalyticPeakBytes int64 `json:"analytic_peak_bytes,omitempty"`
-}
-
-// PoolLive is a direct pool-occupancy snapshot.
-type PoolLive struct {
-	Capacity int `json:"capacity"`
-	Busy     int `json:"busy"`
 }
 
 func progressDoc(opts Options) Progress {
@@ -185,10 +174,6 @@ func progressDoc(opts Options) Progress {
 		p.PoolCapacity = m.Pool.Capacity
 		p.PoolBusy = m.Pool.Busy
 		p.PoolWaiting = m.Pool.Waiting
-	}
-	if opts.PoolStats != nil {
-		capacity, busy := opts.PoolStats()
-		p.PoolLive = &PoolLive{Capacity: capacity, Busy: busy}
 	}
 	return p
 }

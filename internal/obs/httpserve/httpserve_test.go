@@ -95,11 +95,16 @@ func TestEndpoints(t *testing.T) {
 	rec.AddPlanned(10)
 	man := obs.NewManifest("frac-test")
 	man.Variant = "full"
-	srv, err := httpserve.Start("127.0.0.1:0", httpserve.Options{
-		Recorder:  rec,
-		Manifest:  man,
-		PoolStats: func() (int, int) { return 8, 3 },
-	})
+	// The pool's occupancy reaches /progress through the recorder that
+	// instruments it.
+	limit := parallel.NewLimit(8).Instrument(rec)
+	for i := 0; i < 3; i++ {
+		if err := limit.Acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		defer limit.Release()
+	}
+	srv, err := httpserve.Start("127.0.0.1:0", httpserve.Options{Recorder: rec, Manifest: man})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +139,8 @@ func TestEndpoints(t *testing.T) {
 	if prog.PlannedTerms != 10 || prog.CompletedTerms != 5 || prog.Percent != 50 {
 		t.Errorf("progress = %+v", prog)
 	}
-	if prog.PoolLive == nil || prog.PoolLive.Capacity != 8 || prog.PoolLive.Busy != 3 {
-		t.Errorf("pool_live = %+v", prog.PoolLive)
+	if prog.PoolCapacity != 8 || prog.PoolBusy != 3 {
+		t.Errorf("pool_capacity/pool_busy = %d/%d, want 8/3", prog.PoolCapacity, prog.PoolBusy)
 	}
 
 	if code, _, body := get(t, srv, "/debug/pprof/"); code != 200 || !strings.Contains(body, "goroutine") {

@@ -76,16 +76,6 @@ func ConfigHash(kv map[string]string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// FlagConfigHash renders a flag-style configuration into a ConfigHash; the
-// variadic pairs alternate key, value (odd trailing keys are dropped).
-func FlagConfigHash(pairs ...string) string {
-	kv := make(map[string]string, len(pairs)/2)
-	for i := 0; i+1 < len(pairs); i += 2 {
-		kv[pairs[i]] = pairs[i+1]
-	}
-	return ConfigHash(kv)
-}
-
 // FormatBytes renders a byte count with a binary-prefix unit (progress line
 // and -version output; resource.FormatBytes is the tracker-side twin, kept
 // separate so obs stays dependency-free).

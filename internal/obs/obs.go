@@ -315,9 +315,9 @@ func (r *Recorder) SampleEvery() int {
 	return int(r.sampleEvery)
 }
 
-// Span is an in-flight phase timing; obtained from Start/StartSampled and
-// closed with End. The zero Span (disabled recorder, or a sampled-out term)
-// is a valid no-op.
+// Span is an in-flight phase timing; obtained from Start or
+// StartSampledWorker and closed with End. The zero Span (disabled recorder,
+// or a sampled-out term) is a valid no-op.
 type Span struct {
 	r      *Recorder
 	phase  Phase
@@ -333,18 +333,12 @@ func (r *Recorder) Start(p Phase) Span {
 	return Span{r: r, phase: p, worker: -1, t0: time.Now()}
 }
 
-// StartSampled opens a per-term span subject to the sampling period: only
-// one in sampleEvery calls returns a live span; the rest return the no-op
-// Span. Sampling bounds the enabled-telemetry overhead on runs with many
-// cheap terms.
-func (r *Recorder) StartSampled(p Phase) Span {
-	return r.StartSampledWorker(p, -1)
-}
-
-// StartSampledWorker is StartSampled with worker-track attribution: the
-// sampled span carries the calling worker's index, so journal events and
-// exported trace tracks show which worker ran the term. The attribution is
-// observation-only — sampling and statistics are identical to StartSampled.
+// StartSampledWorker opens a per-term span subject to the sampling period:
+// only one in sampleEvery calls returns a live span; the rest return the
+// no-op Span. Sampling bounds the enabled-telemetry overhead on runs with
+// many cheap terms. The sampled span carries the calling worker's index
+// (-1 for none), so journal events and exported trace tracks show which
+// worker ran the term; the attribution is observation-only.
 func (r *Recorder) StartSampledWorker(p Phase, worker int) Span {
 	if r == nil {
 		return Span{}

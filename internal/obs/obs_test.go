@@ -18,7 +18,7 @@ func TestNilRecorderZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		span := r.Start(PhaseTrain)
 		span.End()
-		span = r.StartSampled(PhaseTermScore)
+		span = r.StartSampledWorker(PhaseTermScore, -1)
 		span.End()
 		span = r.StartSampledWorker(PhaseTermScore, 2)
 		span.End()
@@ -49,7 +49,7 @@ func TestEnabledRecorderSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		span := r.Start(PhaseTrain)
 		span.End()
-		span = r.StartSampled(PhaseTermScore)
+		span = r.StartSampledWorker(PhaseTermScore, -1)
 		span.End()
 		span = r.StartSampledWorker(PhaseTermScore, 2)
 		span.End()
@@ -79,7 +79,7 @@ func TestConcurrentRecorder(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				span := r.StartSampled(PhaseTermTrain)
+				span := r.StartSampledWorker(PhaseTermTrain, -1)
 				r.Add(CounterTermsTrained, 1)
 				span.End()
 				r.PoolWaitBegin()
@@ -124,14 +124,14 @@ func TestConcurrentRecorder(t *testing.T) {
 	}
 }
 
-// TestSampling: with period n, StartSampled records 1/n of the spans while
+// TestSampling: with period n, StartSampledWorker records 1/n of the spans while
 // counters stay exhaustive.
 func TestSampling(t *testing.T) {
 	r := New()
 	r.SetSampleEvery(8)
 	const events = 800
 	for i := 0; i < events; i++ {
-		span := r.StartSampled(PhaseTermScore)
+		span := r.StartSampledWorker(PhaseTermScore, -1)
 		r.Add(CounterTermsScored, 1)
 		span.End()
 	}
@@ -229,11 +229,7 @@ func TestPhaseStatMinMax(t *testing.T) {
 
 func TestConfigHash(t *testing.T) {
 	a := ConfigHash(map[string]string{"scale": "16", "seed": "1"})
-	b := FlagConfigHash("seed", "1", "scale", "16") // order-independent
-	if a != b {
-		t.Errorf("hash depends on pair order: %s vs %s", a, b)
-	}
-	c := FlagConfigHash("seed", "2", "scale", "16")
+	c := ConfigHash(map[string]string{"scale": "16", "seed": "2"})
 	if a == c {
 		t.Errorf("hash ignores value change")
 	}

@@ -17,8 +17,10 @@ import (
 // overridable with -obs-term-sample.
 const DefaultTermSample = 8
 
-// CLIFlags is the telemetry flag bundle shared by the frac, fracbench, and
-// fracgen commands, so every binary exposes the same observability surface.
+// CLIFlags is the telemetry flag bundle shared by the frac, fracbench,
+// fracgen and fracserve commands, so every binary exposes the same
+// observability surface. The commands' shared front end (httpserve.Command)
+// registers it and leaves it out of the config hash.
 type CLIFlags struct {
 	Version        bool
 	Progress       bool

@@ -70,17 +70,6 @@ func (l *Limit) Instrument(r *obs.Recorder) *Limit {
 	return l
 }
 
-// Stats reports the pool's capacity and the number of tokens currently held —
-// a live occupancy gauge snapshot for debug surfaces (the -debug-addr
-// /progress endpoint), valid whether or not the Limit is instrumented.
-// Nil-safe: a nil Limit reports 0, 0.
-func (l *Limit) Stats() (capacity, busy int) {
-	if l == nil {
-		return 0, 0
-	}
-	return cap(l.sem), len(l.sem)
-}
-
 // Acquire blocks until a token is available or ctx is done, returning
 // ctx.Err() in the latter case.
 //

@@ -113,15 +113,15 @@ func TestLimitCancelledAcquireClosesGauges(t *testing.T) {
 }
 
 // TestLimitStats: the live capacity/busy readout the debug server's
-// /progress endpoint polls, including the nil pool (server wired before the
-// pool exists).
+// /progress endpoint polls is the instrumented pool's recorder gauges.
 func TestLimitStats(t *testing.T) {
-	var nilLimit *Limit
-	if c, b := nilLimit.Stats(); c != 0 || b != 0 {
-		t.Errorf("nil limit stats = %d/%d, want 0/0", c, b)
+	rec := obs.New()
+	l := NewLimit(3).Instrument(rec)
+	stats := func() (capacity, busy int64) {
+		m := rec.Snapshot()
+		return m.Pool.Capacity, m.Pool.Busy
 	}
-	l := NewLimit(3)
-	if c, b := l.Stats(); c != 3 || b != 0 {
+	if c, b := stats(); c != 3 || b != 0 {
 		t.Errorf("idle stats = %d/%d, want 3/0", c, b)
 	}
 	ctx := context.Background()
@@ -131,12 +131,12 @@ func TestLimitStats(t *testing.T) {
 	if err := l.Acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if c, b := l.Stats(); c != 3 || b != 2 {
+	if c, b := stats(); c != 3 || b != 2 {
 		t.Errorf("stats with 2 held = %d/%d, want 3/2", c, b)
 	}
 	l.Release()
 	l.Release()
-	if c, b := l.Stats(); c != 3 || b != 0 {
+	if c, b := stats(); c != 3 || b != 0 {
 		t.Errorf("drained stats = %d/%d, want 3/0", c, b)
 	}
 }

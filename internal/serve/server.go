@@ -342,9 +342,9 @@ type ScoreRequest struct {
 }
 
 // AttributionInfo is one feature's role in one row's score, as served on
-// the wire. Entries within a row are sorted by contribution descending
-// (feature index ascending on exact ties) — the same ordering the cohort
-// influence ranking uses.
+// the wire and written by frac -explain-top. Entries within a row are
+// sorted by contribution descending (feature index ascending on exact
+// ties) — the same ordering the cohort influence ranking uses.
 type AttributionInfo struct {
 	// Feature is the schema name of the attributed feature.
 	Feature string `json:"feature"`
@@ -360,7 +360,8 @@ type AttributionInfo struct {
 	// Predicted is what the feature's model expected given the rest of the
 	// row (class label as a number for categorical features); null in the
 	// degenerate case of a non-finite regression output on a row whose
-	// target was missing.
+	// target was missing, and in frac's replicate-mode documents, whose run
+	// keeps no predictions.
 	Predicted *float64 `json:"predicted"`
 	// Terms is the number of NS summands aggregated into this entry
 	// (omitted when 1, the full-wiring case).
@@ -487,43 +488,42 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := ScoreResponse{Model: h.name, ModelHash: rt.Hash(), Scores: out}
 	if explain > 0 {
-		resp.Explanations = explanationsDoc(rt, attr)
+		resp.Explanations = make([][]AttributionInfo, len(attr))
+		for i, rowAttr := range attr {
+			resp.Explanations[i] = Attributions(rowAttr, rt.Schema())
+		}
 		h.batcher.cfg.Metrics.observeExplain(explain, rows.Rows)
 		s.cfg.Recorder.Annotate("explain", explainAnnotation(h.name, rt, attr, explain))
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// explanationsDoc renders captured attributions for the wire: feature
-// names resolved against the runtime that scored the batch, missing
-// observations and non-finite predictions as JSON null.
-func explanationsDoc(rt *Runtime, attr [][]core.Attribution) [][]AttributionInfo {
-	schema := rt.Schema()
-	doc := make([][]AttributionInfo, len(attr))
-	for i, rowAttr := range attr {
-		infos := make([]AttributionInfo, len(rowAttr))
-		for j, a := range rowAttr {
-			info := AttributionInfo{
-				Feature:      schema[a.Target].Name,
-				Orig:         a.Orig,
-				Contribution: a.Contribution,
-			}
-			if !a.MissingObserved() {
-				v := a.Observed
-				info.Observed = &v
-			}
-			if !math.IsNaN(a.Predicted) && !math.IsInf(a.Predicted, 0) {
-				v := a.Predicted
-				info.Predicted = &v
-			}
-			if a.Terms > 1 {
-				info.Terms = a.Terms
-			}
-			infos[j] = info
+// Attributions renders one row's attributions for the wire: each feature
+// named by its Orig index in schema (which stays right for filtered wirings,
+// where Target indexes a reduced schema), a missing observation and a
+// non-finite prediction as JSON null.
+func Attributions(attrs []core.Attribution, schema dataset.Schema) []AttributionInfo {
+	infos := make([]AttributionInfo, len(attrs))
+	for i, a := range attrs {
+		info := AttributionInfo{
+			Feature:      schema[a.Orig].Name,
+			Orig:         a.Orig,
+			Contribution: a.Contribution,
 		}
-		doc[i] = infos
+		if !a.MissingObserved() {
+			v := a.Observed
+			info.Observed = &v
+		}
+		if !math.IsNaN(a.Predicted) && !math.IsInf(a.Predicted, 0) {
+			v := a.Predicted
+			info.Predicted = &v
+		}
+		if a.Terms > 1 {
+			info.Terms = a.Terms
+		}
+		infos[i] = info
 	}
-	return doc
+	return infos
 }
 
 // explainAnnotation summarizes one explain request for the journal: the
