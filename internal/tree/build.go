@@ -73,18 +73,27 @@ type Scratch struct {
 	// sorter holds the observed rows of one threshold scan.
 	sorter byValue
 
-	// Classification scratch: a categorical scan's joint (category, label)
-	// count table, flat arityJ×arity, per-label counts, and one label mask
-	// per class over the design's rows (bitsets says whether the fit uses
-	// them: a classification fit with categorical inputs).
-	joint              []int
+	// Classification scratch: per-label counts of a node's rows, of a
+	// threshold scan's sides, and of the sides of a categorical split over
+	// more than plogpRows observed rows.
 	total, left, right []int
 	plogp              []float64 // plogpTable()
-	masks              []uint64
-	bitsets            bool
 
-	// Categorical-scan per-category totals: row counts, and for regression
-	// target sums and sums of squares.
+	// Count tables of a classification fit with categorical candidates
+	// (DESIGN.md §7): MaxDepth levels of levelLen entries, the table of a
+	// node at each depth. Candidate i's block of a level is
+	// [blocks[i], blocks[i+1]), empty for a real candidate and otherwise
+	// its arity×s.arity joint (category, label) counts, then its
+	// per-category, per-label and observed totals (blockLen). masks holds
+	// one label mask per class over the design's rows, for the popcount
+	// counts.
+	tables   []int32
+	levelLen int
+	blocks   []int
+	masks    []uint64
+
+	// Categorical regression scans' per-category row counts, target sums
+	// and sums of squares.
 	perCat    []int
 	sums, sqs []float64
 
@@ -94,32 +103,64 @@ type Scratch struct {
 // grow sizes the scratch for the fit s.fit describes over rows, grows its
 // tree in s.nodes and returns the tree with a copy of them.
 func (s *Scratch) grow(rows []int) tree {
-	maxArity, hasCat := 0, false
-	for _, c := range s.cols {
-		if a := s.d.cols[c].arity; a > 0 {
-			maxArity, hasCat = max(maxArity, a), true
-		}
-	}
+	s.prepare(rows)
+	s.d.codes.grow(s)
+	return tree{nodes: append([]node(nil), s.nodes...)}
+}
+
+// prepare sizes the scratch for the fit s.fit describes over rows.
+func (s *Scratch) prepare(rows []int) {
 	s.rows = append(s.rows[:0], rows...)
 	s.part = resize(s.part, len(rows))
 	if cap(s.sorter.idx) < len(rows) {
 		s.sorter.idx = make([]int, 0, len(rows))
 	}
-	s.perCat = resize(s.perCat, maxArity)
-	s.bitsets = s.catY != nil && hasCat
+	s.levelLen = 0
 	if s.catY != nil {
-		s.joint = resize(s.joint, maxArity*s.arity)
 		s.total, s.left, s.right = resize(s.total, s.arity), resize(s.left, s.arity), resize(s.right, s.arity)
 		s.plogp = plogpTable()
-	} else {
-		s.sums, s.sqs = resize(s.sums, maxArity), resize(s.sqs, maxArity)
-	}
-	if s.bitsets {
+		s.blocks = resize(s.blocks, len(s.cols)+1)
+		for i, c := range s.cols {
+			s.blocks[i] = s.levelLen
+			if a := s.d.cols[c].arity; a > 0 {
+				s.levelLen += blockLen(a, s.arity)
+			}
+		}
+		s.blocks[len(s.cols)] = s.levelLen
 		s.masks = resize(s.masks, s.arity*s.d.words)
+	} else {
+		maxArity := 0
+		for _, c := range s.cols {
+			maxArity = max(maxArity, s.d.cols[c].arity)
+		}
+		s.perCat, s.sums, s.sqs = resize(s.perCat, maxArity), resize(s.sums, maxArity), resize(s.sqs, maxArity)
 	}
+	s.tables = resize(s.tables, s.params.MaxDepth*s.levelLen)
 	s.nodes = s.nodes[:0]
-	s.d.codes.grow(s)
-	return tree{nodes: append([]node(nil), s.nodes...)}
+}
+
+// blockLen is the length of a count table block of a candidate of arity a
+// under a target of arity k: a·k joint counts, a per-category totals, k
+// per-label totals and the observed total.
+func blockLen(a, k int) int { return a*k + a + k + 1 }
+
+// CountTableBytes reports the count tables a classification fit of a
+// target of the given arity over candidate columns cols holds in its
+// Scratch, MaxDepth levels of 4-byte counts; 0 when no candidate is
+// categorical. A Scratch keeps the largest tables its fits needed.
+func (d *Design) CountTableBytes(cols []int, arity int, params Params) int64 {
+	n := 0
+	for _, c := range cols {
+		if a := d.cols[c].arity; a > 0 {
+			n += blockLen(a, arity)
+		}
+	}
+	return int64(params.withDefaults().MaxDepth) * int64(n) * 4
+}
+
+// level returns the count table of level i.
+func (s *Scratch) level(i int) []int32 {
+	return s.tables[i*s.levelLen : (i+1)*s.levelLen]
 }
 
 // resize returns buf with length n, reallocated only when it is too short.
@@ -138,7 +179,11 @@ type builder[C codeWord] struct {
 
 func (cc codeCols[C]) grow(s *Scratch) {
 	b := builder[C]{Scratch: s, codes: cc}
-	b.build(0, len(s.rows), 0)
+	root := b.segment(0, len(s.rows), 0)
+	if root.scan && s.levelLen > 0 {
+		b.count(s.level(0), s.rows)
+	}
+	b.build(root)
 }
 
 // column returns the codes of categorical design column c, indexed by row.
@@ -211,31 +256,69 @@ func (s *Scratch) setMasks(rows []int) {
 	}
 }
 
-// countBits fills joint, flat arity×s.arity, with the (category, label)
-// counts of the node whose masks setMasks wrote, and perCat and total with
-// its row sums and column sums; it returns their total. Each count is the
-// popcount of the category's rows within the label's mask.
-func (s *Scratch) countBits(joint, perCat, total []int, col *designCol) (nObs int) {
-	words, arity := s.d.words, s.arity
-	clear(total)
-	for c := range perCat {
-		set := s.d.bits[col.bits+c*words : col.bits+(c+1)*words]
-		nc := 0
-		for y := range total {
-			mask := s.masks[y*words : (y+1)*words]
-			mask = mask[:len(set)]
-			k := 0
-			for w, v := range set {
-				k += bits.OnesCount64(v & mask[w])
-			}
-			joint[c*arity+y] = k
-			total[y] += k
-			nc += k
-		}
-		perCat[c] = nc
-		nObs += nc
+// count fills tab, a level of the count tables, with the counts of rows:
+// each categorical candidate's joint (category, label) counts and their
+// per-category, per-label and observed totals. At bitsetRows rows or more
+// a joint count is a popcount of the category's bitset within a label mask
+// of rows; below it a loop over the rows' codes counts them. Both give the
+// same integers.
+func (b *builder[C]) count(tab []int32, rows []int) {
+	k, words := b.arity, b.d.words
+	bitset := len(rows) >= bitsetRows
+	if bitset {
+		b.setMasks(rows)
 	}
-	return nObs
+	for i, c := range b.cols {
+		col := &b.d.cols[c]
+		a := col.arity
+		if a == 0 {
+			continue
+		}
+		block := tab[b.blocks[i]:b.blocks[i+1]]
+		joint, perCat, total := block[:a*k], block[a*k:a*k+a], block[a*k+a:a*k+a+k]
+		var nObs int32
+		if bitset {
+			clear(total)
+			for cat := range perCat {
+				set := b.d.bits[col.bits+cat*words : col.bits+(cat+1)*words]
+				var nc int32
+				for y := range total {
+					mask := b.masks[y*words : (y+1)*words]
+					mask = mask[:len(set)]
+					n := 0
+					for w, v := range set {
+						n += bits.OnesCount64(v & mask[w])
+					}
+					joint[cat*k+y] = int32(n)
+					total[y] += int32(n)
+					nc += int32(n)
+				}
+				perCat[cat] = nc
+				nObs += nc
+			}
+		} else {
+			clear(joint)
+			codes := b.column(c)
+			for _, r := range rows {
+				if code := codes[r]; code != ^C(0) {
+					joint[int(code)*k+b.catY[r]]++
+				}
+			}
+			clear(total)
+			for cat := range perCat {
+				counts := joint[cat*k : (cat+1)*k]
+				counts = counts[:len(total)]
+				var nc int32
+				for y, n := range counts {
+					total[y] += n
+					nc += n
+				}
+				perCat[cat] = nc
+				nObs += nc
+			}
+		}
+		block[a*k+a+k] = nObs
+	}
 }
 
 // impurity returns the node impurity of rows: entropy (classification) or
@@ -289,25 +372,62 @@ type split struct {
 	gain      float64
 }
 
-// build recursively grows the subtree over the rows in b.rows[lo:hi],
-// returning its root index.
-func (b *builder[C]) build(lo, hi, depth int) int32 {
-	rows := b.rows[lo:hi]
-	if len(rows) == 0 {
-		// Degenerate: empty training set yields a zero-payload leaf.
+// segment is a node to grow: its rows b.rows[lo:hi] at depth, the leaf
+// rule's verdict on them, and the level of its count table.
+type segment struct {
+	lo, hi, depth int
+	// scan says the node is scanned for a split rather than made a leaf:
+	// it is above MaxDepth, has at least 2·MinLeaf rows and its impurity
+	// imp is positive (impure labels, or targets that vary).
+	scan bool
+	imp  float64
+	// level holds a scanned node's count table, when the fit keeps tables.
+	level int
+}
+
+// segment applies the leaf rule to the node over b.rows[lo:hi] at depth.
+func (b *builder[C]) segment(lo, hi, depth int) segment {
+	sg := segment{lo: lo, hi: hi, depth: depth}
+	if depth < b.params.MaxDepth && hi-lo >= 2*b.params.MinLeaf {
+		sg.imp = b.impurity(b.rows[lo:hi])
+		sg.scan = sg.imp > 0
+	}
+	return sg
+}
+
+// countChildren gives the children l and r of a split node whose count
+// table is level parent their tables, when the fit keeps tables and either
+// child is scanned. The smaller child (l on a tie) is counted into level
+// l.depth, the next level down; the larger, when scanned, is the parent's
+// counts less the smaller's, derived in place of the parent's table. A
+// subtree writes only its own nodes' levels and the levels below its root,
+// so building l first leaves r's table intact.
+func (b *builder[C]) countChildren(l, r *segment, parent int) {
+	if b.levelLen == 0 || !(l.scan || r.scan) {
+		return
+	}
+	small, large := l, r
+	if r.hi-r.lo < l.hi-l.lo {
+		small, large = r, l
+	}
+	small.level, large.level = small.depth, parent
+	counts := b.level(small.level)
+	b.count(counts, b.rows[small.lo:small.hi])
+	if large.scan {
+		tab := b.level(parent)
+		for i, n := range counts {
+			tab[i] -= n
+		}
+	}
+}
+
+// build grows the subtree of the node sg, returning its root index.
+func (b *builder[C]) build(sg segment) int32 {
+	rows := b.rows[sg.lo:sg.hi]
+	if !sg.scan {
 		return b.leaf(rows)
 	}
-	if depth >= b.params.MaxDepth || len(rows) < 2*b.params.MinLeaf {
-		return b.leaf(rows)
-	}
-	imp := b.impurity(rows)
-	if imp <= 0 {
-		return b.leaf(rows)
-	}
-	if b.bitsets && len(rows) >= bitsetRows {
-		b.setMasks(rows)
-	}
-	best, ok := b.bestSplit(rows, imp)
+	best, ok := b.bestSplit(rows, sg.imp, b.level(sg.level))
 	if !ok || best.gain < b.params.MinGain {
 		return b.leaf(rows)
 	}
@@ -323,10 +443,13 @@ func (b *builder[C]) build(lo, hi, depth int) int32 {
 		category:    best.category,
 		missingLeft: missingLeft,
 	})
-	l := b.build(lo, lo+nLeft, depth+1)
-	r := b.build(lo+nLeft, hi, depth+1)
-	b.nodes[idx].left = l
-	b.nodes[idx].right = r
+	mid := sg.lo + nLeft
+	l, r := b.segment(sg.lo, mid, sg.depth+1), b.segment(mid, sg.hi, sg.depth+1)
+	b.countChildren(&l, &r, sg.level)
+	left := b.build(l)
+	right := b.build(r)
+	b.nodes[idx].left = left
+	b.nodes[idx].right = right
 	return idx
 }
 
@@ -400,18 +523,23 @@ func (b *builder[C]) partition(rows []int, s split) (nLeft int, missingLeft, ok 
 }
 
 // bestSplit scans every candidate column for the impurity-minimizing split
-// of rows, whose impurity is parentImp; a tie goes to the column listed
-// first. Gains are computed over the rows with observed values and scaled
-// by the observed fraction (the C4.5 missing-value correction), so features
-// that are mostly missing cannot win on a handful of rows.
-func (b *builder[C]) bestSplit(rows []int, parentImp float64) (best split, found bool) {
-	for _, c := range b.cols {
+// of rows, whose impurity is parentImp and whose count table, in a
+// classification fit with categorical candidates, is tab; a tie goes to
+// the column listed first. Gains are computed over the rows with observed
+// values and scaled by the observed fraction (the C4.5 missing-value
+// correction), so features that are mostly missing cannot win on a handful
+// of rows.
+func (b *builder[C]) bestSplit(rows []int, parentImp float64, tab []int32) (best split, found bool) {
+	for i, c := range b.cols {
 		var cand split
 		var ok bool
-		if b.d.cols[c].arity > 0 {
-			cand, ok = b.bestCategoricalSplit(rows, c, parentImp)
-		} else {
+		switch {
+		case b.d.cols[c].arity == 0:
 			cand, ok = b.bestThresholdSplit(rows, c, parentImp)
+		case b.catY != nil:
+			cand, ok = b.bestCategoricalSplit(tab[b.blocks[i]:b.blocks[i+1]], c, len(rows), parentImp)
+		default:
+			cand, ok = b.bestCategoricalRegression(rows, c, parentImp)
 		}
 		if ok && (!found || cand.gain > best.gain) {
 			best, found = cand, true
@@ -523,101 +651,92 @@ func childVar(s, ss float64, n int) float64 {
 	return v
 }
 
-func (b *builder[C]) bestCategoricalSplit(rows []int, feature int, parentImp float64) (split, bool) {
-	arityJ := b.d.cols[feature].arity
-	perCat := b.perCat[:arityJ]
-	nObs := 0
-
+// bestCategoricalSplit scans categorical column feature for the best split
+// of a classification node of nRows rows from the column's block of the
+// node's count table. When the column has at most plogpRows observed rows
+// the children's entropies subtract their p·log p terms straight from the
+// table, label by label as entropy does, so each gain has entropy's bits.
+func (s *Scratch) bestCategoricalSplit(block []int32, feature, nRows int, parentImp float64) (split, bool) {
+	arityJ, k := s.d.cols[feature].arity, s.arity
+	joint, perCat, total := block[:arityJ*k], block[arityJ*k:arityJ*k+arityJ], block[arityJ*k+arityJ:arityJ*k+arityJ+k]
+	nObs := int(block[arityJ*k+arityJ+k])
+	if nObs < 2*s.params.MinLeaf {
+		return split{}, false
+	}
+	obsFrac := float64(nObs) / float64(nRows)
 	var bestGain float64 = math.Inf(-1)
 	bestCat := -1
-
-	if b.catY != nil {
-		// Count the joint table, with popcounts over the node's label masks
-		// or with a loop over its rows. The per-category, per-label and
-		// observed totals are integer sums of it, so any order of
-		// deriving them gives the same numbers.
-		arity := b.arity
-		joint := b.joint[:arityJ*arity]
-		total, rightC := b.total, b.right
-		if len(rows) >= bitsetRows {
-			nObs = b.countBits(joint, perCat, total, &b.d.cols[feature])
+	for c := 0; c < arityJ; c++ {
+		nl := int(perCat[c])
+		nr := nObs - nl
+		if nl < s.params.MinLeaf || nr < s.params.MinLeaf {
+			continue
+		}
+		counts := joint[c*k : (c+1)*k]
+		var hl, hr float64
+		if nObs <= plogpRows {
+			tl, tr := s.plogp[nl*(nl+1)/2:], s.plogp[nr*(nr+1)/2:]
+			for y, n := range counts {
+				hl -= tl[n]
+				hr -= tr[total[y]-n]
+			}
 		} else {
-			codes := b.column(feature)
-			clear(joint)
-			for _, r := range rows {
-				if c := codes[r]; c != ^C(0) {
-					joint[int(c)*arity+b.catY[r]]++
-				}
+			for y, n := range counts {
+				s.left[y], s.right[y] = int(n), int(total[y]-n)
 			}
-			clear(total)
-			for c := range perCat {
-				nc := 0
-				for y, k := range joint[c*arity : (c+1)*arity] {
-					nc += k
-					total[y] += k
-				}
-				perCat[c] = nc
-				nObs += nc
-			}
+			hl, hr = s.entropy(s.left, nl), s.entropy(s.right, nr)
 		}
-		if nObs < 2*b.params.MinLeaf {
-			return split{}, false
+		imp := (float64(nl)*hl + float64(nr)*hr) / float64(nObs)
+		gain := (parentImp - imp) * obsFrac
+		if gain > bestGain {
+			bestGain, bestCat = gain, c
 		}
-		obsFrac := float64(nObs) / float64(len(rows))
-		for c := 0; c < arityJ; c++ {
-			nl := perCat[c]
-			nr := nObs - nl
-			if nl < b.params.MinLeaf || nr < b.params.MinLeaf {
-				continue
-			}
-			counts := joint[c*arity : (c+1)*arity]
-			for y := range total {
-				rightC[y] = total[y] - counts[y]
-			}
-			imp := (float64(nl)*b.entropy(counts, nl) + float64(nr)*b.entropy(rightC, nr)) / float64(nObs)
-			gain := (parentImp - imp) * obsFrac
-			if gain > bestGain {
-				bestGain, bestCat = gain, c
-			}
+	}
+	return split{feature: feature, category: bestCat, gain: bestGain}, bestCat >= 0
+}
+
+// bestCategoricalRegression scans categorical column feature for the best
+// split of a regression node over rows. Its sums accumulate in row order:
+// their rounding is part of the result.
+func (b *builder[C]) bestCategoricalRegression(rows []int, feature int, parentImp float64) (split, bool) {
+	arityJ := b.d.cols[feature].arity
+	sums, sqs, perCat := b.sums[:arityJ], b.sqs[:arityJ], b.perCat[:arityJ]
+	clear(sums)
+	clear(sqs)
+	clear(perCat)
+	var totalS, totalSS float64
+	nObs := 0
+	codes := b.column(feature)
+	for _, r := range rows {
+		code := codes[r]
+		if code == ^C(0) {
+			continue
 		}
-	} else {
-		// Regression sums accumulate in row order: their rounding is part
-		// of the result.
-		sums, sqs := b.sums[:arityJ], b.sqs[:arityJ]
-		clear(sums)
-		clear(sqs)
-		clear(perCat)
-		var totalS, totalSS float64
-		codes := b.column(feature)
-		for _, r := range rows {
-			code := codes[r]
-			if code == ^C(0) {
-				continue
-			}
-			c := int(code)
-			v := b.realY[r]
-			sums[c] += v
-			sqs[c] += v * v
-			perCat[c]++
-			totalS += v
-			totalSS += v * v
-			nObs++
+		c := int(code)
+		v := b.realY[r]
+		sums[c] += v
+		sqs[c] += v * v
+		perCat[c]++
+		totalS += v
+		totalSS += v * v
+		nObs++
+	}
+	if nObs < 2*b.params.MinLeaf {
+		return split{}, false
+	}
+	obsFrac := float64(nObs) / float64(len(rows))
+	var bestGain float64 = math.Inf(-1)
+	bestCat := -1
+	for c := 0; c < arityJ; c++ {
+		nl := perCat[c]
+		nr := nObs - nl
+		if nl < b.params.MinLeaf || nr < b.params.MinLeaf {
+			continue
 		}
-		if nObs < 2*b.params.MinLeaf {
-			return split{}, false
-		}
-		obsFrac := float64(nObs) / float64(len(rows))
-		for c := 0; c < arityJ; c++ {
-			nl := perCat[c]
-			nr := nObs - nl
-			if nl < b.params.MinLeaf || nr < b.params.MinLeaf {
-				continue
-			}
-			imp := (childVar(sums[c], sqs[c], nl)*float64(nl) + childVar(totalS-sums[c], totalSS-sqs[c], nr)*float64(nr)) / float64(nObs)
-			gain := (parentImp - imp) * obsFrac
-			if gain > bestGain {
-				bestGain, bestCat = gain, c
-			}
+		imp := (childVar(sums[c], sqs[c], nl)*float64(nl) + childVar(totalS-sums[c], totalSS-sqs[c], nr)*float64(nr)) / float64(nObs)
+		gain := (parentImp - imp) * obsFrac
+		if gain > bestGain {
+			bestGain, bestCat = gain, c
 		}
 	}
 	return split{feature: feature, category: bestCat, gain: bestGain}, bestCat >= 0
