@@ -93,9 +93,11 @@ func main() {
 		opt.obs, opt.manifest = sess.Rec, sess.Manifest
 		// When telemetry is on, run all term-level work through one
 		// instrumented compute pool so occupancy and queue-wait metrics cover
-		// every variant (the pool is sized exactly like the worker bound, so
-		// scheduling — and therefore scores — is unchanged).
-		if opt.obs != nil {
+		// every variant and -save-model (the pool is sized exactly like the
+		// worker bound, so scheduling — and therefore scores — is
+		// unchanged). Scoring a loaded model acquires no pool, so
+		// -load-model gets none.
+		if opt.obs != nil && *loadModel == "" {
 			opt.limit = frac.NewLimit(opt.workers).Instrument(opt.obs)
 		}
 		switch {
@@ -153,7 +155,7 @@ func trainAndSave(ctx context.Context, trainPath, modelPath, driftRefPath string
 	}
 	train = normalsOnly(train)
 	opt.describeDataset(train.Name, train.NumFeatures(), train.NumSamples(), 0, 0)
-	cfg := frac.Config{Seed: opt.seed, Workers: opt.workers, Obs: opt.obs, Learners: learners}
+	cfg := frac.Config{Seed: opt.seed, Workers: opt.workers, Obs: opt.obs, Limit: opt.limit, Learners: learners}
 	model, err := frac.TrainCtx(ctx, train, frac.FullTerms(train.NumFeatures()), cfg)
 	if err != nil {
 		return err

@@ -316,3 +316,55 @@ func TestRejectsPositionalArguments(t *testing.T) {
 		}
 	}
 }
+
+// TestSaveModelRunsOnThePool: with telemetry on, -save-model trains (and
+// captures its drift reference) through the instrumented compute pool, so
+// its metrics report acquires, and its artifact is the one a run without
+// telemetry saves; -load-model scores without a pool, so its metrics have
+// no pool section.
+func TestSaveModelRunsOnThePool(t *testing.T) {
+	dir := t.TempDir()
+	trainPath, testPath := filepath.Join(dir, "train.tsv"), filepath.Join(dir, "test.tsv")
+	if err := frac.WriteDatasetFile(trainPath, realDataset("train", 30, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := frac.WriteDatasetFile(testPath, realDataset("test", 6, 5)); err != nil {
+		t.Fatal(err)
+	}
+	pool := func(metrics string) map[string]any {
+		t.Helper()
+		var doc struct {
+			Pool map[string]any `json:"pool"`
+		}
+		blob, err := os.ReadFile(metrics)
+		if err == nil {
+			err = json.Unmarshal(blob, &doc)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc.Pool
+	}
+	plain, traced := filepath.Join(dir, "plain.frac"), filepath.Join(dir, "traced.frac")
+	saveMetrics, loadMetrics := filepath.Join(dir, "save.json"), filepath.Join(dir, "load.json")
+	for _, args := range [][]string{
+		{"-train", trainPath, "-save-model", plain, "-seed", "1", "-workers", "2"},
+		{"-train", trainPath, "-save-model", traced, "-seed", "1", "-workers", "2", "-metrics-out", saveMetrics},
+		{"-load-model", traced, "-test", testPath, "-metrics-out", loadMetrics},
+	} {
+		if code, out := runFrac(t, args...); code != 0 {
+			t.Fatalf("frac %s: exit status %d, output %q", strings.Join(args, " "), code, out)
+		}
+	}
+	if p := pool(saveMetrics); p == nil || p["acquires"].(float64) <= 0 {
+		t.Errorf("-save-model metrics: pool %v, want acquires > 0", p)
+	}
+	if p := pool(loadMetrics); p != nil {
+		t.Errorf("-load-model metrics: pool %v, want no pool section", p)
+	}
+	a, errA := os.ReadFile(plain)
+	b, errB := os.ReadFile(traced)
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		t.Errorf("artifact saved with telemetry differs from the one saved without it (%v, %v)", errA, errB)
+	}
+}

@@ -190,8 +190,9 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, terms []Term, cfg Con
 			m.release()
 			return nil, err
 		}
-		cfg.Tracker.Alloc(design.Bytes())
-		defer cfg.Tracker.Release(design.Bytes())
+		reserved := design.Bytes() + treeReservation(train, design, terms, plan, cfg)
+		cfg.Tracker.Alloc(reserved)
+		defer cfg.Tracker.Release(reserved)
 	}
 	if cfg.Tracker != nil {
 		scratch := svrReservation(terms, plan, cfg.Workers)

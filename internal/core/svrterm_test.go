@@ -389,7 +389,8 @@ func TestTrainTermWithoutSharedGram(t *testing.T) {
 // TestSVRAccountedPeak: SVR terms charge their scratch as one reservation
 // per worker at the widest SVR term's size (a primal term's m x |inputs|
 // design, a Gram term's n x n Gram), held across the term fan-out, so the
-// accounted peak of a Train with SVR terms is exact: the shared state, the
+// accounted peak of a Train with SVR terms is exact: the shared state (with
+// the tree terms' count-table reservation, tableReservation), the
 // reservation and the model, at 1, 2 and 4 workers and in every run, never
 // depending on which terms overlap. The golden fixture mixes primal SVR
 // and tree terms; the wide one mixes primal and Gram-routed SVR terms.
@@ -438,7 +439,7 @@ func TestSVRAccountedPeak(t *testing.T) {
 				shared += g.bytes()
 			}
 			if firstOn(plan, routeTree) >= 0 {
-				shared += tree.NewDesign(train.X, train.Schema).Bytes()
+				shared += tree.NewDesign(train.X, train.Schema).Bytes() + tableReservation(train, terms, w)
 			}
 			reserve := int64(min(w, svrTerms)) * widest
 			for run := 0; run < 3; run++ {

@@ -69,3 +69,25 @@ func byDesignRow[T any](buf []T, n int, rows []int, y []T) []T {
 	}
 	return buf
 }
+
+// treeReservation is the analytic count-table scratch a Train's
+// classification trees hold on design d, charged with the design before
+// the term fan-out: one set of tables per worker that can train such a
+// term, at the widest term's size (tree.Design.CountTableBytes over its
+// inputs). A worker's Scratch keeps the largest tables it needed, so, as
+// with svrReservation, the accounted peak depends on the worker count only.
+func treeReservation(train *dataset.Dataset, d *tree.Design, terms []Term, plan []termPlan, cfg Config) int64 {
+	var widest int64
+	count := 0
+	for i, p := range plan {
+		target := train.Schema[terms[i].Target]
+		if p.route != routeTree || target.Kind != dataset.Categorical {
+			continue
+		}
+		if b := d.CountTableBytes(terms[i].Inputs, target.Arity, *cfg.Learners.Tree); b > 0 {
+			count++
+			widest = max(widest, b)
+		}
+	}
+	return int64(min(cfg.Workers, count)) * widest
+}

@@ -295,11 +295,12 @@ func TestTreeRouteWorkerInvariance(t *testing.T) {
 }
 
 // TestTreeRouteAccountedPeak: a Train whose learned terms are all trees
-// tracks the shared design once and nothing per tree term, so its accounted
-// peak does not depend on which terms overlap in time: it is the design's
-// bytes plus the trained model's, at any worker count. The fixtures are
-// all-categorical data under the default learners, and all-real and mixed
-// data under TreeLearners.
+// tracks the shared design once and, with it, one reservation per worker
+// for the classification trees' count tables, so its accounted peak does
+// not depend on which terms overlap in time: it is the design's bytes plus
+// the table reservation (tableReservation) plus the trained model's, at 1,
+// 2 and 4 workers. The fixtures are all-categorical data under the default
+// learners, and all-real and mixed data under TreeLearners.
 func TestTreeRouteAccountedPeak(t *testing.T) {
 	for _, c := range []struct {
 		name        string
@@ -322,10 +323,49 @@ func TestTreeRouteAccountedPeak(t *testing.T) {
 			if got := rec.Count(obs.CounterTermsTree); got != int64(len(terms)) {
 				t.Fatalf("%s workers=%d: %d of %d terms on the design route", c.name, w, got, len(terms))
 			}
-			if got, want := tracker.PeakBytes(), design+m.Bytes(); got != want {
-				t.Errorf("%s workers=%d: accounted peak %d bytes, want design %d + model %d = %d",
-					c.name, w, got, design, m.Bytes(), want)
+			tables := tableReservation(train, terms, w)
+			if c.nCat > 0 && tables == 0 {
+				t.Fatalf("%s: no count tables reserved", c.name)
+			}
+			if got, want := tracker.PeakBytes(), design+tables+m.Bytes(); got != want {
+				t.Errorf("%s workers=%d: accounted peak %d bytes, want design %d + count tables %d + model %d = %d",
+					c.name, w, got, design, tables, m.Bytes(), want)
 			}
 		}
 	}
+}
+
+// tableReservation restates the count-table reservation of a Train of
+// terms at the default tree parameters: for each term that trains a
+// classification tree (a categorical target with at least minObserved
+// observed rows and some inputs), MaxDepth (12) levels of 4-byte counts,
+// a·k + a + k + 1 of them per categorical input of arity a under a target
+// of arity k; one such set per worker, at the widest term's size, for at
+// most as many workers as there are such terms.
+func tableReservation(train *dataset.Dataset, terms []Term, workers int) int64 {
+	var widest int64
+	count := 0
+	for _, term := range terms {
+		target := train.Schema[term.Target]
+		m := 0
+		for i := 0; i < train.NumSamples(); i++ {
+			if !dataset.IsMissing(train.X.At(i, term.Target)) {
+				m++
+			}
+		}
+		if target.Kind != dataset.Categorical || m < minObserved || len(term.Inputs) == 0 {
+			continue
+		}
+		k, n := target.Arity, 0
+		for _, j := range term.Inputs {
+			if f := train.Schema[j]; f.Kind == dataset.Categorical {
+				n += f.Arity*k + f.Arity + k + 1
+			}
+		}
+		if n > 0 {
+			count++
+			widest = max(widest, int64(12*n*4))
+		}
+	}
+	return int64(min(workers, count)) * widest
 }
